@@ -21,7 +21,8 @@ witnesses), --batch FILE (one request per line, '-' for stdin).
 
 Exit codes: 0 success; 1 reproduce found failing items; 2 parse error;
 3 semantic error; 4 computation unsupported (outside the symbolic
-tables).
+tables, or a space expression nested deeper than
+grammar.MAX_SPACE_NESTING).
 """
 
 from __future__ import annotations
@@ -164,21 +165,12 @@ def _group_text(payload: dict) -> str:
     return f"{payload['expression']} (exponent {payload['exponent']})"
 
 
-def _chain_model(x: SpaceDescription, top_needed: int):
-    if x.kind == "finite":
-        return x.complex
-    if x.kind == "periodic":
-        return x.periodic.unroll(top_needed)
-    raise UnsupportedComputation(
-        f"{x.kind} spaces support homology, brauer, phantom and certify "
-        "only; cochain-level commands need a finite or periodic cell "
-        "structure")
-
-
-def _boundary_trace(c, degrees) -> list[str]:
+def _boundary_trace(c, offset: int, degrees) -> list[str]:
+    """Smith diagonals of the boundaries in the given space degrees,
+    read from a window c whose degree 0 is the space's degree offset."""
     out = []
     for n in degrees:
-        b = c.boundary(n)
+        b = c.boundary(n - offset)
         if b.rows and b.cols:
             diag = smith_normal_form(b).diagonal
             out.append(f"SNF diagonal of boundary_{n}: {list(diag)}")
@@ -199,13 +191,13 @@ def execute(req: Request, trace: bool = False) -> dict:
         result = _group_payload(h)
         text = f"H_{req.degree} = {_group_text(result)}"
         citations = ["smith-normal-form"]
-        if req.space.kind in ("finite", "periodic"):
-            c = _chain_model(req.space, req.degree + 1)
-            tr = _boundary_trace(c, (req.degree, req.degree + 1))
+        if trace and req.space.kind in ("finite", "periodic"):
+            c, off = req.space.window(req.degree)
+            tr = _boundary_trace(c, off, (req.degree, req.degree + 1))
 
     elif req.command == "cohomology":
-        c = _chain_model(req.space, req.degree + 1)
-        h = cohomology(c, req.degree, modulus=req.modulus)
+        c, off = req.space.window(req.degree)
+        h = cohomology(c, req.degree - off, modulus=req.modulus)
         result = _group_payload(h)
         result["degree"] = req.degree
         if req.modulus is not None:
@@ -214,23 +206,25 @@ def execute(req: Request, trace: bool = False) -> dict:
         else:
             text = f"H^{req.degree} = {result['group']}"
         citations = ["universal-coefficients", "smith-normal-form"]
-        tr = _boundary_trace(c, (req.degree, req.degree + 1))
+        if trace:
+            tr = _boundary_trace(c, off, (req.degree, req.degree + 1))
 
     elif req.command == "uct":
-        c = _chain_model(req.space, req.degree + 1)
-        u = uct_decompose(c, req.degree)
-        result = {"kind": "uct", "degree": u.degree,
+        c, off = req.space.window(req.degree)
+        u = uct_decompose(c, req.degree - off)
+        result = {"kind": "uct", "degree": req.degree,
                   "ext_part": format_group(u.ext_part),
                   "hom_part": format_group(u.hom_part),
                   "total": format_group(u.total)}
-        text = (f"H^{u.degree} = {result['total']} with Ext part "
+        text = (f"H^{req.degree} = {result['total']} with Ext part "
                 f"{result['ext_part']} and Hom part {result['hom_part']}")
         citations = ["universal-coefficients"]
-        tr = _boundary_trace(c, (req.degree, req.degree + 1))
+        if trace:
+            tr = _boundary_trace(c, off, (req.degree, req.degree + 1))
 
     elif req.command == "bockstein":
-        c = _chain_model(req.space, req.degree + 2)
-        beta = bockstein(c, req.degree, req.modulus)
+        c, off = req.space.window(req.degree)
+        beta = bockstein(c, req.degree - off, req.modulus)
         result = {"kind": "hom",
                   "domain": format_group(beta.domain),
                   "codomain": format_group(beta.codomain),
@@ -240,7 +234,9 @@ def execute(req: Request, trace: bool = False) -> dict:
                 f"H^{req.degree + 1}: {result['domain']} -> "
                 f"{result['codomain']}, matrix {result['matrix']}")
         citations = ["bockstein-sequence"]
-        tr = _boundary_trace(c, (req.degree, req.degree + 1, req.degree + 2))
+        if trace:
+            tr = _boundary_trace(c, off, (req.degree, req.degree + 1,
+                                          req.degree + 2))
 
     elif req.command == "brauer":
         bp = brauer_prime(req.space)
@@ -267,9 +263,9 @@ def execute(req: Request, trace: bool = False) -> dict:
                 + (f" ({cert.reason})" if cert.reason else ""))
         citations = ["brauer-cw-formula"]
         citations += _certificate_citations(req.space, cert)
-        if req.space.kind in ("finite", "periodic"):
-            c = _chain_model(req.space, 3)
-            tr = _boundary_trace(c, (2, 3))
+        if trace and req.space.kind in ("finite", "periodic"):
+            c, off = req.space.window(2)
+            tr = _boundary_trace(c, off, (2, 3))
 
     elif req.command == "phantom":
         ph = phantom_subgroup(req.space, req.degree)

@@ -26,6 +26,10 @@ Grammar summary::
                           ":" "J" "=" "(" AFFINE "," AFFINE "]"
                  AFFINE ::= [int] "i" [("+"|"-") INT] | int
 
+Space expressions nest at most MAX_SPACE_NESTING builders deep; a
+deeper one is refused with UnsupportedComputation (CLI exit code 4)
+rather than left to exhaust the interpreter's recursion limit.
+
 In towers the block links are listed as B_0, B_1, ..., each with its
 map to the previous stage (B_i maps to B_{(i-1) mod m}); the printed
 target group is validated against that convention.
@@ -38,12 +42,17 @@ from dataclasses import dataclass
 
 from .abgroup import FgAbGroup, GroupHom
 from .chaincx import ChainComplex
-from .errors import ParseError, SemanticError
+from .errors import ParseError, SemanticError, UnsupportedComputation
 from .intlin import IntMatrix
 from .limits import Tower
 from .profiles import (OMEGA, AffineExpr, CyclicProfile, ObstructionDescriptor,
                        Rule, format_profile)
 from . import spaces as _sp
+
+# Deepest space expression the parser accepts: far above any real
+# description (wedge(product(...)) trees nest a handful of levels), far
+# below the recursion limit (each level costs two parser frames).
+MAX_SPACE_NESTING = 64
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -93,6 +102,7 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.space_depth = 0
 
     # -- token plumbing ----------------------------------------------------
     def peek(self, ahead: int = 0) -> Token:
@@ -269,7 +279,15 @@ class _Parser:
         t = self.expect("ident", what="space builder")
         name = t.text
         self.expect("sym", "(")
-        out = self._space_args(name)
+        if self.space_depth == MAX_SPACE_NESTING:
+            raise UnsupportedComputation(
+                f"space expression nested more than {MAX_SPACE_NESTING} "
+                f"levels deep (line {t.line}, column {t.col})")
+        self.space_depth += 1
+        try:
+            out = self._space_args(name)
+        finally:
+            self.space_depth -= 1
         self.expect("sym", ")")
         return out
 

@@ -105,15 +105,6 @@ class PeriodicComplex:
                 dim = n
         return dim
 
-    def stable_homology(self, n: int) -> FgAbGroup:
-        """H_n, computed at three truncation depths as a stabilization
-        witness (the matrices agree, so the values must)."""
-        m = self.period
-        vals = [homology(self.unroll(n + 1 + k * m), n) for k in (0, 1, 2)]
-        if vals[0] != vals[1] or vals[1] != vals[2]:
-            raise SemanticError("periodic homology failed to stabilize")
-        return vals[0]
-
 
 @dataclass(frozen=True)
 class SpaceDescription:
@@ -142,6 +133,29 @@ class SpaceDescription:
         if self.kind == "telescope":
             return 2  # circles and cylinders
         return None
+
+    def window(self, n: int) -> tuple[ChainComplex, int]:
+        """The cells and boundaries around degree n >= 0, as (c, offset).
+
+        Degree k of the space is degree k - offset of c.  Homology and
+        cohomology of c agree with the space's in degrees n-1, n and
+        n+1, and c carries del_{n+2} (the Bockstein target needs it).
+        A finite complex is returned as stored, with offset 0; a
+        periodic one is cut to degrees max(0, n-2) .. n+2, so the cost
+        does not depend on n.
+        """
+        if self.kind == "finite":
+            return self.complex, 0
+        if self.kind == "periodic":
+            per = self.periodic
+            lo = max(0, n - 2)
+            c = ChainComplex([per.rank(k) for k in range(lo, n + 3)],
+                             [per.boundary(k) for k in range(lo + 1, n + 3)])
+            return c, lo
+        raise UnsupportedComputation(
+            f"{self.kind} spaces support homology, brauer, phantom and "
+            "certify only; cochain-level commands need a finite or "
+            "periodic cell structure")
 
     def cells(self, n: int) -> int | None:
         """Cells in degree n, when the description records them."""
@@ -293,10 +307,9 @@ def space_homology(x: SpaceDescription, n: int):
     """
     if n < 0:
         return FgAbGroup.trivial()
-    if x.kind == "finite":
-        return homology(x.complex, n)
-    if x.kind == "periodic":
-        return x.periodic.stable_homology(n)
+    if x.kind in ("finite", "periodic"):
+        c, offset = x.window(n)
+        return homology(c, n - offset)
     if x.kind == "telescope":
         if n == 0:
             return Z

@@ -4,6 +4,8 @@ contract, batch mode, JSON determinism, and the reproduce suite."""
 import io
 import json
 import sys
+import time
+from math import gcd
 
 import pytest
 
@@ -208,6 +210,125 @@ def test_trace_contains_snf_diagonals():
     assert "trace" not in report
 
 
+# Recorded from the unrolling implementation that the degree window
+# replaced: the trace names boundaries by their degree in the space.
+GOLDEN_TRACE_TEXT = {
+    "homology lens_periodic(5) 7": """\
+H_7 = Z/5
+citations: smith-normal-form
+trace: SNF diagonal of boundary_7: [0]
+trace: SNF diagonal of boundary_8: [5]
+""",
+    "bockstein lens_periodic(4) 3 mod 2": """\
+Bockstein H^3(; Z/2) -> H^4: Z/2 -> Z/4, matrix [[2]]
+citations: bockstein-sequence
+trace: SNF diagonal of boundary_3: [0]
+trace: SNF diagonal of boundary_4: [4]
+trace: SNF diagonal of boundary_5: [0]
+""",
+}
+
+GOLDEN_TRACE_JSON = {
+    "homology lens_periodic(5) 7": """\
+{
+  "citations": [
+    "smith-normal-form"
+  ],
+  "command": "homology",
+  "request": "homology lens_periodic(5) 7",
+  "result": {
+    "group": "Z/5",
+    "kind": "group"
+  },
+  "result_text": "H_7 = Z/5",
+  "trace": [
+    "SNF diagonal of boundary_7: [0]",
+    "SNF diagonal of boundary_8: [5]"
+  ]
+}
+""",
+    "bockstein lens_periodic(4) 3 mod 2": """\
+{
+  "citations": [
+    "bockstein-sequence"
+  ],
+  "command": "bockstein",
+  "request": "bockstein lens_periodic(4) 3 mod 2",
+  "result": {
+    "codomain": "Z/4",
+    "domain": "Z/2",
+    "is_zero": false,
+    "kind": "hom",
+    "matrix": [
+      [
+        2
+      ]
+    ]
+  },
+  "result_text": "Bockstein H^3(; Z/2) -> H^4: Z/2 -> Z/4, matrix [[2]]",
+  "trace": [
+    "SNF diagonal of boundary_3: [0]",
+    "SNF diagonal of boundary_4: [4]",
+    "SNF diagonal of boundary_5: [0]"
+  ]
+}
+""",
+}
+
+
+def test_periodic_trace_matches_golden_text():
+    for line, want in GOLDEN_TRACE_TEXT.items():
+        assert run(line, trace=True) == (EXIT_OK, want)
+    for line, want in GOLDEN_TRACE_JSON.items():
+        assert run(line, as_json=True, trace=True) == (EXIT_OK, want)
+
+
+def _cyclic(order):
+    return "0" if order == 1 else f"Z/{order}"
+
+
+@pytest.mark.parametrize("n", [10**6, 10**9 + 1])
+def test_periodic_queries_at_huge_degree_match_closed_forms(n):
+    # lens_periodic(m): C_k = Z, del_k = m for even k >= 2, 0 for odd k.
+    # Closed forms for k >= 1: H_k = Z/m (k odd) or 0; H^k = Z/m (k even)
+    # or 0; H^k(; Z/q) = Z/gcd(m, q); the Bockstein H^k(; Z/q) -> H^{k+1}
+    # is injective, onto the subgroup of order gcd(m, q) when k is odd.
+    odd = n % 2 == 1
+    calls = []
+
+    def ask(line):
+        start = time.perf_counter()
+        code, report = run_json(line)
+        calls.append(time.perf_counter() - start)
+        assert code == EXIT_OK, line
+        return report["result"]
+
+    for m in (4, 6):
+        space = f"lens_periodic({m})"
+        assert ask(f"homology {space} {n}")["group"] == (
+            _cyclic(m) if odd else "0")
+        assert ask(f"cohomology {space} {n}")["group"] == (
+            "0" if odd else _cyclic(m))
+        u = ask(f"uct {space} {n}")
+        assert u["degree"] == n
+        assert (u["total"], u["ext_part"], u["hom_part"]) == (
+            ("0", "0", "0") if odd else (_cyclic(m),) * 2 + ("0",))
+        for q in (2, 3, 4, 9):
+            g = gcd(m, q)
+            r = ask(f"cohomology {space} {n} mod {q}")
+            assert (r["group"], r["degree"], r["modulus"]) == (
+                _cyclic(g), n, q)
+            b = ask(f"bockstein {space} {n} mod {q}")
+            assert b["domain"] == _cyclic(g)
+            assert b["codomain"] == (_cyclic(m) if odd else "0")
+            assert b["is_zero"] == (g == 1 or not odd)
+            if odd and g > 1:
+                [[entry]] = b["matrix"]
+                assert gcd(entry, m) == m // g   # an element of order g
+    # unrolling the complex up to degree n needed minutes and gigabytes
+    assert max(calls) < 1.0
+
+
 # -- batch mode ------------------------------------------------------------------------
 
 
@@ -230,6 +351,23 @@ def test_batch_keeps_order_and_reports_first_bad_code():
     assert reports[0]["result_text"].startswith("H_2 = Z/6")
     assert "error" in reports[2]
     assert reports[3]["result"]["verdict"] == "EQUAL"
+
+
+def test_batch_refuses_deep_nesting_and_answers_the_other_lines():
+    deep = "sphere(2)"
+    for _ in range(600):
+        deep = f"wedge({deep}, sphere(2))"
+    lines = ["homology moore3(6) 2", f"homology {deep} 2",
+             "cohomology lens_periodic(3) 4"]
+    out = io.StringIO()
+    code = run_batch(lines, as_json=True, trace=False, out=out)
+    assert code == EXIT_UNSUPPORTED
+    reports = json.loads(out.getvalue())
+    assert [r["request"] for r in reports] == lines
+    assert reports[0]["result"]["group"] == "Z/6"
+    assert reports[1]["error"]["code"] == EXIT_UNSUPPORTED
+    assert reports[1]["error"]["type"] == "UnsupportedComputation"
+    assert reports[2]["result"]["group"] == "Z/3"
 
 
 def test_batch_text_mode():

@@ -12,9 +12,9 @@ import pytest
 
 from cwbrauer.abgroup import FgAbGroup, GroupHom
 from cwbrauer.chaincx import random_complex
-from cwbrauer.errors import ParseError, SemanticError
+from cwbrauer.errors import ParseError, SemanticError, UnsupportedComputation
 from cwbrauer.grammar import (
-    format_complex, format_descriptor, format_group, format_profile,
+    MAX_SPACE_NESTING, format_complex, format_descriptor, format_group, format_profile,
     format_space, format_tower, parse_complex, parse_descriptor, parse_group,
     parse_profile, parse_space, parse_tower,
 )
@@ -261,3 +261,22 @@ def test_semantic_rejections():
         parse_descriptor("rule i>=1: J=(i, 2i]; rule i>=1: J=(i, 3i]")
     with pytest.raises(SemanticError):
         parse_descriptor("rule i>=1: J=(i-1, 2i]")   # dips to the diagonal
+
+
+def test_space_nesting_cap_refuses_instead_of_recursing():
+    def nested(depth):
+        text = "sphere(2)"
+        for _ in range(depth - 1):
+            text = f"wedge({text}, sphere(2))"
+        return text
+
+    x = parse_space(nested(MAX_SPACE_NESTING))
+    # H_2 of a wedge of spheres is free on the 2-spheres (oracle: count)
+    assert sp.space_homology(x, 2) == FgAbGroup.free(MAX_SPACE_NESTING)
+    for depth in (MAX_SPACE_NESTING + 1, 600):
+        with pytest.raises(UnsupportedComputation) as e:
+            parse_space(nested(depth))
+        assert f"more than {MAX_SPACE_NESTING} levels" in str(e.value)
+    # the cap counts depth, not the number of builders in a line
+    flat = "wedge(" + ", ".join(["sphere(2)"] * 200) + ")"
+    assert sp.space_homology(parse_space(flat), 2) == FgAbGroup.free(200)

@@ -8,7 +8,8 @@ from math import gcd
 import pytest
 
 from cwbrauer.abgroup import FgAbGroup, Z, exterior_square
-from cwbrauer.chaincx import ChainComplex, homology, random_complex
+from cwbrauer.chaincx import (ChainComplex, cohomology, homology,
+                              random_complex)
 from cwbrauer.errors import SemanticError, UnsupportedComputation
 from cwbrauer.intlin import IntMatrix
 from cwbrauer.limits import SymbolicGroup
@@ -54,15 +55,19 @@ def test_lens_periodic_stable_homology():
             assert space_homology(x, k).is_trivial
 
 
-def test_periodic_with_prefix():
+def _prefix_demo():
     # A Moore complex glued below an eventually 2-periodic tail: prefix
     # carries degrees 0..3, the block then repeats (Z -0-> Z -4-> Z).
-    per = PeriodicComplex(
+    return PeriodicComplex(
         prefix_ranks=(1, 0, 1, 1),
         prefix_boundaries=(IntMatrix.zeros(1, 0), IntMatrix.zeros(0, 1),
                            IntMatrix([[6]])),
         block_ranks=(1, 1),
         block_boundaries=(IntMatrix([[0]]), IntMatrix([[4]])))
+
+
+def test_periodic_with_prefix():
+    per = _prefix_demo()
     x = SpaceDescription("periodic", ("complex", ("periodic-demo",)),
                          periodic=per)
     assert per.rank(2) == 1 and per.rank(5) == 1
@@ -70,6 +75,37 @@ def test_periodic_with_prefix():
     # degrees inside the tail: ... <-0- Z <-4- Z <-0- ...
     assert space_homology(x, 4) == FgAbGroup.cyclic(4)
     assert space_homology(x, 5).is_trivial
+
+
+def test_window_agrees_with_unrolled_complex_across_the_seam():
+    per = _prefix_demo()
+    x = SpaceDescription("periodic", ("complex", ("periodic-demo",)),
+                         periodic=per)
+    top = 14
+    full = per.unroll(top)
+    for n in range(top - 2):
+        c, offset = x.window(n)
+        assert offset == max(0, n - 2)
+        assert c.top_degree + offset == n + 2
+        for k in range(max(0, n - 1), n + 2):
+            assert homology(c, k - offset) == homology(full, k), (n, k)
+            assert cohomology(c, k - offset) == cohomology(full, k), (n, k)
+            for m in (2, 3, 4):
+                assert (cohomology(c, k - offset, m)
+                        == cohomology(full, k, m)), (n, k, m)
+        assert c.boundary(n + 2 - offset) == full.boundary(n + 2)
+
+
+def test_window_of_finite_space_is_the_stored_complex():
+    x = moore_3cell(6)
+    for n in (0, 2, 9):
+        c, offset = x.window(n)
+        assert c is x.complex and offset == 0
+    for y in (telescope_z(5), bpgl(3), k_space(FgAbGroup.cyclic(3), 2)):
+        with pytest.raises(UnsupportedComputation) as e:
+            y.window(2)
+        assert "cochain-level commands need a finite or periodic" in str(
+            e.value)
 
 
 def test_periodic_validation():
