@@ -279,23 +279,22 @@ class GroupHom:
             raise SemanticError(
                 f"hom matrix shape {matrix.shape} does not match "
                 f"{len(cod_orders)} x {len(dom_orders)}")
-        m = matrix.array()
+        m = matrix.to_lists()
         for i, e in enumerate(cod_orders):
             if e:
-                for j in range(len(dom_orders)):
-                    m[i, j] %= e
+                m[i] = [x % e for x in m[i]]
         for j, d in enumerate(dom_orders):
             if d == 0:
                 continue
             for i, e in enumerate(cod_orders):
-                v = d * m[i, j]
+                v = d * m[i][j]
                 if (e == 0 and v != 0) or (e != 0 and v % e != 0):
                     raise SemanticError(
                         f"matrix column {j} ignores the relation "
                         f"{d} * g_{j} = 0")
         self.domain = domain
         self.codomain = codomain
-        self.matrix = IntMatrix(m)
+        self.matrix = IntMatrix(m, cols=len(dom_orders))
 
     @classmethod
     def identity(cls, g: FgAbGroup) -> "GroupHom":
@@ -314,10 +313,7 @@ class GroupHom:
         if len(codomain.cyclic_orders()) != n:
             raise SemanticError(
                 "scalar map needs equally many generators on both sides")
-        a = IntMatrix.zeros(n, n).array()
-        for i in range(n):
-            a[i, i] = int(k)
-        return cls(domain, codomain, IntMatrix(a))
+        return cls(domain, codomain, IntMatrix.diagonal([k] * n))
 
     def apply(self, coords) -> tuple[int, ...]:
         """Image of an element given by domain coordinates."""

@@ -15,9 +15,8 @@ canonical generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from random import Random
-
-import numpy as np
 
 from .abgroup import FgAbGroup, GroupHom, ext1, hom
 from .errors import SemanticError
@@ -114,23 +113,17 @@ class SubquotientPresentation:
         self.gens = gens
         g = gens.cols
         rel = kernel_basis(gens)
-        cols = rel.to_lists()
         ycols = []
         for j in range(sub.cols):
             y = solve_integral(gens, sub.col_tuple(j))
             if y is None:
                 raise SemanticError("subgroup generator outside the lattice")
-            ycols.append(list(y))
-        relmat = np.empty((g, rel.cols + len(ycols)), dtype=object)
-        for i in range(g):
-            for j in range(rel.cols):
-                relmat[i, j] = rel[i, j]
-            for j, y in enumerate(ycols):
-                relmat[i, rel.cols + j] = y[i]
-        self.relations = IntMatrix(relmat)
+            ycols.append(y)
+        self.relations = IntMatrix(
+            [rel.row_tuple(i) + tuple(y[i] for y in ycols) for i in range(g)],
+            cols=rel.cols + len(ycols))
         sf = smith_normal_form(self.relations)
         self._u = sf.u
-        self._uinv = unimodular_inverse(sf.u)
         self._diag = sf.diagonal + (0,) * (g - len(sf.diagonal))
         r = sf.rank
         free_idx = list(range(r, g))
@@ -142,11 +135,8 @@ class SubquotientPresentation:
 
     def generator_vectors(self) -> list[tuple[int, ...]]:
         """Ambient representatives of the canonical generators."""
-        out = []
-        for i in self._gen_index:
-            coeffs = self._uinv.col_tuple(i)
-            out.append(self.gens @ list(coeffs))
-        return out
+        uinv = unimodular_inverse(self._u)
+        return [self.gens @ uinv.col_tuple(i) for i in self._gen_index]
 
     def coordinates(self, vec) -> tuple[int, ...]:
         """Class of an ambient vector (must lie in span(gens))."""
@@ -170,14 +160,6 @@ def homology(c: ChainComplex, n: int) -> FgAbGroup:
     return pres.group
 
 
-def _scaled_identity(n: int, m: int) -> IntMatrix:
-    a = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            a[i, j] = m if i == j else 0
-    return IntMatrix(a)
-
-
 def _cochain_presentation(c: ChainComplex, n: int,
                           modulus: int | None) -> SubquotientPresentation:
     """Presentation of H^n with Z or Z/modulus coefficients."""
@@ -189,11 +171,11 @@ def _cochain_presentation(c: ChainComplex, n: int,
     m = modulus
     if d_out.rows:
         # mod-m cocycles: x-projections of ker [d^n | mI]
-        ker = kernel_basis(d_out.hstack(_scaled_identity(d_out.rows, m)))
+        ker = kernel_basis(d_out.hstack(IntMatrix.diagonal([m] * d_out.rows)))
         gens = ker.submatrix(range(rn), range(ker.cols))
     else:
         gens = IntMatrix.identity(rn)
-    sub = d_in.hstack(_scaled_identity(rn, m))
+    sub = d_in.hstack(IntMatrix.diagonal([m] * rn))
     return SubquotientPresentation(gens, sub)
 
 
@@ -255,11 +237,8 @@ def bockstein(c: ChainComplex, n: int, m: int) -> GroupHom:
             lifted.append(entry // m)
         cols.append(cod.coordinates(lifted))
     rows = len(cod.group.cyclic_orders())
-    a = np.empty((rows, len(cols)), dtype=object)
-    for j, col in enumerate(cols):
-        for i in range(rows):
-            a[i, j] = col[i]
-    return GroupHom(dom.group, cod.group, IntMatrix(a))
+    a = [[col[i] for col in cols] for i in range(rows)]
+    return GroupHom(dom.group, cod.group, IntMatrix(a, cols=len(cols)))
 
 
 def tensor_complexes(c: ChainComplex, d: ChainComplex) -> ChainComplex:
@@ -273,19 +252,13 @@ def tensor_complexes(c: ChainComplex, d: ChainComplex) -> ChainComplex:
     ranks = [sum(c.rank(p) * d.rank(n - p) for p in range(n + 1))
              for n in range(top + 1)]
 
-    def offsets(n):
-        off = {}
-        pos = 0
-        for p in range(n + 1):
-            off[p] = pos
-            pos += c.rank(p) * d.rank(n - p)
-        return off
+    def offsets(n):  # where the block C_p (x) D_{n-p} starts, for each p
+        return list(accumulate(
+            (c.rank(p) * d.rank(n - p) for p in range(n + 1)), initial=0))
 
     boundaries = []
     for n in range(1, top + 1):
-        rows, cols = ranks[n - 1], ranks[n]
-        a = np.empty((rows, cols), dtype=object)
-        a[...] = 0
+        a = [[0] * ranks[n] for _ in range(ranks[n - 1])]
         src = offsets(n)
         dst = offsets(n - 1)
         for p in range(n + 1):
@@ -295,17 +268,25 @@ def tensor_complexes(c: ChainComplex, d: ChainComplex) -> ChainComplex:
                 continue
             col0 = src[p]
             if p >= 1 and c.rank(p - 1):
-                block = np.kron(c.boundary(p).array(),
-                                IntMatrix.identity(rd).array())
+                # del x (x) y: the block kron(del_p, I_rd)
                 r0 = dst[p - 1]
-                a[r0:r0 + c.rank(p - 1) * rd, col0:col0 + rc * rd] += block
+                for i, brow in enumerate(c.boundary(p).to_lists()):
+                    for j, x in enumerate(brow):
+                        if x:
+                            for k in range(rd):
+                                a[r0 + i * rd + k][col0 + j * rd + k] = x
             if q >= 1 and d.rank(q - 1):
+                # (-1)^p x (x) del y: the block sign * kron(I_rc, del_q)
                 sign = -1 if p % 2 else 1
-                block = np.kron(IntMatrix.identity(rc).array(),
-                                d.boundary(q).array()) * sign
-                r0 = dst[p]
-                a[r0:r0 + rc * d.rank(q - 1), col0:col0 + rc * rd] += block
-        boundaries.append(IntMatrix(a))
+                dq = [[sign * x for x in brow]
+                      for brow in d.boundary(q).to_lists()]
+                rq = len(dq)
+                for i in range(rc):
+                    r0 = dst[p] + i * rq
+                    c0 = col0 + i * rd
+                    for k, brow in enumerate(dq):
+                        a[r0 + k][c0:c0 + rd] = brow
+        boundaries.append(IntMatrix(a, cols=ranks[n]))
     return ChainComplex(ranks, boundaries)
 
 
@@ -321,10 +302,8 @@ def random_complex(rng: Random, max_top: int = 5, max_rank: int = 5,
     prev = IntMatrix.zeros(0, ranks[0])  # del_0
     for n in range(1, top + 1):
         k = kernel_basis(prev)
-        a = np.empty((k.cols, ranks[n]), dtype=object)
-        for i in range(k.cols):
-            for j in range(ranks[n]):
-                a[i, j] = rng.randint(-entry_bound, entry_bound)
+        a = [[rng.randint(-entry_bound, entry_bound) for _ in range(ranks[n])]
+             for _ in range(k.cols)]
         nxt = k @ IntMatrix(a) if k.cols else IntMatrix.zeros(ranks[n - 1], ranks[n])
         boundaries.append(nxt)
         prev = nxt

@@ -21,14 +21,15 @@ witnesses), --batch FILE (one request per line, '-' for stdin).
 
 Exit codes: 0 success; 1 reproduce found failing items; 2 parse error;
 3 semantic error; 4 computation unsupported (outside the symbolic
-tables, or a space expression nested deeper than
-grammar.MAX_SPACE_NESTING).
+tables, or over a cap of grammar.py: MAX_SPACE_NESTING, MAX_COMPLEX_CELLS,
+MAX_COMPLEX_DEGREE); 141 (128 + SIGPIPE) if stdout's reader went away.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from math import gcd
@@ -50,6 +51,7 @@ EXIT_REPRODUCE_FAIL = 1
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_UNSUPPORTED = 4
+EXIT_BROKEN_PIPE = 141
 
 COMMANDS = ("homology", "cohomology", "uct", "bockstein", "brauer",
             "phantom", "certify", "lim1", "profile-brauer",
@@ -661,17 +663,26 @@ def main(argv=None) -> int:
                     help="a command followed by its subject, e.g. "
                          "brauer 'moore3(6)'")
     ns = ap.parse_args(argv)
-    if ns.batch is not None:
-        if ns.request:
-            ap.error("--batch and a direct request are mutually exclusive")
-        if ns.batch == "-":
-            return run_batch(sys.stdin, ns.json, ns.trace)
-        with open(ns.batch, "r", encoding="utf-8") as fh:
-            return run_batch(fh, ns.json, ns.trace)
-    if not ns.request:
+    if ns.batch is not None and ns.request:
+        ap.error("--batch and a direct request are mutually exclusive")
+    if ns.batch is None and not ns.request:
         ap.error("no request given (try: cwbrauer brauer 'moore3(6)')")
-    line = " ".join(ns.request)
-    return run_line(line, ns.json, ns.trace)
+    try:
+        if ns.batch == "-":
+            code = run_batch(sys.stdin, ns.json, ns.trace)
+        elif ns.batch is not None:
+            with open(ns.batch, "r", encoding="utf-8") as fh:
+                code = run_batch(fh, ns.json, ns.trace)
+        else:
+            code = run_line(" ".join(ns.request), ns.json, ns.trace)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Stop without a traceback, and point
+        # stdout at devnull so the interpreter's final flush of what is
+        # still buffered cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,7 +28,11 @@ Grammar summary::
 
 Space expressions nest at most MAX_SPACE_NESTING builders deep; a
 deeper one is refused with UnsupportedComputation (CLI exit code 4)
-rather than left to exhaust the interpreter's recursion limit.
+rather than left to exhaust the interpreter's recursion limit.  A
+finite complex built by a space expression has at most
+MAX_COMPLEX_CELLS cells and no cells above degree MAX_COMPLEX_DEGREE;
+both are checked before the complex is built, and a larger one is
+refused the same way.
 
 In towers the block links are listed as B_0, B_1, ..., each with its
 map to the previous stage (B_i maps to B_{(i-1) mod m}); the printed
@@ -53,6 +57,14 @@ from . import spaces as _sp
 # description (wedge(product(...)) trees nest a handful of levels), far
 # below the recursion limit (each level costs two parser frames).
 MAX_SPACE_NESTING = 64
+
+# Largest finite complex a space expression may build: cells in all
+# degrees, and top degree.  `product` multiplies cell counts, and Smith
+# normal form is cubic in the widest boundary: homology of the 9-fold
+# product of circles (512 cells) takes seconds, one more factor over a
+# minute.  The tests and benchmark stay below 202 cells and degree 18.
+MAX_COMPLEX_CELLS = 512
+MAX_COMPLEX_DEGREE = 512
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -227,7 +239,7 @@ class _Parser:
 
     # -- complex literals ------------------------------------------------
     def complex(self) -> ChainComplex:
-        self.expect("ident", "complex", what="complex")
+        t = self.expect("ident", "complex", what="complex")
         self.expect("sym", "{")
         cells: dict[int, int] = {}
         bnds: dict[int, list[list[int]]] = {}
@@ -255,6 +267,7 @@ class _Parser:
         if not cells:
             raise SemanticError("complex literal needs at least one cells entry")
         top = max(max(cells), max(bnds, default=0))
+        self._check_size(sum(cells.values()), top, t)
         ranks = [cells.get(n, 0) for n in range(top + 1)]
         mats = []
         for n in range(1, top + 1):
@@ -266,8 +279,7 @@ class _Parser:
                 if grows != rows or (grows and gcols != cols):
                     raise SemanticError(
                         f"boundary {n} must be {rows} x {cols}")
-                mats.append(IntMatrix(given) if rows and cols
-                            else IntMatrix.zeros(rows, cols))
+                mats.append(IntMatrix(given, cols=cols))
             else:
                 mats.append(IntMatrix.zeros(rows, cols))
         return ChainComplex(ranks, mats)
@@ -285,21 +297,34 @@ class _Parser:
                 f"levels deep (line {t.line}, column {t.col})")
         self.space_depth += 1
         try:
-            out = self._space_args(name)
+            out = self._space_args(name, t)
         finally:
             self.space_depth -= 1
         self.expect("sym", ")")
         return out
 
-    def _space_args(self, name: str) -> _sp.SpaceDescription:
+    def _check_size(self, cells: int, top: int, t: Token):
+        """Refuse a finite complex over MAX_COMPLEX_CELLS cells or with
+        cells above degree MAX_COMPLEX_DEGREE, before it is built."""
+        if cells > MAX_COMPLEX_CELLS or top > MAX_COMPLEX_DEGREE:
+            raise UnsupportedComputation(
+                f"space expression builds {cells} cells up to degree {top}; "
+                f"at most {MAX_COMPLEX_CELLS} cells up to degree "
+                f"{MAX_COMPLEX_DEGREE} are supported "
+                f"(line {t.line}, column {t.col})")
+
+    def _space_args(self, name: str, t: Token) -> _sp.SpaceDescription:
         if name == "sphere":
-            return _sp.sphere(self.unsigned("dimension"))
+            n = self.unsigned("dimension")
+            self._check_size(2, n, t)
+            return _sp.sphere(n)
         if name == "moore3":
             return _sp.moore_3cell(self.unsigned("attachment degree"))
         if name == "lens":
             n = self.unsigned("lens parameter")
             self.expect("sym", ",")
             top = self.unsigned("top degree")
+            self._check_size(top + 1, top, t)
             return _sp.lens_skeleton(n, top)
         if name == "lens_periodic":
             return _sp.lens_periodic(self.unsigned("lens parameter"))
@@ -307,11 +332,21 @@ class _Parser:
             parts = [self.space()]
             while self.accept("sym", ","):
                 parts.append(self.space())
+            if all(x.kind == "finite" for x in parts):
+                # the summands share their one 0-cell
+                self._check_size(
+                    1 + sum(sum(x.complex.ranks) - x.complex.rank(0)
+                            for x in parts),
+                    max(x.complex.top_degree for x in parts), t)
             return _sp.wedge(parts)
         if name == "product":
             a = self.space()
             self.expect("sym", ",")
             b = self.space()
+            if a.kind == b.kind == "finite":
+                self._check_size(
+                    sum(a.complex.ranks) * sum(b.complex.ranks),
+                    a.complex.top_degree + b.complex.top_degree, t)
             return _sp.product(a, b)
         if name == "bpgl":
             return _sp.bpgl(self.unsigned("bundle rank"))
@@ -361,8 +396,7 @@ class _Parser:
             nd = len(domain.cyclic_orders())
             if len(rows) != nc or (rows and len(rows[0]) != nd):
                 raise SemanticError(f"map matrix must be {nc} x {nd}")
-            m = (IntMatrix(rows) if nc and nd else IntMatrix.zeros(nc, nd))
-            return GroupHom(domain, codomain, m)
+            return GroupHom(domain, codomain, IntMatrix(rows, cols=nd))
         self.fail("expected a map: id, x<k>, or a matrix")
 
     def tower(self) -> Tower:

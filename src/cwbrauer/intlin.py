@@ -1,82 +1,65 @@
 """Exact linear algebra over the integers.
 
-Everything here works with arbitrary-precision Python ints held in
-numpy object-dtype arrays; nothing is ever converted to floats.  The
-central routine is `smith_normal_form`, which returns the full
-transform pair (U, V) so that U @ A @ V = S with U, V unimodular and
-the diagonal of S a divisibility chain d1 | d2 | ... | dk followed by
-zeros.  Kernels, integral solving, and cokernel presentations are all
-derived from it.
+Everything here works with arbitrary-precision Python ints; nothing is
+ever converted to floats.  An `IntMatrix` stores its entries as a tuple
+of row tuples of ints together with its column count, and this module
+is the only one that relies on that layout.  The central routine is
+`smith_normal_form`, which returns the full transform pair (U, V) so
+that U @ A @ V = S with U, V unimodular and the diagonal of S a
+divisibility chain d1 | d2 | ... | dk followed by zeros.  Kernels,
+integral solving, and cokernel presentations are all derived from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import add, mul
 
 from .errors import SemanticError
-
-
-def _as_object_array(entries) -> np.ndarray:
-    """Coerce nested sequences (or an ndarray) to a 2-d object array of ints."""
-    if isinstance(entries, np.ndarray) and entries.dtype == object and entries.ndim == 2:
-        arr = entries.copy()
-    else:
-        rows = [list(r) for r in entries]
-        ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise SemanticError("ragged matrix literal")
-        arr = np.empty((len(rows), ncols), dtype=object)
-        for i, r in enumerate(rows):
-            for j, x in enumerate(r):
-                arr[i, j] = int(x)
-    for x in arr.flat:
-        if not isinstance(x, int):
-            raise SemanticError(f"matrix entry {x!r} is not an integer")
-    return arr
 
 
 class IntMatrix:
     """Immutable integer matrix.
 
-    Thin wrapper around a read-only numpy object array.  Supports @, ==,
-    hashing, transpose, and row/column access.  Shapes with zero rows or
-    columns are legal and behave like the corresponding empty maps.
+    The entries are a tuple of row tuples of Python ints; the column
+    count is stored beside them, so shapes with zero rows (0 x k) or
+    zero columns are legal and behave like the corresponding empty
+    maps.  Supports @, ==, hashing, transpose, and row/column access.
+
+    `entries` is a sequence of rows; each entry is passed through int().
+    `cols` gives the column count, which a list with no rows cannot
+    carry; when it is omitted it is read from the first row.
     """
 
-    __slots__ = ("_a",)
+    __slots__ = ("_rows", "_cols")
 
-    def __init__(self, entries):
-        a = _as_object_array(entries)
-        a.setflags(write=False)
-        object.__setattr__(self, "_a", a)
+    def __init__(self, entries, cols: int | None = None):
+        rows = tuple(tuple(map(int, r)) for r in entries)
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        if any(len(r) != cols for r in rows):
+            raise SemanticError("ragged matrix literal")
+        self._rows = rows
+        self._cols = cols
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _wrap(cls, a: np.ndarray) -> "IntMatrix":
-        a.setflags(write=False)
+    def _of(cls, rows: tuple, cols: int) -> "IntMatrix":
+        """Wrap row tuples of ints built in this module, unchecked."""
         m = cls.__new__(cls)
-        object.__setattr__(m, "_a", a)
+        m._rows = rows
+        m._cols = cols
         return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        a = np.empty((rows, cols), dtype=object)
-        for idx in np.ndindex(a.shape):
-            a[idx] = 0
-        return cls._wrap(a)
+        return cls._of(((0,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        a = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                a[i, j] = 1 if i == j else 0
-        return cls._wrap(a)
+        return cls.diagonal([1] * n)
 
     @classmethod
     def column(cls, entries) -> "IntMatrix":
@@ -86,80 +69,83 @@ class IntMatrix:
     def diagonal(cls, entries) -> "IntMatrix":
         entries = [int(x) for x in entries]
         n = len(entries)
-        a = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                a[i, j] = entries[i] if i == j else 0
-        return cls._wrap(a)
+        return cls._of(tuple(tuple(x if i == j else 0 for j in range(n))
+                             for i, x in enumerate(entries)), n)
 
     # -- basic accessors ------------------------------------------------------
 
     @property
     def rows(self) -> int:
-        return self._a.shape[0]
+        return len(self._rows)
 
     @property
     def cols(self) -> int:
-        return self._a.shape[1]
+        return self._cols
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._a.shape
+        return len(self._rows), self._cols
 
     def __getitem__(self, ij):
         i, j = ij
-        return self._a[i, j]
+        return self._rows[i][j]
 
     def row_tuple(self, i: int) -> tuple[int, ...]:
-        return tuple(self._a[i, :])
+        return self._rows[i]
 
     def col_tuple(self, j: int) -> tuple[int, ...]:
-        return tuple(self._a[:, j])
+        return tuple(r[j] for r in self._rows)
 
     def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self._a]
-
-    def array(self) -> np.ndarray:
-        """A writable copy of the underlying object array."""
-        return self._a.copy()
+        return [list(r) for r in self._rows]
 
     # -- algebra ---------------------------------------------------------------
 
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
-            if self.cols != other.rows:
+            if self._cols != len(other._rows):
                 raise SemanticError(
                     f"shape mismatch in product: {self.shape} @ {other.shape}")
-            return IntMatrix(self._a @ other._a)
+            # row i of the product combines the rows of `other` picked
+            # out by the nonzero entries of row i: boundaries are sparse
+            zero = (0,) * other._cols
+            out = []
+            for r in self._rows:
+                terms = [map(a.__mul__, b) for a, b in zip(r, other._rows) if a]
+                out.append(tuple(map(sum, zip(*terms))) if terms else zero)
+            return IntMatrix._of(tuple(out), other._cols)
         # vector (sequence of ints) -> tuple
-        vec = np.array([int(x) for x in other], dtype=object)
-        if self.cols != vec.shape[0]:
+        vec = [int(x) for x in other]
+        if self._cols != len(vec):
             raise SemanticError("shape mismatch in matrix-vector product")
-        return tuple(self._a @ vec)
+        return tuple(sum(map(mul, r, vec)) for r in self._rows)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self._a.T)
+        cols = tuple(zip(*self._rows)) if self._rows else ((),) * self._cols
+        return IntMatrix._of(cols, len(self._rows))
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
+        if len(self._rows) != len(other._rows):
             raise SemanticError("hstack row mismatch")
-        return IntMatrix(np.hstack([self._a, other._a]))
+        return IntMatrix._of(tuple(map(add, self._rows, other._rows)),
+                             self._cols + other._cols)
 
     def submatrix(self, row_idx, col_idx) -> "IntMatrix":
-        a = self._a[np.ix_(list(row_idx), list(col_idx))]
-        return IntMatrix(a)
+        col_idx = list(col_idx)
+        return IntMatrix._of(
+            tuple(tuple(self._rows[i][j] for j in col_idx) for i in row_idx),
+            len(col_idx))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self._a.flat)
+        return not any(map(any, self._rows))
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return self.shape == other.shape and all(
-            a == b for a, b in zip(self._a.flat, other._a.flat))
+        return self._cols == other._cols and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.shape, tuple(self._a.flat)))
+        return hash((self._cols, self._rows))
 
     def __repr__(self):
         return f"IntMatrix({self.to_lists()!r})"
@@ -286,9 +272,10 @@ def smith_normal_form(a: IntMatrix | list) -> SmithForm:
             S[i] = [-x for x in S[i]]
             U[i] = [-x for x in U[i]]
 
-    u, s, v = IntMatrix(U), IntMatrix(S), IntMatrix(V)
-    diag = tuple(s[i, i] for i in range(min(rows, cols)))
-    return SmithForm(u=u, s=s, v=v, diagonal=diag)
+    return SmithForm(u=IntMatrix._of(tuple(map(tuple, U)), rows),
+                     s=IntMatrix._of(tuple(map(tuple, S)), cols),
+                     v=IntMatrix._of(tuple(map(tuple, V)), cols),
+                     diagonal=tuple(S[i][i] for i in range(limit)))
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -387,4 +374,4 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
         for x in row:
             if x.denominator != 1:
                 raise SemanticError("matrix is not unimodular over Z")
-    return IntMatrix([[int(x) for x in row] for row in inv])
+    return IntMatrix._of(tuple(tuple(int(x) for x in row) for row in inv), n)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-import numpy as np
 
 from .abgroup import FgAbGroup, GroupHom
 from .errors import SemanticError, UnsupportedComputation
@@ -311,12 +310,8 @@ class Tower:
 def _relation_matrix(g: FgAbGroup) -> IntMatrix:
     """Columns spanning the relations of g inside Z^(number of generators)."""
     orders = g.cyclic_orders()
-    torsion = [(i, d) for i, d in enumerate(orders) if d]
-    a = np.empty((len(orders), len(torsion)), dtype=object)
-    a[...] = 0
-    for j, (i, d) in enumerate(torsion):
-        a[i, j] = d
-    return IntMatrix(a)
+    return IntMatrix.diagonal(orders).submatrix(
+        range(len(orders)), [i for i, d in enumerate(orders) if d])
 
 
 def _image_contains(g: FgAbGroup, big: IntMatrix, small: IntMatrix) -> bool:

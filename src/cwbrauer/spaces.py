@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .abgroup import FgAbGroup, Z, brauer_of_k_g_2, ext1
 from .chaincx import ChainComplex, homology, tensor_complexes
 from .errors import SemanticError, UnsupportedComputation
@@ -237,19 +235,15 @@ def wedge(parts) -> SpaceDescription:
                    for k in range(1, top + 1)]
     bnds = []
     for k in range(1, top + 1):
-        rows, cols = ranks[k - 1], ranks[k]
-        a = np.empty((rows, cols), dtype=object)
-        a[...] = 0
+        a = [[0] * ranks[k] for _ in range(ranks[k - 1])]
         if k >= 2:
             r0 = c0 = 0
             for x in parts:
-                b = x.complex.boundary(k)
-                for i in range(b.rows):
-                    for j in range(b.cols):
-                        a[r0 + i, c0 + j] = b[i, j]
+                for i, brow in enumerate(x.complex.boundary(k).to_lists()):
+                    a[r0 + i][c0:c0 + len(brow)] = brow
                 r0 += x.complex.rank(k - 1)
                 c0 += x.complex.rank(k)
-        bnds.append(IntMatrix(a))
+        bnds.append(IntMatrix(a, cols=ranks[k]))
     label = ("wedge", tuple(x.label for x in parts))
     return SpaceDescription("finite", label,
                             complex=ChainComplex(ranks, bnds))

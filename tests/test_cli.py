@@ -3,16 +3,21 @@ contract, batch mode, JSON determinism, and the reproduce suite."""
 
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import cwbrauer
 from cwbrauer.cli import (
-    EXIT_OK, EXIT_PARSE, EXIT_REPRODUCE_FAIL, EXIT_SEMANTIC, EXIT_UNSUPPORTED,
-    execute, main, parse_request, run_batch, run_line,
+    EXIT_BROKEN_PIPE, EXIT_OK, EXIT_PARSE, EXIT_REPRODUCE_FAIL, EXIT_SEMANTIC,
+    EXIT_UNSUPPORTED, execute, main, parse_request, run_batch, run_line,
 )
+from cwbrauer.grammar import MAX_COMPLEX_CELLS, MAX_COMPLEX_DEGREE
 
 
 def run(line, as_json=False, trace=False):
@@ -370,6 +375,64 @@ def test_batch_refuses_deep_nesting_and_answers_the_other_lines():
     assert reports[2]["result"]["group"] == "Z/3"
 
 
+def _circle_power(k):
+    text = "sphere(1)"
+    for _ in range(k - 1):
+        text = f"product(sphere(1), {text})"
+    return text
+
+
+def test_complex_size_caps_refuse_at_once_and_answer_below():
+    # at the cell cap: 32 * 16 cells, every degree at most 16 wide
+    assert MAX_COMPLEX_CELLS == 32 * 16
+    code, rep = run_json("homology product(lens(2, 31), lens(2, 15)) 31")
+    assert code == EXIT_OK
+    # Kuenneth: Z from H_31 (x) H_0, and Z/2 from Tor(H_p, H_q) for the
+    # seven odd q = 1, 3, ..., 13 with p = 30 - q
+    assert rep["result"]["group"] == "Z + " + " + ".join(["Z/2"] * 7)
+    below = [f"homology complex{{cells 0: 1; cells 3: {MAX_COMPLEX_CELLS - 1}}} 0",
+             f"homology sphere({MAX_COMPLEX_DEGREE}) {MAX_COMPLEX_DEGREE}",
+             f"homology complex{{cells {MAX_COMPLEX_DEGREE}: 1}} 0",
+             f"homology lens(3, {MAX_COMPLEX_CELLS - 1}) 5"]
+    for line in below:
+        code, rep = run_json(line)
+        assert code == EXIT_OK, line
+    over_cells = [
+        "homology wedge(product(lens(2, 31), lens(2, 15)), sphere(1)) 1",
+        f"homology complex{{cells 0: 1; cells 3: {MAX_COMPLEX_CELLS}}} 0",
+        f"homology lens(3, {MAX_COMPLEX_CELLS}) 5",
+        f"homology {_circle_power(12)} 1"]
+    over_degree = [
+        f"homology sphere({MAX_COMPLEX_DEGREE + 1}) 1",
+        f"homology complex{{cells {MAX_COMPLEX_DEGREE + 1}: 1}} 0",
+        f"homology product(sphere({MAX_COMPLEX_DEGREE}), sphere(1)) 1",
+        "homology sphere(100000000) 2"]
+    cap = f"at most {MAX_COMPLEX_CELLS} cells up to degree {MAX_COMPLEX_DEGREE}"
+    for line in over_cells + over_degree:
+        t0 = time.perf_counter()
+        code, rep = run_json(line)
+        assert time.perf_counter() - t0 < 1.0, line
+        assert code == EXIT_UNSUPPORTED, line
+        assert rep["error"]["type"] == "UnsupportedComputation"
+        assert cap in rep["error"]["message"], line
+
+
+def test_batch_refuses_oversize_complexes_and_answers_the_other_lines():
+    lines = ["homology moore3(6) 2", f"homology {_circle_power(12)} 1",
+             f"homology sphere({MAX_COMPLEX_DEGREE}) {MAX_COMPLEX_DEGREE}",
+             "homology sphere(100000000) 2", "cohomology lens_periodic(3) 4"]
+    out = io.StringIO()
+    code = run_batch(lines, as_json=True, trace=False, out=out)
+    assert code == EXIT_UNSUPPORTED
+    reports = json.loads(out.getvalue())
+    assert [r["request"] for r in reports] == lines
+    assert reports[0]["result"]["group"] == "Z/6"
+    assert reports[1]["error"]["code"] == EXIT_UNSUPPORTED
+    assert reports[2]["result"]["group"] == "Z"
+    assert reports[3]["error"]["code"] == EXIT_UNSUPPORTED
+    assert reports[4]["result"]["group"] == "Z/3"
+
+
 def test_batch_text_mode():
     out = io.StringIO()
     code = run_batch(["homology moore3(6) 2", "brauer moore3(6)"],
@@ -437,3 +500,39 @@ def test_execute_reports_are_json_safe():
         report = execute(parse_request(line), trace=True)
         json.dumps(report)   # must not raise
         assert report["citations"] == sorted(set(report["citations"]))
+
+
+# -- the installed program, in a child process -----------------------------------------
+
+
+def _child_env():
+    src = str(Path(cwbrauer.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    probe = "import sys, cwbrauer.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("args", [["reproduce"],
+                                  ["--json", "homology", "moore3(6)", "2"]])
+def test_closed_stdout_pipe_exits_without_traceback(args):
+    """`cwbrauer reproduce | head -1`: the reader is gone before the
+    output is written (a long report fails inside print, a short one only
+    at the final flush); either way stderr stays empty."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cwbrauer.cli", *args],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=_child_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == EXIT_BROKEN_PIPE

@@ -12,6 +12,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cwbrauer.errors import SemanticError
 from _oracles import (
@@ -287,3 +289,95 @@ def test_intmatrix_big_integers_stay_exact():
 def test_intmatrix_rejects_ragged_input():
     with pytest.raises(SemanticError):
         IntMatrix([[1, 2], [3]])
+
+
+def test_intmatrix_zero_shapes():
+    """Shapes with no rows or no columns keep their other dimension
+    through every operation."""
+    z = IntMatrix.zeros(0, 3)
+    assert z.shape == (0, 3)
+    assert z.transpose().shape == (3, 0)
+    assert z.transpose().transpose() == z
+    assert z != IntMatrix.zeros(0, 2)
+    assert IntMatrix([], cols=3) == z
+    assert hash(IntMatrix([], cols=3)) == hash(z)
+    assert IntMatrix([[], []]).shape == (2, 0)
+    p = IntMatrix.zeros(3, 0) @ IntMatrix.zeros(0, 4)
+    assert p.shape == (3, 4) and p == IntMatrix.zeros(3, 4) and p.is_zero()
+    assert IntMatrix.zeros(3, 0) @ [] == (0, 0, 0)
+    assert z @ [1, 2, 3] == ()
+    assert (z @ IntMatrix.zeros(3, 2)).shape == (0, 2)
+    assert IntMatrix.zeros(3, 0).hstack(IntMatrix.zeros(3, 0)).shape == (3, 0)
+    assert z.hstack(IntMatrix.zeros(0, 2)).shape == (0, 5)
+    a = IntMatrix([[1, 2], [3, 4]])
+    assert a.hstack(IntMatrix.zeros(2, 0)) == a
+    assert a.submatrix([0, 1], []).shape == (2, 0)
+    assert a.submatrix([], [1]).shape == (0, 1)
+    assert a.submatrix([], []).shape == (0, 0)
+    with pytest.raises(SemanticError):
+        IntMatrix([[1, 2]], cols=3)
+    with pytest.raises(SemanticError):
+        z.hstack(IntMatrix.zeros(1, 2))
+
+
+# -- IntMatrix against a plain nested-list reference -------------------------------
+
+def ref_matmul(a, b, b_cols):
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b)))
+             for j in range(b_cols)] for i in range(len(a))]
+
+
+def ref_transpose(a, cols):
+    return [[a[i][j] for i in range(len(a))] for j in range(cols)]
+
+
+_entries = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
+
+
+def _lists(draw, rows, cols):
+    return draw(st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_intmatrix_ops_match_nested_list_reference(data):
+    r, k, c, c2 = (data.draw(st.integers(0, 5)) for _ in range(4))
+    a_l, b_l = _lists(data.draw, r, k), _lists(data.draw, k, c)
+    d_l = _lists(data.draw, r, c2)
+    a, b, d = (IntMatrix(a_l, cols=k), IntMatrix(b_l, cols=c),
+               IntMatrix(d_l, cols=c2))
+    assert a.shape == (r, k) and a.to_lists() == a_l
+    assert all(type(x) is int for row in a.to_lists() for x in row)
+
+    p = a @ b
+    assert p.shape == (r, c) and p.to_lists() == ref_matmul(a_l, b_l, c)
+    vec = data.draw(st.lists(_entries, min_size=k, max_size=k))
+    assert a @ vec == tuple(row[0] for row in
+                            ref_matmul(a_l, [[x] for x in vec], 1))
+
+    t = a.transpose()
+    assert t.shape == (k, r) and t.to_lists() == ref_transpose(a_l, k)
+
+    h = a.hstack(d)
+    assert h.shape == (r, k + c2)
+    assert h.to_lists() == [x + y for x, y in zip(a_l, d_l)]
+
+    ri = data.draw(st.lists(st.integers(0, r - 1), max_size=4)) if r else []
+    cj = data.draw(st.lists(st.integers(0, k - 1), max_size=4)) if k else []
+    s = a.submatrix(ri, cj)
+    assert s.shape == (len(ri), len(cj))
+    assert s.to_lists() == [[a_l[i][j] for j in cj] for i in ri]
+
+    twin = IntMatrix([list(row) for row in a_l], cols=k)
+    assert a == twin and hash(a) == hash(twin)
+    assert a.is_zero() == all(x == 0 for row in a_l for x in row)
+    if r and k:
+        i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, k - 1))
+        changed = [list(row) for row in a_l]
+        changed[i][j] += 1
+        assert a != IntMatrix(changed)
+    else:
+        assert (a == IntMatrix.zeros(r + 1, k)) is False
+        assert (a == IntMatrix.zeros(r, k + 1)) is False
