@@ -21,7 +21,7 @@ from random import Random
 from .abgroup import FgAbGroup, GroupHom, ext1, hom
 from .errors import SemanticError
 from .intlin import (IntMatrix, kernel_basis, smith_normal_form,
-                     solve_integral, unimodular_inverse)
+                     unimodular_inverse)
 
 
 class ChainComplex:
@@ -111,11 +111,12 @@ class SubquotientPresentation:
             raise SemanticError("ambient dimension mismatch")
         self.ambient_dim = gens.rows
         self.gens = gens
+        self._gens_sf = smith_normal_form(gens)
         g = gens.cols
-        rel = kernel_basis(gens)
+        rel = self._gens_sf.kernel()
         ycols = []
         for j in range(sub.cols):
-            y = solve_integral(gens, sub.col_tuple(j))
+            y = self._gens_sf.solve(sub.col_tuple(j))
             if y is None:
                 raise SemanticError("subgroup generator outside the lattice")
             ycols.append(y)
@@ -140,7 +141,7 @@ class SubquotientPresentation:
 
     def coordinates(self, vec) -> tuple[int, ...]:
         """Class of an ambient vector (must lie in span(gens))."""
-        y = solve_integral(self.gens, vec)
+        y = self._gens_sf.solve(vec)
         if y is None:
             raise SemanticError("vector is not in the presented lattice")
         w = self._u @ list(y)

@@ -593,24 +593,31 @@ def _classify(err: Exception) -> int:
     raise err
 
 
-def run_line(line: str, as_json: bool, trace: bool,
-             out=None) -> int:
-    """Evaluate one request line; print its report; return the exit code."""
-    out = out if out is not None else sys.stdout
+def _evaluate(line: str, trace: bool) -> tuple[int, dict]:
+    """Exit code and report of one request line; a refused request's
+    report is its error payload."""
     try:
         report = execute(parse_request(line), trace=trace)
     except (ParseError, SemanticError, UnsupportedComputation) as e:
         code = _classify(e)
-        if as_json:
-            print(render_json(_error_payload(code, e, line)), file=out)
-        else:
-            print(f"error: {e}", file=sys.stderr)
-        return code
-    print(render_json(report) if as_json else render_text(report), file=out)
-    if (report["command"] == "reproduce"
-            and report["result"]["failed"] > 0):
-        return EXIT_REPRODUCE_FAIL
-    return EXIT_OK
+        return code, _error_payload(code, e, line)
+    if report["command"] == "reproduce" and report["result"]["failed"] > 0:
+        return EXIT_REPRODUCE_FAIL, report
+    return EXIT_OK, report
+
+
+def run_line(line: str, as_json: bool, trace: bool,
+             out=None) -> int:
+    """Evaluate one request line; print its report; return the exit code."""
+    out = out if out is not None else sys.stdout
+    code, report = _evaluate(line, trace)
+    if as_json:
+        print(render_json(report), file=out)
+    elif "error" in report:
+        print(f"error: {report['error']['message']}", file=sys.stderr)
+    else:
+        print(render_text(report), file=out)
+    return code
 
 
 def run_batch(source, as_json: bool, trace: bool, out=None) -> int:
@@ -623,15 +630,7 @@ def run_batch(source, as_json: bool, trace: bool, out=None) -> int:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            report = execute(parse_request(line), trace=trace)
-            code = (EXIT_REPRODUCE_FAIL
-                    if (report["command"] == "reproduce"
-                        and report["result"]["failed"] > 0)
-                    else EXIT_OK)
-        except (ParseError, SemanticError, UnsupportedComputation) as e:
-            code = _classify(e)
-            report = _error_payload(code, e, line)
+        code, report = _evaluate(line, trace)
         if worst == EXIT_OK:
             worst = code
         reports.append(report)

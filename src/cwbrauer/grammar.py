@@ -32,7 +32,8 @@ rather than left to exhaust the interpreter's recursion limit.  A
 finite complex built by a space expression has at most
 MAX_COMPLEX_CELLS cells and no cells above degree MAX_COMPLEX_DEGREE;
 both are checked before the complex is built, and a larger one is
-refused the same way.
+refused the same way.  So is an integer literal with more digits than
+the interpreter converts (sys.get_int_max_str_digits).
 
 In towers the block links are listed as B_0, B_1, ..., each with its
 map to the previous stage (B_i maps to B_{(i-1) mod m}); the printed
@@ -156,12 +157,22 @@ class _Parser:
     # -- shared small pieces -------------------------------------------
     def integer(self, what: str = "integer") -> int:
         sign = -1 if self.accept("sym", "-") else 1
-        t = self.expect("int", what=what)
-        return sign * int(t.text)
+        return sign * self.unsigned(what)
 
     def unsigned(self, what: str = "number") -> int:
         t = self.expect("int", what=what)
-        return int(t.text)
+        return self._digits(t.text, t)
+
+    @staticmethod
+    def _digits(text: str, t: Token) -> int:
+        """The value of a digit string; one longer than the interpreter
+        converts (sys.get_int_max_str_digits) is refused, not raised."""
+        try:
+            return int(text)
+        except ValueError:
+            raise UnsupportedComputation(
+                f"integer literal of {len(text)} digits is too long "
+                f"(line {t.line}, column {t.col})") from None
 
     # -- group literals ----------------------------------------------------
     def group(self) -> FgAbGroup:
@@ -374,7 +385,7 @@ class _Parser:
     def _scalar_map(self, what: str) -> int:
         t = self.expect("ident", what=what)
         if re.fullmatch(r"x\d+", t.text):
-            return int(t.text[1:])
+            return self._digits(t.text[1:], t)
         if t.text == "x":
             return self.integer(what)
         raise ParseError(f"expected {what} like 'x5', found {t.text!r}",

@@ -6,14 +6,15 @@ of row tuples of ints together with its column count, and this module
 is the only one that relies on that layout.  The central routine is
 `smith_normal_form`, which returns the full transform pair (U, V) so
 that U @ A @ V = S with U, V unimodular and the diagonal of S a
-divisibility chain d1 | d2 | ... | dk followed by zeros.  Kernels,
-integral solving, and cokernel presentations are all derived from it.
+divisibility chain d1 | d2 | ... | dk followed by zeros.  It is the one
+elimination routine: kernels, integral solutions (for any number of
+right-hand sides), unimodular inverses and cokernels all come from one
+`SmithForm`.  Bareiss `determinant` is an independent reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul
 
 from .errors import SemanticError
@@ -169,6 +170,27 @@ class SmithForm:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
+    def kernel(self) -> IntMatrix:
+        """Basis of {x : a @ x = 0} as the columns of a cols x nullity
+        matrix: the trailing columns of V.  The kernel is saturated, so
+        every integer kernel vector is an integer combination of them."""
+        cols = self.v.rows
+        return self.v.submatrix(range(cols), range(self.rank, cols))
+
+    def solve(self, b) -> tuple[int, ...] | None:
+        """Some integer solution x of a @ x = b, or None when none exists."""
+        rows, cols = self.u.rows, self.v.rows
+        b = [int(x) for x in b]
+        if len(b) != rows:
+            raise SemanticError(
+                f"solve_integral: got {len(b)} entries for {rows} equations")
+        c = self.u @ b
+        diag = self.diagonal + (0,) * (rows - len(self.diagonal))
+        if any(x % d if d else x for x, d in zip(c, diag)):
+            return None
+        y = [x // d for x, d in zip(c, diag) if d]
+        return self.v @ (y + [0] * (cols - len(y)))
+
 
 def _pivot(S, t, rows, cols):
     """Position of a nonzero entry of minimal absolute value in S[t:, t:]."""
@@ -252,7 +274,10 @@ def smith_normal_form(a: IntMatrix | list) -> SmithForm:
                 swap_cols(t, pos[1])
                 continue
             # row and column are clear; enforce divisibility into the rest
+            # (which a unit pivot divides already)
             d = S[t][t]
+            if d in (1, -1):
+                break
             offender = None
             for i in range(t + 1, rows):
                 for j in range(t + 1, cols):
@@ -279,16 +304,8 @@ def smith_normal_form(a: IntMatrix | list) -> SmithForm:
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Basis of {x : a @ x = 0} as the columns of a cols x nullity matrix.
-
-    The kernel of an integer matrix is a saturated sublattice, and the
-    trailing columns of the Smith V matrix form a basis of it, so every
-    integer kernel vector is an integer combination of the returned
-    columns.
-    """
-    sf = smith_normal_form(a)
-    r = sf.rank
-    return sf.v.submatrix(range(a.cols), range(r, a.cols))
+    """Basis of ker(a) as columns; see `SmithForm.kernel`."""
+    return smith_normal_form(a).kernel()
 
 
 def cokernel_structure(a: IntMatrix):
@@ -302,26 +319,8 @@ def cokernel_structure(a: IntMatrix):
 
 
 def solve_integral(a: IntMatrix, b) -> tuple[int, ...] | None:
-    """Some integer solution x of a @ x = b, or None when none exists."""
-    b = [int(x) for x in b]
-    if len(b) != a.rows:
-        raise SemanticError(
-            f"solve_integral: got {len(b)} entries for {a.rows} equations")
-    sf = smith_normal_form(a)
-    c = sf.u @ b
-    y = [0] * a.cols
-    k = len(sf.diagonal)
-    for i in range(a.rows):
-        d = sf.diagonal[i] if i < k else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            if i < a.cols:
-                y[i] = c[i] // d
-    return sf.v @ y
+    """Some integer solution of a @ x = b, or None; see `SmithForm.solve`."""
+    return smith_normal_form(a).solve(b)
 
 
 def determinant(a: IntMatrix) -> int:
@@ -352,26 +351,12 @@ def determinant(a: IntMatrix) -> int:
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a matrix with determinant +-1 (exact, via Fractions)."""
+    """Inverse of a matrix with determinant +-1: U @ m @ V = I, so it is
+    V @ U."""
     if m.rows != m.cols:
         raise SemanticError("inverse of a non-square matrix")
-    n = m.rows
-    work = [[Fraction(m[i, j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            raise SemanticError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        p = work[col][col]
-        work[col] = [x / p for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    inv = [[work[i][n + j] for j in range(n)] for i in range(n)]
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise SemanticError("matrix is not unimodular over Z")
-    return IntMatrix._of(tuple(tuple(int(x) for x in row) for row in inv), n)
+    sf = smith_normal_form(m)
+    if sf.diagonal != (1,) * m.rows:
+        raise SemanticError("matrix is singular" if sf.rank < m.rows
+                            else "matrix is not unimodular over Z")
+    return sf.v @ sf.u

@@ -22,7 +22,7 @@ from math import gcd
 
 from .abgroup import FgAbGroup, GroupHom
 from .errors import SemanticError, UnsupportedComputation
-from .intlin import IntMatrix, solve_integral
+from .intlin import IntMatrix, smith_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +317,11 @@ def _relation_matrix(g: FgAbGroup) -> IntMatrix:
 def _image_contains(g: FgAbGroup, big: IntMatrix, small: IntMatrix) -> bool:
     """Does span(big) contain span(small), as subgroups of g?"""
     wide = big.hstack(_relation_matrix(g))
-    for j in range(small.cols):
-        if solve_integral(wide, small.col_tuple(j)) is None:
-            return False
-    return True
+    if not small.cols:
+        return True
+    sf = smith_normal_form(wide)
+    return all(sf.solve(small.col_tuple(j)) is not None
+               for j in range(small.cols))
 
 
 def _images_equal(g: FgAbGroup, a: IntMatrix, b: IntMatrix) -> bool:

@@ -44,7 +44,9 @@ class PeriodicComplex:
     block_boundaries[(n-p) % m].  When the prefix is nonempty the last
     prefix rank must equal the last block rank so the wrap maps are
     well shaped; validity (shapes and del del = 0 across seams) is
-    checked on an unrolled stretch covering three blocks.
+    checked on the unrolled stretch 0 .. p + m + 1, which holds every
+    boundary and every consecutive pair at least once: those inside the
+    prefix, the prefix-to-block seam and the block wrap.
     """
 
     prefix_ranks: tuple[int, ...] = ()
@@ -66,7 +68,7 @@ class PeriodicComplex:
             raise SemanticError(
                 "seam mismatch: last prefix rank must equal last block rank")
         # shape and del-del validation happens by unrolling
-        self.unroll(p + 3 * len(self.block_ranks) + 1)
+        self.unroll(p + len(self.block_ranks) + 1)
 
     @property
     def period(self) -> int:

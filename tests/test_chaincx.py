@@ -14,8 +14,9 @@ from math import gcd
 import pytest
 
 from cwbrauer.abgroup import FgAbGroup, Z, ext1, hom, tensor, tor1
+from cwbrauer import chaincx, intlin
 from cwbrauer.chaincx import (
-    ChainComplex, bockstein, cohomology, homology, random_complex,
+    ChainComplex, SubquotientPresentation, bockstein, cohomology, homology, random_complex,
     tensor_complexes, truncate, uct_decompose,
 )
 from cwbrauer.errors import SemanticError
@@ -291,6 +292,34 @@ def test_bockstein_vanishes_without_torsion():
 def test_bockstein_modulus_validation():
     with pytest.raises(SemanticError):
         bockstein(moore_complex(2), 2, 1)
+
+
+# -- presentations -----------------------------------------------------------------
+
+
+def test_presentation_factors_each_matrix_once(monkeypatch):
+    """gens is put in Smith form once for its kernel, for every sub
+    column and for coordinates(); the relations matrix once more."""
+    calls = []
+    real = intlin.smith_normal_form
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(intlin, "smith_normal_form", counting)
+    monkeypatch.setattr(chaincx, "smith_normal_form", counting)
+    # span(gens) = 2Z + Z + 3Z (the fourth column is the sum of the
+    # first two), span(sub) = 4Z + 2Z + 6Z: the quotient is (Z/2)^3
+    gens = IntMatrix([[2, 0, 0, 2], [0, 1, 0, 1], [0, 0, 3, 0]])
+    sub = IntMatrix([[4, 0, 0, 4], [0, 2, 0, 2], [0, 0, 6, 0]])
+    pres = SubquotientPresentation(gens, sub)
+    assert pres.group == FgAbGroup(0, (2, 2, 2))
+    assert calls == [(3, 4), (4, 5)]
+    for j in range(sub.cols):
+        assert pres.coordinates(sub.col_tuple(j)) == (0, 0, 0)
+    assert pres.coordinates((2, 1, 3)) != (0, 0, 0)
+    assert len(calls) == 2
 
 
 # -- tensor products ---------------------------------------------------------------

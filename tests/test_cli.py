@@ -433,6 +433,56 @@ def test_batch_refuses_oversize_complexes_and_answers_the_other_lines():
     assert reports[4]["result"]["group"] == "Z/3"
 
 
+def test_unit_pivots_answer_a_free_group_of_rank_511_quickly():
+    # del_1 is the 1 x 511 zero matrix, so the cycles are a 511 x 511
+    # identity: every pivot is 1 and no divisibility scan is needed
+    t0 = time.perf_counter()
+    code, rep = run_json("homology complex{cells 0: 1; cells 1: 511} 1")
+    assert time.perf_counter() - t0 < 1.5
+    assert code == EXIT_OK
+    assert rep["result"]["group"] == "Z^511"
+
+
+_HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize("line", [f"homology sphere({_HUGE}) 1",
+                                  f"homology moore3(6) {_HUGE}",
+                                  f"homology telescope(Z, x{_HUGE}) 1",
+                                  f"homology telescope(Z, x -{_HUGE}) 1"],
+                         ids=["dimension", "degree", "multiplier",
+                              "signed-multiplier"])
+def test_overlong_integer_literal_is_refused(line, capsys):
+    code, rep = run_json(line)
+    assert code == EXIT_UNSUPPORTED
+    assert rep["error"]["type"] == "UnsupportedComputation"
+    assert "5000 digits" in rep["error"]["message"]
+    assert "(line 1, column " in rep["error"]["message"]
+    code, text = run(line)
+    assert code == EXIT_UNSUPPORTED and text == ""
+    assert "5000 digits" in capsys.readouterr().err
+
+
+def test_batch_refuses_overlong_literal_and_answers_the_other_lines():
+    lines = ["homology moore3(6) 2", f"homology sphere({_HUGE}) 1",
+             "cohomology lens_periodic(3) 4"]
+    out = io.StringIO()
+    code = run_batch(lines, as_json=True, trace=False, out=out)
+    assert code == EXIT_UNSUPPORTED
+    reports = json.loads(out.getvalue())
+    assert [r["request"] for r in reports] == lines
+    assert reports[0]["result"]["group"] == "Z/6"
+    assert reports[1]["error"]["code"] == EXIT_UNSUPPORTED
+    assert reports[2]["result"]["group"] == "Z/3"
+    out = io.StringIO()
+    assert run_batch(lines, as_json=False, trace=False,
+                     out=out) == EXIT_UNSUPPORTED
+    blocks = out.getvalue().strip().split("\n\n")
+    assert "\nH_2 = Z/6\n" in blocks[0]
+    assert "\nerror: integer literal of 5000 digits" in blocks[1]
+    assert "\nH^4 = Z/3\n" in blocks[2]
+
+
 def test_batch_text_mode():
     out = io.StringIO()
     code = run_batch(["homology moore3(6) 2", "brauer moore3(6)"],

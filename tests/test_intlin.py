@@ -258,6 +258,18 @@ def test_unimodular_inverse():
         unimodular_inverse(IntMatrix([[2]]))
 
 
+def test_unimodular_inverse_edge_cases():
+    with pytest.raises(SemanticError, match="singular"):
+        unimodular_inverse(IntMatrix([[1, 2], [2, 4]]))
+    with pytest.raises(SemanticError, match="not unimodular"):
+        unimodular_inverse(IntMatrix([[2, 1], [0, 3]]))
+    with pytest.raises(SemanticError, match="non-square"):
+        unimodular_inverse(IntMatrix([[1, 0]]))
+    empty = unimodular_inverse(IntMatrix.zeros(0, 0))
+    assert empty.shape == (0, 0)
+    assert empty == IntMatrix.identity(0)
+
+
 # -- IntMatrix basics --------------------------------------------------------------
 
 

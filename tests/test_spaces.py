@@ -119,6 +119,42 @@ def test_periodic_validation():
                         block_boundaries=(IntMatrix([[1]]), IntMatrix([[1]])))
 
 
+# 2 x 2 boundaries with E @ N != 0 but N @ E = N @ N = 0
+_E = IntMatrix([[1, 0], [0, 0]])
+_N = IntMatrix([[0, 1], [0, 0]])
+_O = IntMatrix.zeros(2, 2)
+
+
+@pytest.mark.parametrize("prefix", [0, 1])
+@pytest.mark.parametrize("period,bad", [(1, 0), (2, 0), (2, 1), (3, 0),
+                                        (3, 1), (3, 2)])
+def test_periodic_validation_sees_every_block_pair(period, bad, prefix):
+    """del del != 0 only for the block pair (block[bad], block[bad + 1]),
+    the wrap (block[m - 1], block[0]) included; with no prefix the pair
+    (block[0], block[1]) first meets in degree m, the top of the
+    validated stretch."""
+    blocks = [_O] * period
+    blocks[bad] = _E
+    if period > 1:
+        blocks[(bad + 1) % period] = _N
+    kwargs = dict(prefix_ranks=(2,) * prefix, block_ranks=(2,) * period)
+    with pytest.raises(SemanticError, match="!= 0"):
+        PeriodicComplex(block_boundaries=tuple(blocks), **kwargs)
+    blocks[bad] = _O
+    PeriodicComplex(block_boundaries=tuple(blocks), **kwargs)
+
+
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_periodic_validation_sees_the_prefix_seam(period):
+    """del del != 0 only for (last prefix boundary, block[0])."""
+    blocks = (_N,) + (_O,) * (period - 1)
+    with pytest.raises(SemanticError, match="del_1 del_2 != 0"):
+        PeriodicComplex(prefix_ranks=(2, 2), prefix_boundaries=(_E,),
+                        block_ranks=(2,) * period, block_boundaries=blocks)
+    PeriodicComplex(prefix_ranks=(2, 2), prefix_boundaries=(_O,),
+                    block_ranks=(2,) * period, block_boundaries=blocks)
+
+
 def test_unroll_agrees_with_ranks():
     per = lens_periodic(3).periodic
     c = per.unroll(6)
