@@ -1,8 +1,11 @@
 """Bounded chain complexes of finitely generated free Z-modules.
 
 A complex stores one rank per degree 0..top and the boundary matrices
-del_n : C_n -> C_{n-1}; del del = 0 is enforced at construction.  All
-homology and cohomology is computed exactly through Smith normal form.
+del_n : C_n -> C_{n-1}; del del = 0 is enforced at construction.
+Homology reads only the Smith diagonals of two boundaries
+(`smith_invariants`, no transforms).  Cohomology is computed exactly on
+the cochain complex through a `SubquotientPresentation`, a second route
+that `uct_decompose` checks the homology side against.
 
 Cohomology with Z/m coefficients is computed directly on the mod-m
 cochain complex (not through universal coefficients): the mod-m cocycle
@@ -20,8 +23,8 @@ from random import Random
 
 from .abgroup import FgAbGroup, GroupHom, ext1, hom
 from .errors import SemanticError
-from .intlin import (IntMatrix, kernel_basis, smith_normal_form,
-                     unimodular_inverse)
+from .intlin import (IntMatrix, kernel_basis, smith_invariants,
+                     smith_normal_form, unimodular_inverse)
 
 
 class ChainComplex:
@@ -153,12 +156,18 @@ class SubquotientPresentation:
 
 
 def homology(c: ChainComplex, n: int) -> FgAbGroup:
-    """H_n(c) = ker del_n / im del_{n+1} in canonical form."""
+    """H_n(c) = ker del_n / im del_{n+1} in canonical form.
+
+    ker del_n is saturated in C_n, so H_n is free of rank
+    r_n - rank del_n - rank del_{n+1} plus the torsion of
+    C_n / im del_{n+1}: the invariant factors >= 2 of del_{n+1}.
+    """
     if n < 0 or n > c.top_degree:
         return FgAbGroup.trivial()
-    pres = SubquotientPresentation(kernel_basis(c.boundary(n)),
-                                   c.boundary(n + 1))
-    return pres.group
+    d_in = smith_invariants(c.boundary(n))
+    d_out = smith_invariants(c.boundary(n + 1))
+    free = c.rank(n) - sum(1 for d in d_in if d) - sum(1 for d in d_out if d)
+    return FgAbGroup(free, tuple(d for d in d_out if d >= 2))
 
 
 def _cochain_presentation(c: ChainComplex, n: int,

@@ -22,7 +22,10 @@ witnesses), --batch FILE (one request per line, '-' for stdin).
 Exit codes: 0 success; 1 reproduce found failing items; 2 parse error;
 3 semantic error; 4 computation unsupported (outside the symbolic
 tables, or over a cap of grammar.py: MAX_SPACE_NESTING, MAX_COMPLEX_CELLS,
-MAX_COMPLEX_DEGREE); 141 (128 + SIGPIPE) if stdout's reader went away.
+MAX_COMPLEX_DEGREE); 70 (EX_SOFTWARE) in --batch for a line whose
+evaluation raised an unexpected exception, reported as that line's
+"InternalError" while the other lines are still answered; 141
+(128 + SIGPIPE) if stdout's reader went away.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .chaincx import bockstein, cohomology, homology, uct_decompose
 from .errors import ParseError, SemanticError, UnsupportedComputation
 from .grammar import (_Parser, format_descriptor, format_group,
                       format_profile, format_space, format_tower)
-from .intlin import smith_normal_form
+from .intlin import smith_invariants
 from .limits import SymbolicGroup, lim1_certificate
 from .profiles import (StructuralDescriptor, brauer_of_bg,
                        lambda_square_profile, non_brauer_certificate)
@@ -51,6 +54,7 @@ EXIT_REPRODUCE_FAIL = 1
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 EXIT_UNSUPPORTED = 4
+EXIT_INTERNAL = 70
 EXIT_BROKEN_PIPE = 141
 
 COMMANDS = ("homology", "cohomology", "uct", "bockstein", "brauer",
@@ -174,7 +178,7 @@ def _boundary_trace(c, offset: int, degrees) -> list[str]:
     for n in degrees:
         b = c.boundary(n - offset)
         if b.rows and b.cols:
-            diag = smith_normal_form(b).diagonal
+            diag = smith_invariants(b)
             out.append(f"SNF diagonal of boundary_{n}: {list(diag)}")
         else:
             out.append(f"boundary_{n} is zero ({b.rows} x {b.cols})")
@@ -577,10 +581,9 @@ def render_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _error_payload(code: int, err: Exception, line: str) -> dict:
+def _error_payload(code: int, line: str, message: str, kind: str) -> dict:
     return {"request": line,
-            "error": {"code": code, "message": str(err),
-                      "type": type(err).__name__}}
+            "error": {"code": code, "message": message, "type": kind}}
 
 
 def _classify(err: Exception) -> int:
@@ -600,7 +603,7 @@ def _evaluate(line: str, trace: bool) -> tuple[int, dict]:
         report = execute(parse_request(line), trace=trace)
     except (ParseError, SemanticError, UnsupportedComputation) as e:
         code = _classify(e)
-        return code, _error_payload(code, e, line)
+        return code, _error_payload(code, line, str(e), type(e).__name__)
     if report["command"] == "reproduce" and report["result"]["failed"] > 0:
         return EXIT_REPRODUCE_FAIL, report
     return EXIT_OK, report
@@ -622,7 +625,9 @@ def run_line(line: str, as_json: bool, trace: bool,
 
 def run_batch(source, as_json: bool, trace: bool, out=None) -> int:
     """One request per line; blank lines and #-comments skipped; output
-    order follows input order; exit code is the first nonzero code."""
+    order follows input order; exit code is the first nonzero code.  A
+    line whose evaluation raises an unexpected exception gets an
+    InternalError payload with code EXIT_INTERNAL, and the batch goes on."""
     out = out if out is not None else sys.stdout
     worst = EXIT_OK
     reports = []
@@ -630,7 +635,13 @@ def run_batch(source, as_json: bool, trace: bool, out=None) -> int:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        code, report = _evaluate(line, trace)
+        try:
+            code, report = _evaluate(line, trace)
+        except Exception as e:  # one line's defect must not lose the rest
+            code = EXIT_INTERNAL
+            report = _error_payload(
+                code, line, f"internal error: {type(e).__name__}: {e}",
+                "InternalError")
         if worst == EXIT_OK:
             worst = code
         reports.append(report)

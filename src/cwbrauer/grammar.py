@@ -43,7 +43,7 @@ target group is validated against that convention.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abgroup import FgAbGroup, GroupHom
 from .chaincx import ChainComplex
@@ -79,8 +79,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # "int" | "ident" | "sym" | "eof"
     text: str
     line: int
@@ -89,25 +88,24 @@ class Token:
 
 def _tokenize(src: str) -> list[Token]:
     out: list[Token] = []
-    line, col = 1, 1
+    line, line_start = 1, 0   # line_start: offset of the current line
     pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}",
-                             line=line, column=col)
+    for m in _TOKEN_RE.finditer(src):
+        start = m.start()
+        if start != pos:   # finditer skipped a character no token matches
+            break
         kind = m.lastgroup
         text = m.group()
         if kind != "ws":
-            out.append(Token(kind, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
+            out.append(Token(kind, text, line, start - line_start + 1))
+        elif "\n" in text:
+            line += text.count("\n")
+            line_start = start + text.rfind("\n") + 1
         pos = m.end()
-    out.append(Token("eof", "", line, col))
+    if pos < len(src):
+        raise ParseError(f"unexpected character {src[pos]!r}",
+                         line=line, column=pos - line_start + 1)
+    out.append(Token("eof", "", line, pos - line_start + 1))
     return out
 
 
@@ -233,20 +231,39 @@ class _Parser:
         if not self.at("sym", "]"):
             while True:
                 self.expect("sym", "[")
-                row: list[int] = []
-                if not self.at("sym", "]"):
-                    while True:
-                        row.append(self.integer("matrix entry"))
-                        if not self.accept("sym", ","):
-                            break
+                rows.append(self._matrix_row())
                 self.expect("sym", "]")
-                rows.append(row)
                 if not self.accept("sym", ","):
                     break
         self.expect("sym", "]")
         if len({len(r) for r in rows}) > 1:
             raise SemanticError("matrix rows have differing lengths")
         return rows
+
+    def _matrix_row(self) -> list[int]:
+        """The entries ['-'] int [','] ... of one row, read straight from
+        the token list; stops before the closing bracket."""
+        toks = self.tokens
+        i = self.pos
+        row: list[int] = []
+        if toks[i].kind == "sym" and toks[i].text == "]":
+            return row
+        while True:
+            t = toks[i]
+            neg = t.kind == "sym" and t.text == "-"
+            if neg:
+                i += 1
+                t = toks[i]
+            if t.kind != "int":
+                self.pos = i
+                self.expect("int", what="matrix entry")
+            x = self._digits(t.text, t)
+            row.append(-x if neg else x)
+            i += 1
+            if toks[i].kind != "sym" or toks[i].text != ",":
+                self.pos = i
+                return row
+            i += 1
 
     # -- complex literals ------------------------------------------------
     def complex(self) -> ChainComplex:

@@ -3,18 +3,22 @@
 Everything here works with arbitrary-precision Python ints; nothing is
 ever converted to floats.  An `IntMatrix` stores its entries as a tuple
 of row tuples of ints together with its column count, and this module
-is the only one that relies on that layout.  The central routine is
-`smith_normal_form`, which returns the full transform pair (U, V) so
-that U @ A @ V = S with U, V unimodular and the diagonal of S a
-divisibility chain d1 | d2 | ... | dk followed by zeros.  It is the one
-elimination routine: kernels, integral solutions (for any number of
-right-hand sides), unimodular inverses and cokernels all come from one
+is the only one that relies on that layout.
+
+There are two elimination routines, and transforms are computed only on
+demand.  `smith_invariants` returns the diagonal of the Smith normal
+form alone, a divisibility chain d1 | d2 | ... | dk followed by zeros;
+homology, cokernels and traced diagonals read nothing else.
+`smith_normal_form` also returns the transform pair (U, V) with
+U @ A @ V = S, U and V unimodular: kernels, integral solutions (for any
+number of right-hand sides) and unimodular inverses all come from one
 `SmithForm`.  Bareiss `determinant` is an independent reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import add, mul
 
 from .errors import SemanticError
@@ -303,6 +307,76 @@ def smith_normal_form(a: IntMatrix | list) -> SmithForm:
                      diagonal=tuple(S[i][i] for i in range(limit)))
 
 
+def smith_invariants(a: IntMatrix | list) -> tuple[int, ...]:
+    """The diagonal of `smith_normal_form(a)`, computed without U or V.
+
+    min(rows, cols) entries: the nonzero invariant factors as a
+    divisibility chain, then zeros.  Elimination pivots on an entry of
+    least absolute value and clears its column by row operations; once
+    the column is clear, column operations only change the pivot row,
+    so they reduce it modulo the pivot.  When both are clear the pivot
+    row and column are dropped, as is every row that becomes zero.  The
+    pivots then diagonalize a, and a gcd/lcm pass turns them into the
+    chain.
+    """
+    if not isinstance(a, IntMatrix):
+        a = IntMatrix(a)
+    limit = min(a.rows, a.cols)
+    live = [list(r) for r in a._rows if any(r)]
+    pivots = []
+    while live:
+        # an entry of least absolute value, stopping at the first unit
+        best = None
+        for i, r in enumerate(live):
+            m = min(map(abs, filter(None, r)))
+            if best is None or m < best:
+                best, pi = m, i
+                if m == 1:
+                    break
+        p = live[pi]
+        pj = next(j for j, u in enumerate(p) if abs(u) == best)
+        while True:
+            x = p[pj]
+            # clear column pj below and above the pivot by row operations
+            small = None
+            for i, r in enumerate(live):
+                if i != pi and r[pj]:
+                    q = r[pj] // x
+                    r = live[i] = [u - q * v for u, v in zip(r, p)]
+                    if r[pj] and (small is None or abs(r[pj]) < small[0]):
+                        small = (abs(r[pj]), i)
+            if small is not None:  # a remainder survived: it pivots next
+                pi = small[1]
+                p = live[pi]
+                continue
+            # the column is clear, so column operations touch row pi only
+            for j, u in enumerate(p):
+                if u and j != pj:
+                    p[j] = u % x
+            rest = [(abs(u), j) for j, u in enumerate(p) if u and j != pj]
+            if not rest:
+                break
+            pj = min(rest)[1]  # the least remainder pivots next
+        pivots.append(abs(x))
+        del live[pi]
+        kept = []
+        for r in live:
+            del r[pj]
+            if any(r):
+                kept.append(r)
+        live = kept
+    # diag(pivots) has the invariant factors of a; order them as a chain
+    units = pivots.count(1)
+    chain = sorted(d for d in pivots if d != 1)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            if g != chain[i]:
+                chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return ((1,) * units + tuple(chain)
+            + (0,) * (limit - len(pivots)))
+
+
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Basis of ker(a) as columns; see `SmithForm.kernel`."""
     return smith_normal_form(a).kernel()
@@ -312,10 +386,9 @@ def cokernel_structure(a: IntMatrix):
     """Z^rows / column-span(a) in invariant-factor form (an FgAbGroup)."""
     from .abgroup import FgAbGroup  # local import: abgroup builds on intlin
 
-    sf = smith_normal_form(a)
-    invariant = tuple(d for d in sf.diagonal if d >= 2)
-    free = a.rows - sf.rank
-    return FgAbGroup(free_rank=free, invariant_factors=invariant)
+    diag = smith_invariants(a)
+    return FgAbGroup(free_rank=a.rows - sum(1 for d in diag if d),
+                     invariant_factors=tuple(d for d in diag if d >= 2))
 
 
 def solve_integral(a: IntMatrix, b) -> tuple[int, ...] | None:

@@ -238,6 +238,28 @@ def test_uct_frozen_moore():
     assert u.total == FgAbGroup.cyclic(6)
 
 
+def test_uct_check_is_not_circular(monkeypatch):
+    """The Ext/Hom side reads Smith diagonals and the total goes through
+    the cochain presentation: losing one torsion factor on the diagonal
+    route makes the check fail instead of agreeing with itself."""
+    real = chaincx.smith_invariants
+
+    def drop_one_torsion_factor(a):
+        diag = list(real(a))
+        for i, d in enumerate(diag):
+            if d >= 2:
+                diag[i] = 1
+                break
+        return tuple(sorted(diag, key=lambda d: (d == 0, d)))
+
+    monkeypatch.setattr(chaincx, "smith_invariants", drop_one_torsion_factor)
+    with pytest.raises(SemanticError, match="universal coefficients mismatch"):
+        uct_decompose(moore_complex(6), 3)
+    prod_cx = tensor_complexes(lens_complex(4, 3), lens_complex(6, 3))
+    with pytest.raises(SemanticError, match="universal coefficients mismatch"):
+        uct_decompose(prod_cx, 3)
+
+
 # -- Bockstein ---------------------------------------------------------------------
 
 

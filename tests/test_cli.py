@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import cwbrauer
+from cwbrauer import chaincx, cli, intlin, limits
 from cwbrauer.cli import (
-    EXIT_BROKEN_PIPE, EXIT_OK, EXIT_PARSE, EXIT_REPRODUCE_FAIL, EXIT_SEMANTIC,
-    EXIT_UNSUPPORTED, execute, main, parse_request, run_batch, run_line,
+    EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_REPRODUCE_FAIL,
+    EXIT_SEMANTIC, EXIT_UNSUPPORTED, execute, main, parse_request, run_batch,
+    run_line,
 )
 from cwbrauer.grammar import MAX_COMPLEX_CELLS, MAX_COMPLEX_DEGREE
 
@@ -481,6 +483,61 @@ def test_batch_refuses_overlong_literal_and_answers_the_other_lines():
     assert "\nH_2 = Z/6\n" in blocks[0]
     assert "\nerror: integer literal of 5000 digits" in blocks[1]
     assert "\nH^4 = Z/3\n" in blocks[2]
+
+
+def test_batch_reports_an_internal_error_and_answers_the_other_lines(
+        monkeypatch):
+    real = cli.execute
+
+    def flaky(req, trace=False):
+        if req.text == "brauer moore3(6)":
+            raise RuntimeError("simulated defect")
+        return real(req, trace)
+
+    monkeypatch.setattr(cli, "execute", flaky)
+    lines = ["homology moore3(6) 2", "brauer moore3(6)",
+             "cohomology lens_periodic(3) 4"]
+    out = io.StringIO()
+    assert run_batch(lines, as_json=True, trace=False,
+                     out=out) == EXIT_INTERNAL == 70
+    reports = json.loads(out.getvalue())
+    assert [r["request"] for r in reports] == lines
+    assert reports[0]["result"]["group"] == "Z/6"
+    assert reports[1]["error"] == {
+        "code": 70, "type": "InternalError",
+        "message": "internal error: RuntimeError: simulated defect"}
+    assert reports[2]["result"]["group"] == "Z/3"
+    out = io.StringIO()
+    assert run_batch(lines, as_json=False, trace=False,
+                     out=out) == EXIT_INTERNAL
+    blocks = out.getvalue().strip().split("\n\n")
+    assert len(blocks) == 3
+    assert "\nH_2 = Z/6\n" in blocks[0]
+    assert blocks[1] == ("request: brauer moore3(6)\n"
+                         "error: internal error: RuntimeError: simulated defect")
+    assert "\nH^4 = Z/3\n" in blocks[2]
+
+
+def test_homology_and_brauer_requests_make_no_transform_snf(monkeypatch):
+    """Untraced homology and brauer requests read only Smith diagonals,
+    and so does the trace of a homology request."""
+    def refuse(a):
+        raise AssertionError("smith_normal_form called")
+
+    for mod in (intlin, chaincx, limits):
+        monkeypatch.setattr(mod, "smith_normal_form", refuse)
+    for line in ("homology moore3(6) 2",
+                 "homology product(lens(4, 5), moore3(6)) 3",
+                 "homology lens_periodic(6) 1000001",
+                 "brauer product(lens(4, 3), lens(6, 3))",
+                 "brauer lens_periodic(6)"):
+        code, report = run_json(line)
+        assert code == EXIT_OK, report
+    code, report = run_json("homology product(lens(4, 5), moore3(6)) 3",
+                            trace=True)
+    assert code == EXIT_OK and report["trace"]
+    c = chaincx.ChainComplex([1, 1, 1], [[[0]], [[4]]])
+    assert str(chaincx.homology(c, 1)) == "Z/4"
 
 
 def test_batch_text_mode():

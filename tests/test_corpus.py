@@ -1,0 +1,32 @@
+"""Output identity on a fixed request corpus.
+
+`data/corpus.txt` holds about fifty request lines: all twelve commands,
+a dense 6 x 6 `complex{...}` literal, a three-factor product,
+`lens_periodic` at degree 10^6 and lines refused with exit 2, 3 and 4.
+The `corpus.*.out` files next to it are the `run_batch` output of that
+corpus, recorded once and kept as the reference, in json and text, with
+and without `--trace`.  Any change to an answer, an
+error message, a trace line or the batch exit code shows here as a
+byte difference.
+"""
+
+import io
+from pathlib import Path
+
+import pytest
+
+from cwbrauer.cli import EXIT_PARSE, run_batch
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
+def test_corpus_output_is_byte_identical(as_json, trace):
+    lines = (DATA / "corpus.txt").read_text(encoding="utf-8").splitlines()
+    out = io.StringIO()
+    code = run_batch(lines, as_json, trace, out=out)
+    name = f"corpus.{'json' if as_json else 'text'}{'.trace' if trace else ''}.out"
+    want = (DATA / name).read_text(encoding="utf-8")
+    assert code == EXIT_PARSE
+    assert out.getvalue() == want

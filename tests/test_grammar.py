@@ -6,15 +6,18 @@ that well-formed but meaningless input raises SemanticError instead.
 """
 
 import random
+import re
 from math import gcd
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cwbrauer.abgroup import FgAbGroup, GroupHom
 from cwbrauer.chaincx import random_complex
 from cwbrauer.errors import ParseError, SemanticError, UnsupportedComputation
 from cwbrauer.grammar import (
-    MAX_SPACE_NESTING, format_complex, format_descriptor, format_group, format_profile,
+    MAX_SPACE_NESTING, _Parser, _tokenize, format_complex, format_descriptor, format_group, format_profile,
     format_space, format_tower, parse_complex, parse_descriptor, parse_group,
     parse_profile, parse_space, parse_tower,
 )
@@ -280,3 +283,83 @@ def test_space_nesting_cap_refuses_instead_of_recursing():
     # the cap counts depth, not the number of builders in a line
     flat = "wedge(" + ", ".join(["sphere(2)"] * 200) + ")"
     assert sp.space_homology(parse_space(flat), 2) == FgAbGroup.free(200)
+
+
+# -- tokenizer against a per-token reference ----------------------------------------
+
+_REF_TOKEN = re.compile(
+    r"(?P<ws>\s+)|(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<sym><=|>=|[\^+/()\[\]{},;:=<>-])")
+
+
+def ref_tokenize(src):
+    """One re.match per token, the column advanced by each token's text:
+    ([(kind, text, line, col), ...], error position or None)."""
+    out = []
+    line, col, pos = 1, 1, 0
+    while pos < len(src):
+        m = _REF_TOKEN.match(src, pos)
+        if m is None:
+            return out, (src[pos], line, col)
+        text = m.group()
+        if m.lastgroup != "ws":
+            out.append((m.lastgroup, text, line, col))
+        if "\n" in text:
+            line += text.count("\n")
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    out.append(("eof", "", line, col))
+    return out, None
+
+
+_PIECES = st.sampled_from(
+    list("Zxi09 ") + ["12", "ab_c", "\n", "\t", "\r\n", "  ", "<=", ">=",
+                      "^", "+", "/", "(", ")", "[", "]", "{", "}", ",", ";",
+                      ":", "=", "<", ">", "-"])
+
+
+@st.composite
+def _token_text(draw):
+    """Token-like text with newlines and tabs; half the time one
+    character no token matches is put in somewhere."""
+    src = "".join(draw(st.lists(_PIECES, max_size=60)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(src)))
+        src = src[:at] + draw(st.sampled_from(["$", "\u00e9", "@"])) + src[at:]
+    return src
+
+
+@seed(20261020)
+@settings(max_examples=500, deadline=None, database=None)
+@given(_token_text())
+def test_tokenizer_matches_per_token_reference(src):
+    want, bad = ref_tokenize(src)
+    if bad is None:
+        got = [tuple(t) for t in _tokenize(src)]
+        assert got == want
+        return
+    with pytest.raises(ParseError) as e:
+        _tokenize(src)
+    ch, line, col = bad
+    assert (e.value.line, e.value.column) == (line, col)
+    assert str(e.value) == (f"unexpected character {ch!r} "
+                            f"(line {line}, column {col})")
+
+
+def test_matrix_rows_reads_entries_and_keeps_error_positions():
+    assert _Parser("[[1, -2], [-0, 30]]").matrix_rows() == [[1, -2], [0, 30]]
+    assert _Parser("[[], []]").matrix_rows() == [[], []]
+    assert _Parser("[]").matrix_rows() == []
+    for src, message, col in (
+            ("[[1, 2,]]", "expected 'matrix entry', found ']'", 8),
+            ("[[1 2]]", "expected ']', found '2'", 5),
+            ("[[-]]", "expected 'matrix entry', found ']'", 4),
+            ("[[1, -", "expected 'matrix entry', found 'end of input'", 7),
+            ("[[1, x]]", "expected 'matrix entry', found 'x'", 6)):
+        with pytest.raises(ParseError) as e:
+            _Parser(src).matrix_rows()
+        assert str(e.value) == f"{message} (line 1, column {col})", src
+    with pytest.raises(UnsupportedComputation, match="5000 digits"):
+        _Parser(f"[[1, -{'7' * 5000}]]").matrix_rows()

@@ -20,9 +20,10 @@ from _oracles import (
     cokernel_order_oracle, det_oracle, determinantal_divisor_oracle,
     hermite_columns, lattice_membership, rank_oracle, smith_diag_oracle,
 )
+from cwbrauer import intlin
 from cwbrauer.intlin import (
     IntMatrix, determinant, kernel_basis, cokernel_structure,
-    smith_normal_form, solve_integral, unimodular_inverse,
+    smith_invariants, smith_normal_form, solve_integral, unimodular_inverse,
 )
 
 
@@ -125,6 +126,48 @@ def test_smith_first_invariant_is_gcd_of_entries():
                 g = gcd(g, x)
         diag = smith_normal_form(IntMatrix(rows)).diagonal
         assert diag[0] == g  # g = 0 exactly for the zero matrix
+
+
+_inv_entries = st.one_of(st.integers(-1, 1), st.integers(-9, 9),
+                         st.integers(-2 ** 80, 2 ** 80))
+
+
+@seed(20261019)
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_smith_invariants_match_transform_snf_and_oracle(data):
+    """The transform-free diagonal equals the diagonal of the transform
+    SNF and the test-side reduction oracle padded with zeros, on shapes
+    0..8 (0 x k and k x 0 included), unit-rich and low-rank matrices and
+    entries up to 2^80."""
+    r, c = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    kind = data.draw(st.sampled_from(("dense", "units", "low_rank")))
+    if kind == "low_rank" and r and c:
+        k = data.draw(st.integers(1, 3))
+        left = IntMatrix(_lists(data.draw, r, k), cols=k)
+        right = IntMatrix(_lists(data.draw, k, c), cols=c)
+        rows = (left @ right).to_lists()
+    else:
+        entries = st.integers(-1, 1) if kind == "units" else _inv_entries
+        rows = data.draw(st.lists(
+            st.lists(entries, min_size=c, max_size=c),
+            min_size=r, max_size=r))
+    a = IntMatrix(rows, cols=c)
+    diag = smith_invariants(a)
+    assert diag == smith_normal_form(a).diagonal
+    want = smith_diag_oracle(rows) if r and c else []
+    assert list(diag) == want + [0] * (min(r, c) - len(want))
+    assert smith_invariants(rows if r else IntMatrix([], cols=c)) == diag
+
+
+def test_cokernel_structure_makes_no_transform_snf(monkeypatch):
+    def refuse(a):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(intlin, "smith_normal_form", refuse)
+    a = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    assert cokernel_structure(a).invariant_factors == (2, 2, 156)
+    assert cokernel_structure(IntMatrix([[6], [0]])).free_rank == 1
 
 
 def coset_count(rows) -> int:
