@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import SemanticError
-from .intlin import IntMatrix
+from .intlin import IntMatrix, divisibility_chain
 
 
 @dataclass(frozen=True)
@@ -66,27 +66,15 @@ class FgAbGroup:
     def from_cyclic_orders(cls, orders) -> "FgAbGroup":
         """Canonical form of + Z/n_i (n_i = 0 meaning Z), any order, any n_i >= 0.
 
-        Canonicalization replaces pairs by Z/a + Z/b = Z/gcd(a,b) + Z/lcm(a,b)
-        until the orders form a divisibility chain, so no prime
-        factorization is needed.
+        The torsion orders are put into a divisibility chain by
+        `intlin.divisibility_chain` (gcd/lcm pair swaps, no prime
+        factorization).
         """
         orders = [int(n) for n in orders]
         if any(n < 0 for n in orders):
             raise SemanticError("cyclic order must be >= 0")
         free = sum(1 for n in orders if n == 0)
-        torsion = sorted(n for n in orders if n >= 2)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(torsion)):
-                for j in range(i + 1, len(torsion)):
-                    a, b = torsion[i], torsion[j]
-                    if b % a:
-                        g = gcd(a, b)
-                        torsion[i], torsion[j] = g, a // g * b
-                        changed = True
-            if changed:
-                torsion.sort()
+        torsion = divisibility_chain(n for n in orders if n >= 2)
         return cls(free, tuple(d for d in torsion if d >= 2))
 
     @classmethod

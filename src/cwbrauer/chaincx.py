@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from random import Random
 
-from .abgroup import FgAbGroup, GroupHom, ext1, hom
+from .abgroup import FgAbGroup, GroupHom
 from .errors import SemanticError
 from .intlin import (IntMatrix, kernel_basis, smith_invariants,
                      smith_normal_form, unimodular_inverse)
@@ -164,10 +164,14 @@ def homology(c: ChainComplex, n: int) -> FgAbGroup:
     """
     if n < 0 or n > c.top_degree:
         return FgAbGroup.trivial()
-    d_in = smith_invariants(c.boundary(n))
     d_out = smith_invariants(c.boundary(n + 1))
-    free = c.rank(n) - sum(1 for d in d_in if d) - sum(1 for d in d_out if d)
-    return FgAbGroup(free, tuple(d for d in d_out if d >= 2))
+    return FgAbGroup(_free_rank(c, n, smith_invariants(c.boundary(n)), d_out),
+                     tuple(d for d in d_out if d >= 2))
+
+
+def _free_rank(c: ChainComplex, n: int, d_in, d_out) -> int:
+    """Rank of H_n from the Smith diagonals of del_n and del_{n+1}."""
+    return c.rank(n) - sum(1 for d in d_in if d) - sum(1 for d in d_out if d)
 
 
 def _cochain_presentation(c: ChainComplex, n: int,
@@ -216,10 +220,17 @@ class UctDecomposition:
 
 def uct_decompose(c: ChainComplex, n: int) -> UctDecomposition:
     """Split H^n(c; Z) via universal coefficients and check it against the
-    directly computed cohomology."""
-    from .abgroup import Z
-    ext_part = ext1(homology(c, n - 1), Z)
-    hom_part = hom(homology(c, n), Z)
+    directly computed cohomology.
+
+    Ext^1(H_{n-1}, Z) is the torsion of H_{n-1}, which is the torsion of
+    coker del_n: the invariant factors >= 2 of del_n.  Hom(H_n, Z) is free
+    of the rank of H_n.  So the split reads the Smith diagonals of del_n
+    and del_{n+1}, once each.
+    """
+    d_in = smith_invariants(c.boundary(n))
+    d_out = smith_invariants(c.boundary(n + 1))
+    ext_part = FgAbGroup(0, tuple(d for d in d_in if d >= 2))
+    hom_part = FgAbGroup(_free_rank(c, n, d_in, d_out))
     total = cohomology(c, n)
     return UctDecomposition(degree=n, ext_part=ext_part,
                             hom_part=hom_part, total=total)

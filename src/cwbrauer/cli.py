@@ -16,6 +16,9 @@ Commands (subjects use the shared text grammars of grammar.py)::
   catalog SUBJECT               recorded facts (bpgl/k/bg space or a name)
   reproduce                     run the built-in worked-example table
 
+Each command is declared once, in the COMMANDS table: its argument
+parser, its evaluator and the summary that `reproduce` compares.
+
 Flags: --json (structured, deterministic output), --trace (diagnostic
 witnesses), --batch FILE (one request per line, '-' for stdin).
 
@@ -36,12 +39,12 @@ import os
 import sys
 from dataclasses import dataclass
 from math import gcd
+from typing import Callable, NamedTuple
 
 from .abgroup import FgAbGroup
-from .chaincx import bockstein, cohomology, homology, uct_decompose
+from .chaincx import bockstein, cohomology, uct_decompose
 from .errors import ParseError, SemanticError, UnsupportedComputation
-from .grammar import (_Parser, format_descriptor, format_group,
-                      format_profile, format_space, format_tower)
+from .grammar import _Parser, format_descriptor, format_group, format_profile
 from .intlin import smith_invariants
 from .limits import SymbolicGroup, lim1_certificate
 from .profiles import (StructuralDescriptor, brauer_of_bg,
@@ -57,10 +60,6 @@ EXIT_UNSUPPORTED = 4
 EXIT_INTERNAL = 70
 EXIT_BROKEN_PIPE = 141
 
-COMMANDS = ("homology", "cohomology", "uct", "bockstein", "brauer",
-            "phantom", "certify", "lim1", "profile-brauer",
-            "non-brauer-check", "catalog", "reproduce")
-
 _RULE_CITATIONS = {
     "CompactSerre": ("compact-equality",),
     "WoodwardDimLe4": ("woodward-dim4",),
@@ -74,13 +73,7 @@ _RULE_CITATIONS = {
 class Request:
     command: str
     text: str
-    space: SpaceDescription | None = None
-    degree: int | None = None
-    modulus: int | None = None
-    tower: object = None
-    profile: object = None
-    descriptor: object = None
-    catalog_name: str | None = None
+    args: tuple  # what COMMANDS[command].parse read
 
 
 def parse_request(line: str) -> Request:
@@ -91,56 +84,72 @@ def parse_request(line: str) -> Request:
         raise ParseError(f"unknown command {command!r}; commands are "
                          + ", ".join(COMMANDS))
     p = _Parser(rest)
-    req = _parse_args(command, line, p)
+    args = COMMANDS[command].parse(p)
     p.expect_end()
-    return req
+    return Request(command, line, args)
 
 
-def _parse_args(command: str, line: str, p: _Parser) -> Request:
-    if command == "reproduce":
-        return Request(command, line)
-    if command in ("homology", "cohomology", "uct", "bockstein", "phantom"):
-        space = p.space()
-        degree = p.integer("degree")
-        if degree < 0:
-            raise SemanticError("degree must be >= 0")
-        modulus = None
-        if command == "bockstein":
-            p.expect("ident", "mod", what="mod")
-            modulus = p.integer("modulus")
-        elif command == "cohomology" and p.accept("ident", "mod"):
-            modulus = p.integer("modulus")
-        if modulus is not None and modulus < 2:
-            raise SemanticError("modulus must be >= 2")
-        if command == "phantom" and degree < 1:
-            raise SemanticError("phantom degree must be >= 1")
-        return Request(command, line, space=space, degree=degree,
-                       modulus=modulus)
-    if command in ("brauer", "certify"):
-        return Request(command, line, space=p.space())
-    if command == "lim1":
-        return Request(command, line, tower=p.tower())
-    if command == "profile-brauer":
-        return Request(command, line, profile=p.profile())
-    if command == "non-brauer-check":
-        profile = p.profile()
-        p.expect("ident", "with", what="with")
-        return Request(command, line, profile=profile,
-                       descriptor=p.descriptor())
-    if command == "catalog":
-        if p.at("ident") and p.at("sym", "(", 1):
-            space = p.space()
-            if space.kind != "catalog":
-                raise SemanticError(
-                    "catalog takes a catalog space (bpgl/k/bg) or a fact name")
-            return Request(command, line, space=space)
-        name = p.expect("ident", what="catalog entry name").text
-        return Request(command, line, catalog_name=name)
-    raise ParseError(f"unknown command {command!r}")  # unreachable
+def execute(req: Request, trace: bool = False) -> dict:
+    """Run one request; returns the report dictionary."""
+    result, text, citations, tr = COMMANDS[req.command].run(trace, *req.args)
+    report = {"request": req.text, "command": req.command,
+              "result": result, "result_text": text,
+              "citations": sorted(set(citations))}
+    if trace:
+        report["trace"] = tr
+    return report
 
 
 # ---------------------------------------------------------------------------
-# execution
+# argument parsers
+# ---------------------------------------------------------------------------
+
+def _space_degree(p: _Parser) -> tuple:
+    space = p.space()
+    degree = p.integer("degree")
+    if degree < 0:
+        raise SemanticError("degree must be >= 0")
+    return space, degree
+
+
+def _modulus(p: _Parser, required: bool) -> int | None:
+    """The `mod M` clause after the degree; None when it is optional and
+    absent."""
+    if required:
+        p.expect("ident", "mod", what="mod")
+    elif not p.accept("ident", "mod"):
+        return None
+    modulus = p.integer("modulus")
+    if modulus < 2:
+        raise SemanticError("modulus must be >= 2")
+    return modulus
+
+
+def _phantom_args(p: _Parser) -> tuple:
+    space, degree = _space_degree(p)
+    if degree < 1:
+        raise SemanticError("phantom degree must be >= 1")
+    return space, degree
+
+
+def _non_brauer_args(p: _Parser) -> tuple:
+    profile = p.profile()
+    p.expect("ident", "with", what="with")
+    return profile, p.descriptor()
+
+
+def _catalog_args(p: _Parser) -> tuple:
+    if p.at("ident") and p.at("sym", "(", 1):
+        space = p.space()
+        if space.kind != "catalog":
+            raise SemanticError(
+                "catalog takes a catalog space (bpgl/k/bg) or a fact name")
+        return (space,)
+    return (p.expect("ident", what="catalog entry name").text,)
+
+
+# ---------------------------------------------------------------------------
+# evaluators: (trace, *args) -> (result, text, citations, trace lines)
 # ---------------------------------------------------------------------------
 
 def _group_payload(g) -> dict:
@@ -159,6 +168,11 @@ def _group_payload(g) -> dict:
     raise UnsupportedComputation(f"cannot serialize {type(g).__name__}")
 
 
+def _payload_or_none(g) -> dict | None:
+    """Payload of a recorded group, None where the catalog records none."""
+    return None if g is None else _group_payload(g)
+
+
 def _group_text(payload: dict) -> str:
     if payload["kind"] == "group":
         return payload["group"]
@@ -171,208 +185,173 @@ def _group_text(payload: dict) -> str:
     return f"{payload['expression']} (exponent {payload['exponent']})"
 
 
-def _boundary_trace(c, offset: int, degrees) -> list[str]:
-    """Smith diagonals of the boundaries in the given space degrees,
-    read from a window c whose degree 0 is the space's degree offset."""
-    out = []
-    for n in degrees:
-        b = c.boundary(n - offset)
-        if b.rows and b.cols:
-            diag = smith_invariants(b)
-            out.append(f"SNF diagonal of boundary_{n}: {list(diag)}")
-        else:
-            out.append(f"boundary_{n} is zero ({b.rows} x {b.cols})")
-    return out
+def _window(space: SpaceDescription, n: int, trace: bool, count: int = 2):
+    """(c, k, trace lines): the window c around degree n of a finite or
+    periodic space, degree n's index k in c, and when tracing the Smith
+    diagonals of the space's boundaries del_n .. del_{n+count-1}."""
+    c, off = space.window(n)
+    lines = []
+    for d in range(n, n + count) if trace else ():
+        b = c.boundary(d - off)
+        lines.append(f"SNF diagonal of boundary_{d}: {list(smith_invariants(b))}"
+                     if b.rows and b.cols
+                     else f"boundary_{d} is zero ({b.rows} x {b.cols})")
+    return c, n - off, lines
 
 
-def execute(req: Request, trace: bool = False) -> dict:
-    """Run one request; returns the report dictionary."""
-    result: dict
-    text: str
-    citations: list[str]
-    tr: list[str] = []
-
-    if req.command == "homology":
-        h = space_homology(req.space, req.degree)
-        result = _group_payload(h)
-        text = f"H_{req.degree} = {_group_text(result)}"
-        citations = ["smith-normal-form"]
-        if trace and req.space.kind in ("finite", "periodic"):
-            c, off = req.space.window(req.degree)
-            tr = _boundary_trace(c, off, (req.degree, req.degree + 1))
-
-    elif req.command == "cohomology":
-        c, off = req.space.window(req.degree)
-        h = cohomology(c, req.degree - off, modulus=req.modulus)
-        result = _group_payload(h)
-        result["degree"] = req.degree
-        if req.modulus is not None:
-            result["modulus"] = req.modulus
-            text = f"H^{req.degree}(; Z/{req.modulus}) = {result['group']}"
-        else:
-            text = f"H^{req.degree} = {result['group']}"
-        citations = ["universal-coefficients", "smith-normal-form"]
-        if trace:
-            tr = _boundary_trace(c, off, (req.degree, req.degree + 1))
-
-    elif req.command == "uct":
-        c, off = req.space.window(req.degree)
-        u = uct_decompose(c, req.degree - off)
-        result = {"kind": "uct", "degree": req.degree,
-                  "ext_part": format_group(u.ext_part),
-                  "hom_part": format_group(u.hom_part),
-                  "total": format_group(u.total)}
-        text = (f"H^{req.degree} = {result['total']} with Ext part "
-                f"{result['ext_part']} and Hom part {result['hom_part']}")
-        citations = ["universal-coefficients"]
-        if trace:
-            tr = _boundary_trace(c, off, (req.degree, req.degree + 1))
-
-    elif req.command == "bockstein":
-        c, off = req.space.window(req.degree)
-        beta = bockstein(c, req.degree - off, req.modulus)
-        result = {"kind": "hom",
-                  "domain": format_group(beta.domain),
-                  "codomain": format_group(beta.codomain),
-                  "matrix": beta.matrix.to_lists(),
-                  "is_zero": beta.is_zero()}
-        text = (f"Bockstein H^{req.degree}(; Z/{req.modulus}) -> "
-                f"H^{req.degree + 1}: {result['domain']} -> "
-                f"{result['codomain']}, matrix {result['matrix']}")
-        citations = ["bockstein-sequence"]
-        if trace:
-            tr = _boundary_trace(c, off, (req.degree, req.degree + 1,
-                                          req.degree + 2))
-
-    elif req.command == "brauer":
-        bp = brauer_prime(req.space)
-        cert = equality_certificate(req.space)
-        bp_payload = _group_payload(bp)
-        if req.space.kind == "catalog":
-            entry = catalog_lookup(req.space)
-            br_payload = (_group_payload(entry.br)
-                          if entry.br is not None else None)
-        elif cert.verdict == EQUAL and isinstance(bp, FgAbGroup):
-            br_payload = _group_payload(bp)
-        else:
-            br_payload = None
-        result = {"kind": "brauer", "br_prime": bp_payload,
-                  "br": br_payload,
-                  "equality": {"verdict": cert.verdict,
-                               "reason": cert.reason,
-                               "witness": cert.witness,
-                               "also_applicable": list(cert.also_applicable)}}
-        br_text = (_group_text(br_payload) if br_payload is not None
-                   else "undetermined")
-        text = (f"Br' = {_group_text(bp_payload)}; Br = {br_text}; "
-                f"equality: {cert.verdict}"
-                + (f" ({cert.reason})" if cert.reason else ""))
-        citations = ["brauer-cw-formula"]
-        citations += _certificate_citations(req.space, cert)
-        if trace and req.space.kind in ("finite", "periodic"):
-            c, off = req.space.window(2)
-            tr = _boundary_trace(c, off, (2, 3))
-
-    elif req.command == "phantom":
-        ph = phantom_subgroup(req.space, req.degree)
-        result = _group_payload(ph)
-        result["degree"] = req.degree
-        text = f"phantom subgroup of H^{req.degree} = {_group_text(result)}"
-        citations = ["phantom-formula"]
-        if result["kind"] == "symbolic_group":
-            citations += ["ext-divisible", "pext-ulm"]
-
-    elif req.command == "certify":
-        cert = equality_certificate(req.space)
-        result = {"kind": "certificate", "verdict": cert.verdict,
-                  "reason": cert.reason, "witness": cert.witness,
-                  "also_applicable": list(cert.also_applicable)}
-        text = (f"{cert.verdict}"
-                + (f" ({cert.reason})" if cert.reason else "")
-                + f": {cert.witness}")
-        citations = ["brauer-cw-formula"]
-        citations += _certificate_citations(req.space, cert)
-        tr = [f"applicable rules, in priority order: "
-              f"{list(cert.applicable_rules) or 'none'}"]
-
-    elif req.command == "lim1":
-        cert = lim1_certificate(req.tower)
-        result = {"kind": "lim1", "verdict": cert.verdict,
-                  "reason": cert.reason, "witness": cert.witness}
-        text = (f"lim^1 {cert.verdict}"
-                + (f" ({cert.reason})" if cert.reason else "")
-                + f": {cert.witness}")
-        citations = {"JensenFinite": ["jensen-finite"],
-                     "MittagLeffler": ["mittag-leffler"]}.get(
-                         cert.reason, ["mittag-leffler", "jensen-finite"])
-        tr = [cert.witness]
-
-    elif req.command == "profile-brauer":
-        lam = lambda_square_profile(req.profile)
-        bb = brauer_of_bg(req.profile)
-        result = {"kind": "profile_brauer",
-                  "profile": format_profile(req.profile),
-                  "lambda_square": format_profile(lam),
-                  "br_prime": _group_payload(bb)}
-        text = f"Br'(BG) = {_group_text(result['br_prime'])}"
-        citations = ["h2-exterior-square", "bg-brauer-formula",
-                     "basic-subgroup"]
-        tr = [f"Lambda^2 profile: {format_profile(lam)}"]
-
-    elif req.command == "non-brauer-check":
-        rep = non_brauer_certificate(req.profile, req.descriptor)
-        result = {"kind": "non_brauer", "verdict": rep.verdict,
-                  "profile": format_profile(req.profile),
-                  "rules": format_descriptor(req.descriptor)
-                  if req.descriptor.rules else "",
-                  "conditions": [[t, ok, why] for t, ok, why in rep.conditions],
-                  "witness": rep.witness}
-        text = f"{rep.verdict}: {rep.witness}"
-        citations = ["bg-strict", "bg-brauer-formula"]
-        tr = [f"condition {'holds' if ok else 'fails'}: {t} ({why})"
-              for t, ok, why in rep.conditions]
-
-    elif req.command == "catalog":
-        entry = catalog_lookup(req.space if req.space is not None
-                               else req.catalog_name)
-        result = {"kind": "catalog", "name": entry.name,
-                  "br_prime": (_group_payload(entry.br_prime)
-                               if entry.br_prime is not None else None),
-                  "br": (_group_payload(entry.br)
-                         if entry.br is not None else None),
-                  "verdict": entry.verdict,
-                  "equality_note": entry.equality_note,
-                  "notes": list(entry.notes)}
-        bits = [entry.name + ":"]
-        if result["br_prime"] is not None:
-            bits.append(f"Br' = {_group_text(result['br_prime'])},")
-        if result["br"] is not None:
-            bits.append(f"Br = {_group_text(result['br'])},")
-        bits.append(entry.verdict)
-        text = " ".join(bits)
-        citations = list(entry.citations)
-
-    elif req.command == "reproduce":
-        result, text, citations = _run_reproduce(trace)
-
-    else:  # pragma: no cover - parse_request filters commands
-        raise SemanticError(f"unknown command {req.command!r}")
-
-    report = {"request": req.text, "command": req.command,
-              "result": result, "result_text": text,
-              "citations": sorted(set(citations))}
-    if trace:
-        report["trace"] = tr
-    return report
+def _cell_trace(space: SpaceDescription, n: int, trace: bool) -> list[str]:
+    """Boundary trace lines at degrees n and n+1 where the space has cells."""
+    if trace and space.kind in ("finite", "periodic"):
+        return _window(space, n, trace)[2]
+    return []
 
 
-def _certificate_citations(x: SpaceDescription, cert) -> list[str]:
-    out: list[str] = []
+def _verdict(cert) -> str:
+    return cert.verdict + (f" ({cert.reason})" if cert.reason else "")
+
+
+def _certificate(space: SpaceDescription):
+    """Equality certificate of a space, its payload and its citations."""
+    cert = equality_certificate(space)
+    citations = ["brauer-cw-formula"]
     for rule in cert.applicable_rules:
-        out += list(_RULE_CITATIONS.get(rule, ()))
+        citations += _RULE_CITATIONS.get(rule, ())
         if rule == "CatalogTheorem":
-            out += list(catalog_lookup(x).citations)
-    return out
+            citations += catalog_lookup(space).citations
+    payload = {"verdict": cert.verdict, "reason": cert.reason,
+               "witness": cert.witness,
+               "also_applicable": list(cert.also_applicable)}
+    return cert, payload, citations
+
+
+def _homology(trace, space, n):
+    result = _group_payload(space_homology(space, n))
+    return (result, f"H_{n} = {_group_text(result)}", ["smith-normal-form"],
+            _cell_trace(space, n, trace))
+
+
+def _cohomology(trace, space, n, modulus):
+    c, k, tr = _window(space, n, trace)
+    result = _group_payload(cohomology(c, k, modulus=modulus))
+    result["degree"] = n
+    if modulus is None:
+        text = f"H^{n} = {result['group']}"
+    else:
+        result["modulus"] = modulus
+        text = f"H^{n}(; Z/{modulus}) = {result['group']}"
+    return result, text, ["universal-coefficients", "smith-normal-form"], tr
+
+
+def _uct(trace, space, n):
+    c, k, tr = _window(space, n, trace)
+    u = uct_decompose(c, k)
+    result = {"kind": "uct", "degree": n,
+              "ext_part": format_group(u.ext_part),
+              "hom_part": format_group(u.hom_part),
+              "total": format_group(u.total)}
+    text = (f"H^{n} = {result['total']} with Ext part "
+            f"{result['ext_part']} and Hom part {result['hom_part']}")
+    return result, text, ["universal-coefficients"], tr
+
+
+def _bockstein(trace, space, n, modulus):
+    c, k, tr = _window(space, n, trace, 3)
+    beta = bockstein(c, k, modulus)
+    result = {"kind": "hom",
+              "domain": format_group(beta.domain),
+              "codomain": format_group(beta.codomain),
+              "matrix": beta.matrix.to_lists(),
+              "is_zero": beta.is_zero()}
+    text = (f"Bockstein H^{n}(; Z/{modulus}) -> H^{n + 1}: "
+            f"{result['domain']} -> {result['codomain']}, "
+            f"matrix {result['matrix']}")
+    return result, text, ["bockstein-sequence"], tr
+
+
+def _brauer(trace, space):
+    bp = brauer_prime(space)
+    cert, equality, citations = _certificate(space)
+    bp_payload = _group_payload(bp)
+    if space.kind == "catalog":
+        br = _payload_or_none(catalog_lookup(space).br)
+    elif cert.verdict == EQUAL and isinstance(bp, FgAbGroup):
+        br = bp_payload
+    else:
+        br = None
+    result = {"kind": "brauer", "br_prime": bp_payload, "br": br,
+              "equality": equality}
+    text = (f"Br' = {_group_text(bp_payload)}; Br = "
+            f"{_group_text(br) if br is not None else 'undetermined'}; "
+            f"equality: {_verdict(cert)}")
+    return result, text, citations, _cell_trace(space, 2, trace)
+
+
+def _phantom(trace, space, n):
+    result = _group_payload(phantom_subgroup(space, n))
+    result["degree"] = n
+    citations = ["phantom-formula"]
+    if result["kind"] == "symbolic_group":
+        citations += ["ext-divisible", "pext-ulm"]
+    return (result, f"phantom subgroup of H^{n} = {_group_text(result)}",
+            citations, [])
+
+
+def _certify(trace, space):
+    cert, payload, citations = _certificate(space)
+    tr = [f"applicable rules, in priority order: "
+          f"{list(cert.applicable_rules) or 'none'}"]
+    return ({"kind": "certificate", **payload},
+            f"{_verdict(cert)}: {cert.witness}", citations, tr)
+
+
+def _lim1(trace, tower):
+    cert = lim1_certificate(tower)
+    result = {"kind": "lim1", "verdict": cert.verdict,
+              "reason": cert.reason, "witness": cert.witness}
+    citations = {"JensenFinite": ["jensen-finite"],
+                 "MittagLeffler": ["mittag-leffler"]}.get(
+                     cert.reason, ["mittag-leffler", "jensen-finite"])
+    return (result, f"lim^1 {_verdict(cert)}: {cert.witness}", citations,
+            [cert.witness])
+
+
+def _profile_brauer(trace, profile):
+    lam = format_profile(lambda_square_profile(profile))
+    result = {"kind": "profile_brauer", "profile": format_profile(profile),
+              "lambda_square": lam,
+              "br_prime": _group_payload(brauer_of_bg(profile))}
+    citations = ["h2-exterior-square", "bg-brauer-formula", "basic-subgroup"]
+    return (result, f"Br'(BG) = {_group_text(result['br_prime'])}",
+            citations, [f"Lambda^2 profile: {lam}"])
+
+
+def _non_brauer(trace, profile, descriptor):
+    rep = non_brauer_certificate(profile, descriptor)
+    result = {"kind": "non_brauer", "verdict": rep.verdict,
+              "profile": format_profile(profile),
+              "rules": format_descriptor(descriptor),
+              "conditions": [[t, ok, why] for t, ok, why in rep.conditions],
+              "witness": rep.witness}
+    tr = [f"condition {'holds' if ok else 'fails'}: {t} ({why})"
+          for t, ok, why in rep.conditions]
+    return (result, f"{rep.verdict}: {rep.witness}",
+            ["bg-strict", "bg-brauer-formula"], tr)
+
+
+def _catalog(trace, subject):
+    entry = catalog_lookup(subject)
+    result = {"kind": "catalog", "name": entry.name,
+              "br_prime": _payload_or_none(entry.br_prime),
+              "br": _payload_or_none(entry.br),
+              "verdict": entry.verdict,
+              "equality_note": entry.equality_note,
+              "notes": list(entry.notes)}
+    bits = [entry.name + ":"]
+    for label, key in (("Br'", "br_prime"), ("Br", "br")):
+        if result[key] is not None:
+            bits.append(f"{label} = {_group_text(result[key])},")
+    bits.append(entry.verdict)
+    return result, " ".join(bits), list(entry.citations), []
 
 
 # ---------------------------------------------------------------------------
@@ -380,174 +359,105 @@ def _certificate_citations(x: SpaceDescription, cert) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _reproduce_items():
-    """Yield (name, request line, check) triples.
-
-    Each check inspects the result dictionary and returns
-    (ok, expected text, actual text).
-    """
+    """(name, request line, expected summary, test) tuples.  The test is
+    None when the result's summary must equal the expected one, else a
+    predicate on the result."""
     items = []
 
-    def expect_eq(what):
-        def check(res, want=what):
-            actual = _summarize(res)
-            return actual == want, want, actual
-        return check
-
-    def _summarize(res: dict) -> str:
-        kind = res.get("kind")
-        if kind == "group":
-            return res["group"]
-        if kind == "symbolic_group":
-            flags = res["flags"]
-            names = [k for k in ("nonzero", "divisible") if flags.get(k)]
-            return "symbolic " + ",".join(names)
-        if kind == "brauer":
-            bp = res["br_prime"]
-            head = (bp["group"] if bp["kind"] == "group"
-                    else "descriptor")
-            eq = res["equality"]
-            return f"Br'={head} {eq['verdict']}"
-        if kind == "certificate":
-            rules = ",".join(sorted([res["reason"], *res["also_applicable"]])
-                             if res["reason"] else [])
-            return f"{res['verdict']} [{rules}]"
-        if kind == "lim1":
-            return (f"{res['verdict']}"
-                    + (f"({res['reason']})" if res["reason"] else ""))
-        if kind == "non_brauer":
-            return res["verdict"]
-        if kind == "profile_brauer":
-            bp = res["br_prime"]
-            return bp["group"] if bp["kind"] == "group" else "descriptor"
-        if kind == "catalog":
-            bp = res["br_prime"]
-            head = (bp["group"] if bp and bp["kind"] == "group"
-                    else "descriptor" if bp else "-")
-            br = res["br"]
-            bhead = (br["group"] if br and br["kind"] == "group"
-                     else "descriptor" if br else "-")
-            return f"Br'={head} Br={bhead} {res['verdict']}"
-        if kind == "hom":
-            return (f"{res['domain']}->{res['codomain']} "
-                    f"matrix {res['matrix']}")
-        if kind == "uct":
-            return (f"{res['total']} = Ext {res['ext_part']} + "
-                    f"Hom {res['hom_part']}")
-        return json.dumps(res, sort_keys=True)
+    def add(name, line, want, test=None):
+        items.append((name, line, want, test))
 
     # --- worked example family: 3-cell spaces (exact small table) ---
     for n in range(2, 13):
-        items.append((f"moore3({n}) brauer", f"brauer moore3({n})",
-                      expect_eq(f"Br'=Z/{n} EQUAL")))
-        items.append((f"moore3({n}) H^3", f"cohomology moore3({n}) 3",
-                      expect_eq(f"Z/{n}")))
-        items.append((f"bpgl({n}) catalog", f"catalog bpgl({n})",
-                      expect_eq(f"Br'=Z/{n} Br=Z/{n} EQUAL")))
-        items.append((f"k(Z/{n},2) catalog", f"catalog k(Z/{n}, 2)",
-                      expect_eq(f"Br'=Z/{n} Br=0 STRICT")))
-    items.append(("k(Q/Z,2) catalog", "catalog k(Q/Z, 2)",
-                  expect_eq("Br'=0 Br=0 EQUAL")))
-    items.append(("k(Z/5,3) catalog", "catalog k(Z/5, 3)",
-                  expect_eq("Br'=0 Br=0 EQUAL")))
-    items.append(("k(Z^2+Z/3,4) catalog", "catalog k(Z^2 + Z/3, 4)",
-                  expect_eq("Br'=0 Br=0 EQUAL")))
+        add(f"moore3({n}) brauer", f"brauer moore3({n})",
+            f"Br'=Z/{n} EQUAL")
+        add(f"moore3({n}) H^3", f"cohomology moore3({n}) 3", f"Z/{n}")
+        add(f"bpgl({n}) catalog", f"catalog bpgl({n})",
+            f"Br'=Z/{n} Br=Z/{n} EQUAL")
+        add(f"k(Z/{n},2) catalog", f"catalog k(Z/{n}, 2)",
+            f"Br'=Z/{n} Br=0 STRICT")
+    add("k(Q/Z,2) catalog", "catalog k(Q/Z, 2)", "Br'=0 Br=0 EQUAL")
+    add("k(Z/5,3) catalog", "catalog k(Z/5, 3)", "Br'=0 Br=0 EQUAL")
+    add("k(Z^2+Z/3,4) catalog", "catalog k(Z^2 + Z/3, 4)",
+        "Br'=0 Br=0 EQUAL")
 
     # --- exterior-square vs Kunneth agreement ---
     for m in range(2, 9):
         for n in range(2, 9):
             g = gcd(m, n)
             want = "0" if g == 1 else f"Z/{g}"
-            items.append((
-                f"kunneth lens({m})xlens({n})",
+            add(f"kunneth lens({m})xlens({n})",
                 f"brauer product(lens({m}, 3), lens({n}, 3))",
-                expect_eq(f"Br'={want} EQUAL")))
+                f"Br'={want} EQUAL")
             if m == n:
                 lit = f"(Z/{m})^2"
             else:
                 a, b = sorted((m, n))
                 lit = f"(Z/{a})^1 + (Z/{b})^1"
-            items.append((f"profile lambda {m},{n}",
-                          f"profile-brauer {lit}",
-                          expect_eq(want)))
+            add(f"profile lambda {m},{n}", f"profile-brauer {lit}", want)
 
     # --- Bockstein family ---
     for m in range(2, 11):
-        def check_bock(res, m=m):
-            want = f"Z/{m}->Z/{m} unit matrix entry"
-            if res.get("kind") != "hom":
-                return False, want, _summarize(res)
-            ok = (res["domain"] == f"Z/{m}" and res["codomain"] == f"Z/{m}"
-                  and len(res["matrix"]) == 1 and len(res["matrix"][0]) == 1
-                  and gcd(res["matrix"][0][0], m) == 1)
-            actual = (f"{res['domain']}->{res['codomain']} "
-                      f"matrix {res['matrix']}")
-            return ok, want, actual
-        items.append((f"bockstein moore3({m})",
-                      f"bockstein moore3({m}) 2 mod {m}", check_bock))
+        def unit_entry(res, m=m):
+            return (res["domain"] == f"Z/{m}" and res["codomain"] == f"Z/{m}"
+                    and len(res["matrix"]) == 1 and len(res["matrix"][0]) == 1
+                    and gcd(res["matrix"][0][0], m) == 1)
+        add(f"bockstein moore3({m})", f"bockstein moore3({m}) 2 mod {m}",
+            f"Z/{m}->Z/{m} unit matrix entry", unit_entry)
 
     # --- phantom subgroups ---
-    def check_phantom_nonzero(res):
-        want = "symbolic nonzero,divisible"
-        return _summarize(res) == want, want, _summarize(res)
-    items.append(("phantom telescope x5", "phantom telescope(Z, x5) 2",
-                  check_phantom_nonzero))
+    add("phantom telescope x5", "phantom telescope(Z, x5) 2",
+        "symbolic nonzero,divisible")
     for d in range(1, 6):
-        items.append((f"phantom lens_periodic deg {d}",
-                      f"phantom lens_periodic(4) {d}", expect_eq("0")))
-    items.append(("phantom moore3(6)", "phantom moore3(6) 3",
-                  expect_eq("0")))
-    items.append(("phantom product", "phantom product(lens(4, 3), lens(6, 3)) 3",
-                  expect_eq("0")))
+        add(f"phantom lens_periodic deg {d}", f"phantom lens_periodic(4) {d}",
+            "0")
+    add("phantom moore3(6)", "phantom moore3(6) 3", "0")
+    add("phantom product", "phantom product(lens(4, 3), lens(6, 3)) 3", "0")
 
     # --- lim^1 certificates ---
-    items.append(("lim1 finite block",
-                  "lim1 tower block [Z/4 -(x2)-> Z/8, Z/8 -(x1)-> Z/4]",
-                  expect_eq("VANISHES(JensenFinite)")))
-    items.append(("lim1 constant Z",
-                  "lim1 tower block [Z -(id)-> Z]",
-                  expect_eq("VANISHES(MittagLeffler)")))
-    items.append(("lim1 times 5",
-                  "lim1 tower block [Z -(x5)-> Z]",
-                  expect_eq("INCONCLUSIVE")))
+    add("lim1 finite block",
+        "lim1 tower block [Z/4 -(x2)-> Z/8, Z/8 -(x1)-> Z/4]",
+        "VANISHES(JensenFinite)")
+    add("lim1 constant Z", "lim1 tower block [Z -(id)-> Z]",
+        "VANISHES(MittagLeffler)")
+    add("lim1 times 5", "lim1 tower block [Z -(x5)-> Z]", "INCONCLUSIVE")
 
     # --- equality certificates and descriptor checks ---
-    items.append(("certify moore3(7)", "certify moore3(7)",
-                  expect_eq("EQUAL [CompactSerre,EvenCells,WoodwardDimLe4]")))
-    items.append(("certify even 6-complex",
-                  "certify wedge(sphere(2), sphere(4), sphere(6))",
-                  expect_eq("EQUAL [CompactSerre,EvenCells]")))
-    items.append(("certify k(Z/5,2)", "certify k(Z/5, 2)",
-                  expect_eq("STRICT [CatalogTheorem]")))
-    items.append(("certify telescope", "certify telescope(Z, x5)",
-                  expect_eq("EQUAL [EvenCells,WoodwardDimLe4]")))
-    items.append(("non-brauer certified",
-                  "non-brauer-check (Z/3)^w with rule i>=1: J=(i, 2i]",
-                  expect_eq("CERTIFIED_NOT_IN_BR")))
-    items.append(("non-brauer bounded rules",
-                  "non-brauer-check (Z/3)^w with rule 1<=i<=9: J=(i, 2i]",
-                  expect_eq("CONDITION_FAILS")))
-    items.append(("non-brauer singleton intervals",
-                  "non-brauer-check (Z/3)^w with rule i>=1: J=(i, i+1]",
-                  expect_eq("CONDITION_FAILS")))
+    add("certify moore3(7)", "certify moore3(7)",
+        "EQUAL [CompactSerre,EvenCells,WoodwardDimLe4]")
+    add("certify even 6-complex",
+        "certify wedge(sphere(2), sphere(4), sphere(6))",
+        "EQUAL [CompactSerre,EvenCells]")
+    add("certify k(Z/5,2)", "certify k(Z/5, 2)", "STRICT [CatalogTheorem]")
+    add("certify telescope", "certify telescope(Z, x5)",
+        "EQUAL [EvenCells,WoodwardDimLe4]")
+    add("non-brauer certified",
+        "non-brauer-check (Z/3)^w with rule i>=1: J=(i, 2i]",
+        "CERTIFIED_NOT_IN_BR")
+    add("non-brauer bounded rules",
+        "non-brauer-check (Z/3)^w with rule 1<=i<=9: J=(i, 2i]",
+        "CONDITION_FAILS")
+    add("non-brauer singleton intervals",
+        "non-brauer-check (Z/3)^w with rule i>=1: J=(i, i+1]",
+        "CONDITION_FAILS")
     return items
 
 
-def _run_reproduce(trace: bool):
+def _run_reproduce():
     rows = []
-    passed = failed = 0
-    for name, line, check in _reproduce_items():
+    for name, line, want, test in _reproduce_items():
         try:
-            report = execute(parse_request(line), trace=False)
-            ok, want, got = check(report["result"])
+            req = parse_request(line)
+            result = execute(req)["result"]
+            got = COMMANDS[req.command].summary(result)
+            ok = test(result) if test else got == want
         except (ParseError, SemanticError, UnsupportedComputation) as e:
             ok, want, got = False, "successful evaluation", f"error: {e}"
-        status = "PASS" if ok else "FAIL"
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-        rows.append({"name": name, "request": line, "status": status,
+        rows.append({"name": name, "request": line,
+                     "status": "PASS" if ok else "FAIL",
                      "expected": want, "actual": got})
+    passed = sum(r["status"] == "PASS" for r in rows)
+    failed = len(rows) - passed
     result = {"kind": "reproduce", "items": rows,
               "passed": passed, "failed": failed}
     lines = [f"{r['status']}  {r['name']}: {r['request']}"
@@ -556,13 +466,78 @@ def _run_reproduce(trace: bool):
                      f"\n      actual:   {r['actual']}")
              for r in rows]
     lines.append(f"reproduce: {passed} passed, {failed} failed")
-    text = "\n".join(lines)
     citations = ["brauer-cw-formula", "bpgl-brauer", "kg2-trivial-brauer",
                  "kunneth-formula", "h2-exterior-square",
                  "bockstein-sequence", "phantom-formula", "jensen-finite",
                  "mittag-leffler", "compact-equality", "woodward-dim4",
                  "even-cells", "bg-strict"]
-    return result, text, citations
+    return result, "\n".join(lines), citations, []
+
+
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+def _group_summary(res: dict) -> str:
+    if res["kind"] == "group":
+        return res["group"]
+    flags = res["flags"]
+    return "symbolic " + ",".join(
+        k for k in ("nonzero", "divisible") if flags[k])
+
+
+def _head(payload: dict | None) -> str:
+    if payload is None:
+        return "-"
+    return payload["group"] if payload["kind"] == "group" else "descriptor"
+
+
+def _certificate_summary(res: dict) -> str:
+    rules = sorted([res["reason"], *res["also_applicable"]]
+                   if res["reason"] else [])
+    return f"{res['verdict']} [{','.join(rules)}]"
+
+
+class _Command(NamedTuple):
+    parse: Callable    # _Parser -> argument tuple
+    run: Callable      # (trace, *arguments) -> (result, text, citations,
+                       # trace lines)
+    summary: Callable | None  # result -> the short text `reproduce` compares
+
+
+# In the order the unknown-command message lists them.
+COMMANDS = {
+    "homology": _Command(_space_degree, _homology, _group_summary),
+    "cohomology": _Command(
+        lambda p: (*_space_degree(p), _modulus(p, required=False)),
+        _cohomology, _group_summary),
+    "uct": _Command(
+        _space_degree, _uct,
+        lambda r: f"{r['total']} = Ext {r['ext_part']} + Hom {r['hom_part']}"),
+    "bockstein": _Command(
+        lambda p: (*_space_degree(p), _modulus(p, required=True)),
+        _bockstein,
+        lambda r: f"{r['domain']}->{r['codomain']} matrix {r['matrix']}"),
+    "brauer": _Command(
+        lambda p: (p.space(),), _brauer,
+        lambda r: f"Br'={_head(r['br_prime'])} {r['equality']['verdict']}"),
+    "phantom": _Command(_phantom_args, _phantom, _group_summary),
+    "certify": _Command(lambda p: (p.space(),), _certify,
+                        _certificate_summary),
+    "lim1": _Command(
+        lambda p: (p.tower(),), _lim1,
+        lambda r: r["verdict"] + (f"({r['reason']})" if r["reason"] else "")),
+    "profile-brauer": _Command(lambda p: (p.profile(),), _profile_brauer,
+                               lambda r: _head(r["br_prime"])),
+    "non-brauer-check": _Command(_non_brauer_args, _non_brauer,
+                                 lambda r: r["verdict"]),
+    "catalog": _Command(
+        _catalog_args, _catalog,
+        lambda r: f"Br'={_head(r['br_prime'])} Br={_head(r['br'])} "
+                  f"{r['verdict']}"),
+    # reproduce is never an item of its own table, so it has no summary
+    "reproduce": _Command(lambda p: (), lambda trace: _run_reproduce(), None),
+}
 
 
 # ---------------------------------------------------------------------------

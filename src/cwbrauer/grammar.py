@@ -683,13 +683,5 @@ def format_tower(t: Tower) -> str:
     return " ".join(out)
 
 
-def format_rule(r: Rule) -> str:
-    if r.hi is None:
-        head = f"rule i>={r.lo}"
-    else:
-        head = f"rule {r.lo}<=i<={r.hi}"
-    return f"{head}: J=({r.lower}, {r.upper}]"
-
-
 def format_descriptor(d: ObstructionDescriptor) -> str:
-    return "; ".join(format_rule(r) for r in d.rules)
+    return "; ".join(map(str, d.rules))

@@ -367,14 +367,26 @@ def smith_invariants(a: IntMatrix | list) -> tuple[int, ...]:
         live = kept
     # diag(pivots) has the invariant factors of a; order them as a chain
     units = pivots.count(1)
-    chain = sorted(d for d in pivots if d != 1)
+    chain = divisibility_chain(d for d in pivots if d != 1)
+    return ((1,) * units + tuple(chain)
+            + (0,) * (limit - len(pivots)))
+
+
+def divisibility_chain(orders) -> list[int]:
+    """Z/a_1 + ... + Z/a_k (every a_i >= 1) as its invariant factors
+    d_1 | d_2 | ... | d_k, the same number of them.
+
+    One pass over the pairs i < j replaces (d_i, d_j) by (gcd, lcm).
+    After row i, d_i divides every later entry, and later swaps keep
+    that, so no factorization and no second pass are needed.
+    """
+    chain = sorted(orders)
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             g = gcd(chain[i], chain[j])
             if g != chain[i]:
                 chain[i], chain[j] = g, chain[i] // g * chain[j]
-    return ((1,) * units + tuple(chain)
-            + (0,) * (limit - len(pivots)))
+    return chain
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:

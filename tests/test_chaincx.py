@@ -231,6 +231,35 @@ def test_uct_suite():
     run_uct_suite()
 
 
+def test_uct_parts_match_homology_on_seeded_complexes():
+    """The split read off two Smith diagonals equals Ext/Hom of the
+    homology groups, also below degree 0's neighbour and above the top."""
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        c = random_complex(rng, max_top=4, max_rank=4)
+        for n in range(c.top_degree + 3):
+            u = uct_decompose(c, n)
+            assert u.ext_part == ext1(homology(c, n - 1), Z), (c.ranks, n)
+            assert u.hom_part == hom(homology(c, n), Z), (c.ranks, n)
+
+
+def test_uct_reads_each_boundary_once(monkeypatch):
+    seen = []
+    real = chaincx.smith_invariants
+
+    def counting(a):
+        seen.append(a)
+        return real(a)
+
+    monkeypatch.setattr(chaincx, "smith_invariants", counting)
+    monkeypatch.setattr(intlin, "smith_invariants", counting)
+    c = tensor_complexes(lens_complex(4, 3), lens_complex(6, 3))
+    for n in range(c.top_degree + 2):
+        seen.clear()
+        uct_decompose(c, n)
+        assert seen == [c.boundary(n), c.boundary(n + 1)], n
+
+
 def test_uct_frozen_moore():
     u = uct_decompose(moore_complex(6), 3)
     assert u.ext_part == FgAbGroup.cyclic(6)

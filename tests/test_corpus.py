@@ -1,8 +1,9 @@
 """Output identity on a fixed request corpus.
 
-`data/corpus.txt` holds about fifty request lines: all twelve commands,
+`data/corpus.txt` holds about eighty request lines: all twelve commands,
 a dense 6 x 6 `complex{...}` literal, a three-factor product,
-`lens_periodic` at degree 10^6 and lines refused with exit 2, 3 and 4.
+`lens_periodic` at degree 10^6, zero-boundary traces, lines refused with
+exit 2, 3 and 4, and lines that pin the order of the argument checks.
 The `corpus.*.out` files next to it are the `run_batch` output of that
 corpus, recorded once and kept as the reference, in json and text, with
 and without `--trace`.  Any change to an answer, an

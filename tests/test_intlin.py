@@ -170,6 +170,36 @@ def test_cokernel_structure_makes_no_transform_snf(monkeypatch):
     assert cokernel_structure(IntMatrix([[6], [0]])).free_rank == 1
 
 
+def chain_from_prime_powers(orders) -> list[int]:
+    """Invariant factors of + Z/a_i from the elementary divisors: factor
+    each order, and let the k-th largest power of every prime go into
+    the k-th largest factor."""
+    powers = {}
+    for a in orders:
+        p = 2
+        while a > 1:
+            e = 1
+            while a % p == 0:
+                a //= p
+                e *= p
+            if e > 1:
+                powers.setdefault(p, []).append(e)
+            p += 1
+    chain = [1] * len(orders)
+    for es in powers.values():
+        for k, e in enumerate(sorted(es, reverse=True)):
+            chain[-1 - k] *= e
+    return chain
+
+
+def test_divisibility_chain_matches_prime_power_oracle():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        orders = [rng.randint(1, 360) for _ in range(rng.randint(0, 7))]
+        assert intlin.divisibility_chain(orders) == \
+            chain_from_prime_powers(orders), orders
+
+
 def coset_count(rows) -> int:
     """Literal coset enumeration for a finite cokernel: walk every point
     of the Hermite box, reduce it to a canonical representative by the
