@@ -164,8 +164,9 @@ def homology(c: ChainComplex, n: int) -> FgAbGroup:
     """
     if n < 0 or n > c.top_degree:
         return FgAbGroup.trivial()
+    d_in = smith_invariants(c.boundary(n))
     d_out = smith_invariants(c.boundary(n + 1))
-    return FgAbGroup(_free_rank(c, n, smith_invariants(c.boundary(n)), d_out),
+    return FgAbGroup(_free_rank(c, n, d_in, d_out),
                      tuple(d for d in d_out if d >= 2))
 
 
