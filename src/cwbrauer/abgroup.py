@@ -136,6 +136,21 @@ class FgAbGroup:
 Z = FgAbGroup.free(1)
 
 
+def _prime_factors(n: int):
+    """The distinct primes dividing n, ascending, by trial division.  A
+    generator: a caller that needs only the least prime stops there."""
+    n = abs(int(n))
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            yield d
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        yield n
+
+
 # -- the four bilinear functors -----------------------------------------------
 #
 # On cyclic pieces (d, e >= 2):
@@ -318,10 +333,8 @@ class GroupHom:
         return GroupHom(inner.domain, self.codomain, self.matrix @ inner.matrix)
 
     def is_zero(self) -> bool:
-        return all(self.apply([1 if i == j else 0
-                               for i in range(len(self.domain.cyclic_orders()))])
-                   == tuple([0] * len(self.codomain.cyclic_orders()))
-                   for j in range(len(self.domain.cyclic_orders())))
+        # torsion rows are stored reduced, so a zero map has a zero matrix
+        return self.matrix.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, GroupHom):

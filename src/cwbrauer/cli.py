@@ -20,7 +20,9 @@ Each command is declared once, in the COMMANDS table: its argument
 parser, its evaluator and the summary that `reproduce` compares.
 
 Flags: --json (structured, deterministic output), --trace (diagnostic
-witnesses), --batch FILE (one request per line, '-' for stdin).
+witnesses, among them the Smith diagonals the answer read: a boundary
+matrix keeps its diagonal, so none is eliminated twice), --batch FILE
+(one request per line, '-' for stdin).
 
 Exit codes: 0 success; 1 reproduce found failing items; 2 parse error;
 3 semantic error; 4 computation unsupported (outside the symbolic
@@ -185,25 +187,20 @@ def _group_text(payload: dict) -> str:
     return f"{payload['expression']} (exponent {payload['exponent']})"
 
 
-def _window(space: SpaceDescription, n: int, trace: bool, count: int = 2):
-    """(c, k, trace lines): the window c around degree n of a finite or
-    periodic space, degree n's index k in c, and when tracing the Smith
-    diagonals of the space's boundaries del_n .. del_{n+count-1}."""
-    c, off = space.window(n)
+def _boundary_trace(space: SpaceDescription, n: int, trace: bool,
+                    count: int = 2) -> list[str]:
+    """When tracing a space with cells, the Smith diagonals of del_n ..
+    del_{n+count-1}, read off the matrices the answer's window holds: a
+    diagonal the answer computed is printed, not computed again."""
+    if not trace or space.cells(n) is None:
+        return []
     lines = []
-    for d in range(n, n + count) if trace else ():
-        b = c.boundary(d - off)
+    for d in range(n, n + count):
+        b = space.boundary(d)
         lines.append(f"SNF diagonal of boundary_{d}: {list(smith_invariants(b))}"
                      if b.rows and b.cols
                      else f"boundary_{d} is zero ({b.rows} x {b.cols})")
-    return c, n - off, lines
-
-
-def _cell_trace(space: SpaceDescription, n: int, trace: bool) -> list[str]:
-    """Boundary trace lines at degrees n and n+1 where the space has cells."""
-    if trace and space.kind in ("finite", "periodic"):
-        return _window(space, n, trace)[2]
-    return []
+    return lines
 
 
 def _verdict(cert) -> str:
@@ -227,36 +224,38 @@ def _certificate(space: SpaceDescription):
 def _homology(trace, space, n):
     result = _group_payload(space_homology(space, n))
     return (result, f"H_{n} = {_group_text(result)}", ["smith-normal-form"],
-            _cell_trace(space, n, trace))
+            _boundary_trace(space, n, trace))
 
 
 def _cohomology(trace, space, n, modulus):
-    c, k, tr = _window(space, n, trace)
-    result = _group_payload(cohomology(c, k, modulus=modulus))
+    c, off = space.window(n)
+    result = _group_payload(cohomology(c, n - off, modulus=modulus))
     result["degree"] = n
     if modulus is None:
         text = f"H^{n} = {result['group']}"
     else:
         result["modulus"] = modulus
         text = f"H^{n}(; Z/{modulus}) = {result['group']}"
-    return result, text, ["universal-coefficients", "smith-normal-form"], tr
+    return (result, text, ["universal-coefficients", "smith-normal-form"],
+            _boundary_trace(space, n, trace))
 
 
 def _uct(trace, space, n):
-    c, k, tr = _window(space, n, trace)
-    u = uct_decompose(c, k)
+    c, off = space.window(n)
+    u = uct_decompose(c, n - off)
     result = {"kind": "uct", "degree": n,
               "ext_part": format_group(u.ext_part),
               "hom_part": format_group(u.hom_part),
               "total": format_group(u.total)}
     text = (f"H^{n} = {result['total']} with Ext part "
             f"{result['ext_part']} and Hom part {result['hom_part']}")
-    return result, text, ["universal-coefficients"], tr
+    return (result, text, ["universal-coefficients"],
+            _boundary_trace(space, n, trace))
 
 
 def _bockstein(trace, space, n, modulus):
-    c, k, tr = _window(space, n, trace, 3)
-    beta = bockstein(c, k, modulus)
+    c, off = space.window(n)
+    beta = bockstein(c, n - off, modulus)
     result = {"kind": "hom",
               "domain": format_group(beta.domain),
               "codomain": format_group(beta.codomain),
@@ -265,7 +264,8 @@ def _bockstein(trace, space, n, modulus):
     text = (f"Bockstein H^{n}(; Z/{modulus}) -> H^{n + 1}: "
             f"{result['domain']} -> {result['codomain']}, "
             f"matrix {result['matrix']}")
-    return result, text, ["bockstein-sequence"], tr
+    return (result, text, ["bockstein-sequence"],
+            _boundary_trace(space, n, trace, 3))
 
 
 def _brauer(trace, space):
@@ -283,7 +283,7 @@ def _brauer(trace, space):
     text = (f"Br' = {_group_text(bp_payload)}; Br = "
             f"{_group_text(br) if br is not None else 'undetermined'}; "
             f"equality: {_verdict(cert)}")
-    return result, text, citations, _cell_trace(space, 2, trace)
+    return result, text, citations, _boundary_trace(space, 2, trace)
 
 
 def _phantom(trace, space, n):

@@ -8,7 +8,9 @@ is the only one that relies on that layout.
 There are two elimination routines, and transforms are computed only on
 demand.  `smith_invariants` returns the diagonal of the Smith normal
 form alone, a divisibility chain d1 | d2 | ... | dk followed by zeros;
-homology, cokernels and traced diagonals read nothing else.
+homology, cokernels and traced diagonals read nothing else.  A matrix
+keeps its diagonal once computed, so a later reader of the same object,
+such as a `--trace` line, does not eliminate it again.
 `smith_normal_form` also returns the transform pair (U, V) with
 U @ A @ V = S, U and V unimodular: kernels, integral solutions (for any
 number of right-hand sides) and unimodular inverses all come from one
@@ -37,7 +39,8 @@ class IntMatrix:
     carry; when it is omitted it is read from the first row.
     """
 
-    __slots__ = ("_rows", "_cols")
+    # _diagonal stays unset until smith_invariants computes it
+    __slots__ = ("_rows", "_cols", "_diagonal")
 
     def __init__(self, entries, cols: int | None = None):
         rows = tuple(tuple(map(int, r)) for r in entries)
@@ -317,10 +320,19 @@ def smith_invariants(a: IntMatrix | list) -> tuple[int, ...]:
     so they reduce it modulo the pivot.  When both are clear the pivot
     row and column are dropped, as is every row that becomes zero.  The
     pivots then diagonalize a, and a gcd/lcm pass turns them into the
-    chain.
+    chain.  The result is kept on a, and later calls return it.
     """
     if not isinstance(a, IntMatrix):
         a = IntMatrix(a)
+    try:
+        return a._diagonal
+    except AttributeError:
+        a._diagonal = _smith_diagonal(a)
+    return a._diagonal
+
+
+def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
+    """The elimination behind `smith_invariants`."""
     limit = min(a.rows, a.cols)
     live = [list(r) for r in a._rows if any(r)]
     pivots = []

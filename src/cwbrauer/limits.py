@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 
-from .abgroup import FgAbGroup, GroupHom
+from .abgroup import FgAbGroup, GroupHom, _prime_factors
 from .errors import SemanticError, UnsupportedComputation
 from .intlin import IntMatrix, smith_normal_form
 
@@ -437,21 +437,6 @@ class DirectedSystem:
     @classmethod
     def constant(cls, g: FgAbGroup) -> "DirectedSystem":
         return cls((ConstantStrand(g),))
-
-
-def _prime_factors(n: int) -> tuple[int, ...]:
-    n = abs(int(n))
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def colimit_symbolic(d: DirectedSystem) -> SymbolicGroup:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .abgroup import FgAbGroup
+from .abgroup import FgAbGroup, _prime_factors
 from .errors import SemanticError
 
 
@@ -122,25 +122,17 @@ class CyclicProfile:
 
     def primary_prime(self) -> int | None:
         """The prime p when every order is a power of p, else None."""
-        prime = None
+        primes = set()
         for order, _ in self.summands:
-            n = order
-            p = 2
-            while p * p <= n:
-                if n % p == 0:
-                    break
-                p += 1
-            else:
-                p = n
-            while n % p == 0:
-                n //= p
-            if n != 1:
+            # the least prime, then a check that nothing else divides:
+            # a large prime cofactor is never searched for
+            p = next(_prime_factors(order))
+            while order % p == 0:
+                order //= p
+            if order != 1:
                 return None
-            if prime is None:
-                prime = p
-            elif prime != p:
-                return None
-        return prime
+            primes.add(p)
+        return primes.pop() if len(primes) == 1 else None
 
     def exponent(self) -> int:
         """lcm of the orders (they need not divide one another)."""

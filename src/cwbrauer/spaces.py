@@ -165,6 +165,15 @@ class SpaceDescription:
             return self.periodic.rank(n)
         return None
 
+    def boundary(self, n: int) -> IntMatrix | None:
+        """del_n, when the description records cells; for n >= 1 the
+        very matrix object that every window of the space holds."""
+        if self.kind == "finite":
+            return self.complex.boundary(n)
+        if self.kind == "periodic":
+            return self.periodic.boundary(n)
+        return None
+
 
 # ---------------------------------------------------------------------------
 # builders
@@ -447,15 +456,7 @@ def _no_odd_cells_high(x: SpaceDescription) -> bool | None:
     dim = x.dimension()
     if dim is None:
         return None
-    if x.kind == "finite":
-        ranks = x.complex.ranks
-    elif x.kind == "periodic":
-        ranks = x.periodic.prefix_ranks  # block is all zero here
-    elif x.kind == "telescope":
-        ranks = ()
-    else:
-        return None
-    return not any(r and d >= 5 and d % 2 == 1 for d, r in enumerate(ranks))
+    return not any(x.cells(d) for d in range(5, dim + 1, 2))
 
 
 def equality_certificate(x: SpaceDescription) -> EqualityCertificate:

@@ -7,6 +7,7 @@ hand-derived identities.
 """
 
 import random
+from math import gcd
 
 import numpy as np
 import pytest
@@ -293,6 +294,41 @@ def test_group_hom_compose_and_reduce():
     assert GroupHom.zero(z8, z4).is_zero()
     # Matrix entries are stored reduced mod the codomain orders.
     assert GroupHom.scalar(z8, z4, 5) == GroupHom.scalar(z8, z4, 1)
+
+
+def test_group_hom_is_zero_matches_images_of_generators():
+    """is_zero reads the stored matrix; the definition it replaces sends
+    every domain generator through apply and compares with zero."""
+    def zero_by_generators(h):
+        n = len(h.domain.cyclic_orders())
+        zero = (0,) * len(h.codomain.cyclic_orders())
+        return all(h.apply([int(i == j) for i in range(n)]) == zero
+                   for j in range(n))
+
+    rng = random.Random(20261018)
+    orders = (0, 0, 2, 3, 4, 6, 8, 9, 12)
+
+    def group():
+        return FgAbGroup.from_cyclic_orders(
+            [rng.choice(orders) for _ in range(rng.randint(0, 3))])
+
+    def entry(d, e):
+        # an entry that respects d * g = 0 in the domain; a torsion row
+        # also gets multiples of its order, which reduce to zero
+        if e == 0:
+            return 0 if d else rng.randint(-3, 3)
+        step = e // gcd(d, e) if d else 1
+        return step * rng.randint(-2, 2) + e * rng.randint(-2, 2)
+
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        dom, cod = group(), group()
+        m = [[entry(d, e) if rng.random() < 0.5 else e * rng.randint(-1, 1)
+              for d in dom.cyclic_orders()] for e in cod.cyclic_orders()]
+        h = GroupHom(dom, cod, IntMatrix(m, cols=len(dom.cyclic_orders())))
+        assert h.is_zero() == zero_by_generators(h), h
+        seen[h.is_zero()] += 1
+    assert min(seen.values()) > 300, seen
 
 
 def test_group_hom_on_mixed_group():

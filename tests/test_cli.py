@@ -290,6 +290,67 @@ def test_periodic_trace_matches_golden_text():
         assert run(line, as_json=True, trace=True) == (EXIT_OK, want)
 
 
+def _recording(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that records the first argument of
+    each call and keeps it alive, so no two records share an id."""
+    seen = []
+    real = getattr(owner, name)
+
+    def record(*args):
+        seen.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, record)
+    return seen
+
+
+def test_traced_periodic_requests_build_one_window(monkeypatch):
+    """The trace reads the boundaries of the window the answer built, so
+    tracing builds no second ChainComplex (the space is parsed afresh for
+    every request)."""
+    built = _recording(monkeypatch, chaincx.ChainComplex, "__init__")
+    for line in ("homology lens_periodic(5) 1000", "brauer lens_periodic(5)"):
+        counts = []
+        for trace in (False, True):
+            built.clear()
+            assert run_json(line, trace=trace)[0] == EXIT_OK
+            counts.append(len(built))
+        assert counts[0] == counts[1], (line, counts)
+
+
+@pytest.mark.parametrize("space", ["product(lens(4, 3), lens(6, 3))",
+                                   "lens_periodic(6)"])
+def test_traced_requests_eliminate_each_boundary_once(monkeypatch, space):
+    """Counted at the elimination, not at the lookup: the trace prints the
+    Smith diagonals that homology, uct and brauer already read, so a traced
+    request eliminates exactly the boundary objects an untraced one does,
+    each once."""
+    eliminated = _recording(monkeypatch, intlin, "_smith_diagonal")
+    for line in (f"homology {space} 2", f"homology {space} 3",
+                 f"uct {space} 3", f"brauer {space}"):
+        runs = []
+        for trace in (False, True):
+            eliminated.clear()
+            code, report = run_json(line, trace=trace)
+            assert code == EXIT_OK
+            assert len({id(a) for a in eliminated}) == len(eliminated), line
+            runs.append([a.to_lists() for a in eliminated])
+        assert any("SNF diagonal" in t for t in report["trace"]), line
+        assert runs[0] == runs[1], line
+
+
+def test_traced_bockstein_eliminates_a_repeated_block_once(monkeypatch):
+    """In lens_periodic(4), del_5 is the block matrix del_3, so the three
+    trace lines of a degree-3 Bockstein take two eliminations."""
+    eliminated = _recording(monkeypatch, intlin, "_smith_diagonal")
+    code, report = run_json("bockstein lens_periodic(4) 3 mod 2", trace=True)
+    assert code == EXIT_OK
+    assert report["trace"] == ["SNF diagonal of boundary_3: [0]",
+                               "SNF diagonal of boundary_4: [4]",
+                               "SNF diagonal of boundary_5: [0]"]
+    assert [a.to_lists() for a in eliminated] == [[[0]], [[4]]]
+
+
 def _cyclic(order):
     return "0" if order == 1 else f"Z/{order}"
 

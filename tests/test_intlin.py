@@ -170,6 +170,33 @@ def test_cokernel_structure_makes_no_transform_snf(monkeypatch):
     assert cokernel_structure(IntMatrix([[6], [0]])).free_rank == 1
 
 
+def test_smith_invariants_eliminates_each_matrix_object_once(monkeypatch):
+    """The diagonal is kept on the matrix object that was eliminated.  An
+    equal matrix built on its own is eliminated again: nothing is cached
+    by value, and matrices made by operations start without a diagonal."""
+    eliminated = []
+    real = intlin._smith_diagonal
+
+    def record(a):
+        eliminated.append(a)
+        return real(a)
+
+    monkeypatch.setattr(intlin, "_smith_diagonal", record)
+    rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    a = IntMatrix(rows)
+    assert smith_invariants(a) == smith_invariants(a) == (2, 2, 156)
+    assert cokernel_structure(a).invariant_factors == (2, 2, 156)
+    assert len(eliminated) == 1 and eliminated[0] is a
+    b = IntMatrix(rows)
+    assert smith_invariants(b) == (2, 2, 156)
+    assert len(eliminated) == 2 and eliminated[1] is b
+    for m in (a.transpose(), a @ IntMatrix.identity(3), a.submatrix(
+            range(3), range(3))):
+        assert smith_invariants(m) == (2, 2, 156)
+    assert len(eliminated) == 5
+    assert smith_invariants(rows) == (2, 2, 156) and len(eliminated) == 6
+
+
 def chain_from_prime_powers(orders) -> list[int]:
     """Invariant factors of + Z/a_i from the elementary divisors: factor
     each order, and let the k-th largest power of every prime go into

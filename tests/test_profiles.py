@@ -3,8 +3,10 @@ squares of profiles, Brauer groups of classifying spaces, basic-subgroup
 reduction, and non-Brauer certificates."""
 
 import copy
+import math
 import pickle
 import random
+import time
 
 import pytest
 
@@ -70,6 +72,41 @@ def test_profile_accessors():
 
     assert CyclicProfile().primary_prime() is None
     assert CyclicProfile().exponent() == 1
+
+
+def test_primary_prime_matches_brute_force():
+    """primary_prime against the primes below 10^4 that divide the orders,
+    each prime found by testing every candidate divisor: orders 2..2999
+    alone, then seeded profiles of up to four orders."""
+    primes = [p for p in range(2, 10 ** 4)
+              if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+    def brute(orders):
+        found = {p for p in primes for n in orders if n % p == 0}
+        return found.pop() if len(found) == 1 else None
+
+    for n in range(2, 3000):
+        assert CyclicProfile(((n, 1),)).primary_prime() == brute([n]), n
+    rng = random.Random(20261018)
+    powers = [b ** e for b in (2, 3, 5, 6, 7, 10, 12, 49, 97)
+              for e in (1, 2, 3) if b ** e < 10 ** 4]
+    for _ in range(500):
+        orders = {rng.choice(powers) for _ in range(rng.randint(1, 4))}
+        p = CyclicProfile.from_pairs(
+            (o, rng.choice((1, 2, OMEGA))) for o in orders)
+        assert p.primary_prime() == brute(orders), orders
+
+
+def test_primary_prime_searches_only_the_least_prime():
+    """An order 2q with q a 17-digit prime is refused at once: trial
+    division would need about 5 * 10^7 steps to find q, and primary_prime
+    never looks for it."""
+    q = 10 ** 16 + 61  # prime
+    t0 = time.perf_counter()
+    assert CyclicProfile(((2 * q, OMEGA),)).primary_prime() is None
+    assert CyclicProfile(((2 * q, 1), (2 ** 60, 1))).primary_prime() is None
+    assert CyclicProfile(((3 ** 30, OMEGA),)).primary_prime() == 3
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_format_profile():

@@ -94,6 +94,11 @@ def test_window_agrees_with_unrolled_complex_across_the_seam():
                 assert (cohomology(c, k - offset, m)
                         == cohomology(full, k, m)), (n, k, m)
         assert c.boundary(n + 2 - offset) == full.boundary(n + 2)
+        # the space hands out the very matrices its window holds, so a
+        # Smith diagonal kept on one is seen through the other
+        for d in range(offset + 1, n + 3):
+            assert x.boundary(d) is c.boundary(d - offset), (n, d)
+            assert x.boundary(d) == full.boundary(d), (n, d)
 
 
 def test_window_of_finite_space_is_the_stored_complex():
@@ -101,7 +106,10 @@ def test_window_of_finite_space_is_the_stored_complex():
     for n in (0, 2, 9):
         c, offset = x.window(n)
         assert c is x.complex and offset == 0
+    for d in range(1, x.complex.top_degree + 1):
+        assert x.boundary(d) is x.complex.boundary(d)
     for y in (telescope_z(5), bpgl(3), k_space(FgAbGroup.cyclic(3), 2)):
+        assert y.boundary(2) is None and y.cells(2) is None
         with pytest.raises(UnsupportedComputation) as e:
             y.window(2)
         assert "cochain-level commands need a finite or periodic" in str(
@@ -382,6 +390,27 @@ def test_certificate_rule_order_and_witness():
     odd7 = wedge([sphere(2), sphere(7)])
     cert = equality_certificate(odd7)
     assert cert.applicable_rules == ("CompactSerre",)
+
+
+def test_even_cell_rule_on_finite_dimensional_periodic_spaces():
+    """A periodic description whose block has no cells is finite
+    dimensional; its prefix decides the even-cell rule."""
+    def prefix_only(top):
+        ranks = tuple(1 if d in (0, top) else 0 for d in range(top + 2))
+        return SpaceDescription(
+            "periodic", ("complex", ("prefix-only", top)),
+            periodic=PeriodicComplex(
+                prefix_ranks=ranks,
+                prefix_boundaries=tuple(
+                    IntMatrix.zeros(ranks[d - 1], ranks[d])
+                    for d in range(1, len(ranks))),
+                block_ranks=(0,), block_boundaries=(IntMatrix.zeros(0, 0),)))
+
+    for top in range(2, 10):
+        x = prefix_only(top)
+        assert x.dimension() == top
+        even = "EvenCells" in equality_certificate(x).applicable_rules
+        assert even == (top < 5 or top % 2 == 0), top
 
 
 def test_certificate_telescope():
