@@ -122,17 +122,18 @@ class CyclicProfile:
 
     def primary_prime(self) -> int | None:
         """The prime p when every order is a power of p, else None."""
-        primes = set()
+        prime = None
         for order, _ in self.summands:
             # the least prime, then a check that nothing else divides:
-            # a large prime cofactor is never searched for
+            # a large prime cofactor is never searched for, and a second
+            # prime ends the search before any larger order is divided
             p = next(_prime_factors(order))
             while order % p == 0:
                 order //= p
-            if order != 1:
+            if order != 1 or (prime is not None and p != prime):
                 return None
-            primes.add(p)
-        return primes.pop() if len(primes) == 1 else None
+            prime = p
+        return prime
 
     def exponent(self) -> int:
         """lcm of the orders (they need not divide one another)."""

@@ -128,6 +128,18 @@ def test_non_brauer_check_command():
     assert code == EXIT_OK and "CONDITION_FAILS" in text
 
 
+def test_mixed_primes_are_refused_before_a_large_prime_order():
+    """The orders 2 and 3 already mix primes, so the 19-digit prime order
+    after them is never trial-divided."""
+    profile = "(Z/2)^w + (Z/3)^w + (Z/1000000000000000003)^w"
+    t0 = time.perf_counter()
+    code, text = run(f"non-brauer-check {profile} with rule i>=1: J=(i, 2i]")
+    assert code == EXIT_OK and "NOT_APPLICABLE" in text
+    code, text = run(f"catalog bg({profile})")
+    assert code == EXIT_OK and "UNKNOWN" in text
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_catalog_command():
     code, text = run("catalog bpgl(5)")
     assert code == EXIT_OK and "bpgl(5):" in text and "EQUAL" in text

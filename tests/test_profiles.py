@@ -100,12 +100,16 @@ def test_primary_prime_matches_brute_force():
 def test_primary_prime_searches_only_the_least_prime():
     """An order 2q with q a 17-digit prime is refused at once: trial
     division would need about 5 * 10^7 steps to find q, and primary_prime
-    never looks for it."""
+    never looks for it.  Nor does it divide a large prime order that
+    follows two orders with different primes."""
     q = 10 ** 16 + 61  # prime
+    big = 10 ** 18 + 3  # prime: about 5 * 10^8 trial divisions
     t0 = time.perf_counter()
     assert CyclicProfile(((2 * q, OMEGA),)).primary_prime() is None
     assert CyclicProfile(((2 * q, 1), (2 ** 60, 1))).primary_prime() is None
     assert CyclicProfile(((3 ** 30, OMEGA),)).primary_prime() == 3
+    assert CyclicProfile.from_pairs(
+        [(2, 1), (3, 1), (big, OMEGA)]).primary_prime() is None
     assert time.perf_counter() - t0 < 1.0
 
 
