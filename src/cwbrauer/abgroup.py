@@ -15,9 +15,9 @@ lists them as 0 for each Z and d for each Z/d.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt, log2
 
-from .errors import SemanticError
+from .errors import SemanticError, UnsupportedComputation
 from .intlin import IntMatrix, divisibility_chain
 
 
@@ -136,19 +136,111 @@ class FgAbGroup:
 Z = FgAbGroup.free(1)
 
 
-def _prime_factors(n: int):
-    """The distinct primes dividing n, ascending, by trial division.  A
-    generator: a caller that needs only the least prime stops there."""
+# Trial division stops here; a cofactor left over has no prime factor up
+# to this bound and is settled by _prime_power_root.
+TRIAL_DIVISION_LIMIT = 10 ** 5
+
+# The first 13 primes as Miller-Rabin bases decide primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3317044064679887385961981
+
+
+def _trial_division(n: int) -> tuple[list[int], int]:
+    """The distinct primes up to TRIAL_DIVISION_LIMIT dividing n,
+    ascending, and the cofactor left: 1, or a number without prime
+    factors up to min(its square root, the limit)."""
     n = abs(int(n))
+    primes = []
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= TRIAL_DIVISION_LIMIT:
         if n % d == 0:
-            yield d
+            primes.append(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        yield n
+    return primes, n
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending.  A cofactor that is not
+    provably a prime power is refused (UnsupportedComputation), never
+    guessed."""
+    primes, rest = _trial_division(n)
+    if rest > 1:
+        p = _prime_power_root(rest)
+        if p is None:
+            raise UnsupportedComputation(
+                f"cannot factor {rest}: it is composite with no prime "
+                f"factor up to {TRIAL_DIVISION_LIMIT}")
+        primes.append(p)
+    return primes
+
+
+def _prime_power_base(n: int) -> int | None:
+    """The prime p when n is a power of p, else None.  Unlike
+    _prime_factors it answers None for a cofactor proved composite, and
+    it never settles a cofactor left beside a smaller prime."""
+    primes, rest = _trial_division(n)
+    if primes:
+        return primes[0] if len(primes) == 1 and rest == 1 else None
+    return _prime_power_root(rest) if rest > 1 else None
+
+
+def _prime_power_root(m: int) -> int | None:
+    """For m > 1 without prime factors up to min(isqrt(m),
+    TRIAL_DIVISION_LIMIT): the prime p with m = p^k, or None when m is
+    provably not a prime power.  Every prime factor of m exceeds the
+    limit, so an exponent k needs limit^k < m.  What is left once no
+    root is exact is settled by Miller-Rabin where that is a proof, and
+    refused above that range."""
+    if isqrt(m) <= TRIAL_DIVISION_LIMIT:
+        return m
+    k = 2
+    while TRIAL_DIVISION_LIMIT ** k < m:
+        r = _iroot(m, k)
+        if r ** k == m:
+            return _prime_power_root(r)
+        k += 1
+    if m >= _MR_PROVEN_BELOW:
+        raise UnsupportedComputation(
+            f"cannot factor {m} or prove it prime: it has no prime factor "
+            f"up to {TRIAL_DIVISION_LIMIT} and exceeds the range where "
+            "Miller-Rabin with fixed bases is a proof")
+    return m if _is_prime(m) else None  # None: composite, no perfect power
+
+
+def _iroot(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for m >= 1, by Newton's method from above,
+    started just over a floating-point estimate."""
+    e = log2(m) / k
+    x = (int(2 ** (e % 1) * 2 ** 52) << int(e)) >> 52
+    x += (x >> 30) + 2
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with the bases _MR_BASES: exact for odd m with
+    41 < m < _MR_PROVEN_BELOW."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # -- the four bilinear functors -----------------------------------------------

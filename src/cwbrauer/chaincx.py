@@ -13,6 +13,13 @@ lattice L = {x : d x = 0 mod m} is the projection of the integer kernel
 of [d | mI], and H^n = L / (im d + m Z^{r_n}).  Keeping the computation
 at the cochain level is what lets `bockstein` return an explicit map on
 canonical generators.
+
+`homology`, `cohomology`, `uct_decompose` and `bockstein` read a complex
+only through rank(n) and boundary(n), so they take a ChainComplex or a
+spaces.PeriodicComplex alike: an infinite complex is read at degree n
+without being cut or unrolled.  Above the top degree of a bounded
+complex the ranks are 0 and the boundaries zero-shaped, which gives the
+trivial group with no special case.
 """
 
 from __future__ import annotations
@@ -155,14 +162,14 @@ class SubquotientPresentation:
         return tuple(coords)
 
 
-def homology(c: ChainComplex, n: int) -> FgAbGroup:
+def homology(c, n: int) -> FgAbGroup:
     """H_n(c) = ker del_n / im del_{n+1} in canonical form.
 
     ker del_n is saturated in C_n, so H_n is free of rank
     r_n - rank del_n - rank del_{n+1} plus the torsion of
     C_n / im del_{n+1}: the invariant factors >= 2 of del_{n+1}.
     """
-    if n < 0 or n > c.top_degree:
+    if n < 0:
         return FgAbGroup.trivial()
     d_in = smith_invariants(c.boundary(n))
     d_out = smith_invariants(c.boundary(n + 1))
@@ -170,13 +177,13 @@ def homology(c: ChainComplex, n: int) -> FgAbGroup:
                      tuple(d for d in d_out if d >= 2))
 
 
-def _free_rank(c: ChainComplex, n: int, d_in, d_out) -> int:
+def _free_rank(c, n: int, d_in, d_out) -> int:
     """Rank of H_n from the Smith diagonals of del_n and del_{n+1}."""
     return c.rank(n) - sum(1 for d in d_in if d) - sum(1 for d in d_out if d)
 
 
-def _cochain_presentation(c: ChainComplex, n: int,
-                          modulus: int | None) -> SubquotientPresentation:
+def _cochain_presentation(c, n: int, modulus: int | None
+                          ) -> SubquotientPresentation:
     """Presentation of H^n with Z or Z/modulus coefficients."""
     rn = c.rank(n)
     d_in = c.boundary(n).transpose()        # d^{n-1}: C^{n-1} -> C^n
@@ -194,11 +201,11 @@ def _cochain_presentation(c: ChainComplex, n: int,
     return SubquotientPresentation(gens, sub)
 
 
-def cohomology(c: ChainComplex, n: int, modulus: int | None = None) -> FgAbGroup:
+def cohomology(c, n: int, modulus: int | None = None) -> FgAbGroup:
     """H^n(c; Z) or H^n(c; Z/modulus), computed on the dual complex."""
     if modulus is not None and modulus < 2:
         raise SemanticError("coefficient modulus must be >= 2")
-    if n < 0 or n > c.top_degree:
+    if n < 0:
         return FgAbGroup.trivial()
     return _cochain_presentation(c, n, modulus).group
 
@@ -219,7 +226,7 @@ class UctDecomposition:
                 f"{self.ext_part} + {self.hom_part} != {self.total}")
 
 
-def uct_decompose(c: ChainComplex, n: int) -> UctDecomposition:
+def uct_decompose(c, n: int) -> UctDecomposition:
     """Split H^n(c; Z) via universal coefficients and check it against the
     directly computed cohomology.
 
@@ -237,7 +244,7 @@ def uct_decompose(c: ChainComplex, n: int) -> UctDecomposition:
                             hom_part=hom_part, total=total)
 
 
-def bockstein(c: ChainComplex, n: int, m: int) -> GroupHom:
+def bockstein(c, n: int, m: int) -> GroupHom:
     """The integral Bockstein beta : H^n(c; Z/m) -> H^{n+1}(c; Z).
 
     Computed at the cochain level: lift a mod-m cocycle to an integer

@@ -190,13 +190,13 @@ def _group_text(payload: dict) -> str:
 def _boundary_trace(space: SpaceDescription, n: int, trace: bool,
                     count: int = 2) -> list[str]:
     """When tracing a space with cells, the Smith diagonals of del_n ..
-    del_{n+count-1}, read off the matrices the answer's window holds: a
+    del_{n+count-1}, read off the space's own boundary matrices: a
     diagonal the answer computed is printed, not computed again."""
-    if not trace or space.cells(n) is None:
+    if not trace or space.kind not in ("finite", "periodic"):
         return []
     lines = []
     for d in range(n, n + count):
-        b = space.boundary(d)
+        b = space.chains.boundary(d)
         lines.append(f"SNF diagonal of boundary_{d}: {list(smith_invariants(b))}"
                      if b.rows and b.cols
                      else f"boundary_{d} is zero ({b.rows} x {b.cols})")
@@ -228,8 +228,7 @@ def _homology(trace, space, n):
 
 
 def _cohomology(trace, space, n, modulus):
-    c, off = space.window(n)
-    result = _group_payload(cohomology(c, n - off, modulus=modulus))
+    result = _group_payload(cohomology(space.chains, n, modulus=modulus))
     result["degree"] = n
     if modulus is None:
         text = f"H^{n} = {result['group']}"
@@ -241,8 +240,7 @@ def _cohomology(trace, space, n, modulus):
 
 
 def _uct(trace, space, n):
-    c, off = space.window(n)
-    u = uct_decompose(c, n - off)
+    u = uct_decompose(space.chains, n)
     result = {"kind": "uct", "degree": n,
               "ext_part": format_group(u.ext_part),
               "hom_part": format_group(u.hom_part),
@@ -254,8 +252,7 @@ def _uct(trace, space, n):
 
 
 def _bockstein(trace, space, n, modulus):
-    c, off = space.window(n)
-    beta = bockstein(c, n - off, modulus)
+    beta = bockstein(space.chains, n, modulus)
     result = {"kind": "hom",
               "domain": format_group(beta.domain),
               "codomain": format_group(beta.codomain),

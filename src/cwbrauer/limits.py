@@ -17,12 +17,11 @@ property flags instead of pretend-exact answers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
-
+from math import prod
 
 from .abgroup import FgAbGroup, GroupHom, _prime_factors
 from .errors import SemanticError, UnsupportedComputation
-from .intlin import IntMatrix, smith_normal_form
+from .intlin import IntMatrix, smith_invariants
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +313,24 @@ def _relation_matrix(g: FgAbGroup) -> IntMatrix:
         range(len(orders)), [i for i, d in enumerate(orders) if d])
 
 
-def _image_contains(g: FgAbGroup, big: IntMatrix, small: IntMatrix) -> bool:
-    """Does span(big) contain span(small), as subgroups of g?"""
-    wide = big.hstack(_relation_matrix(g))
-    if not small.cols:
-        return True
-    sf = smith_normal_form(wide)
-    return all(sf.solve(small.col_tuple(j)) is not None
-               for j in range(small.cols))
-
-
 def _images_equal(g: FgAbGroup, a: IntMatrix, b: IntMatrix) -> bool:
-    return _image_contains(g, a, b) and _image_contains(g, b, a)
+    """Do span(a) and span(b) agree as subgroups of g?
+
+    With g's relations added, both spans lie in L = span(a, b,
+    relations).  A sublattice of L equals L exactly when it has L's rank
+    and the same index in its saturation, the product of its nonzero
+    Smith invariants.
+    """
+    rel = _relation_matrix(g)
+    whole = _rank_and_index(a.hstack(b).hstack(rel))
+    return (_rank_and_index(a.hstack(rel)) == whole
+            == _rank_and_index(b.hstack(rel)))
+
+
+def _rank_and_index(m: IntMatrix) -> tuple[int, int]:
+    """Rank of span(m) and its index in its saturation."""
+    d = [x for x in smith_invariants(m) if x]
+    return len(d), prod(d)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .abgroup import FgAbGroup, _prime_factors
+from .abgroup import FgAbGroup, _prime_power_base
 from .errors import SemanticError
 
 
@@ -124,13 +124,10 @@ class CyclicProfile:
         """The prime p when every order is a power of p, else None."""
         prime = None
         for order, _ in self.summands:
-            # the least prime, then a check that nothing else divides:
-            # a large prime cofactor is never searched for, and a second
-            # prime ends the search before any larger order is divided
-            p = next(_prime_factors(order))
-            while order % p == 0:
-                order //= p
-            if order != 1 or (prime is not None and p != prime):
+            # a second prime ends the search before any larger order is
+            # looked at
+            p = _prime_power_base(order)
+            if p is None or (prime is not None and p != prime):
                 return None
             prime = p
         return prime

@@ -14,6 +14,11 @@ The label field is a printable expression tree (what the grammar prints
 and parses); the payload fields are derived from it by the builders, so
 dataclass equality is exactly "same description".
 
+Chain-level code reads a finite or periodic space through its `chains`:
+the stored ChainComplex or PeriodicComplex itself, which answers
+rank(n) and boundary(n) at every degree n.  Nothing is copied into a
+window, so every degree is the space's own.
+
 The cohomological Brauer group is computed as the torsion of
 Ext^1(H_2(X), Z), and the phantom subgroup of degree-n cohomology as
 Ext^1(H_{n-1}(X)/Torsion, Z).
@@ -126,53 +131,23 @@ class SpaceDescription:
 
     def dimension(self) -> int | None:
         """CW dimension; None means infinite."""
-        if self.kind == "finite":
-            return self.complex.dimension()
-        if self.kind == "periodic":
-            return self.periodic.dimension()
-        if self.kind == "telescope":
-            return 2  # circles and cylinders
-        return None
+        if self.kind in ("finite", "periodic"):
+            return self.chains.dimension()
+        return 2 if self.kind == "telescope" else None  # circles, cylinders
 
-    def window(self, n: int) -> tuple[ChainComplex, int]:
-        """The cells and boundaries around degree n >= 0, as (c, offset).
-
-        Degree k of the space is degree k - offset of c.  Homology and
-        cohomology of c agree with the space's in degrees n-1, n and
-        n+1, and c carries del_{n+2} (the Bockstein target needs it).
-        A finite complex is returned as stored, with offset 0; a
-        periodic one is cut to degrees max(0, n-2) .. n+2, so the cost
-        does not depend on n.
-        """
+    @property
+    def chains(self) -> ChainComplex | PeriodicComplex:
+        """The cellular chains, read through rank(n) and boundary(n) at
+        any degree n: the stored complex itself, never a copy.  A
+        periodic space answers at degree 10^9 as cheaply as at 10."""
         if self.kind == "finite":
-            return self.complex, 0
+            return self.complex
         if self.kind == "periodic":
-            per = self.periodic
-            lo = max(0, n - 2)
-            c = ChainComplex([per.rank(k) for k in range(lo, n + 3)],
-                             [per.boundary(k) for k in range(lo + 1, n + 3)])
-            return c, lo
+            return self.periodic
         raise UnsupportedComputation(
             f"{self.kind} spaces support homology, brauer, phantom and "
             "certify only; cochain-level commands need a finite or "
             "periodic cell structure")
-
-    def cells(self, n: int) -> int | None:
-        """Cells in degree n, when the description records them."""
-        if self.kind == "finite":
-            return self.complex.rank(n)
-        if self.kind == "periodic":
-            return self.periodic.rank(n)
-        return None
-
-    def boundary(self, n: int) -> IntMatrix | None:
-        """del_n, when the description records cells; for n >= 1 the
-        very matrix object that every window of the space holds."""
-        if self.kind == "finite":
-            return self.complex.boundary(n)
-        if self.kind == "periodic":
-            return self.periodic.boundary(n)
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +288,7 @@ def space_homology(x: SpaceDescription, n: int):
     if n < 0:
         return FgAbGroup.trivial()
     if x.kind in ("finite", "periodic"):
-        c, offset = x.window(n)
-        return homology(c, n - offset)
+        return homology(x.chains, n)
     if x.kind == "telescope":
         if n == 0:
             return Z
@@ -452,11 +426,12 @@ class EqualityCertificate:
 
 def _no_odd_cells_high(x: SpaceDescription) -> bool | None:
     """True/False for finite-dimensional descriptions, None when the
-    dimension is infinite (the even-cell rule then never applies)."""
+    dimension is infinite (the even-cell rule then never applies).  A
+    telescope has dimension 2, so its chains are never asked for."""
     dim = x.dimension()
     if dim is None:
         return None
-    return not any(x.cells(d) for d in range(5, dim + 1, 2))
+    return not any(x.chains.rank(d) for d in range(5, dim + 1, 2))
 
 
 def equality_certificate(x: SpaceDescription) -> EqualityCertificate:

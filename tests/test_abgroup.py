@@ -7,16 +7,18 @@ hand-derived identities.
 """
 
 import random
-from math import gcd
+import time
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
 
 from cwbrauer.abgroup import (
-    FgAbGroup, GroupHom, Z, brauer_of_k_g_2, exterior_square,
-    ext1, h2_of_abelian_group, hom, tensor, tor1,
+    TRIAL_DIVISION_LIMIT, FgAbGroup, GroupHom, Z, _prime_factors,
+    _prime_power_base, brauer_of_k_g_2, exterior_square, ext1,
+    h2_of_abelian_group, hom, tensor, tor1,
 )
-from cwbrauer.errors import SemanticError
+from cwbrauer.errors import SemanticError, UnsupportedComputation
 from cwbrauer.intlin import IntMatrix
 
 from _census import (
@@ -339,3 +341,91 @@ def test_group_hom_on_mixed_group():
     GroupHom(g, g, [[3, 0], [1, 0]])
     with pytest.raises(SemanticError):
         GroupHom(g, g, [[0, 1], [0, 1]])
+
+
+# -- prime factors ------------------------------------------------------------------
+
+# Primes checked independently of the code under test; the two composites
+# are strong pseudoprimes to the first 11 and the first 12 prime bases
+# (the smallest such numbers), so only the thirteenth base unmasks them.
+KNOWN_PRIMES = (2, 3, 5, 7, 97, 65537, 998244353, 10 ** 9 + 7, 10 ** 9 + 9,
+                2 ** 31 - 1, 10 ** 12 + 39, 10 ** 16 + 61, 10 ** 18 + 3,
+                2 ** 61 - 1, 2 ** 64 - 59)
+PSEUDOPRIMES = ((3825123056546413051, (149491, 747451, 34233211)),
+                (318665857834031151167461, (399165290221, 798330580441)))
+
+
+def test_prime_factors_match_a_sieve_up_to_10_5():
+    """Every n <= 10^5 against the distinct primes read off a table of
+    least prime factors built by marking multiples."""
+    top = 10 ** 5
+    least = list(range(top + 1))
+    for p in range(2, isqrt(top) + 1):
+        if least[p] == p:
+            for k in range(p * p, top + 1, p):
+                least[k] = min(least[k], p)
+    for n in range(2, top + 1):
+        want, m = [], n
+        while m > 1:
+            want.append(least[m])
+            while m % want[-1] == 0:
+                m //= want[-1]
+        assert list(_prime_factors(n)) == want, n
+        assert _prime_power_base(n) == (want[0] if len(want) == 1
+                                        else None), n
+
+
+def test_prime_factors_of_products_of_known_primes():
+    """Seeded products of known primes: the answer is exact, or a refusal
+    where two distinct primes above the trial-division limit are left.
+    A wrong prime is never returned."""
+    rng = random.Random(8)
+    big = {p for p in KNOWN_PRIMES if p > TRIAL_DIVISION_LIMIT}
+    refused = 0
+    for _ in range(200):
+        primes = sorted(set(rng.sample(KNOWN_PRIMES, rng.randint(1, 3))))
+        n = 1
+        for p in primes:
+            n *= p ** rng.randint(1, 4)
+        may_refuse = len(big.intersection(primes)) >= 2
+        try:
+            assert list(_prime_factors(n)) == primes, n
+        except UnsupportedComputation:
+            assert may_refuse, n
+            refused += 1
+        try:
+            assert _prime_power_base(n) == (
+                primes[0] if len(primes) == 1 else None), n
+        except UnsupportedComputation:
+            assert may_refuse, n
+    assert 0 < refused < 100, refused
+
+
+def test_prime_factors_never_pass_a_pseudoprime_or_guess():
+    for n, factors in PSEUDOPRIMES:
+        assert prod(factors) == n
+        assert _prime_power_base(n) is None
+        with pytest.raises(UnsupportedComputation):
+            list(_prime_factors(n))
+    # (10^9 + 7)(10^9 + 9) is proved composite but not split
+    with pytest.raises(UnsupportedComputation, match="cannot factor"):
+        list(_prime_factors(1000000016000000063))
+    assert _prime_power_base(1000000016000000063) is None
+    # prime powers above the Miller-Rabin range are settled by their roots
+    assert list(_prime_factors((10 ** 9 + 7) ** 40 * 6)) == [2, 3, 10 ** 9 + 7]
+    assert _prime_power_base((2 ** 61 - 1) ** 3) == 2 ** 61 - 1
+    # a cofactor beyond that range that is no perfect power is refused:
+    # 2^89 - 1 is prime, but the fixed bases cannot prove it
+    for n in (2 ** 89 - 1, 3317044064679887385961981):
+        with pytest.raises(UnsupportedComputation):
+            list(_prime_factors(n))
+        with pytest.raises(UnsupportedComputation):
+            _prime_power_base(n)
+    # the longest literal the grammar reads: 3 divides it, the cofactor
+    # is not settled, and both answers come at once
+    t0 = time.perf_counter()
+    repunit = int("1" * 4299)
+    with pytest.raises(UnsupportedComputation):
+        list(_prime_factors(repunit))
+    assert _prime_power_base(repunit) is None
+    assert time.perf_counter() - t0 < 1.0

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import cwbrauer
-from cwbrauer import chaincx, cli, intlin, limits
+from cwbrauer import chaincx, cli, intlin
 from cwbrauer.cli import (
     EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_REPRODUCE_FAIL,
     EXIT_SEMANTIC, EXIT_UNSUPPORTED, execute, main, parse_request, run_batch,
@@ -317,9 +317,9 @@ def _recording(monkeypatch, owner, name) -> list:
 
 
 def test_traced_periodic_requests_build_one_window(monkeypatch):
-    """The trace reads the boundaries of the window the answer built, so
-    tracing builds no second ChainComplex (the space is parsed afresh for
-    every request)."""
+    """The trace reads the boundaries the answer read, so tracing builds
+    no ChainComplex an untraced request does not (the space is parsed
+    afresh for every request)."""
     built = _recording(monkeypatch, chaincx.ChainComplex, "__init__")
     for line in ("homology lens_periodic(5) 1000", "brauer lens_periodic(5)"):
         counts = []
@@ -328,6 +328,32 @@ def test_traced_periodic_requests_build_one_window(monkeypatch):
             assert run_json(line, trace=trace)[0] == EXIT_OK
             counts.append(len(built))
         assert counts[0] == counts[1], (line, counts)
+
+
+def test_periodic_requests_build_no_chain_complex(monkeypatch):
+    """A parsed request on a periodic space reads the PeriodicComplex
+    itself at degree 10^6: no ChainComplex is built, traced or not.  Only
+    parsing builds one, when PeriodicComplex checks its own data."""
+    lines = {
+        "homology lens_periodic(5) 1000000": "H_1000000 = 0",
+        "cohomology lens_periodic(5) 1000000": "H^1000000 = Z/5",
+        "cohomology lens_periodic(5) 1000001 mod 10":
+            "H^1000001(; Z/10) = Z/5",
+        "uct lens_periodic(5) 1000000":
+            "H^1000000 = Z/5 with Ext part Z/5 and Hom part 0",
+        "bockstein lens_periodic(5) 999999 mod 5":
+            "Bockstein H^999999(; Z/5) -> H^1000000: Z/5 -> Z/5, "
+            "matrix [[1]]",
+        "brauer lens_periodic(5)":
+            "Br' = 0; Br = undetermined; equality: UNKNOWN"}
+    requests = [parse_request(line) for line in lines]
+    built = _recording(monkeypatch, chaincx.ChainComplex, "__init__")
+    for req in requests:
+        for trace in (False, True):
+            report = execute(req, trace=trace)
+            assert report["result_text"] == lines[req.text], req.text
+            assert ("trace" in report) == trace
+    assert built == []
 
 
 @pytest.mark.parametrize("space", ["product(lens(4, 3), lens(6, 3))",
@@ -592,18 +618,21 @@ def test_batch_reports_an_internal_error_and_answers_the_other_lines(
 
 
 def test_homology_and_brauer_requests_make_no_transform_snf(monkeypatch):
-    """Untraced homology and brauer requests read only Smith diagonals,
-    and so does the trace of a homology request."""
+    """Untraced homology, brauer and lim1 requests read only Smith
+    diagonals, and so does the trace of a homology request."""
     def refuse(a):
         raise AssertionError("smith_normal_form called")
 
-    for mod in (intlin, chaincx, limits):
+    for mod in (intlin, chaincx):
         monkeypatch.setattr(mod, "smith_normal_form", refuse)
     for line in ("homology moore3(6) 2",
                  "homology product(lens(4, 5), moore3(6)) 3",
                  "homology lens_periodic(6) 1000001",
                  "brauer product(lens(4, 3), lens(6, 3))",
-                 "brauer lens_periodic(6)"):
+                 "brauer lens_periodic(6)",
+                 "lim1 tower block [Z/4 -(x2)-> Z/8, Z/8 -(x1)-> Z/4]",
+                 "lim1 tower block [Z -(x5)-> Z]",
+                 "lim1 tower block [Z -(id)-> Z]"):
         code, report = run_json(line)
         assert code == EXIT_OK, report
     code, report = run_json("homology product(lens(4, 5), moore3(6)) 3",
@@ -611,6 +640,33 @@ def test_homology_and_brauer_requests_make_no_transform_snf(monkeypatch):
     assert code == EXIT_OK and report["trace"]
     c = chaincx.ChainComplex([1, 1, 1], [[[0]], [[4]]])
     assert str(chaincx.homology(c, 1)) == "Z/4"
+
+
+@pytest.mark.parametrize("line,code,part", [
+    ("catalog bg((Z/1000000000000000003)^w)", EXIT_OK, "STRICT"),
+    ("brauer bg((Z/1000000000000000003)^w)", EXIT_OK,
+     "equality: STRICT (CatalogTheorem)"),
+    ("certify bg((Z/1000000000000000003)^w)", EXIT_OK,
+     "STRICT (CatalogTheorem)"),
+    ("non-brauer-check (Z/1000000000000000003)^w with rule i>=1: J=(i, 2i]",
+     EXIT_OK, "CERTIFIED_NOT_IN_BR: p = 1000000000000000003"),
+    ("homology telescope(Z, x1000000000000000003) 1", EXIT_OK,
+     "H_1 = Z[1/1000000000000000003]"),
+    ("phantom telescope(Z, x1000000000000000003) 2", EXIT_OK,
+     "Ext^1(Z[1/1000000000000000003], Z)"),
+    # (10^9 + 7)(10^9 + 9): proved composite, so no prime power, but not
+    # split, so its localization is refused
+    ("catalog bg((Z/1000000016000000063)^w)", EXIT_OK, "UNKNOWN"),
+    ("homology telescope(Z, x1000000016000000063) 1", EXIT_UNSUPPORTED, ""),
+])
+def test_large_prime_orders_answer_within_a_second(line, code, part):
+    """Trial division stops at a fixed bound; a 19-digit cofactor is then
+    proved prime or composite at once instead of being divided about
+    5 * 10^8 times."""
+    t0 = time.perf_counter()
+    got, text = run(line)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == code and part in text, text
 
 
 def test_batch_text_mode():

@@ -1,16 +1,20 @@
 """Tests for towers, lim^1 certificates, directed systems, symbolic
 colimits, and the symbolic Ext^1 / Ulm / torsion-free-quotient tables."""
 
+import random
+
 import pytest
 
 from cwbrauer.abgroup import FgAbGroup, GroupHom, ext1
 from cwbrauer.errors import SemanticError, UnsupportedComputation
+from cwbrauer.intlin import IntMatrix, solve_integral
 from cwbrauer.limits import (
     Atom, ConstantStrand, DirectedSystem, Lim1Certificate,
     MultiplicationStrand, PruferStrand, SymbolicGroup, Tower, colimit_symbolic,
     continuum_q_vector_atom, cyclic_atom, ext1_symbolic, first_ulm, free_atom,
     lim1_certificate, localized_atom, opaque_ext_atom, padic_atom,
-    phantom_of_telescope, prufer_atom, rationals_atom, torsion_free_quotient,
+    _images_equal, phantom_of_telescope, prufer_atom, rationals_atom,
+    torsion_free_quotient,
 )
 
 Z = FgAbGroup.cyclic(0)
@@ -221,3 +225,46 @@ def test_phantom_of_telescope():
     assert phantom_of_telescope(DirectedSystem.constant(zmod(9)), 5).is_zero
     with pytest.raises(SemanticError):
         phantom_of_telescope(DirectedSystem.telescope_z(2), 0)
+
+
+def test_images_equal_matches_a_solve_based_reference():
+    """_images_equal (rank and index from Smith diagonals) against mutual
+    containment decided column by column with integral solves, on seeded
+    groups and generator matrices, half of them rebased copies."""
+    rng = random.Random(88)
+
+    def rel_matrix(orders):
+        cols = [i for i, d in enumerate(orders) if d]
+        return IntMatrix([[orders[i] if i == j else 0 for j in cols]
+                          for i in range(len(orders))], cols=len(cols))
+
+    def contains(rel, big, small):
+        wide = big.hstack(rel)
+        return all(solve_integral(wide, small.col_tuple(j)) is not None
+                   for j in range(small.cols))
+
+    def rand(rows, cols):
+        return IntMatrix([[rng.randint(-4, 4) for _ in range(cols)]
+                          for _ in range(rows)], cols=cols)
+
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        orders = [rng.choice((0, 0, 2, 3, 4, 6)) for _ in range(rng.randint(1, 3))]
+        g = FgAbGroup.from_cyclic_orders(orders)
+        orders = g.cyclic_orders()
+        rows, rel = len(orders), rel_matrix(orders)
+        a = rand(rows, rng.randint(0, 3))
+        if rng.random() < 0.5:
+            # the same span: [a | relations] times a unit upper triangular
+            # matrix stacked on a random one
+            k = a.cols
+            mix = [[int(i == j) if i >= j else rng.randint(-2, 2)
+                    for j in range(k)] for i in range(k)]
+            mix += rand(rel.cols, k).to_lists()
+            b = a.hstack(rel) @ IntMatrix(mix, cols=k)
+        else:
+            b = rand(rows, rng.randint(0, 3))
+        want = contains(rel, a, b) and contains(rel, b, a)
+        assert _images_equal(g, a, b) == want, (orders, a, b)
+        seen[want] += 1
+    assert min(seen.values()) > 100, seen

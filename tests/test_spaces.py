@@ -8,8 +8,8 @@ from math import gcd
 import pytest
 
 from cwbrauer.abgroup import FgAbGroup, Z, exterior_square
-from cwbrauer.chaincx import (ChainComplex, cohomology, homology,
-                              random_complex)
+from cwbrauer.chaincx import (ChainComplex, bockstein, cohomology, homology,
+                              random_complex, uct_decompose)
 from cwbrauer.errors import SemanticError, UnsupportedComputation
 from cwbrauer.intlin import IntMatrix
 from cwbrauer.limits import SymbolicGroup
@@ -31,7 +31,7 @@ def test_sphere_and_moore_builders():
     s = sphere(4)
     assert s.kind == "finite"
     assert s.dimension() == 4
-    assert s.cells(0) == 1 and s.cells(4) == 1 and s.cells(2) == 0
+    assert [s.chains.rank(k) for k in range(6)] == [1, 0, 0, 0, 1, 0]
     m = moore_3cell(5)
     assert m.dimension() == 3
     assert space_homology(m, 2) == FgAbGroup.cyclic(5)
@@ -77,43 +77,62 @@ def test_periodic_with_prefix():
     assert space_homology(x, 5).is_trivial
 
 
-def test_window_agrees_with_unrolled_complex_across_the_seam():
-    per = _prefix_demo()
-    x = SpaceDescription("periodic", ("complex", ("periodic-demo",)),
-                         periodic=per)
-    top = 14
-    full = per.unroll(top)
-    for n in range(top - 2):
-        c, offset = x.window(n)
-        assert offset == max(0, n - 2)
-        assert c.top_degree + offset == n + 2
-        for k in range(max(0, n - 1), n + 2):
-            assert homology(c, k - offset) == homology(full, k), (n, k)
-            assert cohomology(c, k - offset) == cohomology(full, k), (n, k)
+@pytest.mark.parametrize("x", [
+    SpaceDescription("periodic", ("complex", ("periodic-demo",)),
+                     periodic=_prefix_demo()),
+    lens_periodic(6)], ids=["prefix-demo", "lens_periodic"])
+def test_periodic_chains_agree_with_unrolled_complex_across_the_seam(x):
+    """Every chain-level function reads the PeriodicComplex itself and
+    agrees with the bounded ChainComplex unrolled past the degrees read."""
+    per = x.periodic
+    assert x.chains is per
+    full = per.unroll(14)
+    for n in range(12):
+        assert homology(per, n) == homology(full, n), n
+        assert cohomology(per, n) == cohomology(full, n), n
+        for m in (2, 3, 4):
+            assert cohomology(per, n, m) == cohomology(full, n, m), (n, m)
+            assert bockstein(per, n, m) == bockstein(full, n, m), (n, m)
+        assert uct_decompose(per, n) == uct_decompose(full, n), n
+    # the space hands out the very matrices it stores, so a Smith
+    # diagonal kept on one is seen through the other
+    for d in range(1, 15):
+        assert x.chains.boundary(d) is per.boundary(d), d
+        assert x.chains.boundary(d) == full.boundary(d), d
+
+
+def test_lens_periodic_cohomology_in_closed_form():
+    """H^k(L; Z) is Z/n in even degrees k >= 2 and 0 in odd ones, and
+    H^k(L; Z/m) is Z/gcd(n, m) for k >= 1, read far beyond any unrolled
+    stretch."""
+    for n in (2, 4, 6):
+        x = lens_periodic(n)
+        for k in (1, 2, 11, 10 ** 6, 10 ** 9 + 1):
+            want = FgAbGroup.cyclic(n) if k % 2 == 0 else FgAbGroup.trivial()
+            assert cohomology(x.chains, k) == want, (n, k)
             for m in (2, 3, 4):
-                assert (cohomology(c, k - offset, m)
-                        == cohomology(full, k, m)), (n, k, m)
-        assert c.boundary(n + 2 - offset) == full.boundary(n + 2)
-        # the space hands out the very matrices its window holds, so a
-        # Smith diagonal kept on one is seen through the other
-        for d in range(offset + 1, n + 3):
-            assert x.boundary(d) is c.boundary(d - offset), (n, d)
-            assert x.boundary(d) == full.boundary(d), (n, d)
+                assert cohomology(x.chains, k, m) == FgAbGroup.cyclic(
+                    gcd(n, m)), (n, k, m)
 
 
-def test_window_of_finite_space_is_the_stored_complex():
+def test_chains_of_finite_space_is_the_stored_complex():
     x = moore_3cell(6)
-    for n in (0, 2, 9):
-        c, offset = x.window(n)
-        assert c is x.complex and offset == 0
+    assert x.chains is x.complex
     for d in range(1, x.complex.top_degree + 1):
-        assert x.boundary(d) is x.complex.boundary(d)
-    for y in (telescope_z(5), bpgl(3), k_space(FgAbGroup.cyclic(3), 2)):
-        assert y.boundary(2) is None and y.cells(2) is None
+        assert x.chains.boundary(d) is x.complex.boundary(d)
+    # above the top degree the ranks are 0: the trivial group, as the
+    # bounded complex has no cells there
+    for n in (4, 9):
+        assert homology(x.chains, n).is_trivial
+        assert cohomology(x.chains, n, 3).is_trivial
+    for y in (telescope_z(5), bpgl(3), k_space(FgAbGroup.cyclic(3), 2),
+              bg_profile(CyclicProfile.from_pairs([(3, OMEGA)]))):
         with pytest.raises(UnsupportedComputation) as e:
-            y.window(2)
-        assert "cochain-level commands need a finite or periodic" in str(
-            e.value)
+            y.chains
+        assert str(e.value) == (
+            f"{y.kind} spaces support homology, brauer, phantom and "
+            "certify only; cochain-level commands need a finite or "
+            "periodic cell structure")
 
 
 def test_periodic_validation():
