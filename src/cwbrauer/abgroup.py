@@ -171,8 +171,8 @@ def _prime_factors(n: int) -> list[int]:
         p = _prime_power_root(rest)
         if p is None:
             raise UnsupportedComputation(
-                f"cannot factor {rest}: it is composite with no prime "
-                f"factor up to {TRIAL_DIVISION_LIMIT}")
+                f"cannot factor {_quoted(rest)}: it is composite with no "
+                f"prime factor up to {TRIAL_DIVISION_LIMIT}")
         primes.append(p)
     return primes
 
@@ -204,10 +204,20 @@ def _prime_power_root(m: int) -> int | None:
         k += 1
     if m >= _MR_PROVEN_BELOW:
         raise UnsupportedComputation(
-            f"cannot factor {m} or prove it prime: it has no prime factor "
-            f"up to {TRIAL_DIVISION_LIMIT} and exceeds the range where "
+            f"cannot factor {_quoted(m)} or prove it prime: it has no prime "
+            f"factor up to {TRIAL_DIVISION_LIMIT} and exceeds the range where "
             "Miller-Rabin with fixed bases is a proof")
     return m if _is_prime(m) else None  # None: composite, no perfect power
+
+
+def _quoted(n: int) -> str:
+    """n in full up to 40 digits, else its digit count, so that a
+    refusal stays one short line for a literal of thousands of digits."""
+    if n < 10 ** 40:
+        return str(n)
+    # 0.30102999566 is just under log10(2), so this is d or d - 1
+    digits = (n.bit_length() - 1) * 30102999566 // 10 ** 11 + 1
+    return f"a {digits + (n >= 10 ** digits)}-digit number"
 
 
 def _iroot(m: int, k: int) -> int:

@@ -20,11 +20,19 @@ spaces.PeriodicComplex alike: an infinite complex is read at degree n
 without being cut or unrolled.  Above the top degree of a bounded
 complex the ranks are 0 and the boundaries zero-shaped, which gives the
 trivial group with no special case.
+
+Cochain presentations are memoized in one LRU of
+`MAX_CACHED_PRESENTATIONS` entries, keyed by the values a presentation
+depends on: del_n, del_{n+1} and the modulus.  Matrices compare by
+value, so the same degree of a re-parsed literal, or degrees n and
+n + period of a periodic complex, share one entry.  A presentation is
+never changed after it is built, and an error is never cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from random import Random
 
@@ -182,12 +190,25 @@ def _free_rank(c, n: int, d_in, d_out) -> int:
     return c.rank(n) - sum(1 for d in d_in if d) - sum(1 for d in d_out if d)
 
 
+# Entries of the _presented LRU.  On sessions of cohomology, uct and
+# bockstein requests around one degree of one space (perfbench's
+# chain_heavy), the share of lookups that hit stops rising at six.
+MAX_CACHED_PRESENTATIONS = 6
+
+
 def _cochain_presentation(c, n: int, modulus: int | None
                           ) -> SubquotientPresentation:
     """Presentation of H^n with Z or Z/modulus coefficients."""
-    rn = c.rank(n)
-    d_in = c.boundary(n).transpose()        # d^{n-1}: C^{n-1} -> C^n
-    d_out = c.boundary(n + 1).transpose()   # d^n: C^n -> C^{n+1}
+    return _presented(c.boundary(n), c.boundary(n + 1), modulus)
+
+
+@lru_cache(maxsize=MAX_CACHED_PRESENTATIONS)
+def _presented(bnd_n: IntMatrix, bnd_next: IntMatrix, modulus: int | None
+               ) -> SubquotientPresentation:
+    """The presentation of H^n from del_n and del_{n+1} alone."""
+    rn = bnd_n.cols
+    d_in = bnd_n.transpose()        # d^{n-1}: C^{n-1} -> C^n
+    d_out = bnd_next.transpose()    # d^n: C^n -> C^{n+1}
     if modulus is None:
         return SubquotientPresentation(kernel_basis(d_out), d_in)
     m = modulus

@@ -14,6 +14,15 @@ The label field is a printable expression tree (what the grammar prints
 and parses); the payload fields are derived from it by the builders, so
 dataclass equality is exactly "same description".
 
+Every builder that makes chains (`sphere`, `moore_3cell`,
+`lens_skeleton`, `lens_periodic`, `wedge`, `product`, `from_complex`)
+returns a space from one LRU of `MAX_BUILT_SPACES` entries keyed by the
+label.  A label determines its space and a space is never changed, so
+every request on the same space shares one object: its boundary
+matrices, the Smith diagonals they keep, and through them the cochain
+presentations chaincx memoizes.  A builder that refuses its arguments
+caches nothing.  The cache lives as long as the process.
+
 Chain-level code reads a finite or periodic space through its `chains`:
 the stored ChainComplex or PeriodicComplex itself, which answers
 rank(n) and boundary(n) at every degree n.  Nothing is copied into a
@@ -26,6 +35,7 @@ Ext^1(H_{n-1}(X)/Torsion, Z).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .abgroup import FgAbGroup, Z, brauer_of_k_g_2, ext1
@@ -154,14 +164,39 @@ class SpaceDescription:
 # builders
 # ---------------------------------------------------------------------------
 
+# Spaces kept by _built, least recently used first.  A request on a
+# product of four factors touches seven labels (the factors and the
+# three nested products), so eight keep a whole session on one space.
+MAX_BUILT_SPACES = 8
+_built_spaces: OrderedDict[tuple, SpaceDescription] = OrderedDict()
+
+
+def _built(label: tuple, chains) -> SpaceDescription:
+    """The space with this label: the kept one, or on a miss a new one
+    whose chains are chains(), a ChainComplex or a PeriodicComplex."""
+    x = _built_spaces.get(label)
+    if x is not None:
+        _built_spaces.move_to_end(label)
+        return x
+    c = chains()
+    if isinstance(c, ChainComplex):
+        x = SpaceDescription("finite", label, complex=c)
+    else:
+        x = SpaceDescription("periodic", label, periodic=c)
+    if len(_built_spaces) == MAX_BUILT_SPACES:
+        _built_spaces.popitem(last=False)
+    _built_spaces[label] = x
+    return x
+
+
 def sphere(n: int) -> SpaceDescription:
     """S^n as one 0-cell and one n-cell (n >= 1)."""
     if n < 1:
         raise SemanticError("sphere dimension must be >= 1")
     ranks = [1] + [0] * (n - 1) + [1]
-    bnds = [IntMatrix.zeros(ranks[k - 1], ranks[k]) for k in range(1, n + 1)]
-    return SpaceDescription("finite", ("sphere", (n,)),
-                            complex=ChainComplex(ranks, bnds))
+    return _built(("sphere", (n,)), lambda: ChainComplex(
+        ranks, [IntMatrix.zeros(ranks[k - 1], ranks[k])
+                for k in range(1, n + 1)]))
 
 
 def moore_3cell(n: int) -> SpaceDescription:
@@ -171,10 +206,9 @@ def moore_3cell(n: int) -> SpaceDescription:
     """
     if n < 1:
         raise SemanticError("attachment degree must be >= 1")
-    c = ChainComplex([1, 0, 1, 1],
-                     [IntMatrix.zeros(1, 0), IntMatrix.zeros(0, 1),
-                      IntMatrix([[n]])])
-    return SpaceDescription("finite", ("moore3", (n,)), complex=c)
+    return _built(("moore3", (n,)), lambda: ChainComplex(
+        [1, 0, 1, 1],
+        [IntMatrix.zeros(1, 0), IntMatrix.zeros(0, 1), IntMatrix([[n]])]))
 
 
 def lens_skeleton(n: int, top: int) -> SpaceDescription:
@@ -182,26 +216,22 @@ def lens_skeleton(n: int, top: int) -> SpaceDescription:
     boundaries alternating 0, x n."""
     if n < 1 or top < 1:
         raise SemanticError("lens parameters must be >= 1")
-    ranks = [1] * (top + 1)
-    bnds = [IntMatrix([[0]]) if k % 2 else IntMatrix([[n]])
-            for k in range(1, top + 1)]
-    return SpaceDescription("finite", ("lens", (n, top)),
-                            complex=ChainComplex(ranks, bnds))
+    return _built(("lens", (n, top)), lambda: ChainComplex(
+        [1] * (top + 1), [IntMatrix([[0]]) if k % 2 else IntMatrix([[n]])
+                          for k in range(1, top + 1)]))
 
 
 def lens_periodic(n: int) -> SpaceDescription:
     """The infinite lens space: Z <-0- Z <-n- Z <-0- ... for ever."""
     if n < 1:
         raise SemanticError("lens parameter must be >= 1")
-    per = PeriodicComplex(
-        prefix_ranks=(), prefix_boundaries=(),
+    return _built(("lens_periodic", (n,)), lambda: PeriodicComplex(
         block_ranks=(1, 1),
-        block_boundaries=(IntMatrix([[n]]), IntMatrix([[0]])))
-    return SpaceDescription("periodic", ("lens_periodic", (n,)), periodic=per)
+        block_boundaries=(IntMatrix([[n]]), IntMatrix([[0]]))))
 
 
 def from_complex(c: ChainComplex) -> SpaceDescription:
-    return SpaceDescription("finite", ("complex", (c,)), complex=c)
+    return _built(("complex", (c,)), lambda: c)
 
 
 def wedge(parts) -> SpaceDescription:
@@ -216,32 +246,32 @@ def wedge(parts) -> SpaceDescription:
             raise SemanticError("wedge summands must have exactly one 0-cell")
         if not x.complex.boundary(1).is_zero():
             raise SemanticError("wedge summands must have zero del_1")
-    top = max(x.complex.top_degree for x in parts)
-    ranks = [1] + [sum(x.complex.rank(k) for x in parts)
-                   for k in range(1, top + 1)]
-    bnds = []
-    for k in range(1, top + 1):
-        a = [[0] * ranks[k] for _ in range(ranks[k - 1])]
-        if k >= 2:
-            r0 = c0 = 0
-            for x in parts:
-                for i, brow in enumerate(x.complex.boundary(k).to_lists()):
-                    a[r0 + i][c0:c0 + len(brow)] = brow
-                r0 += x.complex.rank(k - 1)
-                c0 += x.complex.rank(k)
-        bnds.append(IntMatrix(a, cols=ranks[k]))
-    label = ("wedge", tuple(x.label for x in parts))
-    return SpaceDescription("finite", label,
-                            complex=ChainComplex(ranks, bnds))
+
+    def chains():
+        top = max(x.complex.top_degree for x in parts)
+        ranks = [1] + [sum(x.complex.rank(k) for x in parts)
+                       for k in range(1, top + 1)]
+        bnds = []
+        for k in range(1, top + 1):
+            a = [[0] * ranks[k] for _ in range(ranks[k - 1])]
+            if k >= 2:
+                r0 = c0 = 0
+                for x in parts:
+                    for i, brow in enumerate(x.complex.boundary(k).to_lists()):
+                        a[r0 + i][c0:c0 + len(brow)] = brow
+                    r0 += x.complex.rank(k - 1)
+                    c0 += x.complex.rank(k)
+            bnds.append(IntMatrix(a, cols=ranks[k]))
+        return ChainComplex(ranks, bnds)
+    return _built(("wedge", tuple(x.label for x in parts)), chains)
 
 
 def product(a: SpaceDescription, b: SpaceDescription) -> SpaceDescription:
     """Product CW structure via the tensor product of cellular chains."""
     if a.kind != "finite" or b.kind != "finite":
         raise SemanticError("product needs finite complexes")
-    label = ("product", (a.label, b.label))
-    return SpaceDescription("finite", label,
-                            complex=tensor_complexes(a.complex, b.complex))
+    return _built(("product", (a.label, b.label)),
+                  lambda: tensor_complexes(a.complex, b.complex))
 
 
 def telescope_z(multiplier: int) -> SpaceDescription:

@@ -15,7 +15,7 @@ import pytest
 
 from cwbrauer.abgroup import (
     TRIAL_DIVISION_LIMIT, FgAbGroup, GroupHom, Z, _prime_factors,
-    _prime_power_base, brauer_of_k_g_2, exterior_square, ext1,
+    _prime_power_base, _quoted, brauer_of_k_g_2, exterior_square, ext1,
     h2_of_abelian_group, hom, tensor, tor1,
 )
 from cwbrauer.errors import SemanticError, UnsupportedComputation
@@ -429,3 +429,19 @@ def test_prime_factors_never_pass_a_pseudoprime_or_guess():
         list(_prime_factors(repunit))
     assert _prime_power_base(repunit) is None
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_refused_numbers_are_quoted_in_full_up_to_40_digits():
+    """A number of up to 40 digits is quoted as is, a longer one by its
+    digit count; checked on both sides of every power of ten."""
+    for d in range(1, 4300, 7):
+        for n in (10 ** d - 1, 10 ** d, 10 ** d + 1):
+            s = str(n)
+            assert _quoted(n) == (s if len(s) <= 40
+                                  else f"a {len(s)}-digit number"), len(s)
+    with pytest.raises(UnsupportedComputation,
+                       match=r"^cannot factor 1000000016000000063: "):
+        list(_prime_factors(1000000016000000063))
+    with pytest.raises(UnsupportedComputation,
+                       match=r"^cannot factor a 41-digit number or prove"):
+        list(_prime_factors(10 ** 40 + 19))  # no prime factor below 10^5

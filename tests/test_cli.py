@@ -316,14 +316,15 @@ def _recording(monkeypatch, owner, name) -> list:
     return seen
 
 
-def test_traced_periodic_requests_build_one_window(monkeypatch):
+def test_traced_periodic_requests_build_one_window(monkeypatch, cold_caches):
     """The trace reads the boundaries the answer read, so tracing builds
-    no ChainComplex an untraced request does not (the space is parsed
-    afresh for every request)."""
+    no ChainComplex an untraced request does not (both runs start from
+    cold caches, so the space is built afresh for each)."""
     built = _recording(monkeypatch, chaincx.ChainComplex, "__init__")
     for line in ("homology lens_periodic(5) 1000", "brauer lens_periodic(5)"):
         counts = []
         for trace in (False, True):
+            cold_caches()
             built.clear()
             assert run_json(line, trace=trace)[0] == EXIT_OK
             counts.append(len(built))
@@ -358,16 +359,19 @@ def test_periodic_requests_build_no_chain_complex(monkeypatch):
 
 @pytest.mark.parametrize("space", ["product(lens(4, 3), lens(6, 3))",
                                    "lens_periodic(6)"])
-def test_traced_requests_eliminate_each_boundary_once(monkeypatch, space):
+def test_traced_requests_eliminate_each_boundary_once(monkeypatch, space,
+                                                     cold_caches):
     """Counted at the elimination, not at the lookup: the trace prints the
     Smith diagonals that homology, uct and brauer already read, so a traced
     request eliminates exactly the boundary objects an untraced one does,
-    each once."""
+    each once.  Both runs start from cold caches, so the traced run cannot
+    reuse what the untraced one built."""
     eliminated = _recording(monkeypatch, intlin, "_smith_diagonal")
     for line in (f"homology {space} 2", f"homology {space} 3",
                  f"uct {space} 3", f"brauer {space}"):
         runs = []
         for trace in (False, True):
+            cold_caches()
             eliminated.clear()
             code, report = run_json(line, trace=trace)
             assert code == EXIT_OK
@@ -667,6 +671,21 @@ def test_large_prime_orders_answer_within_a_second(line, code, part):
     got, text = run(line)
     assert time.perf_counter() - t0 < 1.0
     assert got == code and part in text, text
+
+
+def test_refusal_of_a_huge_cofactor_is_one_short_line(capsys):
+    """A cofactor of thousands of digits is named by its digit count, not
+    quoted: the message stays short in json and in text."""
+    line = "homology telescope(Z, x" + "1" * 4299 + ") 1"
+    code, report = run_json(line)
+    assert code == EXIT_UNSUPPORTED
+    message = report["error"]["message"]
+    assert len(message) < 300 and "-digit number" in message, message
+    capsys.readouterr()
+    code, text = run(line)
+    err = capsys.readouterr().err
+    assert code == EXIT_UNSUPPORTED and text == ""
+    assert err.startswith("error: cannot factor") and len(err) < 300, err
 
 
 def test_batch_text_mode():

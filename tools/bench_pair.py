@@ -1,0 +1,137 @@
+"""Paired benchmark runs of a parent commit and the working tree.
+
+    python3 tools/bench_pair.py OUT.json [--parent REV]
+
+Both sides run from fresh copies in one temporary directory: the parent
+side is the `src/` of `git archive REV` (default HEAD), the change side
+the `src/` of the working tree, and each gets a copy of the working
+tree's `perfbench/`, so both sides run the same benchmark code.  For
+each seed 1..10 both sides run
+
+    python3 perfbench/run.py --workload all --seed SEED
+
+once; odd seeds run the change first, even seeds the parent.  Every run
+is written to OUT.json as soon as it ends, in the form
+{command, parent_commit, note, runs: [{side, seed, result}]}, where
+result is the JSON line the run printed.
+
+At the end, for every end-to-end metric of BENCHMARK.json and every
+workload, it prints each side's median and quartiles, the relative
+change of the median, the parent's quartile distance relative to its
+median, and how many pairs the change won (ties count for neither).
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMAND = "python3 perfbench/run.py --workload all --seed {seed}"
+SEEDS = range(1, 11)     # ten parent/change pairs
+
+
+def _git(*args) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+
+
+def _prepare(side_dir: Path, parent: str | None) -> None:
+    """side_dir/src from the parent commit (or the working tree when
+    parent is None), beside a copy of the working tree's perfbench/."""
+    skip = shutil.ignore_patterns("__pycache__", "out")
+    shutil.copytree(ROOT / "perfbench", side_dir / "perfbench", ignore=skip)
+    if parent is None:
+        shutil.copytree(ROOT / "src", side_dir / "src", ignore=skip)
+        return
+    archive = _git("archive", parent, "src")
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(side_dir, filter="data")
+
+
+def _run(side_dir: Path, seed: int) -> dict:
+    proc = subprocess.run(COMMAND.format(seed=seed).split(), cwd=side_dir,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"run failed in {side_dir} (seed {seed}, exit "
+                         f"{proc.returncode}):\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summarize(record: dict) -> None:
+    """Per workload and end-to-end metric: medians, quartiles, pairs won."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs = {(r["side"], r["seed"]): r["result"] for r in record["runs"]}
+    seeds = sorted(s for side, s in runs if side == "change"
+                   and ("parent", s) in runs)
+    failed = {side: sum(r["failed"] for (sd, _), r in runs.items()
+                        if sd == side) for side in ("parent", "change")}
+    print(f"{len(seeds)} pairs; failed requests: parent {failed['parent']},"
+          f" change {failed['change']}")
+    print(f"{'metric':34} {'parent q1/med/q3':>26} {'change q1/med/q3':>26}"
+          f" {'change':>7} {'spread':>6} {'bound':>5} won")
+    for workload in spec["workloads"]:
+        for metric in spec["end_to_end"]:
+            key = f"{workload['name']}.{metric['name']}"
+            sides = {side: [runs[side, s]["metrics"][key]["value"]
+                            for s in seeds] for side in ("parent", "change")}
+            q = {side: statistics.quantiles(v, n=4) if len(v) > 1
+                 else v * 3 for side, v in sides.items()}
+            sign = 1 if metric["better"] == "higher" else -1
+            won = sum(sign * (c - p) > 0
+                      for p, c in zip(sides["parent"], sides["change"]))
+            med_p = q["parent"][1]
+            print(f"{key:34} "
+                  + " ".join("{:8.4g}/{:8.4g}/{:8.4g}".format(*q[side])
+                             for side in ("parent", "change"))
+                  + f" {q['change'][1] / med_p - 1:+7.1%}"
+                  f" {(q['parent'][2] - q['parent'][0]) / med_p:6.1%}"
+                  f" {metric['bound']:5.0%} {won}/{len(seeds)}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", type=Path, help="JSON file to write")
+    ap.add_argument("--parent", default="HEAD", help="parent revision")
+    ns = ap.parse_args(argv)
+    parent = _git("rev-parse", "--short", ns.parent).decode().strip()
+    record = {
+        "command": COMMAND.format(seed="N"),
+        "parent_commit": parent,
+        "note": ("Seeds 1-10 each ran once on both sides, in the "
+                 "order listed, alternating which side went first (odd "
+                 "seeds: change first).  Both sides ran from fresh copies: "
+                 f"the parent from the src/ of `git archive {parent}`, the "
+                 "change from the src/ of the working tree, each beside a "
+                 "copy of the working tree's perfbench/.  Time metrics are "
+                 "in reference units (perfbench/README.md).  Written by "
+                 "tools/bench_pair.py."),
+        "runs": [],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        _prepare(dirs["parent"], parent)
+        _prepare(dirs["change"], None)
+        for seed in SEEDS:
+            order = ("change", "parent") if seed % 2 else ("parent", "change")
+            for side in order:
+                result = _run(dirs[side], seed)
+                record["runs"].append(
+                    {"side": side, "seed": seed, "result": result})
+                ns.out.write_text(json.dumps(record, indent=1) + "\n")
+                print(f"seed {seed} {side}: correct {result['correct']}, "
+                      f"failed {result['failed']}", flush=True)
+    summarize(record)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
