@@ -35,6 +35,14 @@ both are checked before the complex is built, and a larger one is
 refused the same way.  So is an integer literal with more digits than
 the interpreter converts (sys.get_int_max_str_digits).
 
+A well-formed numeric MATRIX with at least one row is one token, and
+its entries are read by splitting its text, so a dense complex literal
+costs a few tokens, not one per bracket, comma, sign and digit run.
+Anything else that starts with "[" is read token by token.  Where a
+message needs it, a matrix token is first turned back into those plain
+tokens, so every error, its line and its column read as if matrices
+were always read token by token.
+
 In towers the block links are listed as B_0, B_1, ..., each with its
 map to the previous stage (B_i maps to B_{(i-1) mod m}); the printed
 target group is validated against that convention.
@@ -71,24 +79,31 @@ MAX_COMPLEX_DEGREE = 512
 # tokenizer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
+# Matrix entries are (-\s*)?\d+: with -?\s*\d+ the two \s* that meet
+# after a comma could share a run of blanks in many ways, and a long
+# literal missing its last "]" would backtrack for minutes.
+_ENTRY = r"(?:-\s*)?\d+"
+_ROW = rf"\[\s*(?:{_ENTRY}(?:\s*,\s*{_ENTRY})*\s*)?\]"
+_TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym><=|>=|[\^+/()\[\]{},;:=<>-])
+  | (?P<matrix>\[\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\])
+  | (?P<sym><=|>=|[\^+/()\[\]{{}},;:=<>-])
 """, re.VERBOSE)
 
 
 class Token(NamedTuple):
-    kind: str   # "int" | "ident" | "sym" | "eof"
+    kind: str   # "int" | "ident" | "matrix" | "sym" | "eof"
     text: str
     line: int
     col: int
 
 
-def _tokenize(src: str) -> list[Token]:
+def _tokenize(src: str, line: int = 1, col: int = 1) -> list[Token]:
+    """The tokens of src, whose first character sits at (line, col)."""
     out: list[Token] = []
-    line, line_start = 1, 0   # line_start: offset of the current line
+    line_start = 1 - col   # offset of column 1 of the current line
     pos = 0
     for m in _TOKEN_RE.finditer(src):
         start = m.start()
@@ -98,7 +113,7 @@ def _tokenize(src: str) -> list[Token]:
         text = m.group()
         if kind != "ws":
             out.append(Token(kind, text, line, start - line_start + 1))
-        elif "\n" in text:
+        if "\n" in text:   # only blanks and matrices span lines
             line += text.count("\n")
             line_start = start + text.rfind("\n") + 1
         pos = m.end()
@@ -139,6 +154,9 @@ class _Parser:
         t = self.peek()
         if self.at(kind, text):
             return self.next()
+        if t.kind == "matrix":   # a matrix where none belongs, or a "["
+            self._unfold_matrix()
+            return self.expect(kind, text, what)
         want = what or (text if text is not None else kind)
         got = t.text if t.kind != "eof" else "end of input"
         raise ParseError(f"expected {want!r}, found {got!r}",
@@ -149,8 +167,22 @@ class _Parser:
         raise ParseError(message, line=t.line, column=t.col)
 
     def expect_end(self):
+        if self.at("matrix"):
+            self._unfold_matrix()
         if self.peek().kind != "eof":
             self.fail(f"unexpected trailing input {self.peek().text!r}")
+
+    def _unfold_matrix(self):
+        """Replace the matrix token at the cursor by the plain tokens of
+        its text, so a message names and places the "[" it starts with.
+        Only a row follows that first "[", so the rest of the text
+        tokenizes into plain tokens.  This moves every later token;
+        `tower` keeps token indices around a map, and an unfold while
+        `_hom` reads that map always ends in an error."""
+        t = self.tokens[self.pos]
+        self.tokens[self.pos:self.pos + 1] = (
+            [Token("sym", "[", t.line, t.col)]
+            + _tokenize(t.text[1:], t.line, t.col + 1)[:-1])
 
     # -- shared small pieces -------------------------------------------
     def integer(self, what: str = "integer") -> int:
@@ -226,47 +258,48 @@ class _Parser:
 
     # -- matrices ------------------------------------------------------
     def matrix_rows(self) -> list[list[int]]:
-        self.expect("sym", "[")
-        rows: list[list[int]] = []
-        if not self.at("sym", "]"):
-            while True:
-                self.expect("sym", "[")
-                rows.append(self._matrix_row())
-                self.expect("sym", "]")
-                if not self.accept("sym", ","):
-                    break
-        self.expect("sym", "]")
+        rows = self._matrix_token_rows() if self.at("matrix") else None
+        if rows is None:   # no matrix token: read it token by token
+            self.expect("sym", "[")
+            rows = []
+            if not self.at("sym", "]"):
+                while True:
+                    self.expect("sym", "[")
+                    row = []
+                    if not self.at("sym", "]"):
+                        row.append(self.integer("matrix entry"))
+                        while self.accept("sym", ","):
+                            row.append(self.integer("matrix entry"))
+                    rows.append(row)
+                    self.expect("sym", "]")
+                    if not self.accept("sym", ","):
+                        break
+            self.expect("sym", "]")
         if len({len(r) for r in rows}) > 1:
             raise SemanticError("matrix rows have differing lengths")
         return rows
 
-    def _matrix_row(self) -> list[int]:
-        """The entries ['-'] int [','] ... of one row, read straight from
-        the token list; stops before the closing bracket."""
-        toks = self.tokens
-        i = self.pos
-        row: list[int] = []
-        if toks[i].kind == "sym" and toks[i].text == "]":
-            return row
-        while True:
-            t = toks[i]
-            neg = t.kind == "sym" and t.text == "-"
-            if neg:
-                i += 1
-                t = toks[i]
-            if t.kind != "int":
-                self.pos = i
-                self.expect("int", what="matrix entry")
-            x = self._digits(t.text, t)
-            row.append(-x if neg else x)
-            i += 1
-            if toks[i].kind != "sym" or toks[i].text != ",":
-                self.pos = i
-                return row
-            i += 1
+    def _matrix_token_rows(self) -> list[list[int]] | None:
+        """The rows of the matrix token at the cursor, read by splitting
+        its text.  An entry too long for int() unfolds the token and
+        gives None, so the token path reports it with its position."""
+        body = "".join(self.peek().text.split())[2:-2]   # "1,-2],[],[3,4"
+        try:
+            rows = [[int(x) for x in r.split(",")] if r else []
+                    for r in body.split("],[")]
+        except ValueError:
+            self._unfold_matrix()
+            return None
+        self.pos += 1
+        return rows
 
     # -- complex literals ------------------------------------------------
     def complex(self) -> ChainComplex:
+        return ChainComplex(*self._complex_chains())
+
+    def _complex_chains(self) -> tuple[tuple, tuple]:
+        """The ranks and boundary matrices of a complex literal, checked
+        against the size caps; del del = 0 is left to ChainComplex."""
         t = self.expect("ident", "complex", what="complex")
         self.expect("sym", "{")
         cells: dict[int, int] = {}
@@ -310,12 +343,12 @@ class _Parser:
                 mats.append(IntMatrix(given, cols=cols))
             else:
                 mats.append(IntMatrix.zeros(rows, cols))
-        return ChainComplex(ranks, mats)
+        return tuple(ranks), tuple(mats)
 
     # -- space literals ----------------------------------------------------
     def space(self) -> _sp.SpaceDescription:
         if self.at("ident", "complex"):
-            return _sp.from_complex(self.complex())
+            return _sp.from_literal(*self._complex_chains())
         t = self.expect("ident", what="space builder")
         name = t.text
         self.expect("sym", "(")
@@ -418,7 +451,7 @@ class _Parser:
         if self.at("ident"):
             k = self._scalar_map("scalar map")
             return GroupHom.scalar(domain, codomain, k)
-        if self.at("sym", "["):
+        if self.at("matrix") or self.at("sym", "["):
             rows = self.matrix_rows()
             nc = len(codomain.cyclic_orders())
             nd = len(domain.cyclic_orders())
@@ -496,7 +529,9 @@ class _Parser:
                 self.accept("sym", "-")
                 self.expect("int", what="scalar")
             return
-        if self.at("sym", "["):
+        if self.accept("matrix"):
+            return
+        if self.at("sym", "["):   # a malformed matrix: match its brackets
             depth = 0
             while True:
                 t = self.next()

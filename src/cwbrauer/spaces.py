@@ -21,7 +21,9 @@ label.  A label determines its space and a space is never changed, so
 every request on the same space shares one object: its boundary
 matrices, the Smith diagonals they keep, and through them the cochain
 presentations chaincx memoizes.  A builder that refuses its arguments
-caches nothing.  The cache lives as long as the process.
+caches nothing.  `from_literal`, which the grammar calls for a
+`complex{...}` literal, looks a kept space up by its ranks and
+boundaries before a ChainComplex is built and checked.  The cache lives as long as the process.
 
 Chain-level code reads a finite or periodic space through its `chains`:
 the stored ChainComplex or PeriodicComplex itself, which answers
@@ -232,6 +234,18 @@ def lens_periodic(n: int) -> SpaceDescription:
 
 def from_complex(c: ChainComplex) -> SpaceDescription:
     return _built(("complex", (c,)), lambda: c)
+
+
+def from_literal(ranks: tuple, boundaries: tuple) -> SpaceDescription:
+    """from_complex(ChainComplex(ranks, boundaries)), except that a kept
+    space with these chains is returned before a complex is built, so a
+    literal is checked for del del = 0 once while its space is kept."""
+    for label, x in _built_spaces.items():
+        if (label[0] == "complex" and x.complex.ranks == ranks
+                and x.complex.boundaries == boundaries):
+            _built_spaces.move_to_end(label)
+            return x
+    return from_complex(ChainComplex(ranks, boundaries))
 
 
 def wedge(parts) -> SpaceDescription:

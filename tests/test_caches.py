@@ -54,8 +54,9 @@ def test_same_space_text_shares_one_space_and_its_work(monkeypatch, line):
     zero-shaped boundary on each call, whose elimination is empty."""
     first = parse_request(line).args[0]
     want = execute(parse_request(line))
+    built = _counting(monkeypatch, ChainComplex, "__init__")
     again = parse_request(line)
-    assert again.args[0] is first
+    assert again.args[0] is first and built == []
     eliminated = _counting(monkeypatch, intlin, "_smith_diagonal")
     presented = _counting(monkeypatch, chaincx.SubquotientPresentation,
                           "__init__")
@@ -91,9 +92,13 @@ def test_presentation_cache_stays_within_its_bound():
 
 
 def test_refusals_are_not_kept():
-    for _ in range(2):
-        code, report = run_json("homology sphere(0) 0")
-        assert code == EXIT_SEMANTIC, report
+    not_a_complex = ("homology complex{cells 0: 1; cells 1: 1; cells 2: 1; "
+                     "boundary 1: [[1]]; boundary 2: [[1]]} 1")
+    for line in ("homology sphere(0) 0", not_a_complex):
+        for _ in range(2):
+            code, report = run_json(line)
+            assert code == EXIT_SEMANTIC, report
+    assert "del_1 del_2 != 0" in report["error"]["message"]
     assert spaces._built_spaces == {}
     over_cap = "homology product(lens(2, 30), lens(2, 30)) 1"
     assert run_json("homology lens(2, 30) 1")[0] == EXIT_OK

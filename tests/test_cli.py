@@ -538,6 +538,36 @@ def test_batch_refuses_oversize_complexes_and_answers_the_other_lines():
     assert reports[4]["result"]["group"] == "Z/3"
 
 
+def _dense_rows(n_rows, n_cols):
+    return ", ".join("[" + ", ".join(str((7 * i + 3 * j) % 19 - 9)
+                                     for j in range(n_cols)) + "]"
+                     for i in range(n_rows))
+
+
+_CELLS = "complex{cells 0: 40; cells 1: 90; boundary 1: "
+_UNCLOSED = f"{_CELLS}[{_dense_rows(40, 90)}}}"
+_NESTED = f"{_CELLS}{'[' * 5000}}}"
+_ROW_COMMA = f"{_CELLS}[[{', '.join(['1'] * 20000)},]]}}"
+
+
+@pytest.mark.parametrize("space, message", [
+    (_UNCLOSED, f"expected ']', found '}}' (line 1, column {len(_UNCLOSED)})"),
+    (_NESTED, f"expected 'matrix entry', found '[' "
+              f"(line 1, column {len(_CELLS) + 3})"),
+    (_ROW_COMMA, f"expected 'matrix entry', found ']' "
+                 f"(line 1, column {len(_ROW_COMMA) - 2})"),
+], ids=["unclosed-12kb", "nested-5000", "row-20000-trailing-comma"])
+def test_long_malformed_matrices_fail_fast_with_their_position(space, message):
+    """Each reads almost like a matrix to its end; none may make the
+    tokenizer's matrix pattern backtrack for long."""
+    assert len(_UNCLOSED) > 12_000
+    t0 = time.perf_counter()
+    code, rep = run_json(f"homology {space} 1")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == EXIT_PARSE
+    assert rep["error"]["message"] == message
+
+
 def test_unit_pivots_answer_a_free_group_of_rank_511_quickly():
     # del_1 is the 1 x 511 zero matrix, so the cycles are a 511 x 511
     # identity: every pivot is 1 and no divisibility scan is needed
@@ -554,9 +584,11 @@ _HUGE = "9" * 5000
 @pytest.mark.parametrize("line", [f"homology sphere({_HUGE}) 1",
                                   f"homology moore3(6) {_HUGE}",
                                   f"homology telescope(Z, x{_HUGE}) 1",
-                                  f"homology telescope(Z, x -{_HUGE}) 1"],
+                                  f"homology telescope(Z, x -{_HUGE}) 1",
+                                  "homology complex{cells 0: 1; cells 1: 2;"
+                                  f" boundary 1: [[0, - {_HUGE}]]}} 1"],
                          ids=["dimension", "degree", "multiplier",
-                              "signed-multiplier"])
+                              "signed-multiplier", "matrix-entry"])
 def test_overlong_integer_literal_is_refused(line, capsys):
     code, rep = run_json(line)
     assert code == EXIT_UNSUPPORTED

@@ -10,17 +10,18 @@ import re
 from math import gcd
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from cwbrauer.abgroup import FgAbGroup, GroupHom
 from cwbrauer.chaincx import random_complex
 from cwbrauer.errors import ParseError, SemanticError, UnsupportedComputation
 from cwbrauer.grammar import (
-    MAX_SPACE_NESTING, _Parser, _tokenize, format_complex, format_descriptor, format_group, format_profile,
+    MAX_SPACE_NESTING, _Parser, _tokenize, format_complex, format_descriptor, format_group, format_matrix, format_profile,
     format_space, format_tower, parse_complex, parse_descriptor, parse_group,
     parse_profile, parse_space, parse_tower,
 )
+from cwbrauer.intlin import IntMatrix
 from cwbrauer.limits import Tower
 from cwbrauer.profiles import (OMEGA, AffineExpr, CyclicProfile,
                                ObstructionDescriptor, Rule)
@@ -314,10 +315,15 @@ def ref_tokenize(src):
     return out, None
 
 
+# Well-formed matrices, each one token for _tokenize: across lines and
+# tabs, with empty rows and with "-" apart from its digits.
+_MATRICES = ["[[1, -2], [30, 4]]", "[[]]", "[[ - 3 ]]", "[\n[1],\t[2]\n]",
+             "[[0],[-12] ,[ 7 ]]", "[ [], [5 ,6]\n,\n[] ]"]
+
 _PIECES = st.sampled_from(
     list("Zxi09 ") + ["12", "ab_c", "\n", "\t", "\r\n", "  ", "<=", ">=",
                       "^", "+", "/", "(", ")", "[", "]", "{", "}", ",", ";",
-                      ":", "=", "<", ">", "-"])
+                      ":", "=", "<", ">", "-"] + _MATRICES)
 
 
 @st.composite
@@ -331,14 +337,39 @@ def _token_text(draw):
     return src
 
 
+def _end_of(t):
+    """(line, column) just past the text of token t."""
+    if "\n" not in t.text:
+        return t.line, t.col + len(t.text)
+    return t.line + t.text.count("\n"), len(t.text) - t.text.rfind("\n")
+
+
 @seed(20261020)
 @settings(max_examples=500, deadline=None, database=None)
 @given(_token_text())
+@example("boundary 1: [[1, -2],\n [ - 3, 4]]; x [[]]\t[ [5] ] ]")
 def test_tokenizer_matches_per_token_reference(src):
+    """Plain tokens equal the reference's.  A matrix token starts where
+    the reference's "[" does and covers exactly the reference tokens of
+    its span, and every later token keeps its position."""
     want, bad = ref_tokenize(src)
     if bad is None:
-        got = [tuple(t) for t in _tokenize(src)]
-        assert got == want
+        j = 0
+        for t in _tokenize(src):
+            if t.kind != "matrix":
+                assert tuple(t) == want[j]
+                j += 1
+                continue
+            assert want[j] == ("sym", "[", t.line, t.col)
+            end = _end_of(t)
+            span = []
+            while want[j][2:] < end:
+                span.append(want[j])
+                j += 1
+            assert {kind for kind, _, _, _ in span} <= {"sym", "int"}
+            assert "".join(text for _, text, _, _ in span) \
+                == "".join(t.text.split())
+        assert j == len(want)
         return
     with pytest.raises(ParseError) as e:
         _tokenize(src)
@@ -346,6 +377,131 @@ def test_tokenizer_matches_per_token_reference(src):
     assert (e.value.line, e.value.column) == (line, col)
     assert str(e.value) == (f"unexpected character {ch!r} "
                             f"(line {line}, column {col})")
+
+
+def test_a_dense_complex_literal_is_a_few_tokens():
+    """A literal the size of the benchmark's dense ones: over 12 KB and
+    4000 tokens when every bracket, comma, sign and digit run is one."""
+    rng = random.Random(10)
+
+    def dense():
+        return format_matrix(IntMatrix(
+            [[rng.randint(-999, 999) for _ in range(28)] for _ in range(28)]))
+    text = ("complex { " + "; ".join(
+        [f"cells {n}: 28" for n in range(4)]
+        + [f"boundary {n}: {dense()}" for n in (1, 2, 3)]) + " }")
+    assert len(text) > 12_000 and len(ref_tokenize(text)[0]) > 4000
+    assert len(_tokenize(text)) < 100
+
+
+def ref_matrix_rows(src):
+    """_Parser.matrix_rows read one reference token at a time, raising
+    what the parser raises, with the same message and position."""
+    toks, bad = ref_tokenize(src)
+    if bad is not None:
+        ch, line, col = bad
+        raise ParseError(f"unexpected character {ch!r}", line=line, column=col)
+    i = 0
+
+    def at(text):
+        return toks[i][:2] == ("sym", text)
+
+    def expect(kind, text, what):
+        nonlocal i
+        k, t, line, col = toks[i]
+        if k == kind and (text is None or t == text):
+            i += 1
+            return toks[i - 1]
+        got = t if k != "eof" else "end of input"
+        raise ParseError(f"expected {what!r}, found {got!r}",
+                         line=line, column=col)
+
+    def entry():
+        nonlocal i
+        neg = at("-")
+        i += neg
+        _, digits, line, col = expect("int", None, "matrix entry")
+        try:
+            x = int(digits)
+        except ValueError:
+            raise UnsupportedComputation(
+                f"integer literal of {len(digits)} digits is too long "
+                f"(line {line}, column {col})") from None
+        return -x if neg else x
+
+    expect("sym", "[", "[")
+    rows = []
+    if not at("]"):
+        while True:
+            expect("sym", "[", "[")
+            row = []
+            if not at("]"):
+                row.append(entry())
+                while at(","):
+                    i += 1
+                    row.append(entry())
+            rows.append(row)
+            expect("sym", "]", "]")
+            if not at(","):
+                break
+            i += 1
+    expect("sym", "]", "]")
+    if len({len(r) for r in rows}) > 1:
+        raise SemanticError("matrix rows have differing lengths")
+    return rows
+
+
+def _outcome(read, src):
+    try:
+        return read(src)
+    except (ParseError, SemanticError, UnsupportedComputation) as e:
+        return (type(e).__name__, str(e), getattr(e, "line", None),
+                getattr(e, "column", None))
+
+
+_BLANKS = st.sampled_from(["", "", " ", "  ", "\t", "\n", " \n\t "])
+
+
+@st.composite
+def _matrix_text(draw):
+    """Matrix text with blanks, tabs and newlines between its pieces,
+    "- 3" for -3, empty and ragged rows, now and then an entry too long
+    for int(); half the time one character is replaced, put in or cut."""
+    width = draw(st.integers(0, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = width if draw(st.integers(0, 5)) else draw(st.integers(0, 4))
+        row = []
+        for _ in range(n):
+            x = draw(st.sampled_from(["0", "7", "42", "4" * 4400])) \
+                if draw(st.integers(0, 40)) == 0 \
+                else str(draw(st.integers(0, 99)))
+            if draw(st.booleans()):
+                x = "-" + draw(_BLANKS) + x
+            row.append(x)
+        rows.append("[" + draw(_BLANKS) + ("," + draw(_BLANKS)).join(
+            x + draw(_BLANKS) for x in row) + "]")
+    src = ("[" + draw(_BLANKS)
+           + ("," + draw(_BLANKS)).join(r + draw(_BLANKS) for r in rows)
+           + "]" + draw(st.sampled_from(["", " x", "\n]"])))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(src) - 1))
+        ch = draw(st.sampled_from(list("[],- x1\n$")))
+        cut = draw(st.integers(0, 2))
+        src = src[:at] + (ch if cut < 2 else "") + src[at + (cut > 0):]
+    return src
+
+
+@seed(20261018)
+@settings(max_examples=800, deadline=None, database=None)
+@given(_matrix_text())
+@example("[[1, -2],\n [ - 3, 4]]")
+@example("[\t[1, - 2], [3]\n]")
+@example("[[1], [-" + "4" * 4400 + "]]")
+@example("[[[1], [2]], [3]]")
+def test_matrix_rows_match_a_token_by_token_reference(src):
+    assert _outcome(lambda s: _Parser(s).matrix_rows(), src) \
+        == _outcome(ref_matrix_rows, src)
 
 
 def test_matrix_rows_reads_entries_and_keeps_error_positions():
