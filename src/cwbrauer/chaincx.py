@@ -2,16 +2,18 @@
 
 A complex stores one rank per degree 0..top and the boundary matrices
 del_n : C_n -> C_{n-1}; del del = 0 is enforced at construction.
-Homology reads only the Smith diagonals of two boundaries
-(`smith_invariants`, no transforms).  Cohomology is computed exactly on
-the cochain complex through a `SubquotientPresentation`, a second route
-that `uct_decompose` checks the homology side against.
+Homology and cohomology, with Z or Z/m coefficients, read only the
+Smith diagonals of two boundaries (`smith_invariants`, no transforms);
+cohomology by universal coefficients.
 
-Cohomology with Z/m coefficients is computed directly on the mod-m
-cochain complex (not through universal coefficients): the mod-m cocycle
-lattice L = {x : d x = 0 mod m} is the projection of the integer kernel
-of [d | mI], and H^n = L / (im d + m Z^{r_n}).  Keeping the computation
-at the cochain level is what lets `bockstein` return an explicit map on
+A cochain presentation (`SubquotientPresentation`, built on transform
+SNFs) is built only where its generators are needed: as the second
+route that `uct_decompose` checks the universal-coefficient split
+against, and for `bockstein`.  With Z/m coefficients it is computed
+directly on the mod-m cochain complex: the mod-m cocycle lattice
+L = {x : d x = 0 mod m} is the projection of the integer kernel of
+[d | mI], and H^n = L / (im d + m Z^{r_n}).  Keeping the computation at
+the cochain level is what lets `bockstein` return an explicit map on
 canonical generators.
 
 `homology`, `cohomology`, `uct_decompose` and `bockstein` read a complex
@@ -34,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
+from math import gcd
 from random import Random
 
 from .abgroup import FgAbGroup, GroupHom
@@ -190,10 +193,10 @@ def _free_rank(c, n: int, d_in, d_out) -> int:
     return c.rank(n) - sum(1 for d in d_in if d) - sum(1 for d in d_out if d)
 
 
-# Entries of the _presented LRU.  On sessions of cohomology, uct and
-# bockstein requests around one degree of one space (perfbench's
-# chain_heavy), the share of lookups that hit stops rising at six.
-MAX_CACHED_PRESENTATIONS = 6
+# Entries of the _presented LRU.  On sessions of uct and bockstein
+# requests around one degree of one space (perfbench's chain_heavy), the
+# share of lookups that hit stops rising at four.
+MAX_CACHED_PRESENTATIONS = 4
 
 
 def _cochain_presentation(c, n: int, modulus: int | None
@@ -223,12 +226,24 @@ def _presented(bnd_n: IntMatrix, bnd_next: IntMatrix, modulus: int | None
 
 
 def cohomology(c, n: int, modulus: int | None = None) -> FgAbGroup:
-    """H^n(c; Z) or H^n(c; Z/modulus), computed on the dual complex."""
+    """H^n(c; Z) or H^n(c; Z/modulus) from the Smith diagonals a of del_n
+    and b of del_{n+1}, by universal coefficients.
+
+    With f the rank of H_n, H^n(c; Z) = Z^f + (the factors >= 2 of a),
+    and H^n(c; Z/m) = Hom(H_n, Z/m) + Ext^1(H_{n-1}, Z/m) =
+    (Z/m)^f + Z/gcd(b_i, m) + Z/gcd(a_i, m) over the factors >= 2.
+    """
     if modulus is not None and modulus < 2:
         raise SemanticError("coefficient modulus must be >= 2")
     if n < 0:
         return FgAbGroup.trivial()
-    return _cochain_presentation(c, n, modulus).group
+    d_in = smith_invariants(c.boundary(n))
+    d_out = smith_invariants(c.boundary(n + 1))
+    free = _free_rank(c, n, d_in, d_out)
+    if modulus is None:
+        return FgAbGroup(free, tuple(d for d in d_in if d >= 2))
+    return FgAbGroup.from_cyclic_orders(
+        [modulus] * free + [gcd(d, modulus) for d in d_out + d_in if d >= 2])
 
 
 @dataclass(frozen=True)
@@ -248,19 +263,21 @@ class UctDecomposition:
 
 
 def uct_decompose(c, n: int) -> UctDecomposition:
-    """Split H^n(c; Z) via universal coefficients and check it against the
-    directly computed cohomology.
+    """Split H^n(c; Z) via universal coefficients and check it against
+    H^n computed on the cochain complex.
 
     Ext^1(H_{n-1}, Z) is the torsion of H_{n-1}, which is the torsion of
     coker del_n: the invariant factors >= 2 of del_n.  Hom(H_n, Z) is free
     of the rank of H_n.  So the split reads the Smith diagonals of del_n
-    and del_{n+1}, once each.
+    and del_{n+1}, once each.  The total is the group of the cochain
+    presentation (transform SNF, no Smith diagonal), so the check
+    compares two independent routes.
     """
     d_in = smith_invariants(c.boundary(n))
     d_out = smith_invariants(c.boundary(n + 1))
     ext_part = FgAbGroup(0, tuple(d for d in d_in if d >= 2))
     hom_part = FgAbGroup(_free_rank(c, n, d_in, d_out))
-    total = cohomology(c, n)
+    total = _cochain_presentation(c, n, None).group
     return UctDecomposition(degree=n, ext_part=ext_part,
                             hom_part=hom_part, total=total)
 

@@ -8,9 +8,9 @@ is the only one that relies on that layout.
 There are two elimination routines, and transforms are computed only on
 demand.  `smith_invariants` returns the diagonal of the Smith normal
 form alone, a divisibility chain d1 | d2 | ... | dk followed by zeros;
-homology, cokernels and traced diagonals read nothing else.  A matrix
-keeps its diagonal once computed, so a later reader of the same object,
-such as a `--trace` line, does not eliminate it again.
+homology, cohomology, cokernels and traced diagonals read nothing
+else.  A matrix keeps its diagonal once computed, so a later reader of
+the same object, such as a `--trace` line, does not eliminate it again.
 `smith_normal_form` also returns the transform pair (U, V) with
 U @ A @ V = S, U and V unimodular: kernels, integral solutions (for any
 number of right-hand sides) and unimodular inverses all come from one
@@ -236,21 +236,28 @@ def smith_normal_form(a: IntMatrix | list) -> SmithForm:
         S[i] = [x - q * y for x, y in zip(S[i], S[k])]
         U[i] = [x - q * y for x, y in zip(U[i], U[k])]
 
+    # the column operations and both swaps skip what would change
+    # nothing: q == 0, a zero in column k, a swap of a line with itself
     def col_op(j, k, q):  # col j -= q * col k   (on S and V)
-        for r in range(rows):
-            S[r][j] -= q * S[r][k]
-        for r in range(cols):
-            V[r][j] -= q * V[r][k]
+        if q:
+            for r in S:
+                if r[k]:
+                    r[j] -= q * r[k]
+            for r in V:
+                if r[k]:
+                    r[j] -= q * r[k]
 
     def swap_rows(i, k):
-        S[i], S[k] = S[k], S[i]
-        U[i], U[k] = U[k], U[i]
+        if i != k:
+            S[i], S[k] = S[k], S[i]
+            U[i], U[k] = U[k], U[i]
 
     def swap_cols(j, k):
-        for r in range(rows):
-            S[r][j], S[r][k] = S[r][k], S[r][j]
-        for r in range(cols):
-            V[r][j], V[r][k] = V[r][k], V[r][j]
+        if j != k:
+            for r in S:
+                r[j], r[k] = r[k], r[j]
+            for r in V:
+                r[j], r[k] = r[k], r[j]
 
     t = 0
     limit = min(rows, cols)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from cwbrauer import chaincx, intlin, spaces
-from cwbrauer.chaincx import ChainComplex, cohomology
+from cwbrauer.chaincx import ChainComplex, bockstein, uct_decompose
 from cwbrauer.cli import (EXIT_OK, EXIT_PARSE, EXIT_SEMANTIC,
                           EXIT_UNSUPPORTED, execute, parse_request, run_batch,
                           run_line)
@@ -83,9 +83,11 @@ def test_spaces_are_evicted_least_recently_used_first():
 
 
 def test_presentation_cache_stays_within_its_bound():
+    """Each Bockstein reads the presentations of H^1(; Z/m) and H^2."""
     per = spaces.lens_periodic(3).chains
     for m in range(2, 24):
-        assert str(cohomology(per, 1, m)) == ("Z/3" if m % 3 == 0 else "0")
+        assert str(bockstein(per, 1, m).domain) == (
+            "Z/3" if m % 3 == 0 else "0")
         info = chaincx._presented.cache_info()
         assert info.currsize <= chaincx.MAX_CACHED_PRESENTATIONS
     assert info.currsize == chaincx.MAX_CACHED_PRESENTATIONS == info.maxsize
@@ -112,14 +114,14 @@ def test_refusals_are_not_kept():
 def test_presentations_are_keyed_by_modulus():
     for order in ((2, 4), (4, 2)):
         for m in order:
-            _, report = run_json(f"cohomology lens(4, 5) 2 mod {m}")
-            assert report["result_text"] == f"H^2(; Z/{m}) = Z/{m}"
+            _, report = run_json(f"bockstein lens(4, 5) 2 mod {m}")
+            assert report["result"]["domain"] == f"Z/{m}"
 
 
 def test_periodic_degrees_a_period_apart_share_one_presentation():
     for n in (4, 6, 1000):
-        _, report = run_json(f"cohomology lens_periodic(6) {n}")
-        assert report["result_text"] == f"H^{n} = Z/6"
+        _, report = run_json(f"uct lens_periodic(6) {n}")
+        assert report["result"]["total"] == "Z/6"
     info = chaincx._presented.cache_info()
     assert (info.currsize, info.hits, info.misses) == (1, 2, 1)
 
@@ -128,22 +130,27 @@ def test_equal_complexes_built_apart_share_one_presentation():
     def build():
         return ChainComplex([1, 2, 1], [[[0, 0]], [[3], [-3]]])
     assert build() is not build()
-    assert str(cohomology(build(), 2)) == str(cohomology(build(), 2)) == "Z/3"
+    assert (str(uct_decompose(build(), 2).total)
+            == str(uct_decompose(build(), 2).total) == "Z/3")
     info = chaincx._presented.cache_info()
     assert (info.currsize, info.hits) == (1, 1)
 
 
 def test_finite_complex_above_its_top_gives_the_trivial_group():
     """lens(4, 5) has top degree 5.  Above it the boundaries are
-    zero-shaped, and each degree and modulus keeps its own entry."""
+    zero-shaped, and each degree and modulus keeps its own entry.  uct
+    reads H^n, and bockstein reads H^n(; Z/2) and H^{n+1}.  So uct finds
+    the entries of H^6 and H^7 that bockstein made, and H^8 hits the
+    entry of H^7: both read two 0 x 0 boundaries.  No other lookup
+    hits."""
     want = {5: ("Z", "Z/2"), 6: ("0", "0"), 7: ("0", "0")}
     for n, (integral, mod2) in want.items():
-        _, report = run_json(f"cohomology lens(4, 5) {n}")
-        assert report["result_text"] == f"H^{n} = {integral}"
-        _, report = run_json(f"cohomology lens(4, 5) {n} mod 2")
-        assert report["result_text"] == f"H^{n}(; Z/2) = {mod2}"
+        _, report = run_json(f"uct lens(4, 5) {n}")
+        assert report["result"]["total"] == integral
+        _, report = run_json(f"bockstein lens(4, 5) {n} mod 2")
+        assert report["result"]["domain"] == mod2
     info = chaincx._presented.cache_info()
-    assert (info.hits, info.misses) == (0, 6)
+    assert (info.hits, info.misses) == (3, 6)
 
 
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])

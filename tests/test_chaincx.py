@@ -195,6 +195,20 @@ def test_mod_m_cohomology_against_coefficient_splitting():
                 assert cohomology(c, n, m) == want, (c.ranks, n, m)
 
 
+def test_cohomology_equals_the_cochain_presentation():
+    """The group read off the Smith diagonals of del_n and del_{n+1}
+    equals the group of the cochain presentation (kernels, solves and a
+    transform SNF; no Smith diagonal), with Z and Z/m coefficients, from
+    degree 0 to one above the top."""
+    rng = random.Random(20261021)
+    for _ in range(300):
+        c = random_complex(rng)
+        for n in range(c.top_degree + 2):
+            for m in (None, 2, 3, 4, 6, 12):
+                want = chaincx._cochain_presentation(c, n, m).group
+                assert cohomology(c, n, m) == want, (c.ranks, n, m)
+
+
 def test_cohomology_rejects_bad_modulus():
     c = moore_complex(2)
     with pytest.raises(SemanticError):

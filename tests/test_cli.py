@@ -4,10 +4,11 @@ contract, batch mode, JSON determinism, and the reproduce suite."""
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,11 @@ from cwbrauer.cli import (
     EXIT_SEMANTIC, EXIT_UNSUPPORTED, execute, main, parse_request, run_batch,
     run_line,
 )
-from cwbrauer.grammar import MAX_COMPLEX_CELLS, MAX_COMPLEX_DEGREE
+from cwbrauer.grammar import (MAX_COMPLEX_CELLS, MAX_COMPLEX_DEGREE,
+                              parse_group)
+from cwbrauer.intlin import IntMatrix
+
+from _oracles import rank_mod_p
 
 
 def run(line, as_json=False, trace=False):
@@ -381,6 +386,43 @@ def test_traced_requests_eliminate_each_boundary_once(monkeypatch, space,
         assert runs[0] == runs[1], line
 
 
+@pytest.mark.parametrize("space,degrees", [
+    ("complex{cells 0: 2; cells 1: 2; cells 2: 1; boundary 1: [[2, -4], "
+     "[3, -6]]; boundary 2: [[2], [1]]}", (1, 1)),
+    ("product(lens(4, 3), lens(6, 3))", (2, 3)),
+], ids=["literal", "product"])
+def test_traced_cohomology_reads_only_two_diagonals(monkeypatch, space,
+                                                    degrees, cold_caches):
+    """cohomology prints a group, so it reads the Smith diagonals of del_n
+    and del_{n+1}: no transform SNF, no cochain presentation, and the
+    trace prints the two diagonals the answer computed, each eliminated
+    once."""
+    def refuse(*args):
+        raise AssertionError("transform SNF or presentation built")
+
+    for mod in (intlin, chaincx):
+        monkeypatch.setattr(mod, "smith_normal_form", refuse)
+    monkeypatch.setattr(chaincx.SubquotientPresentation, "__init__", refuse)
+    eliminated = _recording(monkeypatch, intlin, "_smith_diagonal")
+    for n, coefficients in zip(degrees, ("", " mod 4")):
+        line = f"cohomology {space} {n}{coefficients}"
+        runs = []
+        for trace in (False, True):
+            cold_caches()
+            eliminated.clear()
+            code, report = run_json(line, trace=trace)
+            assert code == EXIT_OK, report
+            chains = parse_request(line).args[0].chains  # the kept space
+            assert [id(a) for a in eliminated] == [
+                id(chains.boundary(n)), id(chains.boundary(n + 1))], line
+            runs.append(report["result_text"])
+        assert report["trace"] == [
+            f"SNF diagonal of boundary_{d}: "
+            f"{list(intlin.smith_invariants(chains.boundary(d)))}"
+            for d in (n, n + 1)]
+        assert runs[0] == runs[1], line
+
+
 def test_traced_bockstein_eliminates_a_repeated_block_once(monkeypatch):
     """In lens_periodic(4), del_5 is the block matrix del_3, so the three
     trace lines of a degree-3 Bockstein take two eliminations."""
@@ -576,6 +618,33 @@ def test_unit_pivots_answer_a_free_group_of_rank_511_quickly():
     assert time.perf_counter() - t0 < 1.5
     assert code == EXIT_OK
     assert rep["result"]["group"] == "Z^511"
+
+
+def test_cohomology_of_a_dense_80_by_80_literal_answers_quickly():
+    """The cochain presentation of this boundary grows U and V entries of
+    tens of thousands of bits; cohomology reads Smith diagonals instead.
+    H^2 = Z^80 / im del_2^T is finite of order |det del_2| (Bareiss, an
+    independent route), and H^2(; Z/4) has one cyclic summand for each
+    invariant factor that 2 divides: 80 - rank of del_2 mod 2 of them."""
+    rng = random.Random(84)
+    rows = [[rng.randint(-9, 9) for _ in range(80)] for _ in range(80)]
+    space = ("complex{cells 0: 0; cells 1: 80; cells 2: 80; "
+             f"boundary 2: {rows}}}")
+    det = intlin.determinant(IntMatrix(rows))
+    assert det != 0
+    groups = []
+    for line in (f"cohomology {space} 2", f"cohomology {space} 2 mod 4"):
+        t0 = time.perf_counter()
+        code, rep = run_json(line)
+        assert time.perf_counter() - t0 < 2, line
+        assert code == EXIT_OK, rep
+        groups.append(parse_group(rep["result"]["group"]))
+    integral, mod4 = groups
+    assert integral.free_rank == 0
+    assert prod(integral.invariant_factors) == abs(det)
+    assert mod4.free_rank == 0 and all(
+        d in (2, 4) for d in mod4.invariant_factors)
+    assert len(mod4.invariant_factors) == 80 - rank_mod_p(rows, 2)
 
 
 _HUGE = "9" * 5000

@@ -20,7 +20,9 @@ from _oracles import (
     cokernel_order_oracle, det_oracle, determinantal_divisor_oracle,
     hermite_columns, lattice_membership, rank_oracle, smith_diag_oracle,
 )
-from cwbrauer import intlin
+from _snf_reference import reference_smith_normal_form
+from cwbrauer import chaincx, intlin
+from cwbrauer.grammar import parse_space
 from cwbrauer.intlin import (
     IntMatrix, determinant, kernel_basis, cokernel_structure,
     smith_invariants, smith_normal_form, solve_integral, unimodular_inverse,
@@ -126,6 +128,45 @@ def test_smith_first_invariant_is_gcd_of_entries():
                 g = gcd(g, x)
         diag = smith_normal_form(IntMatrix(rows)).diagonal
         assert diag[0] == g  # g = 0 exactly for the zero matrix
+
+
+def _chain_heavy_shaped(rng):
+    """Boundaries as the benchmark's chain_heavy workload meets them: dense
+    kernel-built complexes of ranks up to 12 and sparse boundaries of
+    products of lens and Moore spaces."""
+    for _ in range(120):
+        c = chaincx.random_complex(rng, max_top=4, max_rank=12)
+        yield from c.boundaries
+    for text in ("product(lens(4, 3), lens(6, 3))",
+                 "product(lens(5, 4), moore3(6))",
+                 "product(lens(3, 3), product(moore3(4), lens(2, 2)))"):
+        yield from parse_space(text).chains.boundaries
+
+
+def test_transform_snf_matches_its_frozen_reference():
+    """Skipping no-op column operations and swaps keeps U, S and V, not just
+    the diagonal: the Bockstein matrix is printed in the generators U
+    picks.  Compared with `_snf_reference`, a copy of the routine from
+    before the skips, on seeded dense and sparse matrices, chain_heavy
+    boundaries, their transposes (the cochain maps) and the [d | mI]
+    matrices of mod-m cocycles."""
+    rng = random.Random(20261018)
+    inputs = [IntMatrix(random_matrix(rng)) for _ in range(1000)]
+    inputs += [IntMatrix([[x if rng.random() < 0.3 else 0 for x in row]
+                          for row in random_matrix(rng)])
+               for _ in range(1000)]
+    inputs += [IntMatrix([], cols=3), IntMatrix([[]] * 2, cols=0)]
+    for b in _chain_heavy_shaped(rng):
+        d = b.transpose()
+        inputs += [b, d]
+        inputs += [d.hstack(IntMatrix.diagonal([m] * d.rows))
+                   for m in (2, 3, 4, 6)]
+    for a in inputs:
+        sf = smith_normal_form(a)
+        u, s, v, diag = reference_smith_normal_form(a.to_lists(), a.cols)
+        assert (sf.u.to_lists(), sf.s.to_lists(), sf.v.to_lists()) == (
+            u, s, v), a
+        assert list(sf.diagonal) == diag, a
 
 
 _inv_entries = st.one_of(st.integers(-1, 1), st.integers(-9, 9),

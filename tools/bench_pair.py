@@ -19,6 +19,9 @@ At the end, for every end-to-end metric of BENCHMARK.json and every
 workload, it prints each side's median and quartiles, the relative
 change of the median, the parent's quartile distance relative to its
 median, and how many pairs the change won (ties count for neither).
+Then, for every per-layer metric (from the traced run) and every
+workload, each side's median and the relative change, which shows in
+which layer a change of the end-to-end figures sits.
 """
 
 from __future__ import annotations
@@ -66,8 +69,13 @@ def _run(side_dir: Path, seed: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _relative(change: float, parent: float) -> str:
+    return f"{change / parent - 1:+7.1%}" if parent else f"{'-':>7}"
+
+
 def summarize(record: dict) -> None:
-    """Per workload and end-to-end metric: medians, quartiles, pairs won."""
+    """Per workload and end-to-end metric: medians, quartiles, pairs won.
+    Per workload and per-layer metric: each side's median."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = {(r["side"], r["seed"]): r["result"] for r in record["runs"]}
     seeds = sorted(s for side, s in runs if side == "change"
@@ -95,6 +103,16 @@ def summarize(record: dict) -> None:
                   + f" {q['change'][1] / med_p - 1:+7.1%}"
                   f" {(q['parent'][2] - q['parent'][0]) / med_p:6.1%}"
                   f" {metric['bound']:5.0%} {won}/{len(seeds)}")
+    print(f"{'per-layer metric (traced run)':44} {'parent med':>12}"
+          f" {'change med':>12} {'change':>7}")
+    for workload in spec["workloads"]:
+        for metric in spec["per_layer"]:
+            key = f"{workload['name']}.{metric['name']}"
+            med = {side: statistics.median(runs[side, s]["metrics"][key]
+                                           ["value"] for s in seeds)
+                   for side in ("parent", "change")}
+            print(f"{key:44} {med['parent']:12.4g} {med['change']:12.4g}"
+                  f" {_relative(med['change'], med['parent'])}")
 
 
 def main(argv=None) -> int:
