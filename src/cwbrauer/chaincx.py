@@ -14,7 +14,10 @@ directly on the mod-m cochain complex: the mod-m cocycle lattice
 L = {x : d x = 0 mod m} is the projection of the integer kernel of
 [d | mI], and H^n = L / (im d + m Z^{r_n}).  Keeping the computation at
 the cochain level is what lets `bockstein` return an explicit map on
-canonical generators.
+canonical generators.  Every right-hand side of a presentation is
+solved in matrix form: all sub columns in one `SmithForm.solve_columns`,
+and `bockstein` lifts all generators of its domain with one product and
+asks its codomain for all their coordinates in one call.
 
 `homology`, `cohomology`, `uct_decompose` and `bockstein` read a complex
 only through rank(n) and boundary(n), so they take a ChainComplex or a
@@ -124,7 +127,8 @@ class SubquotientPresentation:
     quotient is presented as Z^g / (relations among gens + sub expressed in
     gens), put in Smith form, and the canonical generators are tracked back
     to actual ambient vectors so that explicit cocycle representatives and
-    coordinates of arbitrary lattice vectors are available.
+    coordinates of arbitrary lattice vectors are available.  The sub
+    columns are expressed in gens by one solve for all of them.
     """
 
     def __init__(self, gens: IntMatrix, sub: IntMatrix):
@@ -134,16 +138,10 @@ class SubquotientPresentation:
         self.gens = gens
         self._gens_sf = smith_normal_form(gens)
         g = gens.cols
-        rel = self._gens_sf.kernel()
-        ycols = []
-        for j in range(sub.cols):
-            y = self._gens_sf.solve(sub.col_tuple(j))
-            if y is None:
-                raise SemanticError("subgroup generator outside the lattice")
-            ycols.append(y)
-        self.relations = IntMatrix(
-            [rel.row_tuple(i) + tuple(y[i] for y in ycols) for i in range(g)],
-            cols=rel.cols + len(ycols))
+        y = self._gens_sf.solve_columns(sub)
+        if y is None:
+            raise SemanticError("subgroup generator outside the lattice")
+        self.relations = self._gens_sf.kernel().hstack(y)
         sf = smith_normal_form(self.relations)
         self._u = sf.u
         self._diag = sf.diagonal + (0,) * (g - len(sf.diagonal))
@@ -155,22 +153,32 @@ class SubquotientPresentation:
             free_rank=len(free_idx),
             invariant_factors=tuple(self._diag[i] for i in torsion_idx))
 
-    def generator_vectors(self) -> list[tuple[int, ...]]:
-        """Ambient representatives of the canonical generators."""
+    def generator_matrix(self) -> IntMatrix:
+        """Ambient representatives of the canonical generators, as the
+        columns of an ambient_dim x (number of generators) matrix."""
         uinv = unimodular_inverse(self._u)
-        return [self.gens @ uinv.col_tuple(i) for i in self._gen_index]
+        return self.gens @ uinv.submatrix(range(uinv.rows), self._gen_index)
 
     def coordinates(self, vec) -> tuple[int, ...]:
-        """Class of an ambient vector (must lie in span(gens))."""
-        y = self._gens_sf.solve(vec)
+        """Class of an ambient vector (must lie in span(gens)): the
+        one-column case of `column_coordinates`."""
+        return self.column_coordinates(IntMatrix.column(vec)).col_tuple(0)
+
+    def column_coordinates(self, vecs: IntMatrix) -> IntMatrix:
+        """Classes of the columns of vecs (each must lie in span(gens)),
+        as the columns of a (number of generators) x vecs.cols matrix:
+        one solve for all columns, then one product with the rows of U
+        that belong to generators, each reduced mod its order."""
+        y = self._gens_sf.solve_columns(vecs)
         if y is None:
             raise SemanticError("vector is not in the presented lattice")
-        w = self._u @ list(y)
+        w = self._u.submatrix(self._gen_index, range(self._u.cols)) @ y
         coords = []
-        for i in self._gen_index:
+        for k, i in enumerate(self._gen_index):
             d = self._diag[i]
-            coords.append(w[i] % d if d else w[i])
-        return tuple(coords)
+            row = w.row_tuple(k)
+            coords.append([x % d for x in row] if d else row)
+        return IntMatrix(coords, cols=vecs.cols)
 
 
 def homology(c, n: int) -> FgAbGroup:
@@ -286,26 +294,22 @@ def bockstein(c, n: int, m: int) -> GroupHom:
     """The integral Bockstein beta : H^n(c; Z/m) -> H^{n+1}(c; Z).
 
     Computed at the cochain level: lift a mod-m cocycle to an integer
-    cochain x, then beta[x] = [d x / m].  The returned GroupHom acts on
-    the canonical generators of both groups.
+    cochain x, then beta[x] = [d x / m].  All generators of the domain
+    are lifted together (one product d X, one divisibility check) and
+    their coordinates in H^{n+1} are read in one call.  The returned
+    GroupHom acts on the canonical generators of both groups.
     """
     if m < 2:
         raise SemanticError("Bockstein modulus must be >= 2")
     dom = _cochain_presentation(c, n, m)
     cod = _cochain_presentation(c, n + 1, None)
     d_out = c.boundary(n + 1).transpose()
-    cols = []
-    for x in dom.generator_vectors():
-        u = d_out @ list(x)
-        lifted = []
-        for entry in u:
-            if entry % m != 0:
-                raise SemanticError("generator is not a mod-m cocycle")
-            lifted.append(entry // m)
-        cols.append(cod.coordinates(lifted))
-    rows = len(cod.group.cyclic_orders())
-    a = [[col[i] for col in cols] for i in range(rows)]
-    return GroupHom(dom.group, cod.group, IntMatrix(a, cols=len(cols)))
+    gens = dom.generator_matrix()
+    u = (d_out @ gens).to_lists()
+    if any(x % m for row in u for x in row):
+        raise SemanticError("generator is not a mod-m cocycle")
+    lifted = IntMatrix([[x // m for x in row] for row in u], cols=gens.cols)
+    return GroupHom(dom.group, cod.group, cod.column_coordinates(lifted))
 
 
 def tensor_complexes(c: ChainComplex, d: ChainComplex) -> ChainComplex:

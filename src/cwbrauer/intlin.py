@@ -12,9 +12,13 @@ homology, cohomology, cokernels and traced diagonals read nothing
 else.  A matrix keeps its diagonal once computed, so a later reader of
 the same object, such as a `--trace` line, does not eliminate it again.
 `smith_normal_form` also returns the transform pair (U, V) with
-U @ A @ V = S, U and V unimodular: kernels, integral solutions (for any
-number of right-hand sides) and unimodular inverses all come from one
-`SmithForm`.  Bareiss `determinant` is an independent reference.
+U @ A @ V = S, U and V unimodular: kernels, integral solutions and
+unimodular inverses all come from one `SmithForm`.  Its one solve path,
+`SmithForm.solve_columns`, takes all right-hand sides of a system as the
+columns of one matrix B: one product C = U @ B, one divisibility check
+per row of C against the diagonal, one product X = V @ Y.  The vector
+`solve` is its one-column case.  Bareiss `determinant` is an independent
+reference.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ class IntMatrix:
 
     @classmethod
     def column(cls, entries) -> "IntMatrix":
-        return cls([[int(x)] for x in entries])
+        return cls([[int(x)] for x in entries], cols=1)
 
     @classmethod
     def diagonal(cls, entries) -> "IntMatrix":
@@ -185,18 +189,41 @@ class SmithForm:
         return self.v.submatrix(range(cols), range(self.rank, cols))
 
     def solve(self, b) -> tuple[int, ...] | None:
-        """Some integer solution x of a @ x = b, or None when none exists."""
+        """Some integer solution x of a @ x = b, or None when none exists:
+        the one-column case of `solve_columns`."""
+        x = self.solve_columns(IntMatrix._of(tuple((int(e),) for e in b), 1))
+        return None if x is None else x.col_tuple(0)
+
+    def solve_columns(self, b: IntMatrix) -> IntMatrix | None:
+        """Some integer X with a @ X = b, or None when a column of b has
+        no integer solution.
+
+        a = U^-1 S V^-1, so a @ X = b is S Y = C with C = U @ b and
+        X = V @ Y: one product each way.  Row i of C must be divisible by
+        the i-th diagonal entry (zero where that entry is zero), and row i
+        of Y is row i of C divided by it; the rows of Y past the rank are
+        zero, so only the first rank columns of V enter X.
+        """
         rows, cols = self.u.rows, self.v.rows
-        b = [int(x) for x in b]
-        if len(b) != rows:
+        if b.rows != rows:
             raise SemanticError(
-                f"solve_integral: got {len(b)} entries for {rows} equations")
-        c = self.u @ b
-        diag = self.diagonal + (0,) * (rows - len(self.diagonal))
-        if any(x % d if d else x for x, d in zip(c, diag)):
-            return None
-        y = [x // d for x, d in zip(c, diag) if d]
-        return self.v @ (y + [0] * (cols - len(y)))
+                f"solve_integral: got {b.rows} entries for {rows} equations")
+        c = (self.u @ b)._rows
+        y = []
+        for i, row in enumerate(c):
+            d = self.diagonal[i] if i < len(self.diagonal) else 0
+            if not d:
+                if any(row):
+                    return None
+            elif d == 1:
+                y.append(row)
+            elif any(x % d for x in row):
+                return None
+            else:
+                y.append(tuple(x // d for x in row))
+        v = self.v if len(y) == cols else self.v.submatrix(range(cols),
+                                                            range(len(y)))
+        return v @ IntMatrix._of(tuple(y), b.cols)
 
 
 def _pivot(S, t, rows, cols):
@@ -214,6 +241,13 @@ def _pivot(S, t, rows, cols):
     return best_pos
 
 
+def _identity_lists(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
 def smith_normal_form(a: IntMatrix | list) -> SmithForm:
     """Smith normal form with unimodular transforms.
 
@@ -229,8 +263,8 @@ def smith_normal_form(a: IntMatrix | list) -> SmithForm:
         a = IntMatrix(a)
     rows, cols = a.rows, a.cols
     S = a.to_lists()
-    U = IntMatrix.identity(rows).to_lists()
-    V = IntMatrix.identity(cols).to_lists()
+    U = _identity_lists(rows)
+    V = _identity_lists(cols)
 
     def row_op(i, k, q):  # row i -= q * row k   (on S and U)
         S[i] = [x - q * y for x, y in zip(S[i], S[k])]

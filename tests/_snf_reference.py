@@ -4,8 +4,11 @@ column operations and swaps skipped exact no-ops.
 It is kept so that a test can check that the faster routine makes the
 same pivots and the same row and column operations: the `bockstein`
 matrix is printed in the generators that U picks, so U, S and V must
-stay identical, not just the diagonal.  Plain lists of ints in and out;
-nothing here calls into the package.  Do not edit the arithmetic.
+stay identical, not just the diagonal.  `reference_solve` solves one
+right-hand side on that reference, column by column, so that solving
+many right-hand sides in one product can be checked against it.  Plain
+lists of ints in and out; nothing here calls into the package.  Do not
+edit the arithmetic.
 """
 
 from __future__ import annotations
@@ -102,3 +105,19 @@ def reference_smith_normal_form(a: list[list[int]], cols: int):
             U[i] = [-x for x in U[i]]
 
     return U, S, V, [S[i][i] for i in range(limit)]
+
+
+def reference_solve(a: list[list[int]], cols: int, b: list[int]):
+    """Some integer x with a x = b, or None: one right-hand side through
+    the reference U and V, as the vector solve did before right-hand
+    sides were solved together.  c = U b must be divisible by the
+    diagonal (zero past the rank); y = c / diagonal, padded with zeros,
+    and x = V y."""
+    u, _, v, diag = reference_smith_normal_form(a, cols)
+    c = [sum(p * q for p, q in zip(row, b)) for row in u]
+    diag = diag + [0] * (len(a) - len(diag))
+    if any(x % d if d else x for x, d in zip(c, diag)):
+        return None
+    y = [x // d for x, d in zip(c, diag) if d]
+    y += [0] * (cols - len(y))
+    return [sum(p * q for p, q in zip(row, y)) for row in v]

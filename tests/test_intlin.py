@@ -20,7 +20,7 @@ from _oracles import (
     cokernel_order_oracle, det_oracle, determinantal_divisor_oracle,
     hermite_columns, lattice_membership, rank_oracle, smith_diag_oracle,
 )
-from _snf_reference import reference_smith_normal_form
+from _snf_reference import reference_smith_normal_form, reference_solve
 from cwbrauer import chaincx, intlin
 from cwbrauer.grammar import parse_space
 from cwbrauer.intlin import (
@@ -365,6 +365,67 @@ def test_solve_integral_frozen_cases():
     assert solve_integral(a, [0, 1]) is None
 
 
+def _solve_columns_cases(rng):
+    """(rows, cols, right-hand side columns): seeded dense and sparse a,
+    a of low rank (dependent columns), 0 x k and k x 0, and B with 0
+    columns.  Most B are a @ X plus, half the time, one random column."""
+    shapes = []
+    for _ in range(150):
+        rows = random_matrix(rng, max_n=6, bound=5)
+        shapes.append(rows)
+        shapes.append([[x if rng.random() < 0.3 else 0 for x in row]
+                       for row in random_matrix(rng, max_n=6, bound=5)])
+        r, k, c = rng.randint(1, 6), rng.randint(1, 2), rng.randint(3, 6)
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+        right = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k)]
+        shapes.append((IntMatrix(left) @ IntMatrix(right)).to_lists())
+    shapes.append([[2, 0, 0, 2], [0, 1, 0, 1], [0, 0, 3, 0]])
+    for rows in shapes:
+        cols = len(rows[0])
+        a = IntMatrix(rows)
+        b = [list(a @ [rng.randint(-4, 4) for _ in range(cols)])
+             for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.5:
+            b.insert(rng.randint(0, len(b)),
+                     [rng.randint(-6, 6) for _ in range(len(rows))])
+        yield rows, cols, b
+    for k in (1, 3):
+        yield [], k, [[]] * k
+        yield [[]] * k, 0, [[0] * k, [0] * k]
+        yield [[]] * k, 0, [[0] * k, [1] + [0] * (k - 1)]
+        yield [[1] * k], k, []
+
+
+def test_solve_columns_against_membership_and_the_reference_snf():
+    """All right-hand sides in one product give a @ X = B exactly, None
+    exactly when some column is outside the column lattice (the Hermite
+    oracle), and each column of X is the one-column solve through the
+    frozen reference U and V."""
+    rng = random.Random(20261022)
+    for rows, cols, b in _solve_columns_cases(rng):
+        a = IntMatrix(rows, cols=cols)
+        bm = IntMatrix([[col[i] for col in b] for i in range(len(rows))],
+                       cols=len(b))
+        x = smith_normal_form(a).solve_columns(bm)
+        want = [reference_solve(rows, cols, col) for col in b]
+        member = [lattice_membership(rows, col) for col in b]
+        assert [w is not None for w in want] == member, rows
+        if not all(member):
+            assert x is None, (rows, b)
+            continue
+        assert x is not None and x.shape == (cols, len(b)), (rows, b)
+        assert a @ x == bm, (rows, b)
+        for j, col in enumerate(b):
+            assert list(x.col_tuple(j)) == want[j], (rows, col)
+            assert solve_integral(a, col) == x.col_tuple(j), (rows, col)
+
+
+def test_solve_columns_rejects_a_wrong_row_count():
+    sf = smith_normal_form(IntMatrix([[2, 3]]))
+    with pytest.raises(SemanticError, match="2 entries for 1 equations"):
+        sf.solve_columns(IntMatrix([[1], [2]]))
+
+
 # -- determinants and inverses ----------------------------------------------------
 
 
@@ -458,6 +519,7 @@ def test_intmatrix_zero_shapes():
     p = IntMatrix.zeros(3, 0) @ IntMatrix.zeros(0, 4)
     assert p.shape == (3, 4) and p == IntMatrix.zeros(3, 4) and p.is_zero()
     assert IntMatrix.zeros(3, 0) @ [] == (0, 0, 0)
+    assert IntMatrix.column([]).shape == (0, 1)
     assert z @ [1, 2, 3] == ()
     assert (z @ IntMatrix.zeros(3, 2)).shape == (0, 2)
     assert IntMatrix.zeros(3, 0).hstack(IntMatrix.zeros(3, 0)).shape == (3, 0)

@@ -1,5 +1,6 @@
 """`tools/bench_pair.py`'s summary on a synthetic record: medians of both
-tables, pairs won, and ties counting for neither side."""
+tables, pairs won, and ties counting for neither side; and its refusal
+to overwrite a record."""
 
 import importlib.util
 import json
@@ -65,3 +66,20 @@ def test_summarize_prints_medians_pairs_won_and_per_layer_medians(capsys):
     assert _row(out, "chain_heavy.intlin.snf_calls") == ["15", "6", "-60.0%"]
     assert _row(out, "chain_heavy.chaincx.presentations") == ["0", "0", "-"]
     assert _row(out, "periodic_deep.grammar.bytes") == ["1", "1", "+0.0%"]
+
+
+def test_an_existing_record_is_refused_before_any_run(tmp_path, monkeypatch,
+                                                       capsys):
+    mod = _bench_pair()
+
+    def no_run(*args):
+        raise AssertionError("a run or a checkout was started")
+
+    for name in ("_git", "_prepare", "_run"):
+        monkeypatch.setattr(mod, name, no_run)
+    out = tmp_path / "BENCH_old.json"
+    out.write_text('{"runs": []}\n')
+    assert mod.main([str(out)]) == 2
+    assert out.read_text() == '{"runs": []}\n'
+    err = capsys.readouterr().err
+    assert str(out) in err and "summarize(json.load" in err

@@ -22,6 +22,10 @@ median, and how many pairs the change won (ties count for neither).
 Then, for every per-layer metric (from the traced run) and every
 workload, each side's median and the relative change, which shows in
 which layer a change of the end-to-end figures sits.
+
+An existing OUT.json is never overwritten: the script exits 2 before
+any run, naming the file.  To reprint the summary of an old record,
+call `summarize(json.load(open("OUT.json")))` from this module.
 """
 
 from __future__ import annotations
@@ -120,6 +124,11 @@ def main(argv=None) -> int:
     ap.add_argument("out", type=Path, help="JSON file to write")
     ap.add_argument("--parent", default="HEAD", help="parent revision")
     ns = ap.parse_args(argv)
+    if ns.out.exists():
+        print(f"bench_pair: {ns.out} exists; it is not overwritten (an old "
+              "record is reprinted with summarize(json.load(...)))",
+              file=sys.stderr)
+        return 2
     parent = _git("rev-parse", "--short", ns.parent).decode().strip()
     record = {
         "command": COMMAND.format(seed="N"),
