@@ -15,7 +15,7 @@ from cwbrauer.spaces import (brauer_prime, equality_certificate,
 n = 6
 x = moore_3cell(n)
 print(f"space: one 0-cell, one 2-cell, one 3-cell attached by degree {n}")
-print(f"cell counts: {x.complex.ranks}")
+print(f"cell counts: {x.chains.ranks}")
 
 print("\nhomology:")
 for k in range(4):
@@ -23,11 +23,11 @@ for k in range(4):
 
 print("\nintegral cohomology (note the torsion shifted up one degree):")
 for k in range(4):
-    print(f"  H^{k} =", cohomology(x.complex, k))
+    print(f"  H^{k} =", cohomology(x.chains, k))
 
 bp = brauer_prime(x)
 print("\nBr' = torsion of H^3 =", bp)
-assert bp == homology(x.complex, 2)   # = H_2 = Z/n for this space
+assert bp == homology(x.chains, 2)   # = H_2 = Z/n for this space
 
 cert = equality_certificate(x)
 print(f"Br = Br'? {cert.verdict} by {cert.reason}")

@@ -36,7 +36,7 @@ never changed after it is built, and an error is never cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
@@ -134,7 +134,6 @@ class SubquotientPresentation:
     def __init__(self, gens: IntMatrix, sub: IntMatrix):
         if gens.rows != sub.rows:
             raise SemanticError("ambient dimension mismatch")
-        self.ambient_dim = gens.rows
         self.gens = gens
         self._gens_sf = smith_normal_form(gens)
         g = gens.cols
@@ -155,14 +154,9 @@ class SubquotientPresentation:
 
     def generator_matrix(self) -> IntMatrix:
         """Ambient representatives of the canonical generators, as the
-        columns of an ambient_dim x (number of generators) matrix."""
+        columns of a gens.rows x (number of generators) matrix."""
         uinv = unimodular_inverse(self._u)
         return self.gens @ uinv.submatrix(range(uinv.rows), self._gen_index)
-
-    def coordinates(self, vec) -> tuple[int, ...]:
-        """Class of an ambient vector (must lie in span(gens)): the
-        one-column case of `column_coordinates`."""
-        return self.column_coordinates(IntMatrix.column(vec)).col_tuple(0)
 
     def column_coordinates(self, vecs: IntMatrix) -> IntMatrix:
         """Classes of the columns of vecs (each must lie in span(gens)),
@@ -223,12 +217,9 @@ def _presented(bnd_n: IntMatrix, bnd_next: IntMatrix, modulus: int | None
     if modulus is None:
         return SubquotientPresentation(kernel_basis(d_out), d_in)
     m = modulus
-    if d_out.rows:
-        # mod-m cocycles: x-projections of ker [d^n | mI]
-        ker = kernel_basis(d_out.hstack(IntMatrix.diagonal([m] * d_out.rows)))
-        gens = ker.submatrix(range(rn), range(ker.cols))
-    else:
-        gens = IntMatrix.identity(rn)
+    # mod-m cocycles: x-projections of ker [d^n | mI]
+    ker = kernel_basis(d_out.hstack(IntMatrix.diagonal([m] * d_out.rows)))
+    gens = ker.submatrix(range(rn), range(ker.cols))
     sub = d_in.hstack(IntMatrix.diagonal([m] * rn))
     return SubquotientPresentation(gens, sub)
 

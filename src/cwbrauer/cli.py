@@ -192,11 +192,11 @@ def _boundary_trace(space: SpaceDescription, n: int, trace: bool,
     """When tracing a space with cells, the Smith diagonals of del_n ..
     del_{n+count-1}, read off the space's own boundary matrices: a
     diagonal the answer computed is printed, not computed again."""
-    if not trace or space.kind not in ("finite", "periodic"):
+    if not trace or space.cells is None:
         return []
     lines = []
     for d in range(n, n + count):
-        b = space.chains.boundary(d)
+        b = space.cells.boundary(d)
         lines.append(f"SNF diagonal of boundary_{d}: {list(smith_invariants(b))}"
                      if b.rows and b.cols
                      else f"boundary_{d} is zero ({b.rows} x {b.cols})")

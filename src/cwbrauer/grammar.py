@@ -396,9 +396,9 @@ class _Parser:
             if all(x.kind == "finite" for x in parts):
                 # the summands share their one 0-cell
                 self._check_size(
-                    1 + sum(sum(x.complex.ranks) - x.complex.rank(0)
+                    1 + sum(sum(x.cells.ranks) - x.cells.rank(0)
                             for x in parts),
-                    max(x.complex.top_degree for x in parts), t)
+                    max(x.cells.top_degree for x in parts), t)
             return _sp.wedge(parts)
         if name == "product":
             a = self.space()
@@ -406,8 +406,8 @@ class _Parser:
             b = self.space()
             if a.kind == b.kind == "finite":
                 self._check_size(
-                    sum(a.complex.ranks) * sum(b.complex.ranks),
-                    a.complex.top_degree + b.complex.top_degree, t)
+                    sum(a.cells.ranks) * sum(b.cells.ranks),
+                    a.cells.top_degree + b.cells.top_degree, t)
             return _sp.product(a, b)
         if name == "bpgl":
             return _sp.bpgl(self.unsigned("bundle rank"))

@@ -1,17 +1,21 @@
 """CW-space descriptions and the Brauer-type invariants attached to them.
 
-A SpaceDescription is one of four kinds:
+A SpaceDescription is a label plus at most one cell structure, and its
+kind is read off what it holds:
 
-  finite    - a bounded chain complex of free Z-modules (cellular chains);
-  periodic  - prefix + repeating block of boundary matrices (an infinite
-              complex such as the infinite lens space);
-  telescope - the mapping telescope of multiplication self-maps of a
-              circle, whose degree-1 homology is a symbolic colimit;
-  catalog   - a space whose invariants are recorded facts, not computed
-              here (classifying spaces, Eilenberg-MacLane spaces).
+  finite    - cells is a ChainComplex, a bounded chain complex of free
+              Z-modules (cellular chains);
+  periodic  - cells is a PeriodicComplex, prefix + repeating block of
+              boundary matrices (an infinite complex such as the
+              infinite lens space);
+  telescope - system is the DirectedSystem of the mapping telescope of
+              multiplication self-maps of a circle, whose degree-1
+              homology is a symbolic colimit;
+  catalog   - neither: a space whose invariants are recorded facts, not
+              computed here (classifying spaces, Eilenberg-MacLane spaces).
 
-The label field is a printable expression tree (what the grammar prints
-and parses); the payload fields are derived from it by the builders, so
+The label is a printable expression tree (what the grammar prints and
+parses); cells and system are derived from it by the builders, so
 dataclass equality is exactly "same description".
 
 Every builder that makes chains (`sphere`, `moore_3cell`,
@@ -44,8 +48,8 @@ from .abgroup import FgAbGroup, Z, brauer_of_k_g_2, ext1
 from .chaincx import ChainComplex, homology, tensor_complexes
 from .errors import SemanticError, UnsupportedComputation
 from .intlin import IntMatrix
-from .limits import (DirectedSystem, SymbolicGroup, colimit_symbolic,
-                     phantom_of_telescope)
+from .limits import (DirectedSystem, colimit_symbolic, ext1_symbolic,
+                     torsion_free_quotient)
 from .profiles import (OMEGA, CyclicProfile, StructuralDescriptor,
                        brauer_of_bg, format_profile, lambda_square_profile)
 
@@ -125,41 +129,39 @@ class PeriodicComplex:
 
 @dataclass(frozen=True)
 class SpaceDescription:
-    kind: str  # "finite" | "periodic" | "telescope" | "catalog"
     label: tuple
-    complex: ChainComplex | None = None
-    periodic: PeriodicComplex | None = None
+    cells: ChainComplex | PeriodicComplex | None = None
     system: DirectedSystem | None = None
 
     def __post_init__(self):
-        if self.kind not in ("finite", "periodic", "telescope", "catalog"):
-            raise SemanticError(f"unknown space kind {self.kind!r}")
-        if (self.kind == "finite") != (self.complex is not None):
-            raise SemanticError("finite kind carries exactly the complex")
-        if (self.kind == "periodic") != (self.periodic is not None):
-            raise SemanticError("periodic kind carries exactly the periodic data")
-        if (self.kind == "telescope") != (self.system is not None):
-            raise SemanticError("telescope kind carries exactly the system")
+        if self.cells is not None and self.system is not None:
+            raise SemanticError("a space carries cells or a system, not both")
+
+    @property
+    def kind(self) -> str:
+        """finite, periodic, telescope or catalog, read off the payload."""
+        if self.cells is not None:
+            return ("finite" if isinstance(self.cells, ChainComplex)
+                    else "periodic")
+        return "catalog" if self.system is None else "telescope"
 
     def dimension(self) -> int | None:
         """CW dimension; None means infinite."""
-        if self.kind in ("finite", "periodic"):
-            return self.chains.dimension()
-        return 2 if self.kind == "telescope" else None  # circles, cylinders
+        if self.cells is not None:
+            return self.cells.dimension()
+        return 2 if self.system is not None else None  # circles, cylinders
 
     @property
     def chains(self) -> ChainComplex | PeriodicComplex:
         """The cellular chains, read through rank(n) and boundary(n) at
         any degree n: the stored complex itself, never a copy.  A
         periodic space answers at degree 10^9 as cheaply as at 10."""
-        if self.kind == "finite":
-            return self.complex
-        if self.kind == "periodic":
-            return self.periodic
-        raise UnsupportedComputation(
-            f"{self.kind} spaces support homology, brauer, phantom and "
-            "certify only; cochain-level commands need a finite or "
-            "periodic cell structure")
+        if self.cells is None:
+            raise UnsupportedComputation(
+                f"{self.kind} spaces support homology, brauer, phantom and "
+                "certify only; cochain-level commands need a finite or "
+                "periodic cell structure")
+        return self.cells
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +182,7 @@ def _built(label: tuple, chains) -> SpaceDescription:
     if x is not None:
         _built_spaces.move_to_end(label)
         return x
-    c = chains()
-    if isinstance(c, ChainComplex):
-        x = SpaceDescription("finite", label, complex=c)
-    else:
-        x = SpaceDescription("periodic", label, periodic=c)
+    x = SpaceDescription(label, chains())
     if len(_built_spaces) == MAX_BUILT_SPACES:
         _built_spaces.popitem(last=False)
     _built_spaces[label] = x
@@ -241,8 +239,8 @@ def from_literal(ranks: tuple, boundaries: tuple) -> SpaceDescription:
     space with these chains is returned before a complex is built, so a
     literal is checked for del del = 0 once while its space is kept."""
     for label, x in _built_spaces.items():
-        if (label[0] == "complex" and x.complex.ranks == ranks
-                and x.complex.boundaries == boundaries):
+        if (label[0] == "complex" and x.cells.ranks == ranks
+                and x.cells.boundaries == boundaries):
             _built_spaces.move_to_end(label)
             return x
     return from_complex(ChainComplex(ranks, boundaries))
@@ -256,14 +254,14 @@ def wedge(parts) -> SpaceDescription:
     for x in parts:
         if x.kind != "finite":
             raise SemanticError("wedge summands must be finite complexes")
-        if x.complex.rank(0) != 1:
+        if x.cells.rank(0) != 1:
             raise SemanticError("wedge summands must have exactly one 0-cell")
-        if not x.complex.boundary(1).is_zero():
+        if not x.cells.boundary(1).is_zero():
             raise SemanticError("wedge summands must have zero del_1")
 
     def chains():
-        top = max(x.complex.top_degree for x in parts)
-        ranks = [1] + [sum(x.complex.rank(k) for x in parts)
+        top = max(x.cells.top_degree for x in parts)
+        ranks = [1] + [sum(x.cells.rank(k) for x in parts)
                        for k in range(1, top + 1)]
         bnds = []
         for k in range(1, top + 1):
@@ -271,10 +269,10 @@ def wedge(parts) -> SpaceDescription:
             if k >= 2:
                 r0 = c0 = 0
                 for x in parts:
-                    for i, brow in enumerate(x.complex.boundary(k).to_lists()):
+                    for i, brow in enumerate(x.cells.boundary(k).to_lists()):
                         a[r0 + i][c0:c0 + len(brow)] = brow
-                    r0 += x.complex.rank(k - 1)
-                    c0 += x.complex.rank(k)
+                    r0 += x.cells.rank(k - 1)
+                    c0 += x.cells.rank(k)
             bnds.append(IntMatrix(a, cols=ranks[k]))
         return ChainComplex(ranks, bnds)
     return _built(("wedge", tuple(x.label for x in parts)), chains)
@@ -285,7 +283,7 @@ def product(a: SpaceDescription, b: SpaceDescription) -> SpaceDescription:
     if a.kind != "finite" or b.kind != "finite":
         raise SemanticError("product needs finite complexes")
     return _built(("product", (a.label, b.label)),
-                  lambda: tensor_complexes(a.complex, b.complex))
+                  lambda: tensor_complexes(a.cells, b.cells))
 
 
 def telescope_z(multiplier: int) -> SpaceDescription:
@@ -293,15 +291,14 @@ def telescope_z(multiplier: int) -> SpaceDescription:
 
     Two-dimensional; H_1 is the colimit of (Z -x k-> Z -x k-> ...).
     """
-    return SpaceDescription(
-        "telescope", ("telescope", (multiplier,)),
-        system=DirectedSystem.telescope_z(multiplier))
+    return SpaceDescription(("telescope", (multiplier,)),
+                            system=DirectedSystem.telescope_z(multiplier))
 
 
 def bpgl(n: int) -> SpaceDescription:
     if n < 1:
         raise SemanticError("bpgl parameter must be >= 1")
-    return SpaceDescription("catalog", ("bpgl", (n,)))
+    return SpaceDescription(("bpgl", (n,)))
 
 
 def k_space(g, j: int) -> SpaceDescription:
@@ -312,12 +309,12 @@ def k_space(g, j: int) -> SpaceDescription:
         raise SemanticError("group must be finitely generated or Q/Z")
     if g == QZ_TOKEN and j != 2:
         raise SemanticError("Q/Z is catalogued only for j = 2")
-    return SpaceDescription("catalog", ("k", (g, j)))
+    return SpaceDescription(("k", (g, j)))
 
 
 def bg_profile(p: CyclicProfile) -> SpaceDescription:
     """Classifying space of the discrete torsion group described by p."""
-    return SpaceDescription("catalog", ("bg", (p,)))
+    return SpaceDescription(("bg", (p,)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +328,9 @@ def space_homology(x: SpaceDescription, n: int):
     """
     if n < 0:
         return FgAbGroup.trivial()
-    if x.kind in ("finite", "periodic"):
-        return homology(x.chains, n)
-    if x.kind == "telescope":
+    if x.cells is not None:
+        return homology(x.cells, n)
+    if x.system is not None:
         if n == 0:
             return Z
         if n == 1:
@@ -396,10 +393,10 @@ def brauer_prime(x: SpaceDescription):
     catalog spaces the recorded group, which for infinite BG profiles is
     a StructuralDescriptor rather than a pretend-exact group.
     """
-    if x.kind in ("finite", "periodic"):
+    if x.cells is not None:
         h2 = space_homology(x, 2)
         return ext1(h2, Z).torsion_part()
-    if x.kind == "telescope":
+    if x.system is not None:
         # finite stages are circles; H_2 vanishes
         return FgAbGroup.trivial()
     return catalog_lookup(x).br_prime
@@ -413,13 +410,10 @@ def phantom_subgroup(x: SpaceDescription, n: int):
     """
     if n < 1:
         raise SemanticError("phantom degree must be >= 1")
-    if x.kind == "telescope" and n == 2:
-        return phantom_of_telescope(x.system, n)
     h = space_homology(x, n - 1)
     if isinstance(h, FgAbGroup):
         return ext1(h.free_quotient(), Z)
     # symbolic homology: Ext^1 of its torsion-free quotient
-    from .limits import ext1_symbolic, torsion_free_quotient
     return ext1_symbolic(torsion_free_quotient(h))
 
 

@@ -70,7 +70,7 @@ def test_criterion_01_worked_example_table():
             zn = FgAbGroup.cyclic(n)
             m3 = sp.moore_3cell(n)
             assert brauer_prime(m3) == zn
-            assert cohomology(m3.complex, 3) == zn
+            assert cohomology(m3.chains, 3) == zn
             entry = catalog_lookup(sp.bpgl(n))
             assert entry.br_prime == zn and entry.br == zn
             assert entry.verdict == EQUAL

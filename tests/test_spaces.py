@@ -12,7 +12,8 @@ from cwbrauer.chaincx import (ChainComplex, bockstein, cohomology, homology,
                               random_complex, uct_decompose)
 from cwbrauer.errors import SemanticError, UnsupportedComputation
 from cwbrauer.intlin import IntMatrix
-from cwbrauer.limits import SymbolicGroup
+from cwbrauer.grammar import parse_space
+from cwbrauer.limits import DirectedSystem, SymbolicGroup, phantom_of_telescope
 from cwbrauer.profiles import OMEGA, CyclicProfile, StructuralDescriptor
 from cwbrauer.spaces import (
     EQUAL, STRICT, UNKNOWN, EqualityCertificate, PeriodicComplex,
@@ -68,8 +69,7 @@ def _prefix_demo():
 
 def test_periodic_with_prefix():
     per = _prefix_demo()
-    x = SpaceDescription("periodic", ("complex", ("periodic-demo",)),
-                         periodic=per)
+    x = SpaceDescription(("complex", ("periodic-demo",)), per)
     assert per.rank(2) == 1 and per.rank(5) == 1
     assert space_homology(x, 2) == FgAbGroup.cyclic(6)
     # degrees inside the tail: ... <-0- Z <-4- Z <-0- ...
@@ -78,13 +78,12 @@ def test_periodic_with_prefix():
 
 
 @pytest.mark.parametrize("x", [
-    SpaceDescription("periodic", ("complex", ("periodic-demo",)),
-                     periodic=_prefix_demo()),
+    SpaceDescription(("complex", ("periodic-demo",)), _prefix_demo()),
     lens_periodic(6)], ids=["prefix-demo", "lens_periodic"])
 def test_periodic_chains_agree_with_unrolled_complex_across_the_seam(x):
     """Every chain-level function reads the PeriodicComplex itself and
     agrees with the bounded ChainComplex unrolled past the degrees read."""
-    per = x.periodic
+    per = x.cells
     assert x.chains is per
     full = per.unroll(14)
     for n in range(12):
@@ -117,9 +116,9 @@ def test_lens_periodic_cohomology_in_closed_form():
 
 def test_chains_of_finite_space_is_the_stored_complex():
     x = moore_3cell(6)
-    assert x.chains is x.complex
-    for d in range(1, x.complex.top_degree + 1):
-        assert x.chains.boundary(d) is x.complex.boundary(d)
+    assert x.chains is x.cells
+    for d in range(1, x.cells.top_degree + 1):
+        assert x.chains.boundary(d) is x.cells.boundary(d)
     # above the top degree the ranks are 0: the trivial group, as the
     # bounded complex has no cells there
     for n in (4, 9):
@@ -183,7 +182,7 @@ def test_periodic_validation_sees_the_prefix_seam(period):
 
 
 def test_unroll_agrees_with_ranks():
-    per = lens_periodic(3).periodic
+    per = lens_periodic(3).chains
     c = per.unroll(6)
     assert c.ranks == (1,) * 7
     assert c.boundary(2).to_lists() == [[3]]
@@ -198,7 +197,7 @@ def test_wedge_homology_is_sum():
     for _ in range(25):
         parts = [rng.choice(pool)() for _ in range(rng.randint(2, 4))]
         w = wedge(parts)
-        top = max(p.complex.top_degree for p in parts)
+        top = max(p.chains.top_degree for p in parts)
         assert space_homology(w, 0) == Z
         for n in range(1, top + 2):
             expect = FgAbGroup.trivial()
@@ -232,12 +231,37 @@ def test_product_homology_kunneth():
 
 def test_space_description_validation():
     with pytest.raises(SemanticError):
-        SpaceDescription("finite", ("sphere", (2,)))       # missing payload
-    with pytest.raises(SemanticError):
-        SpaceDescription("catalog", ("bpgl", (3,)),
-                         complex=sphere(2).complex)        # stray payload
-    with pytest.raises(SemanticError):
-        SpaceDescription("nonsense", ("sphere", (2,)))
+        SpaceDescription(("telescope", (2,)), sphere(2).chains,
+                         DirectedSystem.telescope_z(2))   # cells and system
+
+
+def test_kind_is_read_off_the_payload():
+    """Every builder's space reports the kind its payload implies, and
+    a space without cells refuses chains with the same message."""
+    kinds = {
+        "finite": [sphere(3), moore_3cell(4), lens_skeleton(3, 4),
+                   wedge([sphere(2), moore_3cell(3)]),
+                   product(sphere(1), lens_skeleton(2, 2)),
+                   parse_space("complex{cells 0: 1; cells 1: 1; cells 2: 1; "
+                               "boundary 2: [[3]]}")],
+        "periodic": [lens_periodic(4)],
+        "telescope": [telescope_z(6)],
+        "catalog": [bpgl(3), k_space(FgAbGroup.cyclic(4), 2),
+                    bg_profile(CyclicProfile.from_pairs([(2, OMEGA)]))],
+    }
+    for kind, spaces in kinds.items():
+        for x in spaces:
+            assert x.kind == kind, x.label
+            if kind in ("finite", "periodic"):
+                assert x.chains is x.cells
+                assert isinstance(x.cells, ChainComplex) == (kind == "finite")
+                continue
+            with pytest.raises(UnsupportedComputation) as e:
+                x.chains
+            assert str(e.value) == (
+                f"{kind} spaces support homology, brauer, phantom and "
+                "certify only; cochain-level commands need a finite or "
+                "periodic cell structure")
 
 
 def test_k_space_validation():
@@ -358,6 +382,17 @@ def test_phantom_suite():
     assert run_phantom_suite() > 100
 
 
+def test_telescope_phantom_is_phantom_of_telescope():
+    """The generic route (Ext^1 of the torsion-free quotient of H_1)
+    gives exactly the telescope phantom group of limits."""
+    for k in (0, 1, -1, 2, 5, 6, 12, 30, 1000003):
+        x = telescope_z(k)
+        assert phantom_subgroup(x, 2) == phantom_of_telescope(
+            DirectedSystem.telescope_z(k), 2), k
+        assert phantom_subgroup(x, 1).is_trivial, k
+        assert phantom_subgroup(x, 3).is_trivial, k
+
+
 def test_phantom_validation_and_edges():
     with pytest.raises(SemanticError):
         phantom_subgroup(moore_3cell(2), 0)
@@ -417,8 +452,8 @@ def test_even_cell_rule_on_finite_dimensional_periodic_spaces():
     def prefix_only(top):
         ranks = tuple(1 if d in (0, top) else 0 for d in range(top + 2))
         return SpaceDescription(
-            "periodic", ("complex", ("prefix-only", top)),
-            periodic=PeriodicComplex(
+            ("complex", ("prefix-only", top)),
+            PeriodicComplex(
                 prefix_ranks=ranks,
                 prefix_boundaries=tuple(
                     IntMatrix.zeros(ranks[d - 1], ranks[d])

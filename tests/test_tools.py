@@ -1,10 +1,12 @@
 """`tools/bench_pair.py`'s summary on a synthetic record: medians of both
-tables, pairs won, and ties counting for neither side; and its refusal
-to overwrite a record."""
+tables, pairs won, and ties counting for neither side; its refusal to
+overwrite a record; and the pinned digest of `tools/output_digest.py`."""
 
 import importlib.util
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,3 +85,18 @@ def test_an_existing_record_is_refused_before_any_run(tmp_path, monkeypatch,
     assert out.read_text() == '{"runs": []}\n'
     err = capsys.readouterr().err
     assert str(out) in err and "summarize(json.load" in err
+
+
+OUTPUT_DIGEST = ("9366 outputs, sha256 58dfaf030e6660a0fe8d40a5516224fc"
+                 "7e291739a65a0b741304102a1d3c72e3")
+
+
+def test_output_digest_is_pinned():
+    """Every byte, message and exit code the CLI gives on the digest's
+    fixed corpus is unchanged.  A change that alters an output on purpose
+    updates this pin and lists every changed output in CHANGES.md."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "output_digest.py")],
+        capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == OUTPUT_DIGEST
