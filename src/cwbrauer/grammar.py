@@ -32,8 +32,11 @@ rather than left to exhaust the interpreter's recursion limit.  A
 finite complex built by a space expression has at most
 MAX_COMPLEX_CELLS cells and no cells above degree MAX_COMPLEX_DEGREE;
 both are checked before the complex is built, and a larger one is
-refused the same way.  So is an integer literal with more digits than
-the interpreter converts (sys.get_int_max_str_digits).
+refused the same way.  So is a group literal with more than
+MAX_GROUP_GENERATORS cyclic generators (Z^n counts n), a profile
+literal with more than MAX_PROFILE_MULTIPLICITY finite cyclic summands
+(w counts none), and an integer literal with more digits than the
+interpreter converts (sys.get_int_max_str_digits).
 
 A well-formed numeric MATRIX with at least one row is one token, and
 its entries are read by splitting its text, so a dense complex literal
@@ -43,9 +46,11 @@ message needs it, a matrix token is first turned back into those plain
 tokens, so every error, its line and its column read as if matrices
 were always read token by token.
 
-In towers the block links are listed as B_0, B_1, ..., each with its
-map to the previous stage (B_i maps to B_{(i-1) mod m}); the printed
-target group is validated against that convention.
+A tower is read front to back, once: each map is kept as written and
+becomes a GroupHom when the groups on both sides of its arrow are read.
+The block links are listed as B_0, B_1, ..., each with its map to the
+previous stage (B_i maps to B_{(i-1) mod m}); the printed target group
+is validated against that convention.
 """
 
 from __future__ import annotations
@@ -74,6 +79,16 @@ MAX_SPACE_NESTING = 64
 # minute.  The tests and benchmark stay below 202 cells and degree 18.
 MAX_COMPLEX_CELLS = 512
 MAX_COMPLEX_DEGREE = 512
+
+# Largest group and profile literals.  A tower map on Z^n is an n x n
+# matrix that lim1 eliminates: lim1 of Z^128 -(x2)-> Z^128 takes 0.12 s
+# and of Z^512 4 s.  A profile with k finite cyclic summands has
+# k(k-1)/2 in Lambda^2: brauer bg((Z/4)^64) takes 0.75 s and
+# (Z/4)^128 12 s (Python 3.11, 2 cores, at the faster of the machine's
+# two clock levels).  The tests read at most 7 generators and 45 finite
+# summands, the benchmark 4 and 6.
+MAX_GROUP_GENERATORS = 128
+MAX_PROFILE_MULTIPLICITY = 64
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -122,6 +137,12 @@ def _tokenize(src: str, line: int = 1, col: int = 1) -> list[Token]:
                          line=line, column=pos - line_start + 1)
     out.append(Token("eof", "", line, pos - line_start + 1))
     return out
+
+
+def _refusal(message: str, t: Token) -> UnsupportedComputation:
+    """The refusal of a well-formed literal too large to compute, placed
+    at token t."""
+    return UnsupportedComputation(f"{message} (line {t.line}, column {t.col})")
 
 
 class _Parser:
@@ -176,9 +197,7 @@ class _Parser:
         """Replace the matrix token at the cursor by the plain tokens of
         its text, so a message names and places the "[" it starts with.
         Only a row follows that first "[", so the rest of the text
-        tokenizes into plain tokens.  This moves every later token;
-        `tower` keeps token indices around a map, and an unfold while
-        `_hom` reads that map always ends in an error."""
+        tokenizes into plain tokens."""
         t = self.tokens[self.pos]
         self.tokens[self.pos:self.pos + 1] = (
             [Token("sym", "[", t.line, t.col)]
@@ -200,15 +219,15 @@ class _Parser:
         try:
             return int(text)
         except ValueError:
-            raise UnsupportedComputation(
-                f"integer literal of {len(text)} digits is too long "
-                f"(line {t.line}, column {t.col})") from None
+            raise _refusal(f"integer literal of {len(text)} digits is too "
+                           "long", t) from None
 
     # -- group literals ----------------------------------------------------
     def group(self) -> FgAbGroup:
         if self.at("int", "0"):
             self.next()
             return FgAbGroup.trivial()
+        start = self.peek()
         free = 0
         torsion: list[int] = []
         while True:
@@ -225,6 +244,10 @@ class _Parser:
                 torsion.append(d)
             else:
                 free += 1
+            if free + len(torsion) > MAX_GROUP_GENERATORS:
+                raise _refusal("group literal has more than "
+                               f"{MAX_GROUP_GENERATORS} cyclic generators",
+                               start)
             if not self.accept("sym", "+"):
                 break
         return FgAbGroup.free(free).direct_sum(
@@ -235,6 +258,8 @@ class _Parser:
         if self.at("int", "0"):
             self.next()
             return CyclicProfile()
+        start = self.peek()
+        finite = 0
         pairs: list[tuple[int, object]] = []
         while True:
             self.expect("sym", "(")
@@ -251,6 +276,12 @@ class _Parser:
                 mult = self.unsigned("multiplicity")
                 if mult < 1:
                     raise SemanticError("multiplicities must be >= 1 (or w)")
+                finite += mult
+                if finite > MAX_PROFILE_MULTIPLICITY:
+                    raise _refusal(
+                        f"profile literal has more than "
+                        f"{MAX_PROFILE_MULTIPLICITY} finite cyclic summands",
+                        start)
             pairs.append((order, mult))
             if not self.accept("sym", "+"):
                 break
@@ -353,9 +384,8 @@ class _Parser:
         name = t.text
         self.expect("sym", "(")
         if self.space_depth == MAX_SPACE_NESTING:
-            raise UnsupportedComputation(
-                f"space expression nested more than {MAX_SPACE_NESTING} "
-                f"levels deep (line {t.line}, column {t.col})")
+            raise _refusal(f"space expression nested more than "
+                           f"{MAX_SPACE_NESTING} levels deep", t)
         self.space_depth += 1
         try:
             out = self._space_args(name, t)
@@ -368,11 +398,10 @@ class _Parser:
         """Refuse a finite complex over MAX_COMPLEX_CELLS cells or with
         cells above degree MAX_COMPLEX_DEGREE, before it is built."""
         if cells > MAX_COMPLEX_CELLS or top > MAX_COMPLEX_DEGREE:
-            raise UnsupportedComputation(
+            raise _refusal(
                 f"space expression builds {cells} cells up to degree {top}; "
                 f"at most {MAX_COMPLEX_CELLS} cells up to degree "
-                f"{MAX_COMPLEX_DEGREE} are supported "
-                f"(line {t.line}, column {t.col})")
+                f"{MAX_COMPLEX_DEGREE} are supported", t)
 
     def _space_args(self, name: str, t: Token) -> _sp.SpaceDescription:
         if name == "sphere":
@@ -442,23 +471,37 @@ class _Parser:
                          line=t.line, column=t.col)
 
     # -- tower literals ------------------------------------------------
-    def _hom(self, domain: FgAbGroup, codomain: FgAbGroup) -> GroupHom:
-        if self.at("ident", "id"):
-            self.next()
+    def _map(self):
+        """The map of an arrow's shaft "-(" MAP ")-", as written: "id",
+        the k of x<k>, or the matrix rows.  _hom makes it a GroupHom
+        once the groups on both sides are read."""
+        self.expect("sym", "-")
+        self.expect("sym", "(")
+        if self.accept("ident", "id"):
+            spec = "id"
+        elif self.at("ident"):
+            spec = self._scalar_map("scalar map")
+        elif self.at("matrix") or self.at("sym", "["):
+            spec = self.matrix_rows()
+        else:
+            self.fail("expected a map: id, x<k>, or a matrix")
+        self.expect("sym", ")")
+        self.expect("sym", "-")
+        return spec
+
+    @staticmethod
+    def _hom(spec, domain: FgAbGroup, codomain: FgAbGroup) -> GroupHom:
+        if spec == "id":
             if domain != codomain:
                 raise SemanticError("id needs equal domain and codomain")
             return GroupHom.identity(domain)
-        if self.at("ident"):
-            k = self._scalar_map("scalar map")
-            return GroupHom.scalar(domain, codomain, k)
-        if self.at("matrix") or self.at("sym", "["):
-            rows = self.matrix_rows()
-            nc = len(codomain.cyclic_orders())
-            nd = len(domain.cyclic_orders())
-            if len(rows) != nc or (rows and len(rows[0]) != nd):
-                raise SemanticError(f"map matrix must be {nc} x {nd}")
-            return GroupHom(domain, codomain, IntMatrix(rows, cols=nd))
-        self.fail("expected a map: id, x<k>, or a matrix")
+        if isinstance(spec, int):
+            return GroupHom.scalar(domain, codomain, spec)
+        nc = len(codomain.cyclic_orders())
+        nd = len(domain.cyclic_orders())
+        if len(spec) != nc or (spec and len(spec[0]) != nd):
+            raise SemanticError(f"map matrix must be {nc} x {nd}")
+        return GroupHom(domain, codomain, IntMatrix(spec, cols=nd))
 
     def tower(self) -> Tower:
         self.expect("ident", "tower", what="tower")
@@ -468,43 +511,22 @@ class _Parser:
             self.expect("sym", "[")
             if not self.at("sym", "]"):
                 prefix_groups.append(self.group())
-                while self.at("sym", "<"):
-                    # "<-(" MAP ")-" GROUP : the map's source is the group
-                    # on the right, so scan past the map, read the source,
-                    # then come back and interpret the map tokens
-                    self.expect("sym", "<")
-                    self.expect("sym", "-")
-                    self.expect("sym", "(")
-                    snapshot = self.pos
-                    self._skip_map_tokens()
-                    self.expect("sym", ")")
-                    self.expect("sym", "-")
+                while self.accept("sym", "<"):
+                    # "<-(" MAP ")-" GROUP: the map's source is on the right
+                    spec = self._map()
                     src = self.group()
-                    end = self.pos
-                    self.pos = snapshot
-                    hom = self._hom(src, prefix_groups[-1])
-                    self.pos = end
+                    prefix_maps.append(self._hom(spec, src, prefix_groups[-1]))
                     prefix_groups.append(src)
-                    prefix_maps.append(hom)
             self.expect("sym", "]")
         self.expect("ident", "block", what="block")
         self.expect("sym", "[")
         links: list[tuple[FgAbGroup, GroupHom, FgAbGroup]] = []
         while True:
             src = self.group()
-            self.expect("sym", "-")
-            self.expect("sym", "(")
-            snapshot = self.pos
-            self._skip_map_tokens()
-            self.expect("sym", ")")
-            self.expect("sym", "-")
+            spec = self._map()
             self.expect("sym", ">")
             dst = self.group()
-            end = self.pos
-            self.pos = snapshot
-            hom = self._hom(src, dst)
-            self.pos = end
-            links.append((src, hom, dst))
+            links.append((src, self._hom(spec, src, dst), dst))
             if not self.accept("sym", ","):
                 break
         self.expect("sym", "]")
@@ -520,30 +542,6 @@ class _Parser:
                      prefix_maps=tuple(prefix_maps),
                      block_groups=block_groups,
                      block_maps=tuple(h for _, h, _ in links))
-
-    def _skip_map_tokens(self):
-        """Advance past one map (id / x<k> / matrix) without interpreting."""
-        if self.at("ident"):
-            t = self.next()
-            if t.text == "x":
-                self.accept("sym", "-")
-                self.expect("int", what="scalar")
-            return
-        if self.accept("matrix"):
-            return
-        if self.at("sym", "["):   # a malformed matrix: match its brackets
-            depth = 0
-            while True:
-                t = self.next()
-                if t.kind == "eof":
-                    self.fail("unterminated matrix")
-                if t.kind == "sym" and t.text == "[":
-                    depth += 1
-                elif t.kind == "sym" and t.text == "]":
-                    depth -= 1
-                    if depth == 0:
-                        return
-        self.fail("expected a map: id, x<k>, or a matrix")
 
     # -- descriptor literals ---------------------------------------------
     def affine(self) -> AffineExpr:
@@ -648,19 +646,21 @@ def format_matrix(m: IntMatrix) -> str:
     return f"[{rows}]"
 
 
-def format_complex(c: ChainComplex) -> str:
-    stmts = [f"cells {n}: {c.rank(n)}" for n in range(c.top_degree + 1)]
-    for n in range(1, c.top_degree + 1):
-        b = c.boundary(n)
-        if b.rows and b.cols:
-            stmts.append(f"boundary {n}: {format_matrix(b)}")
+def _format_chains(ranks: tuple, boundaries: tuple) -> str:
+    stmts = [f"cells {n}: {r}" for n, r in enumerate(ranks)]
+    stmts += [f"boundary {n}: {format_matrix(b)}"
+              for n, b in enumerate(boundaries, start=1) if b.rows and b.cols]
     return "complex { " + "; ".join(stmts) + " }"
+
+
+def format_complex(c: ChainComplex) -> str:
+    return _format_chains(c.ranks, c.boundaries)
 
 
 def _format_space_label(label: tuple) -> str:
     head, args = label
     if head == "complex":
-        return format_complex(args[0])
+        return _format_chains(*args)
     if head == "wedge":
         return "wedge(" + ", ".join(_format_space_label(a) for a in args) + ")"
     if head == "product":

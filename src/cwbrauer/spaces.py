@@ -25,9 +25,11 @@ label.  A label determines its space and a space is never changed, so
 every request on the same space shares one object: its boundary
 matrices, the Smith diagonals they keep, and through them the cochain
 presentations chaincx memoizes.  A builder that refuses its arguments
-caches nothing.  `from_literal`, which the grammar calls for a
-`complex{...}` literal, looks a kept space up by its ranks and
-boundaries before a ChainComplex is built and checked.  The cache lives as long as the process.
+caches nothing.  A finite complex is labelled by the value of its
+chains, ("complex", (ranks, boundaries)), so `from_complex` and
+`from_literal`, which the grammar calls for a `complex{...}` literal,
+share one entry, and a kept literal is found before a ChainComplex is
+built and checked.  The cache lives as long as the process.
 
 Chain-level code reads a finite or periodic space through its `chains`:
 the stored ChainComplex or PeriodicComplex itself, which answers
@@ -231,19 +233,15 @@ def lens_periodic(n: int) -> SpaceDescription:
 
 
 def from_complex(c: ChainComplex) -> SpaceDescription:
-    return _built(("complex", (c,)), lambda: c)
+    return _built(("complex", (c.ranks, c.boundaries)), lambda: c)
 
 
 def from_literal(ranks: tuple, boundaries: tuple) -> SpaceDescription:
-    """from_complex(ChainComplex(ranks, boundaries)), except that a kept
-    space with these chains is returned before a complex is built, so a
-    literal is checked for del del = 0 once while its space is kept."""
-    for label, x in _built_spaces.items():
-        if (label[0] == "complex" and x.cells.ranks == ranks
-                and x.cells.boundaries == boundaries):
-            _built_spaces.move_to_end(label)
-            return x
-    return from_complex(ChainComplex(ranks, boundaries))
+    """from_complex(ChainComplex(ranks, boundaries)), except that the
+    complex is built, and checked for del del = 0, only when no space
+    with these chains is kept."""
+    return _built(("complex", (ranks, boundaries)),
+                  lambda: ChainComplex(ranks, boundaries))
 
 
 def wedge(parts) -> SpaceDescription:

@@ -18,6 +18,8 @@ from cwbrauer.chaincx import ChainComplex, bockstein, uct_decompose
 from cwbrauer.cli import (EXIT_OK, EXIT_PARSE, EXIT_SEMANTIC,
                           EXIT_UNSUPPORTED, execute, parse_request, run_batch,
                           run_line)
+from cwbrauer.errors import SemanticError
+from cwbrauer.grammar import format_complex, parse_space
 
 DATA = Path(__file__).parent / "data"
 
@@ -109,6 +111,38 @@ def test_refusals_are_not_kept():
         assert code == EXIT_UNSUPPORTED, report
         assert "at most 512 cells" in report["error"]["message"]
     assert list(spaces._built_spaces) == [("lens", (2, 30))]
+
+
+def test_a_complex_and_its_literal_find_one_space_in_either_order(
+        monkeypatch, cold_caches):
+    """A finite space is keyed by the value of its chains, so
+    from_complex and the literal text of the same chains share one
+    entry: the second lookup, in either order, returns the space the
+    first made and builds no ChainComplex."""
+    c = ChainComplex([1, 2, 1], [[[0, 0]], [[3], [-3]]])
+    first = spaces.from_complex(c)
+    built = _counting(monkeypatch, ChainComplex, "__init__")
+    assert parse_space(format_complex(c)) is first and built == []
+    assert list(spaces._built_spaces) == [first.label]
+
+    cold_caches()
+    monkeypatch.undo()
+    first = parse_space(format_complex(c))
+    assert first.cells is not c   # built from the literal's text
+    built = _counting(monkeypatch, ChainComplex, "__init__")
+    assert spaces.from_complex(c) is first and built == []
+
+
+def test_a_literal_with_nonzero_del_del_is_refused_every_time():
+    """Refused while a space with the same ranks is kept, and never kept
+    itself."""
+    kept = parse_space("complex{cells 0: 1; cells 1: 1; cells 2: 1; "
+                       "boundary 2: [[1]]}")
+    for _ in range(3):
+        with pytest.raises(SemanticError, match="del_1 del_2 != 0"):
+            parse_space("complex{cells 0: 1; cells 1: 1; cells 2: 1; "
+                        "boundary 1: [[1]]; boundary 2: [[1]]}")
+    assert list(spaces._built_spaces.values()) == [kept]
 
 
 def test_presentations_are_keyed_by_modulus():

@@ -21,6 +21,7 @@ from cwbrauer.cli import (
     run_line,
 )
 from cwbrauer.grammar import (MAX_COMPLEX_CELLS, MAX_COMPLEX_DEGREE,
+                              MAX_GROUP_GENERATORS, MAX_PROFILE_MULTIPLICITY,
                               parse_group)
 from cwbrauer.intlin import IntMatrix
 
@@ -562,6 +563,67 @@ def test_complex_size_caps_refuse_at_once_and_answer_below():
         assert code == EXIT_UNSUPPORTED, line
         assert rep["error"]["type"] == "UnsupportedComputation"
         assert cap in rep["error"]["message"], line
+
+
+_GROUPS = (f"group literal has more than {MAX_GROUP_GENERATORS} "
+           "cyclic generators")
+_PROFILES = (f"profile literal has more than {MAX_PROFILE_MULTIPLICITY} "
+             "finite cyclic summands")
+_LONG = "7" * 4400
+
+
+@pytest.mark.parametrize("line, message, column", [
+    # the column counts from the first character after the command
+    ("homology k(Z^99999999999, 2) 2", _GROUPS, 3),
+    (f"homology k(Z^{MAX_GROUP_GENERATORS + 1}, 2) 2", _GROUPS, 3),
+    ("homology k(" + " + ".join(["Z/2"] * (MAX_GROUP_GENERATORS + 1))
+     + ", 2) 2", _GROUPS, 3),
+    (f"brauer k(Z/3 + Z^{MAX_GROUP_GENERATORS}, 2)", _GROUPS, 3),
+    ("lim1 tower block [Z^2000000 -(id)-> Z^2000000]", _GROUPS, 14),
+    (f"lim1 tower prefix [Z <-(x2)- Z^{MAX_GROUP_GENERATORS + 1}] "
+     "block [Z -(id)-> Z]", _GROUPS, 25),
+    ("catalog bg((Z/2)^3000000)", _PROFILES, 4),
+    ("brauer bg((Z/4)^99999999999)", _PROFILES, 4),
+    ("profile-brauer (Z/4)^99999999999", _PROFILES, 1),
+    (f"profile-brauer (Z/4)^{MAX_PROFILE_MULTIPLICITY + 1}", _PROFILES, 1),
+    (f"profile-brauer (Z/2)^{MAX_PROFILE_MULTIPLICITY} + (Z/4)^w + (Z/8)^1",
+     _PROFILES, 1),
+    (f"non-brauer-check (Z/3)^w + (Z/9)^{MAX_PROFILE_MULTIPLICITY + 1} "
+     "with rule i>=1: J=(i, 2i]", _PROFILES, 1),
+    # an entry too long for int() in a tower map: block, then prefix
+    (f"lim1 tower block [Z -([[{_LONG}]])-> Z]",
+     "integer literal of 4400 digits is too long", 20),
+    (f"lim1 tower prefix [Z <-([[1, {_LONG}]])- Z^2] block [Z -(id)-> Z]",
+     "integer literal of 4400 digits is too long", 25),
+], ids=["k-free", "k-free-over", "k-torsion-over", "k-mixed-over",
+        "tower-block", "tower-prefix", "bg-catalog", "bg-brauer",
+        "profile-huge", "profile-over", "profile-mixed-over",
+        "non-brauer-over", "tower-block-long-entry",
+        "tower-prefix-long-entry"])
+def test_group_and_profile_bounds_refuse_at_once(line, message, column):
+    t0 = time.perf_counter()
+    code, rep = run_json(line)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_UNSUPPORTED, rep
+    assert rep["error"]["message"] == f"{message} (line 1, column {column})"
+
+
+def test_group_and_profile_literals_at_the_bounds_answer():
+    g, m = MAX_GROUP_GENERATORS, MAX_PROFILE_MULTIPLICITY
+    code, rep = run_json(f"lim1 tower block [Z^{g} -(x2)-> Z^{g}]")
+    assert code == EXIT_OK
+    # x2 on a free group: the images 2^k Z^g shrink for ever
+    assert rep["result"]["verdict"] == "INCONCLUSIVE"
+    code, rep = run_json(f"homology k(Z^{g - 1} + Z/2, 2) 2")
+    assert code == EXIT_OK
+    assert rep["result"]["group"] == f"Z^{g - 1} + Z/2"
+    code, rep = run_json(f"profile-brauer (Z/4)^{m}")
+    assert code == EXIT_OK
+    # Lambda^2 of (Z/4)^m is (Z/4)^(m choose 2)
+    assert rep["result"]["lambda_square"] == f"(Z/4)^{m * (m - 1) // 2}"
+    # w counts as no finite summand
+    code, rep = run_json(f"catalog bg((Z/2)^{m} + (Z/4)^w)")
+    assert code == EXIT_OK, rep
 
 
 def test_batch_refuses_oversize_complexes_and_answers_the_other_lines():

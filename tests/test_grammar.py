@@ -235,6 +235,88 @@ def test_parse_error_positions():
         parse_tower("tower block [Z -(q3)-> Z]")
 
 
+_LONG = "7" * 4400    # more digits than int() converts
+_BLOCK = " block [Z -(id)-> Z]"
+
+# id: (text, error type, message, line, column); line and column are
+# None for an error that carries no position
+_MALFORMED_TOWERS = {
+    # block links
+    "block-x-no-int": ("tower block [Z -(x)-> Z]", ParseError,
+                       "expected 'scalar map', found ')'", 1, 19),
+    "block-x-minus-no-int": ("tower block [Z -(x -)-> Z]", ParseError,
+                             "expected 'scalar map', found ')'", 1, 21),
+    "block-not-x": ("tower block [Z -(q3)-> Z]", ParseError,
+                    "expected scalar map like 'x5', found 'q3'", 1, 18),
+    "block-no-map": ("tower block [Z -(+)-> Z]", ParseError,
+                     "expected a map: id, x<k>, or a matrix", 1, 18),
+    "block-unclosed": ("tower block [Z -([[1]-> Z]", ParseError,
+                       "expected ']', found '-'", 1, 22),
+    "block-unclosed-rows": ("tower block [Z -([[1], [2]-> Z]", ParseError,
+                            "expected ']', found '-'", 1, 27),
+    "block-ragged": ("tower block [Z^2 -([[1, 0], [0]])-> Z^2]",
+                     SemanticError, "matrix rows have differing lengths",
+                     None, None),
+    "block-stray-bracket": ("tower block [Z -([[1]]])-> Z]", ParseError,
+                            "expected ')', found ']'", 1, 23),
+    # a ragged matrix before a stray bracket: the first defect wins
+    "block-ragged-then-stray": (
+        "tower block [Z^2 -([[3, 2], [-3]]0], [2, 0]])-> Z^2]",
+        SemanticError, "matrix rows have differing lengths", None, None),
+    "block-long-entry": (f"tower block [Z -([[{_LONG}]])-> Z]",
+                         UnsupportedComputation,
+                         "integer literal of 4400 digits is too long", 1, 20),
+    "block-long-entry-line-3": (
+        f"tower block [\n  Z -([[1],\n  [{_LONG}]])-> Z]",
+        UnsupportedComputation,
+        "integer literal of 4400 digits is too long", 3, 4),
+    "block-shape": ("tower block [Z -([[1, 2]])-> Z]", SemanticError,
+                    "map matrix must be 1 x 1", None, None),
+    "block-id-unequal": ("tower block [Z/2 -(id)-> Z/4, Z/4 -(x1)-> Z/2]",
+                         SemanticError, "id needs equal domain and codomain",
+                         None, None),
+    # prefix links: the map's source is the group on its right
+    "prefix-x-no-int": ("tower prefix [Z <-(x)- Z]" + _BLOCK, ParseError,
+                        "expected 'scalar map', found ')'", 1, 21),
+    "prefix-unclosed": ("tower prefix [Z <-([[1]- Z]" + _BLOCK, ParseError,
+                        "expected ']', found '-'", 1, 24),
+    "prefix-ragged": ("tower prefix [Z^2 <-([[1, 0], [0]])- Z^2]" + _BLOCK,
+                      SemanticError, "matrix rows have differing lengths",
+                      None, None),
+    "prefix-stray-bracket": ("tower prefix [Z <-([[1]]])- Z]" + _BLOCK,
+                             ParseError, "expected ')', found ']'", 1, 25),
+    "prefix-long-entry": (f"tower prefix [Z <-([[{_LONG}]])- Z]" + _BLOCK,
+                          UnsupportedComputation,
+                          "integer literal of 4400 digits is too long",
+                          1, 22),
+    "prefix-long-second-entry": (
+        f"tower prefix [Z <-([[1, {_LONG}]])- Z^2]" + _BLOCK,
+        UnsupportedComputation,
+        "integer literal of 4400 digits is too long", 1, 25),
+    "prefix-shape": ("tower prefix [Z <-([[1], [2]])- Z^2]" + _BLOCK,
+                     SemanticError, "map matrix must be 1 x 2", None, None),
+    "prefix-id-unequal": ("tower prefix [Z <-(id)- Z/2]" + _BLOCK,
+                          SemanticError,
+                          "id needs equal domain and codomain", None, None),
+    "prefix-open-shaft": ("tower prefix [Z <-(x2) Z]" + _BLOCK, ParseError,
+                          "expected '-', found 'Z'", 1, 24),
+}
+
+
+@pytest.mark.parametrize("text, kind, message, line, column",
+                         _MALFORMED_TOWERS.values(), ids=_MALFORMED_TOWERS)
+def test_malformed_towers_fail_with_pinned_errors(text, kind, message, line,
+                                                   column):
+    with pytest.raises((ParseError, SemanticError,
+                        UnsupportedComputation)) as e:
+        parse_tower(text)
+    assert type(e.value) is kind
+    where = f" (line {line}, column {column})" if line is not None else ""
+    assert str(e.value) == message + where
+    if kind is ParseError:
+        assert (e.value.line, e.value.column) == (line, column)
+
+
 def test_semantic_rejections():
     with pytest.raises(SemanticError):
         parse_group("Z/1")

@@ -1,6 +1,7 @@
 """`tools/bench_pair.py`'s summary on a synthetic record: medians of both
-tables, pairs won, and ties counting for neither side; its refusal to
-overwrite a record; and the pinned digest of `tools/output_digest.py`."""
+tables, pairs won, ties counting for neither side, and one verdict per
+end-to-end metric; its refusal to overwrite a record; and the pinned
+digest of `tools/output_digest.py`."""
 
 import importlib.util
 import json
@@ -36,6 +37,15 @@ def test_summarize_prints_medians_pairs_won_and_per_layer_medians(capsys):
         "chain_heavy.peak_rss_mb": ((40.0, 40.0), (41.0, 39.0)),
         "chain_heavy.intlin.snf_calls": ((10, 20), (5, 7)),
         "chain_heavy.chaincx.presentations": ((0, 0), (0, 0)),
+        # one record per verdict, in both directions of "better"
+        "periodic_deep.latency_p50_ms": ((1.0, 1.0), (1.5, 1.5)),
+        "periodic_deep.latency_p90_ms": ((1.0, 1.0), (1.2, 1.2)),
+        "mixed_small.throughput_rps": ((100.0, 100.0), (70.0, 70.0)),
+        "periodic_deep.throughput_rps": ((100.0, 101.0), (150.0, 160.0)),
+        "mixed_small.setup_s": ((0.10, 0.15), (0.05, 0.06)),
+        "chain_heavy.setup_s": ((0.10, 0.15), (0.01, 0.02)),
+        "periodic_deep.setup_s": ((0.10, 0.15), (0.12, 0.09)),
+        "periodic_deep.peak_rss_mb": ((40.0, 42.0), (39.0, 41.0)),
     }
     runs = []
     for i, side in enumerate(("parent", "change")):
@@ -64,6 +74,26 @@ def test_summarize_prints_medians_pairs_won_and_per_layer_medians(capsys):
     assert rps[2] == "+0.0%" and rps[-1] == "1/2"
     assert _row(out, "chain_heavy.peak_rss_mb")[-1] == "1/2"
     assert _row(out, "mixed_small.latency_p90_ms")[-1] == "0/2"
+    # verdicts: worse past the bound; unresolved when the parent's spread
+    # exceeds the bound, unless every change run beats every parent run;
+    # gain on 9/10 pairs won and a median moved by more than the spread
+    verdicts = {
+        "periodic_deep.latency_p50_ms": "worse",       # +50% > 24%
+        "periodic_deep.latency_p90_ms": "ok",          # +20% < 24%
+        "mixed_small.throughput_rps": "worse",         # -30% > 20%
+        "chain_heavy.latency_p50_ms": "unresolved",    # spread 60% > 24%
+        "chain_heavy.throughput_rps": "unresolved",
+        "periodic_deep.setup_s": "unresolved",
+        "mixed_small.setup_s": "ok",   # every run beats, 0.07 < spread 0.075
+        "chain_heavy.setup_s": "gain",                 # 0.11 > 0.075
+        "periodic_deep.throughput_rps": "gain",        # 54.5 > 1.5
+        "periodic_deep.peak_rss_mb": "ok",             # 2/2 won, 1 < 3
+        "chain_heavy.peak_rss_mb": "ok",
+        "mixed_small.latency_p90_ms": "ok",
+    }
+    for key, want in verdicts.items():
+        assert _row(out, key)[-2] == want, key
+    assert out.splitlines()[1].split()[-2:] == ["verdict", "won"]
     # per-layer medians and their relative change; a zero median has none
     assert _row(out, "chain_heavy.intlin.snf_calls") == ["15", "6", "-60.0%"]
     assert _row(out, "chain_heavy.chaincx.presentations") == ["0", "0", "-"]

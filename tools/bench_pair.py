@@ -18,7 +18,17 @@ result is the JSON line the run printed.
 At the end, for every end-to-end metric of BENCHMARK.json and every
 workload, it prints each side's median and quartiles, the relative
 change of the median, the parent's quartile distance relative to its
-median, and how many pairs the change won (ties count for neither).
+median, the metric's bound, a verdict, and how many pairs the change
+won (ties count for neither).  The verdict is the first that holds of
+
+    worse       the change's median is worse than the parent's by more
+                than the bound;
+    unresolved  the parent's quartile distance exceeds the bound, and
+                some change run does not beat every parent run;
+    gain        the change won at least 9/10 of the pairs, and its
+                median is better than the parent's by more than the
+                parent's quartile distance;
+    ok          any other case.
 Then, for every per-layer metric (from the traced run) and every
 workload, each side's median and the relative change, which shows in
 which layer a change of the end-to-end figures sits.
@@ -77,9 +87,35 @@ def _relative(change: float, parent: float) -> str:
     return f"{change / parent - 1:+7.1%}" if parent else f"{'-':>7}"
 
 
+def _quartiles(values: list) -> list:
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
+def _won(parent: list, change: list, sign: int) -> int:
+    """Pairs in which the change is better; sign is 1 when higher is
+    better, -1 when lower is."""
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def _verdict(parent: list, change: list, sign: int, bound: float) -> str:
+    """worse, unresolved, gain or ok for one metric on one workload, from
+    runs paired by position (see the module docstring)."""
+    q1, med_p, q3 = _quartiles(parent)
+    gained = sign * (_quartiles(change)[1] - med_p)   # > 0: better
+    if gained < -bound * abs(med_p):
+        return "worse"
+    every_run_beats = (min(sign * c for c in change)
+                       > max(sign * p for p in parent))
+    if q3 - q1 > bound * abs(med_p) and not every_run_beats:
+        return "unresolved"
+    if _won(parent, change, sign) >= 0.9 * len(parent) and gained > q3 - q1:
+        return "gain"
+    return "ok"
+
+
 def summarize(record: dict) -> None:
-    """Per workload and end-to-end metric: medians, quartiles, pairs won.
-    Per workload and per-layer metric: each side's median."""
+    """Per workload and end-to-end metric: medians, quartiles, verdict,
+    pairs won.  Per workload and per-layer metric: each side's median."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = {(r["side"], r["seed"]): r["result"] for r in record["runs"]}
     seeds = sorted(s for side, s in runs if side == "change"
@@ -89,24 +125,22 @@ def summarize(record: dict) -> None:
     print(f"{len(seeds)} pairs; failed requests: parent {failed['parent']},"
           f" change {failed['change']}")
     print(f"{'metric':34} {'parent q1/med/q3':>26} {'change q1/med/q3':>26}"
-          f" {'change':>7} {'spread':>6} {'bound':>5} won")
+          f" {'change':>7} {'spread':>6} {'bound':>5} {'verdict':10} won")
     for workload in spec["workloads"]:
         for metric in spec["end_to_end"]:
             key = f"{workload['name']}.{metric['name']}"
-            sides = {side: [runs[side, s]["metrics"][key]["value"]
-                            for s in seeds] for side in ("parent", "change")}
-            q = {side: statistics.quantiles(v, n=4) if len(v) > 1
-                 else v * 3 for side, v in sides.items()}
+            parent, change = ([runs[side, s]["metrics"][key]["value"]
+                               for s in seeds] for side in ("parent", "change"))
+            q_p, q_c = _quartiles(parent), _quartiles(change)
             sign = 1 if metric["better"] == "higher" else -1
-            won = sum(sign * (c - p) > 0
-                      for p, c in zip(sides["parent"], sides["change"]))
-            med_p = q["parent"][1]
             print(f"{key:34} "
-                  + " ".join("{:8.4g}/{:8.4g}/{:8.4g}".format(*q[side])
-                             for side in ("parent", "change"))
-                  + f" {q['change'][1] / med_p - 1:+7.1%}"
-                  f" {(q['parent'][2] - q['parent'][0]) / med_p:6.1%}"
-                  f" {metric['bound']:5.0%} {won}/{len(seeds)}")
+                  + " ".join("{:8.4g}/{:8.4g}/{:8.4g}".format(*q)
+                             for q in (q_p, q_c))
+                  + f" {q_c[1] / q_p[1] - 1:+7.1%}"
+                  f" {(q_p[2] - q_p[0]) / q_p[1]:6.1%}"
+                  f" {metric['bound']:5.0%}"
+                  f" {_verdict(parent, change, sign, metric['bound']):10}"
+                  f" {_won(parent, change, sign)}/{len(seeds)}")
     print(f"{'per-layer metric (traced run)':44} {'parent med':>12}"
           f" {'change med':>12} {'change':>7}")
     for workload in spec["workloads"]:
