@@ -184,15 +184,16 @@ def homology(c, n: int) -> FgAbGroup:
     """
     if n < 0:
         return FgAbGroup.trivial()
+    _, d_out, free = _diagonals(c, n)
+    return FgAbGroup(free, tuple(d for d in d_out if d >= 2))
+
+
+def _diagonals(c, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The Smith diagonals of del_n and del_{n+1}, and the rank of H_n."""
     d_in = smith_invariants(c.boundary(n))
     d_out = smith_invariants(c.boundary(n + 1))
-    return FgAbGroup(_free_rank(c, n, d_in, d_out),
-                     tuple(d for d in d_out if d >= 2))
-
-
-def _free_rank(c, n: int, d_in, d_out) -> int:
-    """Rank of H_n from the Smith diagonals of del_n and del_{n+1}."""
-    return c.rank(n) - sum(1 for d in d_in if d) - sum(1 for d in d_out if d)
+    free = c.rank(n) - sum(1 for d in d_in if d) - sum(1 for d in d_out if d)
+    return d_in, d_out, free
 
 
 # Entries of the _presented LRU.  On sessions of uct and bockstein
@@ -236,9 +237,7 @@ def cohomology(c, n: int, modulus: int | None = None) -> FgAbGroup:
         raise SemanticError("coefficient modulus must be >= 2")
     if n < 0:
         return FgAbGroup.trivial()
-    d_in = smith_invariants(c.boundary(n))
-    d_out = smith_invariants(c.boundary(n + 1))
-    free = _free_rank(c, n, d_in, d_out)
+    d_in, d_out, free = _diagonals(c, n)
     if modulus is None:
         return FgAbGroup(free, tuple(d for d in d_in if d >= 2))
     return FgAbGroup.from_cyclic_orders(
@@ -272,10 +271,9 @@ def uct_decompose(c, n: int) -> UctDecomposition:
     presentation (transform SNF, no Smith diagonal), so the check
     compares two independent routes.
     """
-    d_in = smith_invariants(c.boundary(n))
-    d_out = smith_invariants(c.boundary(n + 1))
+    d_in, _, free = _diagonals(c, n)
     ext_part = FgAbGroup(0, tuple(d for d in d_in if d >= 2))
-    hom_part = FgAbGroup(_free_rank(c, n, d_in, d_out))
+    hom_part = FgAbGroup(free)
     total = _cochain_presentation(c, n, None).group
     return UctDecomposition(degree=n, ext_part=ext_part,
                             hom_part=hom_part, total=total)

@@ -93,12 +93,12 @@ def parse_request(line: str) -> Request:
 
 def execute(req: Request, trace: bool = False) -> dict:
     """Run one request; returns the report dictionary."""
-    result, text, citations, tr = COMMANDS[req.command].run(trace, *req.args)
+    result, text, citations, tr = COMMANDS[req.command].run(*req.args)
     report = {"request": req.text, "command": req.command,
               "result": result, "result_text": text,
               "citations": sorted(set(citations))}
     if trace:
-        report["trace"] = tr
+        report["trace"] = list(tr)
     return report
 
 
@@ -151,7 +151,7 @@ def _catalog_args(p: _Parser) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# evaluators: (trace, *args) -> (result, text, citations, trace lines)
+# evaluators: *args -> (result, text, citations, trace lines)
 # ---------------------------------------------------------------------------
 
 def _group_payload(g) -> dict:
@@ -187,20 +187,18 @@ def _group_text(payload: dict) -> str:
     return f"{payload['expression']} (exponent {payload['exponent']})"
 
 
-def _boundary_trace(space: SpaceDescription, n: int, trace: bool,
-                    count: int = 2) -> list[str]:
-    """When tracing a space with cells, the Smith diagonals of del_n ..
+def _boundary_trace(space: SpaceDescription, n: int, count: int = 2):
+    """For a space with cells, the Smith diagonals of del_n ..
     del_{n+count-1}, read off the space's own boundary matrices: a
-    diagonal the answer computed is printed, not computed again."""
-    if not trace or space.cells is None:
-        return []
-    lines = []
+    diagonal the answer computed is printed, not computed again.  A
+    generator, so an untraced request computes none of them."""
+    if space.cells is None:
+        return
     for d in range(n, n + count):
         b = space.cells.boundary(d)
-        lines.append(f"SNF diagonal of boundary_{d}: {list(smith_invariants(b))}"
-                     if b.rows and b.cols
-                     else f"boundary_{d} is zero ({b.rows} x {b.cols})")
-    return lines
+        yield (f"SNF diagonal of boundary_{d}: {list(smith_invariants(b))}"
+               if b.rows and b.cols
+               else f"boundary_{d} is zero ({b.rows} x {b.cols})")
 
 
 def _verdict(cert) -> str:
@@ -221,13 +219,13 @@ def _certificate(space: SpaceDescription):
     return cert, payload, citations
 
 
-def _homology(trace, space, n):
+def _homology(space, n):
     result = _group_payload(space_homology(space, n))
     return (result, f"H_{n} = {_group_text(result)}", ["smith-normal-form"],
-            _boundary_trace(space, n, trace))
+            _boundary_trace(space, n))
 
 
-def _cohomology(trace, space, n, modulus):
+def _cohomology(space, n, modulus):
     result = _group_payload(cohomology(space.chains, n, modulus=modulus))
     result["degree"] = n
     if modulus is None:
@@ -236,10 +234,10 @@ def _cohomology(trace, space, n, modulus):
         result["modulus"] = modulus
         text = f"H^{n}(; Z/{modulus}) = {result['group']}"
     return (result, text, ["universal-coefficients", "smith-normal-form"],
-            _boundary_trace(space, n, trace))
+            _boundary_trace(space, n))
 
 
-def _uct(trace, space, n):
+def _uct(space, n):
     u = uct_decompose(space.chains, n)
     result = {"kind": "uct", "degree": n,
               "ext_part": format_group(u.ext_part),
@@ -248,10 +246,10 @@ def _uct(trace, space, n):
     text = (f"H^{n} = {result['total']} with Ext part "
             f"{result['ext_part']} and Hom part {result['hom_part']}")
     return (result, text, ["universal-coefficients"],
-            _boundary_trace(space, n, trace))
+            _boundary_trace(space, n))
 
 
-def _bockstein(trace, space, n, modulus):
+def _bockstein(space, n, modulus):
     beta = bockstein(space.chains, n, modulus)
     result = {"kind": "hom",
               "domain": format_group(beta.domain),
@@ -262,10 +260,10 @@ def _bockstein(trace, space, n, modulus):
             f"{result['domain']} -> {result['codomain']}, "
             f"matrix {result['matrix']}")
     return (result, text, ["bockstein-sequence"],
-            _boundary_trace(space, n, trace, 3))
+            _boundary_trace(space, n, 3))
 
 
-def _brauer(trace, space):
+def _brauer(space):
     bp = brauer_prime(space)
     cert, equality, citations = _certificate(space)
     bp_payload = _group_payload(bp)
@@ -280,10 +278,10 @@ def _brauer(trace, space):
     text = (f"Br' = {_group_text(bp_payload)}; Br = "
             f"{_group_text(br) if br is not None else 'undetermined'}; "
             f"equality: {_verdict(cert)}")
-    return result, text, citations, _boundary_trace(space, 2, trace)
+    return result, text, citations, _boundary_trace(space, 2)
 
 
-def _phantom(trace, space, n):
+def _phantom(space, n):
     result = _group_payload(phantom_subgroup(space, n))
     result["degree"] = n
     citations = ["phantom-formula"]
@@ -293,7 +291,7 @@ def _phantom(trace, space, n):
             citations, [])
 
 
-def _certify(trace, space):
+def _certify(space):
     cert, payload, citations = _certificate(space)
     tr = [f"applicable rules, in priority order: "
           f"{list(cert.applicable_rules) or 'none'}"]
@@ -301,7 +299,7 @@ def _certify(trace, space):
             f"{_verdict(cert)}: {cert.witness}", citations, tr)
 
 
-def _lim1(trace, tower):
+def _lim1(tower):
     cert = lim1_certificate(tower)
     result = {"kind": "lim1", "verdict": cert.verdict,
               "reason": cert.reason, "witness": cert.witness}
@@ -312,7 +310,7 @@ def _lim1(trace, tower):
             [cert.witness])
 
 
-def _profile_brauer(trace, profile):
+def _profile_brauer(profile):
     lam = format_profile(lambda_square_profile(profile))
     result = {"kind": "profile_brauer", "profile": format_profile(profile),
               "lambda_square": lam,
@@ -322,7 +320,7 @@ def _profile_brauer(trace, profile):
             citations, [f"Lambda^2 profile: {lam}"])
 
 
-def _non_brauer(trace, profile, descriptor):
+def _non_brauer(profile, descriptor):
     rep = non_brauer_certificate(profile, descriptor)
     result = {"kind": "non_brauer", "verdict": rep.verdict,
               "profile": format_profile(profile),
@@ -335,7 +333,7 @@ def _non_brauer(trace, profile, descriptor):
             ["bg-strict", "bg-brauer-formula"], tr)
 
 
-def _catalog(trace, subject):
+def _catalog(subject):
     entry = catalog_lookup(subject)
     result = {"kind": "catalog", "name": entry.name,
               "br_prime": _payload_or_none(entry.br_prime),
@@ -497,8 +495,8 @@ def _certificate_summary(res: dict) -> str:
 
 class _Command(NamedTuple):
     parse: Callable    # _Parser -> argument tuple
-    run: Callable      # (trace, *arguments) -> (result, text, citations,
-                       # trace lines)
+    run: Callable      # *arguments -> (result, text, citations,
+                       # trace lines, read only under --trace)
     summary: Callable | None  # result -> the short text `reproduce` compares
 
 
@@ -533,7 +531,7 @@ COMMANDS = {
         lambda r: f"Br'={_head(r['br_prime'])} Br={_head(r['br'])} "
                   f"{r['verdict']}"),
     # reproduce is never an item of its own table, so it has no summary
-    "reproduce": _Command(lambda p: (), lambda trace: _run_reproduce(), None),
+    "reproduce": _Command(lambda p: (), _run_reproduce, None),
 }
 
 

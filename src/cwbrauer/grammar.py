@@ -49,8 +49,8 @@ were always read token by token.
 A tower is read front to back, once: each map is kept as written and
 becomes a GroupHom when the groups on both sides of its arrow are read.
 The block links are listed as B_0, B_1, ..., each with its map to the
-previous stage (B_i maps to B_{(i-1) mod m}); the printed target group
-is validated against that convention.
+previous stage (B_i maps to B_{(i-1) mod m}); `Tower` checks the
+printed target group against that convention.
 """
 
 from __future__ import annotations
@@ -520,28 +520,21 @@ class _Parser:
             self.expect("sym", "]")
         self.expect("ident", "block", what="block")
         self.expect("sym", "[")
-        links: list[tuple[FgAbGroup, GroupHom, FgAbGroup]] = []
+        block_groups: list[FgAbGroup] = []
+        block_maps: list[GroupHom] = []
         while True:
             src = self.group()
             spec = self._map()
             self.expect("sym", ">")
-            dst = self.group()
-            links.append((src, self._hom(spec, src, dst), dst))
+            block_groups.append(src)
+            block_maps.append(self._hom(spec, src, self.group()))
             if not self.accept("sym", ","):
                 break
         self.expect("sym", "]")
-        block_groups = tuple(src for src, _, _ in links)
-        m = len(links)
-        for i, (_, _, dst) in enumerate(links):
-            want = block_groups[(i - 1) % m]
-            if dst != want:
-                raise SemanticError(
-                    f"block link {i} must map to {want} (the previous stage), "
-                    f"not {dst}")
         return Tower(prefix_groups=tuple(prefix_groups),
                      prefix_maps=tuple(prefix_maps),
-                     block_groups=block_groups,
-                     block_maps=tuple(h for _, h, _ in links))
+                     block_groups=tuple(block_groups),
+                     block_maps=tuple(block_maps))
 
     # -- descriptor literals ---------------------------------------------
     def affine(self) -> AffineExpr:

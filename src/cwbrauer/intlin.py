@@ -431,9 +431,13 @@ def divisibility_chain(orders) -> list[int]:
 
     One pass over the pairs i < j replaces (d_i, d_j) by (gcd, lcm).
     After row i, d_i divides every later entry, and later swaps keep
-    that, so no factorization and no second pass are needed.
+    that, so no factorization and no second pass are needed.  Sorted
+    orders in which each divides the next (a p-primary group, say) are
+    already the chain: no pair would swap.
     """
     chain = sorted(orders)
+    if all(b % a == 0 for a, b in zip(chain, chain[1:])):
+        return chain
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):
             g = gcd(chain[i], chain[j])

@@ -269,9 +269,12 @@ class Tower:
                 raise SemanticError(f"prefix map {i} does not chain")
         m = len(self.block_groups)
         for i, f in enumerate(self.block_maps):
-            if f.domain != self.block_groups[i] or \
-                    f.codomain != self.block_groups[(i - 1) % m]:
+            if f.domain != self.block_groups[i]:
                 raise SemanticError(f"block map {i} does not chain")
+            want = self.block_groups[(i - 1) % m]
+            if f.codomain != want:
+                raise SemanticError(f"block link {i} must map to {want} "
+                                    f"(the previous stage), not {f.codomain}")
         if self.prefix_groups and \
                 self.prefix_groups[-1] != self.block_groups[-1]:
             raise SemanticError(
@@ -314,17 +317,15 @@ def _relation_matrix(g: FgAbGroup) -> IntMatrix:
 
 
 def _images_equal(g: FgAbGroup, a: IntMatrix, b: IntMatrix) -> bool:
-    """Do span(a) and span(b) agree as subgroups of g?
+    """Do span(a) and span(b) agree in g, given span(b) inside span(a)
+    plus g's relations?
 
-    With g's relations added, both spans lie in L = span(a, b,
-    relations).  A sublattice of L equals L exactly when it has L's rank
-    and the same index in its saturation, the product of its nonzero
-    Smith invariants.
+    Then L_b = span(b, relations) lies in L_a = span(a, relations).  At
+    equal rank both have one saturation, and L_b = L_a exactly when both
+    have the same index in it, the product of the nonzero Smith invariants.
     """
     rel = _relation_matrix(g)
-    whole = _rank_and_index(a.hstack(b).hstack(rel))
-    return (_rank_and_index(a.hstack(rel)) == whole
-            == _rank_and_index(b.hstack(rel)))
+    return _rank_and_index(a.hstack(rel)) == _rank_and_index(b.hstack(rel))
 
 
 def _rank_and_index(m: IntMatrix) -> tuple[int, int]:
@@ -350,12 +351,13 @@ def lim1_certificate(t: Tower) -> Lim1Certificate:
     """Certify lim^1 = 0 when we can, otherwise stay inconclusive.
 
     Rule order: all groups finite (lim^1 of a tower of finite groups
-    always vanishes); then the Mittag-Leffler check, where for each stage
-    j in one block period the image of A_{j+k} -> A_j is compared at
-    k = m and k = 2m.  Since the tail is m-periodic, equality there forces
-    the descending image chain to be constant from k = m on, which is the
-    Mittag-Leffler condition; stages before the block inherit it.  If the
-    images still shrink after two periods we refuse to conclude.
+    always vanishes); then Mittag-Leffler: for each stage j in one block
+    period, f = A_{j+m} -> A_j and f o f, which is A_{j+2m} -> A_j as the
+    tail is m-periodic, must have one image.  That makes the descending
+    image chain constant from k = m on; stages before the block inherit
+    it.  The matrix of f o f is f's squared, torsion rows reduced, so its
+    span lies in span(f) plus the relations, as _images_equal needs.  If
+    the images still shrink after two periods we refuse to conclude.
     """
     groups = t.prefix_groups + t.block_groups
     if all(g.is_finite for g in groups):
@@ -364,15 +366,9 @@ def lim1_certificate(t: Tower) -> Lim1Certificate:
             "every group in the tower is finite")
     p = len(t.prefix_groups)
     m = t.block_length
-    stable = True
-    for j in range(p, p + m):
-        g = t.group(j)
-        im_one = t.composite(j + m, j).matrix
-        im_two = t.composite(j + 2 * m, j).matrix
-        if not _images_equal(g, im_one, im_two):
-            stable = False
-            break
-    if stable:
+    periods = (t.composite(j + m, j) for j in range(p, p + m))
+    if all(_images_equal(f.codomain, f.matrix, f.compose(f).matrix)
+           for f in periods):
         return Lim1Certificate(
             "VANISHES", "MittagLeffler",
             f"images of A_(j+k) -> A_j agree at k = {m} and k = {2 * m} "

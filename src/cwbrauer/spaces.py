@@ -29,7 +29,9 @@ caches nothing.  A finite complex is labelled by the value of its
 chains, ("complex", (ranks, boundaries)), so `from_complex` and
 `from_literal`, which the grammar calls for a `complex{...}` literal,
 share one entry, and a kept literal is found before a ChainComplex is
-built and checked.  The cache lives as long as the process.
+built and checked.  The cache lives as long as the process.  A
+catalog space is built per request and keeps its `catalog_entry`, looked
+up on the first read, so a request reads the catalog once.
 
 Chain-level code reads a finite or periodic space through its `chains`:
 the stored ChainComplex or PeriodicComplex itself, which answers
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 from .abgroup import FgAbGroup, Z, brauer_of_k_g_2, ext1
 from .chaincx import ChainComplex, homology, tensor_complexes
@@ -164,6 +167,11 @@ class SpaceDescription:
                 "certify only; cochain-level commands need a finite or "
                 "periodic cell structure")
         return self.cells
+
+    @cached_property
+    def catalog_entry(self) -> "CatalogEntry":
+        """A catalog space's recorded facts, looked up on the first read."""
+        return _catalog_entry(self)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +573,10 @@ def catalog_lookup(x) -> CatalogEntry:
         return _fact_entry(x)
     if not isinstance(x, SpaceDescription) or x.kind != "catalog":
         raise SemanticError("catalog_lookup needs a catalog space or a name")
+    return x.catalog_entry
+
+
+def _catalog_entry(x: SpaceDescription) -> CatalogEntry:
     head, args = x.label
     if head == "bpgl":
         n = args[0]

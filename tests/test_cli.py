@@ -436,6 +436,20 @@ def test_traced_bockstein_eliminates_a_repeated_block_once(monkeypatch):
     assert [a.to_lists() for a in eliminated] == [[[0]], [[4]]]
 
 
+def test_untraced_requests_compute_no_trace_diagonal(monkeypatch,
+                                                     cold_caches):
+    """The third trace line of a Bockstein is the diagonal of a boundary
+    the answer never eliminates: only a traced request computes it."""
+    eliminated = _recording(monkeypatch, intlin, "_smith_diagonal")
+    line = "bockstein product(lens(4, 3), lens(6, 3)) 2 mod 2"
+    for trace in (False, True):
+        cold_caches()
+        eliminated.clear()
+        assert run_json(line, trace=trace)[0] == EXIT_OK
+        top = parse_request(line).args[0].chains.boundary(4)
+        assert (id(top) in {id(a) for a in eliminated}) == trace
+
+
 def _cyclic(order):
     return "0" if order == 1 else f"Z/{order}"
 
@@ -624,6 +638,32 @@ def test_group_and_profile_literals_at_the_bounds_answer():
     # w counts as no finite summand
     code, rep = run_json(f"catalog bg((Z/2)^{m} + (Z/4)^w)")
     assert code == EXIT_OK, rep
+
+
+def test_brauer_of_bg_reads_the_catalog_once(monkeypatch):
+    """brauer_prime, the equality certificate and the Br column of one
+    `brauer bg(P)` request share the space's one catalog entry."""
+    from cwbrauer import spaces
+    built = _recording(monkeypatch, spaces, "brauer_of_bg")
+    for line in ("brauer bg((Z/4)^3 + (Z/6)^2)", "brauer bg((Z/2)^w)",
+                 "certify bg((Z/3)^5)"):
+        built.clear()
+        assert run_json(line)[0] == EXIT_OK, line
+        assert len(built) == 1, line
+
+
+@pytest.mark.parametrize("line", ["profile-brauer (Z/4)^64",
+                                  "brauer bg((Z/4)^64)"])
+def test_p_primary_profiles_at_the_bound_answer_quickly(line):
+    """Lambda^2 of (Z/4)^64 has 2016 summands of one order: their
+    divisibility chain needs no pairwise gcd/lcm sweep."""
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        code, rep = run_json(line)
+        times.append(time.perf_counter() - t0)
+        assert code == EXIT_OK, rep
+    assert min(times) < 0.1, times
 
 
 def test_batch_refuses_oversize_complexes_and_answers_the_other_lines():

@@ -268,6 +268,21 @@ def test_divisibility_chain_matches_prime_power_oracle():
             chain_from_prime_powers(orders), orders
 
 
+def test_divisibility_chain_of_dividing_orders_matches_prime_power_oracle():
+    """Orders that already divide in sorted order, such as a p-primary
+    profile, and the same orders shuffled or with one entry changed."""
+    rng = random.Random(15)
+    for _ in range(2000):
+        orders = [rng.choice((2, 3, 5))]
+        for _ in range(rng.randint(0, 8)):
+            orders.append(orders[-1] * rng.choice((1, 1, 2, 3)))
+        if rng.random() < 0.3:
+            orders[rng.randrange(len(orders))] = rng.randint(1, 40)
+        rng.shuffle(orders)
+        assert intlin.divisibility_chain(orders) == \
+            chain_from_prime_powers(orders), orders
+
+
 def coset_count(rows) -> int:
     """Literal coset enumeration for a finite cokernel: walk every point
     of the Hermite box, reduce it to a canonical representative by the

@@ -1,12 +1,16 @@
 """Tests for towers, lim^1 certificates, directed systems, symbolic
 colimits, and the symbolic Ext^1 / Ulm / torsion-free-quotient tables."""
 
+import io
+import json
 import random
 
 import pytest
 
 from cwbrauer.abgroup import FgAbGroup, GroupHom, ext1
 from cwbrauer.errors import SemanticError, UnsupportedComputation
+from cwbrauer import limits
+from cwbrauer.cli import run_line
 from cwbrauer.intlin import IntMatrix, solve_integral
 from cwbrauer.limits import (
     Atom, ConstantStrand, DirectedSystem, Lim1Certificate,
@@ -22,6 +26,12 @@ Z = FgAbGroup.cyclic(0)
 
 def zmod(n):
     return FgAbGroup.cyclic(n)
+
+
+def run_line_json(line):
+    out = io.StringIO()
+    code = run_line(line, True, False, out=out)
+    return code, json.loads(out.getvalue())
 
 
 # -- atoms and symbolic groups -------------------------------------------------------
@@ -227,21 +237,27 @@ def test_phantom_of_telescope():
         phantom_of_telescope(DirectedSystem.telescope_z(2), 0)
 
 
+def rel_matrix(orders):
+    cols = [i for i, d in enumerate(orders) if d]
+    return IntMatrix([[orders[i] if i == j else 0 for j in cols]
+                      for i in range(len(orders))], cols=len(cols))
+
+
+def contains(rel, big, small):
+    """span(small) inside span(big) + span(rel), decided column by column
+    with integral solves."""
+    wide = big.hstack(rel)
+    return all(solve_integral(wide, small.col_tuple(j)) is not None
+               for j in range(small.cols))
+
+
 def test_images_equal_matches_a_solve_based_reference():
     """_images_equal (rank and index from Smith diagonals) against mutual
     containment decided column by column with integral solves, on seeded
-    groups and generator matrices, half of them rebased copies."""
+    groups and generator matrices.  Every b is [a | relations] times an
+    integer matrix, as _images_equal requires: half of them unimodular
+    rebasings of a, half random combinations."""
     rng = random.Random(88)
-
-    def rel_matrix(orders):
-        cols = [i for i, d in enumerate(orders) if d]
-        return IntMatrix([[orders[i] if i == j else 0 for j in cols]
-                          for i in range(len(orders))], cols=len(cols))
-
-    def contains(rel, big, small):
-        wide = big.hstack(rel)
-        return all(solve_integral(wide, small.col_tuple(j)) is not None
-                   for j in range(small.cols))
 
     def rand(rows, cols):
         return IntMatrix([[rng.randint(-4, 4) for _ in range(cols)]
@@ -263,8 +279,97 @@ def test_images_equal_matches_a_solve_based_reference():
             mix += rand(rel.cols, k).to_lists()
             b = a.hstack(rel) @ IntMatrix(mix, cols=k)
         else:
-            b = rand(rows, rng.randint(0, 3))
+            # a subgroup of span(a): [a | relations] times a random matrix
+            b = a.hstack(rel) @ rand(a.cols + rel.cols, rng.randint(0, 2))
+        assert contains(rel, a, b)
         want = contains(rel, a, b) and contains(rel, b, a)
         assert _images_equal(g, a, b) == want, (orders, a, b)
         seen[want] += 1
     assert min(seen.values()) > 100, seen
+
+
+def _random_tower(rng):
+    """A seeded tower: groups of one or two cyclic summands (some free),
+    an optional prefix, a block of 1 to 3 links, random map matrices."""
+    def group():
+        return FgAbGroup.from_cyclic_orders(
+            [rng.choice((0, 0, 0, 2, 3, 4, 6)) for _ in range(rng.randint(1, 2))])
+
+    def hom(dom, cod):
+        rows = len(cod.cyclic_orders())
+        cols = len(dom.cyclic_orders())
+        while True:  # a random matrix that respects dom's relations
+            try:
+                return GroupHom(dom, cod, [[rng.randint(-3, 3) for _ in range(cols)]
+                                           for _ in range(rows)])
+            except SemanticError:
+                pass
+
+    block = [group() for _ in range(rng.randint(1, 3))]
+    maps = tuple(hom(g, block[i - 1]) for i, g in enumerate(block))
+    prefix = []
+    if rng.random() < 0.5:
+        prefix = [group() for _ in range(rng.randint(0, 2))] + [block[-1]]
+    return Tower(prefix_groups=tuple(prefix),
+                 prefix_maps=tuple(hom(prefix[i + 1], prefix[i])
+                                   for i in range(len(prefix) - 1)),
+                 block_groups=tuple(block), block_maps=maps)
+
+
+def test_lim1_verdicts_match_a_two_period_solve_reference():
+    """lim1_certificate (one period composed with itself, two Smith
+    diagonals) against the images of A_(j+m) -> A_j and A_(j+2m) -> A_j
+    compared by mutual containment with integral solves."""
+    rng = random.Random(15)
+    seen = {"JensenFinite": 0, "MittagLeffler": 0, None: 0}
+    for _ in range(300):
+        t = _random_tower(rng)
+        p, m = len(t.prefix_groups), t.block_length
+        if all(g.is_finite for g in t.prefix_groups + t.block_groups):
+            want = "JensenFinite"
+        else:
+            stable = True
+            for j in range(p, p + m):
+                rel = rel_matrix(t.group(j).cyclic_orders())
+                one = t.composite(j + m, j).matrix
+                two = t.composite(j + 2 * m, j).matrix
+                stable &= contains(rel, one, two) and contains(rel, two, one)
+            want = "MittagLeffler" if stable else None
+        assert lim1_certificate(t).reason == want, t
+        seen[want] += 1
+    assert min(seen.values()) > 40, seen
+
+
+def test_lim1_reads_two_smith_diagonals_per_block_stage(monkeypatch):
+    """One diagonal of [f | relations] and one of [f o f | relations] for
+    each stage of the block; a Mittag-Leffler tower visits every stage."""
+    calls = []
+    real = limits.smith_invariants
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(limits, "smith_invariants", counting)
+    z2 = FgAbGroup.from_cyclic_orders((0, 0))
+    swap = GroupHom(z2, z2, [[0, 1], [1, 0]])
+    for m in (1, 2, 3):
+        calls.clear()
+        t = Tower(prefix_groups=(Z, z2), prefix_maps=(GroupHom(z2, Z, [[1, 0]]),),
+                  block_groups=(z2,) * m, block_maps=(swap,) * m)
+        assert lim1_certificate(t).reason == "MittagLeffler"
+        assert len(calls) == 2 * m
+
+
+def test_tower_names_a_block_link_with_the_wrong_target():
+    """Tower itself checks the links, with the message the CLI prints for
+    a tower literal."""
+    z4 = zmod(4)
+    with pytest.raises(SemanticError) as direct:
+        Tower(block_groups=(Z,), block_maps=(GroupHom.scalar(Z, z4, 2),))
+    want = "block link 0 must map to Z (the previous stage), not Z/4"
+    assert str(direct.value) == want
+    code, out = run_line_json("lim1 tower block [Z -(x2)-> Z/4]")
+    assert (code, out["error"]["message"]) == (3, want)
+    with pytest.raises(SemanticError, match="block map 0 does not chain"):
+        Tower(block_groups=(Z,), block_maps=(GroupHom.scalar(z4, Z, 0),))
