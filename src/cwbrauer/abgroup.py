@@ -67,8 +67,8 @@ class FgAbGroup:
         """Canonical form of + Z/n_i (n_i = 0 meaning Z), any order, any n_i >= 0.
 
         The torsion orders are put into a divisibility chain by
-        `intlin.divisibility_chain` (gcd/lcm pair swaps, no prime
-        factorization).
+        `intlin.divisibility_chain` (a coprime base found by gcds, no
+        prime factorization).
         """
         orders = [int(n) for n in orders]
         if any(n < 0 for n in orders):

@@ -20,9 +20,11 @@ Each command is declared once, in the COMMANDS table: its argument
 parser, its evaluator and the summary that `reproduce` compares.
 
 Flags: --json (structured, deterministic output), --trace (diagnostic
-witnesses, among them the Smith diagonals the answer read: a boundary
-matrix keeps its diagonal, so none is eliminated twice), --batch FILE
-(one request per line, '-' for stdin).
+witnesses, among them the Smith diagonals of the boundaries around the
+degree: a boundary matrix keeps its diagonal, so one that homology,
+cohomology or uct already read is not eliminated again; bockstein reads
+none of its three, so its trace eliminates them), --batch FILE (one
+request per line, '-' for stdin).
 
 Exit codes: 0 success; 1 reproduce found failing items; 2 parse error;
 3 semantic error; 4 computation unsupported (outside the symbolic
@@ -190,8 +192,10 @@ def _group_text(payload: dict) -> str:
 def _boundary_trace(space: SpaceDescription, n: int, count: int = 2):
     """For a space with cells, the Smith diagonals of del_n ..
     del_{n+count-1}, read off the space's own boundary matrices: a
-    diagonal the answer computed is printed, not computed again.  A
-    generator, so an untraced request computes none of them."""
+    diagonal the answer computed is printed, not computed again, and
+    any other one (all three of bockstein's, whose answer comes from
+    cochain presentations) is computed here.  A generator, so an
+    untraced request computes none of them."""
     if space.cells is None:
         return
     for d in range(n, n + count):

@@ -83,10 +83,10 @@ MAX_COMPLEX_DEGREE = 512
 # Largest group and profile literals.  A tower map on Z^n is an n x n
 # matrix that lim1 eliminates: lim1 of Z^128 -(x2)-> Z^128 takes 0.12 s
 # and of Z^512 4 s.  A profile with k finite cyclic summands has
-# k(k-1)/2 in Lambda^2: brauer bg((Z/4)^64) takes 0.75 s and
-# (Z/4)^128 12 s (Python 3.11, 2 cores, at the faster of the machine's
-# two clock levels).  The tests read at most 7 generators and 45 finite
-# summands, the benchmark 4 and 6.
+# k(k-1)/2 in Lambda^2: at k = 64, brauer bg((Z/4)^64) takes 2.7 ms and
+# brauer bg((Z/4)^32 + (Z/6)^32) 3.6 ms through cli.run_line, best of 3
+# (Python 3.11, 2 cores).  The tests read at most 7 generators and 64
+# finite summands, the benchmark 4 and 6.
 MAX_GROUP_GENERATORS = 128
 MAX_PROFILE_MULTIPLICITY = 64
 
@@ -250,8 +250,7 @@ class _Parser:
                                start)
             if not self.accept("sym", "+"):
                 break
-        return FgAbGroup.free(free).direct_sum(
-            FgAbGroup.from_cyclic_orders(torsion))
+        return FgAbGroup.from_cyclic_orders([0] * free + torsion)
 
     # -- profile literals ----------------------------------------------
     def profile(self) -> CyclicProfile:

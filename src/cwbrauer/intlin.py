@@ -360,8 +360,8 @@ def smith_invariants(a: IntMatrix | list) -> tuple[int, ...]:
     the column is clear, column operations only change the pivot row,
     so they reduce it modulo the pivot.  When both are clear the pivot
     row and column are dropped, as is every row that becomes zero.  The
-    pivots then diagonalize a, and a gcd/lcm pass turns them into the
-    chain.  The result is kept on a, and later calls return it.
+    pivots then diagonalize a, and `divisibility_chain` turns them into
+    the chain.  The result is kept on a, and later calls return it.
     """
     if not isinstance(a, IntMatrix):
         a = IntMatrix(a)
@@ -419,30 +419,46 @@ def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
                 kept.append(r)
         live = kept
     # diag(pivots) has the invariant factors of a; order them as a chain
-    units = pivots.count(1)
-    chain = divisibility_chain(d for d in pivots if d != 1)
-    return ((1,) * units + tuple(chain)
-            + (0,) * (limit - len(pivots)))
+    return tuple(divisibility_chain(pivots)) + (0,) * (limit - len(pivots))
 
 
 def divisibility_chain(orders) -> list[int]:
     """Z/a_1 + ... + Z/a_k (every a_i >= 1) as its invariant factors
     d_1 | d_2 | ... | d_k, the same number of them.
 
-    One pass over the pairs i < j replaces (d_i, d_j) by (gcd, lcm).
-    After row i, d_i divides every later entry, and later swaps keep
-    that, so no factorization and no second pass are needed.  Sorted
-    orders in which each divides the next (a p-primary group, say) are
-    already the chain: no pair would swap.
+    Gcds alone split the distinct orders > 1 into a coprime base:
+    pairwise coprime b > 1 such that every order is a product of powers
+    of the b.  A pending x that meets a base entry b with g = gcd(x, b)
+    > 1 gives way, with b, to x/g, g and b/g: that keeps every order a
+    product of powers and lowers the product of all entries, so it ends.
+    Then d_i is the product over b of b^(i-th smallest exponent of b in
+    the orders).  Proof: each prime p of an order divides exactly one b,
+    and v_p(b^e) = e * v_p(b), so sorting the exponents of b sorts v_p
+    for every p | b at once, and d_i = prod_p p^(i-th smallest v_p).
     """
-    chain = sorted(orders)
-    if all(b % a == 0 for a, b in zip(chain, chain[1:])):
-        return chain
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            g = gcd(chain[i], chain[j])
-            if g != chain[i]:
-                chain[i], chain[j] = g, chain[i] // g * chain[j]
+    orders = list(orders)
+    base, todo = [], [n for n in set(orders) if n > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo += [y for y in (x // g, g, b // g) if y > 1]
+                break
+        else:
+            base.append(x)
+    chain = [1] * len(orders)
+    for b in base:
+        exponents = []
+        for n in orders:
+            e = 0
+            while n % b == 0:
+                n //= b
+                e += 1
+            exponents.append(e)
+        for i, e in enumerate(sorted(exponents)):
+            chain[i] *= b ** e
     return chain
 
 

@@ -652,11 +652,14 @@ def test_brauer_of_bg_reads_the_catalog_once(monkeypatch):
         assert len(built) == 1, line
 
 
-@pytest.mark.parametrize("line", ["profile-brauer (Z/4)^64",
-                                  "brauer bg((Z/4)^64)"])
+@pytest.mark.parametrize("line", [
+    "profile-brauer (Z/4)^64", "brauer bg((Z/4)^64)",
+    "brauer bg((Z/4)^32 + (Z/6)^32)",
+    "profile-brauer (Z/6)^21 + (Z/10)^21 + (Z/15)^22"])
 def test_p_primary_profiles_at_the_bound_answer_quickly(line):
-    """Lambda^2 of (Z/4)^64 has 2016 summands of one order: their
-    divisibility chain needs no pairwise gcd/lcm sweep."""
+    """Profiles with 64 finite summands, the bound: Lambda^2 has 2016
+    summands, of one order or of several with mixed primes, and their
+    divisibility chain takes time near-linear in that count."""
     times = []
     for _ in range(3):
         t0 = time.perf_counter()

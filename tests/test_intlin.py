@@ -283,6 +283,39 @@ def test_divisibility_chain_of_dividing_orders_matches_prime_power_oracle():
             chain_from_prime_powers(orders), orders
 
 
+# 10^9 + 7, 10^12 + 39 and 2^61 - 1 are prime and out of trial division's reach
+KNOWN_PRIMES = (2, 3, 5, 7, 11, 13, 10**9 + 7, 10**12 + 39, 2**61 - 1)
+
+
+def test_divisibility_chain_matches_known_factorizations():
+    """Orders built as products of known prime powers, 1s among them, up
+    to 3000 of them.  The oracle puts the k-th largest power of each
+    prime into the k-th largest factor, so it factors nothing.  The
+    Smith diagonal of diag(orders) must agree, unit pivots included."""
+    rng = random.Random(20261019)
+    sizes = [0, 1, 3000, 1200] + [rng.randint(1, 40) for _ in range(300)]
+    for size in sizes:
+        primes = rng.sample(KNOWN_PRIMES, rng.randint(1, len(KNOWN_PRIMES)))
+        exponents = {p: [] for p in primes}
+        orders = []
+        for _ in range(size):
+            one = rng.random() < 0.2
+            n = 1
+            for p in primes:
+                e = 0 if one else rng.choice((0, 0, 1, 2, 3))
+                exponents[p].append(e)
+                n *= p ** e
+            orders.append(n)
+        chain = [1] * size
+        for p, es in exponents.items():
+            for k, e in enumerate(sorted(es, reverse=True)):
+                chain[-1 - k] *= p ** e
+        assert intlin.divisibility_chain(orders) == chain, orders
+        if size <= 40:
+            assert smith_invariants(IntMatrix.diagonal(orders)) == \
+                tuple(chain), orders
+
+
 def coset_count(rows) -> int:
     """Literal coset enumeration for a finite cokernel: walk every point
     of the Hermite box, reduce it to a canonical representative by the
