@@ -35,8 +35,8 @@ from .grammar import (format_complex, format_descriptor, format_group,
                       parse_complex, parse_descriptor, parse_group,
                       parse_profile, parse_space, parse_tower)
 from .intlin import (IntMatrix, SmithForm, cokernel_structure, determinant,
-                     kernel_basis, smith_invariants, smith_normal_form,
-                     solve_integral, unimodular_inverse)
+                     kernel_basis, smith_form, smith_invariants,
+                     smith_normal_form, solve_integral, unimodular_inverse)
 from .limits import (ConstantStrand, DirectedSystem, Lim1Certificate,
                      MultiplicationStrand, PruferStrand, SymbolicGroup,
                      Tower, colimit_symbolic, ext1_symbolic, first_ulm,
@@ -78,8 +78,8 @@ __all__ = [
     "non_brauer_certificate", "parse_complex", "parse_descriptor",
     "parse_group", "parse_profile", "parse_space", "parse_tower",
     "phantom_of_telescope", "phantom_subgroup", "product", "random_complex",
-    "reduce_to_basic", "smith_invariants", "smith_normal_form", "solve_integral",
-    "space_homology", "sphere", "telescope_z", "tensor", "tensor_complexes",
-    "tor1", "torsion_free_quotient", "truncate", "uct_decompose",
-    "unimodular_inverse", "wedge",
+    "reduce_to_basic", "smith_form", "smith_invariants", "smith_normal_form",
+    "solve_integral", "space_homology", "sphere", "telescope_z", "tensor",
+    "tensor_complexes", "tor1", "torsion_free_quotient", "truncate",
+    "uct_decompose", "unimodular_inverse", "wedge",
 ]

@@ -9,7 +9,12 @@ cohomology by universal coefficients.
 A cochain presentation (`SubquotientPresentation`, built on transform
 SNFs) is built only where its generators are needed: as the second
 route that `uct_decompose` checks the universal-coefficient split
-against, and for `bockstein`.  With Z/m coefficients it is computed
+against, and for `bockstein`.  Each transform elimination builds only
+the transforms its reader uses (`intlin.smith_form`): V for a kernel,
+U and U^-1 for the relations, whose U^-1 gives the generators.  With Z
+coefficients the cocycles ker d^n are eliminated once, with V and V^-1:
+they are saturated, so their Smith form is read off V^-1 and they are
+not eliminated a second time.  With Z/m coefficients it is computed
 directly on the mod-m cochain complex: the mod-m cocycle lattice
 L = {x : d x = 0 mod m} is the projection of the integer kernel of
 [d | mI], and H^n = L / (im d + m Z^{r_n}).  Keeping the computation at
@@ -44,8 +49,8 @@ from random import Random
 
 from .abgroup import FgAbGroup, GroupHom
 from .errors import SemanticError
-from .intlin import (IntMatrix, kernel_basis, smith_invariants,
-                     smith_normal_form, unimodular_inverse)
+from .intlin import (IntMatrix, SmithForm, kernel_basis, smith_form,
+                     smith_invariants, smith_normal_form)
 
 
 class ChainComplex:
@@ -129,20 +134,27 @@ class SubquotientPresentation:
     to actual ambient vectors so that explicit cocycle representatives and
     coordinates of arbitrary lattice vectors are available.  The sub
     columns are expressed in gens by one solve for all of them.
+
+    gens_form is a Smith form of gens with U and V, when the caller has
+    one; otherwise gens is eliminated here.  The relations are
+    eliminated with U and U^-1 only: coordinates read U, generators
+    U^-1.
     """
 
-    def __init__(self, gens: IntMatrix, sub: IntMatrix):
+    def __init__(self, gens: IntMatrix, sub: IntMatrix,
+                 gens_form: SmithForm | None = None):
         if gens.rows != sub.rows:
             raise SemanticError("ambient dimension mismatch")
         self.gens = gens
-        self._gens_sf = smith_normal_form(gens)
+        self._gens_sf = gens_form or smith_normal_form(gens)
         g = gens.cols
         y = self._gens_sf.solve_columns(sub)
         if y is None:
             raise SemanticError("subgroup generator outside the lattice")
         self.relations = self._gens_sf.kernel().hstack(y)
-        sf = smith_normal_form(self.relations)
+        sf = smith_form(self.relations, u=True, u_inv=True)
         self._u = sf.u
+        self._u_inv = sf.u_inv
         self._diag = sf.diagonal + (0,) * (g - len(sf.diagonal))
         r = sf.rank
         free_idx = list(range(r, g))
@@ -155,8 +167,8 @@ class SubquotientPresentation:
     def generator_matrix(self) -> IntMatrix:
         """Ambient representatives of the canonical generators, as the
         columns of a gens.rows x (number of generators) matrix."""
-        uinv = unimodular_inverse(self._u)
-        return self.gens @ uinv.submatrix(range(uinv.rows), self._gen_index)
+        return self.gens @ self._u_inv.submatrix(range(self._u_inv.rows),
+                                                 self._gen_index)
 
     def column_coordinates(self, vecs: IntMatrix) -> IntMatrix:
         """Classes of the columns of vecs (each must lie in span(gens)),
@@ -216,7 +228,10 @@ def _presented(bnd_n: IntMatrix, bnd_next: IntMatrix, modulus: int | None
     d_in = bnd_n.transpose()        # d^{n-1}: C^{n-1} -> C^n
     d_out = bnd_next.transpose()    # d^n: C^n -> C^{n+1}
     if modulus is None:
-        return SubquotientPresentation(kernel_basis(d_out), d_in)
+        # the cocycles are saturated: one elimination of d^n gives them
+        # and, through V^-1, their own Smith form
+        sf = smith_form(d_out, v=True, v_inv=True)
+        return SubquotientPresentation(sf.kernel(), d_in, sf.kernel_form())
     m = modulus
     # mod-m cocycles: x-projections of ker [d^n | mI]
     ker = kernel_basis(d_out.hstack(IntMatrix.diagonal([m] * d_out.rows)))

@@ -11,14 +11,17 @@ form alone, a divisibility chain d1 | d2 | ... | dk followed by zeros;
 homology, cohomology, cokernels and traced diagonals read nothing
 else.  A matrix keeps its diagonal once computed, so a later reader of
 the same object, such as a `--trace` line, does not eliminate it again.
-`smith_normal_form` also returns the transform pair (U, V) with
-U @ A @ V = S, U and V unimodular: kernels, integral solutions and
-unimodular inverses all come from one `SmithForm`.  Its one solve path,
-`SmithForm.solve_columns`, takes all right-hand sides of a system as the
-columns of one matrix B: one product C = U @ B, one divisibility check
-per row of C against the diagonal, one product X = V @ Y.  The vector
-`solve` is its one-column case.  Bareiss `determinant` is an independent
-reference.
+`smith_form` runs the transform elimination U @ A @ V = S, U and V
+unimodular, and builds only the transforms its caller asks for: U, V,
+and the inverses U^-1 and V^-1, tracked through the same operations.
+`smith_normal_form` asks for U and V; a kernel basis needs V alone.
+The kernel basis of A is saturated, so its own Smith form is read off
+V^-1 (`SmithForm.kernel_form`) instead of a second elimination.  The
+one solve path, `SmithForm.solve_columns`, takes all right-hand sides
+of a system as the columns of one matrix B: one product C = U @ B, one
+divisibility check per row of C against the diagonal, one product
+X = V @ Y.  The vector `solve` is its one-column case.  Bareiss
+`determinant` is an independent reference.
 """
 
 from __future__ import annotations
@@ -165,17 +168,20 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """Result of `smith_normal_form`: u @ a @ v = s.
+    """Result of `smith_form`: u @ a @ v = s.
 
     diagonal holds min(rows, cols) nonnegative integers with the nonzero
     entries first, each dividing the next, then zeros.  rank is the count
-    of nonzero diagonal entries.
+    of nonzero diagonal entries.  A transform that was not asked for is
+    None; u_inv and v_inv are the inverses of u and v.
     """
 
-    u: IntMatrix
+    u: IntMatrix | None
     s: IntMatrix
-    v: IntMatrix
+    v: IntMatrix | None
     diagonal: tuple[int, ...]
+    u_inv: IntMatrix | None = None
+    v_inv: IntMatrix | None = None
 
     @property
     def rank(self) -> int:
@@ -187,6 +193,22 @@ class SmithForm:
         every integer kernel vector is an integer combination of them."""
         cols = self.v.rows
         return self.v.submatrix(range(cols), range(self.rank, cols))
+
+    def kernel_form(self) -> "SmithForm":
+        """A Smith form of `kernel()` read off v_inv, with no elimination.
+
+        With r the rank, v_inv @ v = I, so the rows r: of v_inv followed
+        by the rows :r form a unimodular U with U @ kernel() = [I; 0]:
+        V is the identity and every diagonal entry is 1.  The kernel has
+        full column rank, so every solve on this form gives the one
+        solution any Smith form of the kernel gives."""
+        vi = self.v_inv._rows
+        r = self.rank
+        g = len(vi) - r
+        eye = IntMatrix.identity(g)
+        return SmithForm(u=IntMatrix._of(vi[r:] + vi[:r], len(vi)),
+                         s=IntMatrix._of(eye._rows + ((0,) * g,) * r, g),
+                         v=eye, diagonal=(1,) * g)
 
     def solve(self, b) -> tuple[int, ...] | None:
         """Some integer solution x of a @ x = b, or None when none exists:
@@ -226,14 +248,19 @@ class SmithForm:
         return v @ IntMatrix._of(tuple(y), b.cols)
 
 
+_INF = float("inf")   # above every int, so the first nonzero entry wins
+
+
 def _pivot(S, t, rows, cols):
-    """Position of a nonzero entry of minimal absolute value in S[t:, t:]."""
-    best = None
+    """Position of a nonzero entry of minimal absolute value in S[t:, t:]:
+    the first in row-major order, so the scan stops at the first unit."""
+    best = _INF
     best_pos = None
     for i in range(t, rows):
+        r = S[i]
         for j in range(t, cols):
-            x = S[i][j]
-            if x != 0 and (best is None or abs(x) < best):
+            x = r[j]
+            if x and abs(x) < best:
                 best = abs(x)
                 best_pos = (i, j)
                 if best == 1:
@@ -249,7 +276,15 @@ def _identity_lists(n: int) -> list[list[int]]:
 
 
 def smith_normal_form(a: IntMatrix | list) -> SmithForm:
-    """Smith normal form with unimodular transforms.
+    """Smith normal form with both transforms U and V: `smith_form`
+    asked for u and v."""
+    return smith_form(a, u=True, v=True)
+
+
+def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
+               u_inv: bool = False, v_inv: bool = False) -> SmithForm:
+    """Smith normal form u @ a @ v = s, building only the transforms
+    asked for; the others are None.
 
     Strategy: repeatedly move a nonzero entry of minimal absolute value
     to the working diagonal slot, then clear its row and column by
@@ -258,40 +293,49 @@ def smith_normal_form(a: IntMatrix | list) -> SmithForm:
     are clear, any entry of the remaining submatrix not divisible by the
     pivot gets its row added to the pivot row and the clearing restarts;
     that enforces the divisibility chain.
+
+    The pivots and operations depend on S alone, so every transform
+    that is built is the same whatever else is asked for.  U^-1 is kept
+    as a list of columns and V^-1 as a list of rows: "row i -= q row k"
+    adds q times column i of U^-1 to its column k, "col j -= q col k"
+    adds q times row j of V^-1 to its row k, a swap swaps the matching
+    columns of U^-1 or rows of V^-1, and negating row i negates column
+    i of U^-1.
     """
     if not isinstance(a, IntMatrix):
         a = IntMatrix(a)
     rows, cols = a.rows, a.cols
     S = a.to_lists()
-    U = _identity_lists(rows)
-    V = _identity_lists(cols)
+    U = _identity_lists(rows) if u else None
+    Ui = _identity_lists(rows) if u_inv else None   # columns of U^-1
+    V = _identity_lists(cols) if v else None
+    Vi = _identity_lists(cols) if v_inv else None   # rows of V^-1
 
-    def row_op(i, k, q):  # row i -= q * row k   (on S and U)
+    def row_op(i, k, q):  # row i -= q * row k   (on S, U and U^-1)
         S[i] = [x - q * y for x, y in zip(S[i], S[k])]
-        U[i] = [x - q * y for x, y in zip(U[i], U[k])]
+        if U is not None:
+            U[i] = [x - q * y for x, y in zip(U[i], U[k])]
+        if Ui is not None:
+            Ui[k] = [x + q * y for x, y in zip(Ui[k], Ui[i])]
 
-    # the column operations and both swaps skip what would change
-    # nothing: q == 0, a zero in column k, a swap of a line with itself
-    def col_op(j, k, q):  # col j -= q * col k   (on S and V)
-        if q:
-            for r in S:
-                if r[k]:
-                    r[j] -= q * r[k]
-            for r in V:
-                if r[k]:
-                    r[j] -= q * r[k]
-
+    # both swaps skip a swap of a line with itself
     def swap_rows(i, k):
         if i != k:
             S[i], S[k] = S[k], S[i]
-            U[i], U[k] = U[k], U[i]
+            if U is not None:
+                U[i], U[k] = U[k], U[i]
+            if Ui is not None:
+                Ui[i], Ui[k] = Ui[k], Ui[i]
 
     def swap_cols(j, k):
         if j != k:
             for r in S:
                 r[j], r[k] = r[k], r[j]
-            for r in V:
-                r[j], r[k] = r[k], r[j]
+            if V is not None:
+                for r in V:
+                    r[j], r[k] = r[k], r[j]
+            if Vi is not None:
+                Vi[j], Vi[k] = Vi[k], Vi[j]
 
     t = 0
     limit = min(rows, cols)
@@ -307,14 +351,27 @@ def smith_normal_form(a: IntMatrix | list) -> SmithForm:
             for i in range(t + 1, rows):
                 if S[i][t] != 0:
                     q = S[i][t] // S[t][t]
-                    row_op(i, t, q)
+                    if q:
+                        row_op(i, t, q)
                     if S[i][t] != 0:
                         dirty = True
+            # "col j -= q * col t" changes no entry of column t, so the
+            # rows of S and V that meet it are collected once per sweep;
+            # a zero q changes nothing and is skipped
+            p = S[t]
+            hits = [r for r in S if r[t]]
+            vhits = [r for r in V if r[t]] if V is not None else ()
             for j in range(t + 1, cols):
-                if S[t][j] != 0:
-                    q = S[t][j] // S[t][t]
-                    col_op(j, t, q)
-                    if S[t][j] != 0:
+                if p[j] != 0:
+                    q = p[j] // p[t]
+                    if q:
+                        for r in hits:
+                            r[j] -= q * r[t]
+                        for r in vhits:
+                            r[j] -= q * r[t]
+                        if Vi is not None:
+                            Vi[t] = [x + q * y for x, y in zip(Vi[t], Vi[j])]
+                    if p[j] != 0:
                         dirty = True
             if dirty:
                 pos = _pivot(S, t, rows, cols)
@@ -340,15 +397,23 @@ def smith_normal_form(a: IntMatrix | list) -> SmithForm:
         t += 1
 
     # normalize signs
-    for i in range(min(rows, cols)):
+    for i in range(limit):
         if S[i][i] < 0:
             S[i] = [-x for x in S[i]]
-            U[i] = [-x for x in U[i]]
+            if U is not None:
+                U[i] = [-x for x in U[i]]
+            if Ui is not None:
+                Ui[i] = [-x for x in Ui[i]]
 
-    return SmithForm(u=IntMatrix._of(tuple(map(tuple, U)), rows),
-                     s=IntMatrix._of(tuple(map(tuple, S)), cols),
-                     v=IntMatrix._of(tuple(map(tuple, V)), cols),
-                     diagonal=tuple(S[i][i] for i in range(limit)))
+    def wrap(lists, width):
+        return None if lists is None else IntMatrix._of(
+            tuple(map(tuple, lists)), width)
+
+    return SmithForm(u=wrap(U, rows), s=wrap(S, cols), v=wrap(V, cols),
+                     diagonal=tuple(S[i][i] for i in range(limit)),
+                     u_inv=None if Ui is None else IntMatrix._of(
+                         tuple(zip(*Ui)), rows),
+                     v_inv=wrap(Vi, cols))
 
 
 def smith_invariants(a: IntMatrix | list) -> tuple[int, ...]:
@@ -463,8 +528,9 @@ def divisibility_chain(orders) -> list[int]:
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Basis of ker(a) as columns; see `SmithForm.kernel`."""
-    return smith_normal_form(a).kernel()
+    """Basis of ker(a) as columns; see `SmithForm.kernel`.  Only V is
+    built."""
+    return smith_form(a, v=True).kernel()
 
 
 def cokernel_structure(a: IntMatrix):

@@ -290,7 +290,10 @@ def test_uct_frozen_moore():
 def test_uct_check_is_not_circular(monkeypatch):
     """The Ext/Hom side reads Smith diagonals and the total goes through
     the cochain presentation: losing one torsion factor on the diagonal
-    route makes the check fail instead of agreeing with itself."""
+    route makes the check fail instead of agreeing with itself.  It
+    fails on a warm cache too, where a Bockstein into H^3 has built and
+    kept the integral presentation that the check reads: its transform
+    eliminations leave no diagonal for the Ext/Hom side."""
     real = chaincx.smith_invariants
 
     def drop_one_torsion_factor(a):
@@ -307,6 +310,15 @@ def test_uct_check_is_not_circular(monkeypatch):
     prod_cx = tensor_complexes(lens_complex(4, 3), lens_complex(6, 3))
     with pytest.raises(SemanticError, match="universal coefficients mismatch"):
         uct_decompose(prod_cx, 3)
+    monkeypatch.setattr(chaincx, "smith_invariants", real)
+    warm_cx = tensor_complexes(lens_complex(4, 3), lens_complex(6, 3))
+    chaincx._presented.cache_clear()
+    bockstein(warm_cx, 2, 2)
+    hits = chaincx._presented.cache_info().hits
+    monkeypatch.setattr(chaincx, "smith_invariants", drop_one_torsion_factor)
+    with pytest.raises(SemanticError, match="universal coefficients mismatch"):
+        uct_decompose(warm_cx, 3)
+    assert chaincx._presented.cache_info().hits == hits + 1
 
 
 # -- Bockstein ---------------------------------------------------------------------
@@ -368,26 +380,34 @@ def test_bockstein_modulus_validation():
 # -- presentations -----------------------------------------------------------------
 
 
-def test_presentation_factors_each_matrix_once(monkeypatch):
-    """gens is put in Smith form once, for its kernel, for all sub columns
-    in one solve and for coordinates(); the relations matrix once more.
-    Coordinates of a whole matrix of vectors make no further call."""
+def _count_eliminations(monkeypatch):
+    """Record every transform elimination, which all go through
+    `intlin.smith_form`: the matrix and the transforms asked for."""
     calls = []
-    real = intlin.smith_normal_form
+    real = intlin.smith_form
 
-    def counting(a):
-        calls.append(a.shape)
-        return real(a)
+    def counting(a, **asked):
+        calls.append((a, sorted(k for k, on in asked.items() if on)))
+        return real(a, **asked)
 
-    monkeypatch.setattr(intlin, "smith_normal_form", counting)
-    monkeypatch.setattr(chaincx, "smith_normal_form", counting)
+    monkeypatch.setattr(intlin, "smith_form", counting)
+    monkeypatch.setattr(chaincx, "smith_form", counting)
+    return calls
+
+
+def test_presentation_factors_each_matrix_once(monkeypatch):
+    """gens is eliminated once, with U and V, for its kernel, for all sub
+    columns in one solve and for coordinates(); the relations matrix once
+    more, with U and U^-1 only.  Coordinates of a whole matrix of vectors
+    make no further elimination, and no generator matrix inverts U."""
+    calls = _count_eliminations(monkeypatch)
     # span(gens) = 2Z + Z + 3Z (the fourth column is the sum of the
     # first two), span(sub) = 4Z + 2Z + 6Z: the quotient is (Z/2)^3
     gens = IntMatrix([[2, 0, 0, 2], [0, 1, 0, 1], [0, 0, 3, 0]])
     sub = IntMatrix([[4, 0, 0, 4], [0, 2, 0, 2], [0, 0, 6, 0]])
     pres = SubquotientPresentation(gens, sub)
     assert pres.group == FgAbGroup(0, (2, 2, 2))
-    assert calls == [(3, 4), (4, 5)]
+    assert calls == [(gens, ["u", "v"]), (pres.relations, ["u", "u_inv"])]
     for j in range(sub.cols):
         assert coordinates(pres, sub.col_tuple(j)) == (0, 0, 0)
     assert coordinates(pres, (2, 1, 3)) != (0, 0, 0)
@@ -397,6 +417,27 @@ def test_presentation_factors_each_matrix_once(monkeypatch):
     assert coords.col_tuple(8) == coordinates(pres, (2, 1, 3))
     assert all(coords.col_tuple(j) == (0, 0, 0) for j in range(4, 8))
     assert len(calls) == 2
+    # with Z coefficients the cocycles are ker d^n, which is saturated:
+    # d^n is eliminated once, with V and V^-1, the relations once, and
+    # the cocycle basis not at all
+    def refuse(m):
+        raise AssertionError("unimodular_inverse called")
+
+    monkeypatch.setattr(intlin, "unimodular_inverse", refuse)
+    c = tensor_complexes(lens_complex(4, 3), lens_complex(6, 3))
+    calls.clear()
+    pres = chaincx._cochain_presentation(c, 3, None)
+    assert pres.group == cohomology(c, 3)
+    assert calls == [(c.boundary(4).transpose(), ["v", "v_inv"]),
+                     (pres.relations, ["u", "u_inv"])]
+    assert all(a != pres.gens for a, _ in calls)
+    # a Bockstein into it reads generators from the tracked U^-1 of its
+    # mod-2 domain: kernel (V), gens (U, V), relations (U, U^-1)
+    calls.clear()
+    beta = bockstein(c, 2, 2)
+    assert beta.codomain == pres.group and not beta.is_zero()
+    assert [asked for _, asked in calls] == [
+        ["v"], ["u", "v"], ["u", "u_inv"]]
 
 
 def _ref_matmul(a, b):

@@ -398,11 +398,12 @@ def test_traced_cohomology_reads_only_two_diagonals(monkeypatch, space,
     and del_{n+1}: no transform SNF, no cochain presentation, and the
     trace prints the two diagonals the answer computed, each eliminated
     once."""
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("transform SNF or presentation built")
 
     for mod in (intlin, chaincx):
         monkeypatch.setattr(mod, "smith_normal_form", refuse)
+        monkeypatch.setattr(mod, "smith_form", refuse)
     monkeypatch.setattr(chaincx.SubquotientPresentation, "__init__", refuse)
     eliminated = _recording(monkeypatch, intlin, "_smith_diagonal")
     for n, coefficients in zip(degrees, ("", " mod 4")):
@@ -830,11 +831,12 @@ def test_batch_reports_an_internal_error_and_answers_the_other_lines(
 def test_homology_and_brauer_requests_make_no_transform_snf(monkeypatch):
     """Untraced homology, brauer and lim1 requests read only Smith
     diagonals, and so does the trace of a homology request."""
-    def refuse(a):
-        raise AssertionError("smith_normal_form called")
+    def refuse(a, **asked):
+        raise AssertionError("transform SNF called")
 
     for mod in (intlin, chaincx):
         monkeypatch.setattr(mod, "smith_normal_form", refuse)
+        monkeypatch.setattr(mod, "smith_form", refuse)
     for line in ("homology moore3(6) 2",
                  "homology product(lens(4, 5), moore3(6)) 3",
                  "homology lens_periodic(6) 1000001",

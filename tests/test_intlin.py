@@ -149,7 +149,9 @@ def test_transform_snf_matches_its_frozen_reference():
     picks.  Compared with `_snf_reference`, a copy of the routine from
     before the skips, on seeded dense and sparse matrices, chain_heavy
     boundaries, their transposes (the cochain maps) and the [d | mI]
-    matrices of mod-m cocycles."""
+    matrices of mod-m cocycles.  Each narrowed request of `smith_form`
+    returns the reference's U or V, the same S, and inverses equal to
+    the reference's inverse of U or V; what it did not ask for is None."""
     rng = random.Random(20261018)
     inputs = [IntMatrix(random_matrix(rng)) for _ in range(1000)]
     inputs += [IntMatrix([[x if rng.random() < 0.3 else 0 for x in row]
@@ -167,6 +169,31 @@ def test_transform_snf_matches_its_frozen_reference():
         assert (sf.u.to_lists(), sf.s.to_lists(), sf.v.to_lists()) == (
             u, s, v), a
         assert list(sf.diagonal) == diag, a
+        want = {"u": u, "v": v, "u_inv": _reference_inverse(u),
+                "v_inv": _reference_inverse(v)}
+        for asked in (("v",), ("u", "u_inv"), ("v", "v_inv")):
+            narrow = intlin.smith_form(a, **dict.fromkeys(asked, True))
+            assert narrow.s == sf.s and narrow.diagonal == sf.diagonal, a
+            for name, ref in want.items():
+                got = getattr(narrow, name)
+                assert (got.to_lists() if name in asked else got) == (
+                    ref if name in asked else None), (a, asked, name)
+            for name in ("u", "v"):
+                inv = getattr(narrow, name + "_inv")
+                if inv is not None:
+                    m = IntMatrix(want[name], cols=len(want[name]))
+                    one = IntMatrix.identity(m.rows)
+                    assert m @ inv == inv @ m == one, (a, asked)
+
+
+def _reference_inverse(m):
+    """The inverse of a unimodular m from the frozen reference alone: its
+    SNF U' m V' = I gives m^-1 = V' U'."""
+    n = len(m)
+    u, _, v, diag = reference_smith_normal_form(m, n)
+    assert diag == [1] * n
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*u)]
+            for row in v]
 
 
 _inv_entries = st.one_of(st.integers(-1, 1), st.integers(-9, 9),
@@ -202,10 +229,11 @@ def test_smith_invariants_match_transform_snf_and_oracle(data):
 
 
 def test_cokernel_structure_makes_no_transform_snf(monkeypatch):
-    def refuse(a):
-        raise AssertionError("smith_normal_form called")
+    def refuse(a, **asked):
+        raise AssertionError("transform SNF called")
 
     monkeypatch.setattr(intlin, "smith_normal_form", refuse)
+    monkeypatch.setattr(intlin, "smith_form", refuse)
     a = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert cokernel_structure(a).invariant_factors == (2, 2, 156)
     assert cokernel_structure(IntMatrix([[6], [0]])).free_rank == 1
