@@ -152,29 +152,33 @@ class _Parser:
         self.space_depth = 0
 
     # -- token plumbing ----------------------------------------------------
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
+    # self.pos never passes the final "eof" token: next() stays on it, and
+    # no caller accepts or expects kind "eof".  So the cursor reads
+    # self.tokens[self.pos] directly; only a lookahead past it is clamped.
     def next(self) -> Token:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind != "eof":
             self.pos += 1
         return t
 
     def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
+        t = self.tokens[min(self.pos + ahead, len(self.tokens) - 1)
+                        if ahead else self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
-            return self.next()
+        t = self.tokens[self.pos]
+        if t.kind == kind and (text is None or t.text == text):
+            self.pos += 1
+            return t
         return None
 
     def expect(self, kind: str, text: str | None = None,
                what: str | None = None) -> Token:
-        t = self.peek()
-        if self.at(kind, text):
-            return self.next()
+        t = self.accept(kind, text)
+        if t is not None:
+            return t
+        t = self.tokens[self.pos]
         if t.kind == "matrix":   # a matrix where none belongs, or a "["
             self._unfold_matrix()
             return self.expect(kind, text, what)
@@ -184,14 +188,15 @@ class _Parser:
                          line=t.line, column=t.col)
 
     def fail(self, message: str):
-        t = self.peek()
+        t = self.tokens[self.pos]
         raise ParseError(message, line=t.line, column=t.col)
 
     def expect_end(self):
         if self.at("matrix"):
             self._unfold_matrix()
-        if self.peek().kind != "eof":
-            self.fail(f"unexpected trailing input {self.peek().text!r}")
+        t = self.tokens[self.pos]
+        if t.kind != "eof":
+            self.fail(f"unexpected trailing input {t.text!r}")
 
     def _unfold_matrix(self):
         """Replace the matrix token at the cursor by the plain tokens of
@@ -227,7 +232,7 @@ class _Parser:
         if self.at("int", "0"):
             self.next()
             return FgAbGroup.trivial()
-        start = self.peek()
+        start = self.tokens[self.pos]
         free = 0
         torsion: list[int] = []
         while True:
@@ -257,7 +262,7 @@ class _Parser:
         if self.at("int", "0"):
             self.next()
             return CyclicProfile()
-        start = self.peek()
+        start = self.tokens[self.pos]
         finite = 0
         pairs: list[tuple[int, object]] = []
         while True:
@@ -313,7 +318,8 @@ class _Parser:
         """The rows of the matrix token at the cursor, read by splitting
         its text.  An entry too long for int() unfolds the token and
         gives None, so the token path reports it with its position."""
-        body = "".join(self.peek().text.split())[2:-2]   # "1,-2],[],[3,4"
+        text = self.tokens[self.pos].text
+        body = "".join(text.split())[2:-2]   # "1,-2],[],[3,4"
         try:
             rows = [[int(x) for x in r.split(",")] if r else []
                     for r in body.split("],[")]

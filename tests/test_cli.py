@@ -1,6 +1,7 @@
 """End-to-end tests for the command line: every command, the exit-code
 contract, batch mode, JSON determinism, and the reproduce suite."""
 
+import gc
 import io
 import json
 import os
@@ -17,8 +18,8 @@ import cwbrauer
 from cwbrauer import chaincx, cli, intlin
 from cwbrauer.cli import (
     EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_OK, EXIT_PARSE, EXIT_REPRODUCE_FAIL,
-    EXIT_SEMANTIC, EXIT_UNSUPPORTED, execute, main, parse_request, run_batch,
-    run_line,
+    EXIT_SEMANTIC, EXIT_UNSUPPORTED, execute, main, parse_request,
+    render_json, run_batch, run_line,
 )
 from cwbrauer.grammar import (MAX_COMPLEX_CELLS, MAX_COMPLEX_DEGREE,
                               MAX_GROUP_GENERATORS, MAX_PROFILE_MULTIPLICITY,
@@ -958,11 +959,85 @@ def test_parse_request_rejects_trailing_tokens():
         parse_request("")
 
 
+def _stdlib_json(x) -> str:
+    """The independent oracle of cli's JSON writer."""
+    return json.dumps(x, indent=2, sort_keys=True)
+
+
 def test_execute_reports_are_json_safe():
     for line in SAMPLE_LINES:
-        report = execute(parse_request(line), trace=True)
-        json.dumps(report)   # must not raise
-        assert report["citations"] == sorted(set(report["citations"]))
+        for trace in (False, True):
+            report = execute(parse_request(line), trace=trace)
+            assert render_json(report) == _stdlib_json(report)
+            assert report["citations"] == sorted(set(report["citations"]))
+
+
+# characters the writer must escape as the stdlib does: quote, backslash,
+# control characters, non-ASCII text, U+2028 and lone surrogates
+_JSON_CHARS = ('ab Z/"\\\x00\x01\x1f\x7f\t\n\r'
+               '\u00e9\u03a9\u2028\u2029\ud800\udfff\U0001f600')
+
+
+def _random_text(rng: random.Random, longest: int) -> str:
+    return "".join(rng.choice(_JSON_CHARS)
+                   for _ in range(rng.randrange(longest + 1)))
+
+
+def _random_value(rng: random.Random, depth: int):
+    """A nested value of the report vocabulary: dicts with str keys,
+    lists, str, int, bool and None."""
+    roll = rng.randrange(10 if depth < 4 else 6)
+    if roll == 0:
+        return _random_text(rng, 5)
+    if roll == 1:
+        return rng.choice([0, 1, -1, 10 ** 40, -(10 ** 40) - 7, 2 ** 63,
+                           rng.randrange(-10 ** 6, 10 ** 6)])
+    if roll == 2:   # bool and None beside the values they equal or resemble
+        return rng.choice([True, False, None, 1, 0, ""])
+    if roll in (3, 4, 5):
+        return rng.choice([[], {}, "", 0, None])
+    if roll in (6, 7):
+        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {_random_text(rng, 3): _random_value(rng, depth + 1)
+            for _ in range(rng.randrange(4))}
+
+
+def test_json_writer_matches_the_stdlib_encoder():
+    rng = random.Random(18)
+    for _ in range(2000):
+        value = _random_value(rng, 0)
+        assert render_json(value) == _stdlib_json(value), value
+
+
+@pytest.mark.parametrize("value", [
+    1.5, {1, 2}, (1, 2), {1: "a"}, {"a": 1, 2: "b"}, [b"bytes"],
+    {"nested": [0, {"x": 0.0}]}])
+def test_json_writer_refuses_values_outside_the_report_vocabulary(value):
+    with pytest.raises(TypeError):
+        render_json(value)
+
+
+def test_batch_json_with_a_bad_line_matches_the_stdlib_encoder():
+    out = io.StringIO()
+    code = run_batch(BATCH.splitlines() + ["homology moore3(6"],
+                     as_json=True, trace=True, out=out)
+    assert code == EXIT_SEMANTIC
+    reports = json.loads(out.getvalue())
+    assert [("error" in r) for r in reports] == [False, False, True, False,
+                                                  True]
+    assert out.getvalue() == _stdlib_json(reports) + "\n"
+
+
+def test_rendering_a_report_leaves_no_cyclic_garbage():
+    report = execute(parse_request("bockstein lens(6, 9) 4 mod 6"), trace=True)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            render_json(report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- the installed program, in a child process -----------------------------------------

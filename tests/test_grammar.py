@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from cwbrauer.abgroup import FgAbGroup, GroupHom
 from cwbrauer.chaincx import random_complex
+from cwbrauer.cli import parse_request
 from cwbrauer.errors import ParseError, SemanticError, UnsupportedComputation
 from cwbrauer.grammar import (
     MAX_SPACE_NESTING, _Parser, _tokenize, format_complex, format_descriptor, format_group, format_matrix, format_profile,
@@ -226,6 +227,23 @@ def test_parse_error_positions():
         parse_group("Z/")
     assert "end of input" in str(e.value)
     assert (e.value.line, e.value.column) == (1, 3)
+
+    # at the end of input, and under the lookahead of k(Q/Z, ...) and of
+    # catalog (a builder name followed by "(" or a bare fact name)
+    for line, message, column in [
+            ("homology sphere(",
+             "expected 'dimension', found 'end of input'", 8),
+            ("homology k(Q/", "expected 'Z', found 'Q'", 3),
+            ("homology k(Q/Z,", "expected 'degree', found 'end of input'", 7),
+            ("catalog k(", "expected 'Z', found 'end of input'", 3),
+            # stops right after the matrix token [[0]]
+            ("homology complex{cells 0: 1; cells 1: 1; boundary 1: [[0]]",
+             "expected '}', found 'end of input'", 50)]:
+        with pytest.raises(ParseError) as e:
+            parse_request(line)
+        assert str(e.value) == f"{message} (line 1, column {column})"
+        assert (e.value.line, e.value.column) == (1, column)
+    assert parse_request("catalog k").args == ("k",)   # a fact name
 
     with pytest.raises(ParseError):
         parse_group("Z/4 Z")       # trailing input
