@@ -2,6 +2,9 @@
 
 A complex stores one rank per degree 0..top and the boundary matrices
 del_n : C_n -> C_{n-1}; del del = 0 is enforced at construction.
+`ChainComplex.from_entries` builds one from the nonzero entries
+(n, i, j, x) of its boundaries; `tensor_complexes` and every finite cell
+structure of spaces.py are built through it.
 Homology and cohomology, with Z or Z/m coefficients, read only the
 Smith diagonals of two boundaries (`smith_invariants`, no transforms);
 cohomology by universal coefficients.
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from math import gcd
 from random import Random
 
@@ -81,6 +83,16 @@ class ChainComplex:
                 raise SemanticError(f"del_{n} del_{n + 1} != 0")
         self.ranks = ranks
         self.boundaries = boundaries
+
+    @classmethod
+    def from_entries(cls, ranks, entries) -> "ChainComplex":
+        """The complex with these ranks whose del_n holds x at (i, j) for
+        each (n, i, j, x) in entries, and 0 elsewhere."""
+        mats = [[[0] * c for _ in range(r)] for r, c in zip(ranks, ranks[1:])]
+        for n, i, j, x in entries:
+            mats[n - 1][i][j] = x
+        return cls(ranks, [IntMatrix(a, cols=c)
+                           for a, c in zip(mats, ranks[1:])])
 
     @property
     def top_degree(self) -> int:
@@ -323,46 +335,30 @@ def tensor_complexes(c: ChainComplex, d: ChainComplex) -> ChainComplex:
     del(x tensor y) = del x tensor y + (-1)^p x tensor del y.
     Basis order in degree n: blocks by ascending p, row-major inside.
     """
-    top = c.top_degree + d.top_degree
-    ranks = [sum(c.rank(p) * d.rank(n - p) for p in range(n + 1))
-             for n in range(top + 1)]
+    rc, rd = c.ranks, d.ranks
+    ranks = [0] * (len(rc) + len(rd) - 1)
+    start = {}  # where the block C_p (x) D_q starts in degree p + q
+    for p, a in enumerate(rc):      # p outer: blocks in ascending p
+        for q, b in enumerate(rd):
+            start[p, q] = ranks[p + q]
+            ranks[p + q] += a * b
+    del_c = [m.nonzeros() for m in c.boundaries]
+    del_d = [m.nonzeros() for m in d.boundaries]
 
-    def offsets(n):  # where the block C_p (x) D_{n-p} starts, for each p
-        return list(accumulate(
-            (c.rank(p) * d.rank(n - p) for p in range(n + 1)), initial=0))
-
-    boundaries = []
-    for n in range(1, top + 1):
-        a = [[0] * ranks[n] for _ in range(ranks[n - 1])]
-        src = offsets(n)
-        dst = offsets(n - 1)
-        for p in range(n + 1):
-            q = n - p
-            rc, rd = c.rank(p), d.rank(q)
-            if rc == 0 or rd == 0:
-                continue
-            col0 = src[p]
-            if p >= 1 and c.rank(p - 1):
-                # del x (x) y: the block kron(del_p, I_rd)
-                r0 = dst[p - 1]
-                for i, brow in enumerate(c.boundary(p).to_lists()):
-                    for j, x in enumerate(brow):
-                        if x:
-                            for k in range(rd):
-                                a[r0 + i * rd + k][col0 + j * rd + k] = x
-            if q >= 1 and d.rank(q - 1):
-                # (-1)^p x (x) del y: the block sign * kron(I_rc, del_q)
-                sign = -1 if p % 2 else 1
-                dq = [[sign * x for x in brow]
-                      for brow in d.boundary(q).to_lists()]
-                rq = len(dq)
-                for i in range(rc):
-                    r0 = dst[p] + i * rq
-                    c0 = col0 + i * rd
-                    for k, brow in enumerate(dq):
-                        a[r0 + k][c0:c0 + rd] = brow
-        boundaries.append(IntMatrix(a, cols=ranks[n]))
-    return ChainComplex(ranks, boundaries)
+    def entries():  # those of kron(del_p, I) and (-1)^p kron(I, del_q)
+        for (p, q), c0 in start.items():
+            a, b = rc[p], rd[q]
+            if p:  # del x (x) y
+                r0 = start[p - 1, q]
+                for i, j, x in del_c[p - 1]:
+                    for k in range(b):
+                        yield p + q, r0 + i * b + k, c0 + j * b + k, x
+            if q:  # (-1)^p x (x) del y
+                r0, rq, sign = start[p, q - 1], rd[q - 1], (-1) ** p
+                for i, j, x in del_d[q - 1]:
+                    for k in range(a):
+                        yield p + q, r0 + k * rq + i, c0 + k * b + j, sign * x
+    return ChainComplex.from_entries(ranks, entries())
 
 
 def random_complex(rng: Random, max_top: int = 5, max_rank: int = 5,

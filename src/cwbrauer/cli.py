@@ -24,7 +24,8 @@ witnesses, among them the Smith diagonals of the boundaries around the
 degree: a boundary matrix keeps its diagonal, so one that homology,
 cohomology or uct already read is not eliminated again; bockstein reads
 none of its three, so its trace eliminates them), --batch FILE (one
-request per line, '-' for stdin).
+request per line, '-' for stdin; a FILE that cannot be opened is a usage
+error, exit 2, and bytes that are not UTF-8 fail their own line only).
 
 JSON output, of one report or of a --batch list, is written by one
 writer, _dump, whose bytes equal json.dumps(x, indent=2, sort_keys=True)
@@ -35,10 +36,12 @@ the cyclic collector.
 Exit codes: 0 success; 1 reproduce found failing items; 2 parse error;
 3 semantic error; 4 computation unsupported (outside the symbolic
 tables, or over a cap of grammar.py: MAX_SPACE_NESTING, MAX_COMPLEX_CELLS,
-MAX_COMPLEX_DEGREE); 70 (EX_SOFTWARE) in --batch for a line whose
-evaluation raised an unexpected exception, reported as that line's
-"InternalError" while the other lines are still answered; 141
-(128 + SIGPIPE) if stdout's reader went away.
+MAX_COMPLEX_DEGREE, MAX_GROUP_GENERATORS, MAX_PROFILE_MULTIPLICITY, or an
+integer literal with more digits than the interpreter converts); 70
+(EX_SOFTWARE) in --batch for a line whose evaluation raised an
+unexpected exception, reported as that line's "InternalError" while the
+other lines are still answered; 141 (128 + SIGPIPE) if stdout's reader
+went away.
 """
 
 from __future__ import annotations
@@ -695,7 +698,13 @@ def main(argv=None) -> int:
         if ns.batch == "-":
             code = run_batch(sys.stdin, ns.json, ns.trace)
         elif ns.batch is not None:
-            with open(ns.batch, "r", encoding="utf-8") as fh:
+            # undecodable bytes reach the tokenizer, as they do from stdin,
+            # which refuses their line alone
+            try:
+                fh = open(ns.batch, encoding="utf-8", errors="surrogateescape")
+            except OSError as e:
+                ap.error(f"cannot read {ns.batch}: {e.strerror}")
+            with fh:
                 code = run_batch(fh, ns.json, ns.trace)
         else:
             code = run_line(" ".join(ns.request), ns.json, ns.trace)

@@ -635,8 +635,6 @@ def format_group(g: FgAbGroup) -> str:
     return str(g)
 
 
-
-
 def format_matrix(m: IntMatrix) -> str:
     rows = ", ".join(
         "[" + ", ".join(str(m[i, j]) for j in range(m.cols)) + "]"

@@ -114,6 +114,11 @@ class IntMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self._rows]
 
+    def nonzeros(self) -> list[tuple[int, int, int]]:
+        """(i, j, x) for each nonzero entry x at (i, j), row by row."""
+        return [(i, j, x) for i, r in enumerate(self._rows)
+                for j, x in enumerate(r) if x]
+
     # -- algebra ---------------------------------------------------------------
 
     def __matmul__(self, other):

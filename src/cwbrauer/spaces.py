@@ -203,10 +203,8 @@ def sphere(n: int) -> SpaceDescription:
     """S^n as one 0-cell and one n-cell (n >= 1)."""
     if n < 1:
         raise SemanticError("sphere dimension must be >= 1")
-    ranks = [1] + [0] * (n - 1) + [1]
-    return _built(("sphere", (n,)), lambda: ChainComplex(
-        ranks, [IntMatrix.zeros(ranks[k - 1], ranks[k])
-                for k in range(1, n + 1)]))
+    return _built(("sphere", (n,)), lambda: ChainComplex.from_entries(
+        [1] + [0] * (n - 1) + [1], ()))
 
 
 def moore_3cell(n: int) -> SpaceDescription:
@@ -216,9 +214,8 @@ def moore_3cell(n: int) -> SpaceDescription:
     """
     if n < 1:
         raise SemanticError("attachment degree must be >= 1")
-    return _built(("moore3", (n,)), lambda: ChainComplex(
-        [1, 0, 1, 1],
-        [IntMatrix.zeros(1, 0), IntMatrix.zeros(0, 1), IntMatrix([[n]])]))
+    return _built(("moore3", (n,)), lambda: ChainComplex.from_entries(
+        [1, 0, 1, 1], [(3, 0, 0, n)]))
 
 
 def lens_skeleton(n: int, top: int) -> SpaceDescription:
@@ -226,9 +223,8 @@ def lens_skeleton(n: int, top: int) -> SpaceDescription:
     boundaries alternating 0, x n."""
     if n < 1 or top < 1:
         raise SemanticError("lens parameters must be >= 1")
-    return _built(("lens", (n, top)), lambda: ChainComplex(
-        [1] * (top + 1), [IntMatrix([[0]]) if k % 2 else IntMatrix([[n]])
-                          for k in range(1, top + 1)]))
+    return _built(("lens", (n, top)), lambda: ChainComplex.from_entries(
+        [1] * (top + 1), [(k, 0, 0, n) for k in range(2, top + 1, 2)]))
 
 
 def lens_periodic(n: int) -> SpaceDescription:
@@ -267,20 +263,14 @@ def wedge(parts) -> SpaceDescription:
 
     def chains():
         top = max(x.cells.top_degree for x in parts)
-        ranks = [1] + [sum(x.cells.rank(k) for x in parts)
-                       for k in range(1, top + 1)]
-        bnds = []
-        for k in range(1, top + 1):
-            a = [[0] * ranks[k] for _ in range(ranks[k - 1])]
-            if k >= 2:
-                r0 = c0 = 0
-                for x in parts:
-                    for i, brow in enumerate(x.cells.boundary(k).to_lists()):
-                        a[r0 + i][c0:c0 + len(brow)] = brow
-                    r0 += x.cells.rank(k - 1)
-                    c0 += x.cells.rank(k)
-            bnds.append(IntMatrix(a, cols=ranks[k]))
-        return ChainComplex(ranks, bnds)
+        shift, entries = [0] * (top + 1), []  # cells of earlier summands
+        for x in parts:
+            entries += [(k, shift[k - 1] + i, shift[k] + j, v)
+                        for k, b in enumerate(x.cells.boundaries[1:], start=2)
+                        for i, j, v in b.nonzeros()]
+            for k, r in enumerate(x.cells.ranks):
+                shift[k] += r
+        return ChainComplex.from_entries([1] + shift[1:], entries)
     return _built(("wedge", tuple(x.label for x in parts)), chains)
 
 

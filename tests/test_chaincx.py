@@ -11,6 +11,7 @@ test-side Gaussian elimination, and hand-derived frozen families
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from cwbrauer.abgroup import FgAbGroup, Z, ext1, hom, tensor, tor1
@@ -21,6 +22,8 @@ from cwbrauer.chaincx import (
 )
 from cwbrauer.errors import SemanticError
 from cwbrauer.intlin import IntMatrix
+from cwbrauer.spaces import (from_complex, lens_skeleton, moore_3cell, product,
+                             sphere, wedge)
 
 from _oracles import homology_oracle, rank_mod_p
 from _snf_reference import reference_smith_normal_form, reference_solve
@@ -658,3 +661,94 @@ def test_tensor_of_spheres():
     for n, want in [(0, Z), (1, FgAbGroup.trivial()), (2, Z), (3, Z),
                     (4, FgAbGroup.trivial()), (5, Z)]:
         assert homology(t, n) == want
+
+
+# -- product and wedge boundaries against dense numpy assemblies -----------------
+
+
+def _dense(m: IntMatrix) -> np.ndarray:
+    return np.array(m.to_lists(), dtype=object).reshape(m.shape)
+
+
+def kron_product_boundary(c: ChainComplex, d: ChainComplex, n: int) -> np.ndarray:
+    """del_n of c (x) d from numpy.kron blocks: in each degree the blocks
+    C_p (x) D_{k-p} by ascending p, row-major inside, and
+    del = kron(del_p, I) + (-1)^p kron(I, del_q)."""
+    def at(k, p):  # where block p of degree k starts
+        return sum(c.rank(s) * d.rank(k - s) for s in range(p))
+    out = np.zeros((at(n - 1, n), at(n, n + 1)), dtype=object)
+    for p in range(n + 1):
+        q = n - p
+        cols = slice(at(n, p), at(n, p + 1))
+        if p >= 1:
+            out[at(n - 1, p - 1):at(n - 1, p), cols] = np.kron(
+                _dense(c.boundary(p)), np.eye(d.rank(q), dtype=object))
+        if q >= 1:
+            out[at(n - 1, p):at(n - 1, p + 1), cols] = (-1) ** p * np.kron(
+                np.eye(c.rank(p), dtype=object), _dense(d.boundary(q)))
+    return out
+
+
+def test_product_boundaries_equal_a_numpy_kron_assembly():
+    rng = random.Random(7)
+    pool = [random_complex(rng, max_top=3, max_rank=3, entry_bound=9)
+            for _ in range(60)]
+    assert any(0 in c.ranks[1:] for c in pool)  # zero-rank degrees occur
+    point, empty = ChainComplex([1], []), ChainComplex([0], [])
+    pairs = list(zip(pool[::2], pool[1::2]))
+    pairs += [(point, c) for c in pool[:5]] + [(c, point) for c in pool[:5]]
+    pairs += [(point, point), (empty, pool[0]), (pool[0], empty)]
+    for c, d in pairs:
+        t = tensor_complexes(c, d)
+        assert t.top_degree == c.top_degree + d.top_degree
+        for n in range(t.top_degree + 1):
+            assert t.rank(n) == sum(c.rank(p) * d.rank(n - p)
+                                    for p in range(n + 1))
+        for n in range(1, t.top_degree + 1):
+            want = kron_product_boundary(c, d, n)
+            assert t.boundary(n).shape == want.shape
+            assert t.boundary(n).to_lists() == want.tolist(), (c, d, n)
+
+
+def test_wedge_boundaries_equal_a_block_diagonal_assembly():
+    rng = random.Random(7)
+
+    def based(c):  # c one degree up, over a single 0-cell, so del_1 = 0
+        return from_complex(ChainComplex(
+            (1,) + c.ranks, [IntMatrix.zeros(1, c.ranks[0]), *c.boundaries]))
+    fixed = [sphere(1), sphere(4), moore_3cell(6), lens_skeleton(4, 5),
+             from_complex(ChainComplex([1], []))]
+    for _ in range(30):
+        parts = [based(random_complex(rng, max_top=3, max_rank=3,
+                                      entry_bound=9))
+                 for _ in range(rng.randint(1, 3))]
+        parts.insert(rng.randint(0, len(parts)), rng.choice(fixed))
+        cells = [x.chains for x in parts]
+        w = wedge(parts).chains
+        top = max(c.top_degree for c in cells)
+        assert w.ranks == (1,) + tuple(sum(c.rank(n) for c in cells)
+                                       for n in range(1, top + 1))
+        for n in range(1, top + 1):
+            want = np.zeros((w.rank(n - 1), w.rank(n)), dtype=object)
+            if n >= 2:
+                r0 = c0 = 0
+                for c in cells:
+                    b = c.boundary(n)
+                    want[r0:r0 + b.rows, c0:c0 + b.cols] = _dense(b)
+                    r0, c0 = r0 + b.rows, c0 + b.cols
+            assert w.boundary(n).shape == want.shape
+            assert w.boundary(n).to_lists() == want.tolist(), n
+
+
+def test_building_a_product_reads_no_rank_or_top_degree(monkeypatch):
+    rng = random.Random(5)
+    pairs = [(random_complex(rng), random_complex(rng)) for _ in range(10)]
+    a, b = lens_skeleton(3, 4), moore_3cell(6)
+
+    def refuse(*args):
+        raise AssertionError("a product read rank() or top_degree")
+    monkeypatch.setattr(ChainComplex, "rank", refuse)
+    monkeypatch.setattr(ChainComplex, "top_degree", property(refuse))
+    for c, d in pairs:
+        tensor_complexes(c, d)
+    assert len(product(a, b).chains.ranks) == 5 + 4 - 1

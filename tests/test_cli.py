@@ -940,6 +940,27 @@ def test_main_batch_file(tmp_path, capsys):
     assert "H_2 = Z/8" in capsys.readouterr().out
 
 
+def test_main_batch_file_that_cannot_be_opened_is_a_usage_error(tmp_path,
+                                                                 capsys):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        with pytest.raises(SystemExit) as e:
+            main(["--batch", str(path)])
+        assert e.value.code == 2  # argparse's usage error
+        assert f"cannot read {path}: " in capsys.readouterr().err
+
+
+def test_main_batch_file_with_undecodable_bytes_loses_only_that_line(
+        tmp_path, capsys):
+    p = tmp_path / "requests.txt"
+    p.write_bytes(b"homology moore3(8) 2\nhomology \xff 2\nbrauer sphere(2)\n")
+    assert main(["--json", "--batch", str(p)]) == EXIT_PARSE
+    first, bad, last = json.loads(capsys.readouterr().out)
+    assert first["result_text"] == "H_2 = Z/8"
+    assert bad["error"]["code"] == EXIT_PARSE
+    assert bad["error"]["message"].startswith("unexpected character")
+    assert last["result_text"].startswith("Br' = 0")
+
+
 def test_main_usage_errors(capsys):
     with pytest.raises(SystemExit):
         main([])
