@@ -7,8 +7,9 @@ diagonalizes a small matrix, checks the certificate by hand, and reads
 off the kernel, cokernel, and exact solutions of the map it presents.
 """
 
-from cwbrauer.intlin import (IntMatrix, cokernel_structure, determinant,
-                             kernel_basis, smith_normal_form, solve_integral)
+from cwbrauer.abgroup import FgAbGroup
+from cwbrauer.intlin import (IntMatrix, determinant, kernel_basis,
+                             smith_normal_form, solve_integral)
 
 a = IntMatrix([[2, 4, 6],
                [-6, 6, 0],
@@ -30,7 +31,7 @@ assert all(d[i + 1] % d[i] == 0 for i in range(len(d) - 1)), "divisor chain"
 print("certificate verified: U@A@V = S, |det| = 1, divisibility chain holds")
 
 # Reading the diagonal: the cokernel of A as a map Z^3 -> Z^3.
-coker = cokernel_structure(a)
+coker = FgAbGroup.from_presentation(a)
 print(f"\ncoker(A) = {coker}  (infinite: free rank {coker.free_rank})")
 print(f"rank of A = {sf.rank},  nullity = {a.cols - sf.rank}")
 print(f"kernel basis columns: {kernel_basis(a).to_lists()}")

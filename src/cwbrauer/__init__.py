@@ -1,24 +1,27 @@
 """cwbrauer: exact Brauer-group computations on CW-complex models.
 
-Layers, bottom up:
+Layers, bottom up, after errors and facts; a module imports only from
+the modules before it:
 
 - intlin: exact integer linear algebra (Smith normal form, kernels,
-  cokernels, integral solving) on arbitrary-precision matrices;
+  integral solving) on arbitrary-precision matrices;
 - abgroup: finitely generated abelian groups in invariant-factor form
-  with Hom, Ext^1, tensor, Tor_1, exterior square, and the Brauer groups
-  of second Eilenberg-MacLane spaces;
+  (a cokernel is `FgAbGroup.from_presentation`) with Hom, Ext^1, tensor,
+  Tor_1, exterior square, and the Brauer groups of second
+  Eilenberg-MacLane spaces;
 - chaincx: chain complexes of free Z-modules - homology, cohomology with
   Z and Z/m coefficients, universal-coefficient splittings, cochain-level
   Bockstein maps, tensor products;
-- spaces: CW-space descriptions (finite, periodic, telescope, catalog),
-  Br', phantom subgroups, equality certificates, minimal bundle ranks,
-  and the recorded-facts catalog;
+- limits: eventually periodic sequences (prefix plus repeating block),
+  towers with lim^1 vanishing certificates, symbolic colimits, symbolic
+  Ext^1, first Ulm subgroups, telescope phantom groups;
 - profiles: direct sums of cyclic groups with finite or countable
   multiplicities, Br'(BG), basic-subgroup reduction, and non-membership
   certificates for descriptor classes;
-- limits: towers with lim^1 vanishing certificates, symbolic colimits,
-  symbolic Ext^1, first Ulm subgroups, telescope phantom groups;
-- grammar + cli: shared text grammars and the command-line front end.
+- spaces: CW-space descriptions (finite, periodic, telescope, catalog),
+  Br', phantom subgroups, equality certificates, minimal bundle ranks,
+  and the recorded-facts catalog;
+- grammar, then cli: shared text grammars and the command-line front end.
 """
 
 from .abgroup import (FgAbGroup, GroupHom, KG2Brauer, Z, brauer_of_k_g_2,
@@ -34,9 +37,9 @@ from .grammar import (format_complex, format_descriptor, format_group,
                       format_profile, format_space, format_tower,
                       parse_complex, parse_descriptor, parse_group,
                       parse_profile, parse_space, parse_tower)
-from .intlin import (IntMatrix, SmithForm, cokernel_structure, determinant,
-                     kernel_basis, smith_form, smith_invariants,
-                     smith_normal_form, solve_integral, unimodular_inverse)
+from .intlin import (IntMatrix, SmithForm, determinant, kernel_basis,
+                     smith_form, smith_invariants, smith_normal_form,
+                     solve_integral, unimodular_inverse)
 from .limits import (ConstantStrand, DirectedSystem, Lim1Certificate,
                      MultiplicationStrand, PruferStrand, SymbolicGroup,
                      Tower, colimit_symbolic, ext1_symbolic, first_ulm,
@@ -68,7 +71,7 @@ __all__ = [
     "UnsupportedComputation", "Z",
     "bg_profile", "bockstein", "bpgl", "brauer_of_bg", "brauer_of_k_g_2",
     "brauer_prime", "catalog_lookup", "citation", "cohomology",
-    "cokernel_structure", "colimit_symbolic", "determinant",
+    "colimit_symbolic", "determinant",
     "equality_certificate", "ext1", "ext1_symbolic", "exterior_square",
     "first_ulm", "format_complex", "format_descriptor", "format_group",
     "format_profile", "format_space", "format_tower", "from_complex",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from math import gcd, isqrt, log2
 
 from .errors import SemanticError, UnsupportedComputation
-from .intlin import IntMatrix, divisibility_chain
+from .intlin import IntMatrix, divisibility_chain, smith_invariants
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,10 @@ class FgAbGroup:
 
     @classmethod
     def from_presentation(cls, relations: IntMatrix) -> "FgAbGroup":
-        """Z^rows / column-span(relations)."""
-        from .intlin import cokernel_structure
-        return cokernel_structure(relations)
+        """Z^rows / column-span(relations), read off the Smith diagonal."""
+        diag = smith_invariants(relations)
+        return cls(relations.rows - sum(1 for d in diag if d),
+                   tuple(d for d in diag if d >= 2))
 
     # -- structure ------------------------------------------------------------
 

@@ -672,7 +672,10 @@ def run_batch(source, as_json: bool, trace: bool, out=None) -> int:
                               f"error: {r['error']['message']}")
             else:
                 blocks.append(f"request: {r['request']}\n" + render_text(r))
-        print("\n\n".join(blocks), file=out)
+        # a line with undecodable bytes echoes them as \udcXX escapes, so
+        # a strict stdout cannot lose the other answers
+        print("\n\n".join(blocks).encode("utf-8", "backslashreplace")
+              .decode("utf-8"), file=out)
     return worst
 
 
@@ -695,11 +698,14 @@ def main(argv=None) -> int:
     if ns.batch is None and not ns.request:
         ap.error("no request given (try: cwbrauer brauer 'moore3(6)')")
     try:
+        # undecodable bytes reach the tokenizer, which refuses their line
+        # alone, from stdin as from a FILE
         if ns.batch == "-":
+            if hasattr(sys.stdin, "reconfigure"):
+                sys.stdin.reconfigure(encoding="utf-8",
+                                      errors="surrogateescape")
             code = run_batch(sys.stdin, ns.json, ns.trace)
         elif ns.batch is not None:
-            # undecodable bytes reach the tokenizer, as they do from stdin,
-            # which refuses their line alone
             try:
                 fh = open(ns.batch, encoding="utf-8", errors="surrogateescape")
             except OSError as e:

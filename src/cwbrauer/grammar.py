@@ -49,8 +49,9 @@ were always read token by token.
 A tower is read front to back, once: each map is kept as written and
 becomes a GroupHom when the groups on both sides of its arrow are read.
 The block links are listed as B_0, B_1, ..., each with its map to the
-previous stage (B_i maps to B_{(i-1) mod m}); `Tower` checks the
-printed target group against that convention.
+previous stage (B_i maps to B_{(i-1) mod m}, and B_0 into the last
+prefix group first); `Tower` checks the printed target group against
+that convention, and `format_tower` prints each map's own groups.
 """
 
 from __future__ import annotations
@@ -510,36 +511,34 @@ class _Parser:
 
     def tower(self) -> Tower:
         self.expect("ident", "tower", what="tower")
-        prefix_groups: list[FgAbGroup] = []
-        prefix_maps: list[GroupHom] = []
+        prefix: list[FgAbGroup] = []
+        prefix_links: list[GroupHom] = []
         if self.accept("ident", "prefix"):
             self.expect("sym", "[")
             if not self.at("sym", "]"):
-                prefix_groups.append(self.group())
+                prefix.append(self.group())
                 while self.accept("sym", "<"):
                     # "<-(" MAP ")-" GROUP: the map's source is on the right
                     spec = self._map()
                     src = self.group()
-                    prefix_maps.append(self._hom(spec, src, prefix_groups[-1]))
-                    prefix_groups.append(src)
+                    prefix_links.append(self._hom(spec, src, prefix[-1]))
+                    prefix.append(src)
             self.expect("sym", "]")
         self.expect("ident", "block", what="block")
         self.expect("sym", "[")
-        block_groups: list[FgAbGroup] = []
-        block_maps: list[GroupHom] = []
+        block: list[FgAbGroup] = []
+        block_links: list[GroupHom] = []
         while True:
             src = self.group()
             spec = self._map()
             self.expect("sym", ">")
-            block_groups.append(src)
-            block_maps.append(self._hom(spec, src, self.group()))
+            block.append(src)
+            block_links.append(self._hom(spec, src, self.group()))
             if not self.accept("sym", ","):
                 break
         self.expect("sym", "]")
-        return Tower(prefix_groups=tuple(prefix_groups),
-                     prefix_maps=tuple(prefix_maps),
-                     block_groups=tuple(block_groups),
-                     block_maps=tuple(block_maps))
+        return Tower(prefix=tuple(prefix), prefix_links=tuple(prefix_links),
+                     block=tuple(block), block_links=tuple(block_links))
 
     # -- descriptor literals ---------------------------------------------
     def affine(self) -> AffineExpr:
@@ -697,20 +696,13 @@ def _format_hom(h: GroupHom) -> str:
 
 def format_tower(t: Tower) -> str:
     out = ["tower"]
-    if t.prefix_groups:
-        chain = format_group(t.prefix_groups[0])
-        for i in range(1, len(t.prefix_groups)):
-            chain += (f" <-({_format_hom(t.prefix_maps[i - 1])})- "
-                      f"{format_group(t.prefix_groups[i])}")
-        out.append(f"prefix [{chain}]")
-    links = []
-    m = t.block_length
-    for i in range(m):
-        links.append(
-            f"{format_group(t.block_groups[i])} "
-            f"-({_format_hom(t.block_maps[i])})-> "
-            f"{format_group(t.block_groups[(i - 1) % m])}")
-    out.append("block [" + ", ".join(links) + "]")
+    if t.prefix:
+        out.append("prefix [" + format_group(t.prefix[0]) + "".join(
+            f" <-({_format_hom(f)})- {format_group(f.domain)}"
+            for f in t.prefix_links) + "]")
+    out.append("block [" + ", ".join(
+        f"{format_group(f.domain)} -({_format_hom(f)})-> "
+        f"{format_group(f.codomain)}" for f in t.block_links) + "]")
     return " ".join(out)
 
 

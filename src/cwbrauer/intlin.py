@@ -538,15 +538,6 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return smith_form(a, v=True).kernel()
 
 
-def cokernel_structure(a: IntMatrix):
-    """Z^rows / column-span(a) in invariant-factor form (an FgAbGroup)."""
-    from .abgroup import FgAbGroup  # local import: abgroup builds on intlin
-
-    diag = smith_invariants(a)
-    return FgAbGroup(free_rank=a.rows - sum(1 for d in diag if d),
-                     invariant_factors=tuple(d for d in diag if d >= 2))
-
-
 def solve_integral(a: IntMatrix, b) -> tuple[int, ...] | None:
     """Some integer solution of a @ x = b, or None; see `SmithForm.solve`."""
     return smith_normal_form(a).solve(b)

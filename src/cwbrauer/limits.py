@@ -1,7 +1,9 @@
 """Towers, directed systems, lim^1 certificates, and symbolic groups.
 
-Towers (inverse systems indexed by the naturals) are finite data:
-a prefix and a repeating block of (group, map to predecessor) pairs.
+Towers (inverse systems indexed by the naturals) are finite data: an
+`EventuallyPeriodic` sequence of groups, a prefix and a repeating block
+of (group, map to predecessor) pairs; `spaces.PeriodicComplex` is the
+same sequence of ranks and boundary matrices.
 lim^1 is never computed; we only certify that it vanishes, either
 because every group in the tower is finite or because the images
 provably stabilize (Mittag-Leffler), and say INCONCLUSIVE otherwise.
@@ -238,74 +240,72 @@ def first_ulm(g: SymbolicGroup | FgAbGroup) -> SymbolicGroup:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Tower:
-    """A_0 <- A_1 <- A_2 <- ... given by a prefix plus a repeating block.
-
-    prefix_maps[i] : prefix_groups[i+1] -> prefix_groups[i].
-    block_maps[i]  : block_groups[i] -> block_groups[i-1 mod m]; in
-    particular block_maps[0] is the wrap map into the last block group,
-    which also serves as the seam into the prefix, so when both parts are
-    nonempty the last prefix group must equal the last block group.
+class EventuallyPeriodic:
+    """x_0, x_1, ...: p prefix items, then m block items repeated for
+    ever, with link(i): x_i -> x_{i-1} for i >= 1.  block_links[0] leads
+    into the last prefix item at i = p (the seam) and into the last block
+    item on every later round (the wrap).  Only counts are checked here;
+    positions 1 .. p + m meet every link, seam and wrap included.
     """
 
-    prefix_groups: tuple[FgAbGroup, ...] = ()
-    prefix_maps: tuple[GroupHom, ...] = ()
-    block_groups: tuple[FgAbGroup, ...] = ()
-    block_maps: tuple[GroupHom, ...] = ()
+    prefix: tuple = ()
+    prefix_links: tuple = ()
+    block: tuple = ()
+    block_links: tuple = ()
 
     def __post_init__(self):
-        if not self.block_groups:
-            raise SemanticError("a tower needs a nonempty repeating block")
-        if len(self.block_maps) != len(self.block_groups):
-            raise SemanticError("one block map per block group")
-        if self.prefix_groups:
-            if len(self.prefix_maps) != len(self.prefix_groups) - 1:
-                raise SemanticError("prefix needs n-1 maps for n groups")
-        elif self.prefix_maps:
-            raise SemanticError("prefix maps without prefix groups")
-        for i, f in enumerate(self.prefix_maps):
-            if f.domain != self.prefix_groups[i + 1] or \
-                    f.codomain != self.prefix_groups[i]:
-                raise SemanticError(f"prefix map {i} does not chain")
-        m = len(self.block_groups)
-        for i, f in enumerate(self.block_maps):
-            if f.domain != self.block_groups[i]:
-                raise SemanticError(f"block map {i} does not chain")
-            want = self.block_groups[(i - 1) % m]
-            if f.codomain != want:
-                raise SemanticError(f"block link {i} must map to {want} "
-                                    f"(the previous stage), not {f.codomain}")
-        if self.prefix_groups and \
-                self.prefix_groups[-1] != self.block_groups[-1]:
-            raise SemanticError(
-                "seam mismatch: last prefix group must equal last block group")
+        if not self.block:
+            raise SemanticError("the repeating block must not be empty")
+        if len(self.block_links) != len(self.block):
+            raise SemanticError("one link per block item")
+        if len(self.prefix_links) != max(len(self.prefix) - 1, 0):
+            raise SemanticError("a prefix of p items needs max(p-1, 0) links")
 
     @property
-    def block_length(self) -> int:
-        return len(self.block_groups)
+    def period(self) -> int:
+        return len(self.block)
 
-    def group(self, i: int) -> FgAbGroup:
-        p = len(self.prefix_groups)
+    def item(self, i: int):
+        p = len(self.prefix)
         if i < p:
-            return self.prefix_groups[i]
-        return self.block_groups[(i - p) % self.block_length]
+            return self.prefix[i]
+        return self.block[(i - p) % len(self.block)]
 
-    def map(self, i: int) -> GroupHom:
-        """The bonding map A_i -> A_{i-1} (i >= 1)."""
+    def link(self, i: int):
+        """The link x_i -> x_{i-1} (i >= 1)."""
         if i < 1:
-            raise SemanticError("maps start at stage 1")
-        p = len(self.prefix_groups)
+            raise SemanticError("links start at i = 1")
+        p = len(self.prefix)
         if i < p:
-            return self.prefix_maps[i - 1]
-        return self.block_maps[(i - p) % self.block_length]
+            return self.prefix_links[i - 1]
+        return self.block_links[(i - p) % len(self.block)]
+
+
+class Tower(EventuallyPeriodic):
+    """A_0 <- A_1 <- A_2 <- ...: the items are groups and link(i) is the
+    bonding map A_i -> A_{i-1}."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        p, m = len(self.prefix), self.period
+        for i in range(1, p + m + 1):
+            f, want, j = self.link(i), self.item(i - 1), (i - p) % m
+            if i < p:
+                if f.domain != self.item(i) or f.codomain != want:
+                    raise SemanticError(f"prefix map {i - 1} does not chain")
+            elif f.domain != self.item(i):
+                raise SemanticError(f"block map {j} does not chain")
+            elif f.codomain != want:
+                raise SemanticError(f"block link {j} must map to {want} "
+                                    f"(the previous stage), not {f.codomain}")
 
     def composite(self, j: int, i: int) -> GroupHom:
         """A_j -> A_i for j >= i, composing the bonding maps."""
         if j < i:
             raise SemanticError("composite needs j >= i")
-        f = GroupHom.identity(self.group(i))
+        f = GroupHom.identity(self.item(i))
         for k in range(i + 1, j + 1):
-            f = f.compose(self.map(k))
+            f = f.compose(self.link(k))
         return f
 
 
@@ -359,13 +359,11 @@ def lim1_certificate(t: Tower) -> Lim1Certificate:
     span lies in span(f) plus the relations, as _images_equal needs.  If
     the images still shrink after two periods we refuse to conclude.
     """
-    groups = t.prefix_groups + t.block_groups
-    if all(g.is_finite for g in groups):
+    if all(g.is_finite for g in t.prefix + t.block):
         return Lim1Certificate(
             "VANISHES", "JensenFinite",
             "every group in the tower is finite")
-    p = len(t.prefix_groups)
-    m = t.block_length
+    p, m = len(t.prefix), t.period
     periods = (t.composite(j + m, j) for j in range(p, p + m))
     if all(_images_equal(f.codomain, f.matrix, f.compose(f).matrix)
            for f in periods):

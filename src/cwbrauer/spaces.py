@@ -53,68 +53,37 @@ from .abgroup import FgAbGroup, Z, brauer_of_k_g_2, ext1
 from .chaincx import ChainComplex, homology, tensor_complexes
 from .errors import SemanticError, UnsupportedComputation
 from .intlin import IntMatrix
-from .limits import (DirectedSystem, colimit_symbolic, ext1_symbolic,
-                     torsion_free_quotient)
+from .limits import (DirectedSystem, EventuallyPeriodic, colimit_symbolic,
+                     ext1_symbolic, torsion_free_quotient)
 from .profiles import (OMEGA, CyclicProfile, StructuralDescriptor,
                        brauer_of_bg, format_profile, lambda_square_profile)
 
 QZ_TOKEN = "Q/Z"
 
 
-@dataclass(frozen=True)
-class PeriodicComplex:
-    """Ranks and boundaries given by a prefix and a repeating block.
+class PeriodicComplex(EventuallyPeriodic):
+    """Chains given by a prefix and a repeating block: item(n) is the
+    rank of C_n and link(n) the boundary C_n -> C_{n-1}.
 
-    rank(n) = prefix_ranks[n] for n < p, else block_ranks[(n-p) % m];
-    boundary(n) = prefix_boundaries[n-1] for 1 <= n < p, else
-    block_boundaries[(n-p) % m].  When the prefix is nonempty the last
-    prefix rank must equal the last block rank so the wrap maps are
-    well shaped; validity (shapes and del del = 0 across seams) is
-    checked on the unrolled stretch 0 .. p + m + 1, which holds every
-    boundary and every consecutive pair at least once: those inside the
-    prefix, the prefix-to-block seam and the block wrap.
+    Past the counts, validity (shapes, del del = 0) is checked on the
+    unrolled stretch 0 .. p + m + 1, which holds every boundary and every
+    consecutive pair at least once: those inside the prefix, the
+    prefix-to-block seam and the block wrap.  The first block boundary
+    leaves both the last prefix rank and the last block rank, so a seam
+    whose two ranks differ has a wrong shape there.
     """
 
-    prefix_ranks: tuple[int, ...] = ()
-    prefix_boundaries: tuple[IntMatrix, ...] = ()
-    block_ranks: tuple[int, ...] = ()
-    block_boundaries: tuple[IntMatrix, ...] = ()
-
     def __post_init__(self):
-        if not self.block_ranks:
-            raise SemanticError("periodic complex needs a nonempty block")
-        if len(self.block_boundaries) != len(self.block_ranks):
-            raise SemanticError("one block boundary per block degree")
-        p = len(self.prefix_ranks)
-        if p and len(self.prefix_boundaries) != p - 1:
-            raise SemanticError("prefix needs p-1 boundaries for p degrees")
-        if not p and self.prefix_boundaries:
-            raise SemanticError("prefix boundaries without prefix ranks")
-        if p and self.prefix_ranks[-1] != self.block_ranks[-1]:
-            raise SemanticError(
-                "seam mismatch: last prefix rank must equal last block rank")
-        # shape and del-del validation happens by unrolling
-        self.unroll(p + len(self.block_ranks) + 1)
-
-    @property
-    def period(self) -> int:
-        return len(self.block_ranks)
+        super().__post_init__()
+        self.unroll(len(self.prefix) + self.period + 1)
 
     def rank(self, n: int) -> int:
-        if n < 0:
-            return 0
-        p = len(self.prefix_ranks)
-        if n < p:
-            return self.prefix_ranks[n]
-        return self.block_ranks[(n - p) % self.period]
+        return self.item(n) if n >= 0 else 0
 
     def boundary(self, n: int) -> IntMatrix:
         if n < 1:
             return IntMatrix.zeros(self.rank(n - 1), self.rank(n))
-        p = len(self.prefix_ranks)
-        if n < p:
-            return self.prefix_boundaries[n - 1]
-        return self.block_boundaries[(n - p) % self.period]
+        return self.link(n)
 
     def unroll(self, top: int) -> ChainComplex:
         ranks = [self.rank(n) for n in range(top + 1)]
@@ -123,10 +92,10 @@ class PeriodicComplex:
 
     def dimension(self) -> int | None:
         """Largest degree with cells, or None when infinite-dimensional."""
-        if any(self.block_ranks):
+        if any(self.block):
             return None
         dim = -1
-        for n, r in enumerate(self.prefix_ranks):
+        for n, r in enumerate(self.prefix):
             if r:
                 dim = n
         return dim
@@ -232,8 +201,7 @@ def lens_periodic(n: int) -> SpaceDescription:
     if n < 1:
         raise SemanticError("lens parameter must be >= 1")
     return _built(("lens_periodic", (n,)), lambda: PeriodicComplex(
-        block_ranks=(1, 1),
-        block_boundaries=(IntMatrix([[n]]), IntMatrix([[0]]))))
+        block=(1, 1), block_links=(IntMatrix([[n]]), IntMatrix([[0]]))))
 
 
 def from_complex(c: ChainComplex) -> SpaceDescription:

@@ -220,3 +220,50 @@ def homology_oracle(ranks, boundary_lists, n: int) -> tuple[int, list[int]]:
     free = ranks[n] - r_in - r_out
     torsion = [d for d in smith_diag_oracle(d_out) if d > 1] if n + 1 <= top else []
     return free, sorted(torsion)
+
+
+def draw_eventually_periodic(rng, item, link):
+    """Seeded data for a prefix of p items and a block of m items, with
+    links x_i -> x_{i-1}, and what was done to it: "valid" data, or one
+    count, one link or the seam corrupted.
+
+    item(rng) draws an item and link(rng, x, y) a link from x to y.
+    Valid data lets block link i go from block[i] to block[i - 1 mod m],
+    prefix link i from prefix[i + 1] to prefix[i], and ends a nonempty
+    prefix on the last block item.  Returns (kind, prefix, prefix_links,
+    block, block_links) as tuples.
+    """
+    def other(x):
+        while (y := item(rng)) == x:
+            pass
+        return y
+
+    m = rng.randint(1, 3)
+    block = [item(rng) for _ in range(m)]
+    prefix = []
+    if rng.random() < 0.6:
+        prefix = [item(rng) for _ in range(rng.randint(0, 2))] + [block[-1]]
+    kind = rng.choice(("valid", "count", "link", "seam"))
+    if kind == "seam":
+        prefix = (prefix or [block[-1]])[:-1] + [other(block[-1])]
+    # (source, target) of each link
+    ends = {"prefix": [(prefix[i + 1], prefix[i])
+                       for i in range(len(prefix) - 1)],
+            "block": [(block[i], block[i - 1]) for i in range(m)]}
+    if kind == "link":
+        part = rng.choice([k for k, v in ends.items() if v])
+        i = rng.randrange(len(ends[part]))
+        src, dst = ends[part][i]
+        ends[part][i] = ((other(src), dst) if rng.random() < 0.5
+                         else (src, other(dst)))
+    links = {k: [link(rng, x, y) for x, y in v] for k, v in ends.items()}
+    if kind == "count":
+        part = rng.choice(("empty block", "block", "prefix"))
+        if part == "empty block":
+            block, links["block"] = [], []
+        elif links[part] and rng.random() < 0.5:
+            links[part].pop()
+        else:
+            links[part].append(links["block"][0])
+    return (kind, tuple(prefix), tuple(links["prefix"]), tuple(block),
+            tuple(links["block"]))

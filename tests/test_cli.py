@@ -21,6 +21,7 @@ from cwbrauer.cli import (
     EXIT_SEMANTIC, EXIT_UNSUPPORTED, execute, main, parse_request,
     render_json, run_batch, run_line,
 )
+from cwbrauer.facts import FACTS
 from cwbrauer.grammar import (MAX_COMPLEX_CELLS, MAX_COMPLEX_DEGREE,
                               MAX_GROUP_GENERATORS, MAX_PROFILE_MULTIPLICITY,
                               parse_group)
@@ -993,6 +994,20 @@ def test_execute_reports_are_json_safe():
             assert report["citations"] == sorted(set(report["citations"]))
 
 
+def test_every_cited_key_is_a_recorded_fact():
+    """Each citation key a report names, over the sample lines and every
+    request `reproduce` checks (and reproduce's own report), has a
+    statement in facts.FACTS."""
+    lines = SAMPLE_LINES + tuple(line for _, line, _, _ in
+                                 cli._reproduce_items())
+    cited = set()
+    for line in lines:
+        for trace in (False, True):
+            cited |= set(execute(parse_request(line), trace)["citations"])
+    assert len(cited) > 15
+    assert cited <= set(FACTS), sorted(cited - set(FACTS))
+
+
 # characters the writer must escape as the stdlib does: quote, backslash,
 # control characters, non-ASCII text, U+2028 and lone surrogates
 _JSON_CHARS = ('ab Z/"\\\x00\x01\x1f\x7f\t\n\r'
@@ -1077,6 +1092,26 @@ def test_cli_import_leaves_numpy_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_batch_under_strict_stdio_loses_only_the_undecodable_line(tmp_path,
+                                                                  source):
+    """With a strict UTF-8 stdin and stdout, a line holding a byte that is
+    not UTF-8 is refused alone and echoed with its byte escaped."""
+    data = b"homology moore3(8) 2\nhomology \xff 2\nbrauer sphere(2)\n"
+    path = tmp_path / "requests.txt"
+    path.write_bytes(data)
+    arg = str(path) if source == "file" else "-"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cwbrauer.cli", "--batch", arg],
+        input=data if source == "stdin" else b"", capture_output=True,
+        env=dict(_child_env(), PYTHONIOENCODING="utf-8:strict"), timeout=120)
+    assert proc.returncode == EXIT_PARSE, proc.stderr
+    out = proc.stdout.decode("utf-8")
+    assert "H_2 = Z/8" in out
+    assert "Br' = 0" in out
+    assert "request: homology \\udcff 2\nerror: unexpected character" in out
 
 
 @pytest.mark.parametrize("args", [["reproduce"],

@@ -122,18 +122,18 @@ def small_group(rng) -> FgAbGroup:
 def random_tower(rng) -> Tower:
     m = rng.randint(1, 3)
     blocks = [small_group(rng) for _ in range(m)]
-    block_maps = tuple(random_hom(rng, blocks[i], blocks[(i - 1) % m])
-                       for i in range(m))
-    prefix_groups: tuple = ()
-    prefix_maps: tuple = ()
+    block_links = tuple(random_hom(rng, blocks[i], blocks[(i - 1) % m])
+                        for i in range(m))
+    prefix: tuple = ()
+    prefix_links: tuple = ()
     if rng.random() < 0.5:
         chain = [small_group(rng) for _ in range(rng.randint(0, 2))]
         chain.append(blocks[-1])          # seam
-        prefix_groups = tuple(chain)
-        prefix_maps = tuple(random_hom(rng, chain[i + 1], chain[i])
-                            for i in range(len(chain) - 1))
-    return Tower(prefix_groups=prefix_groups, prefix_maps=prefix_maps,
-                 block_groups=tuple(blocks), block_maps=block_maps)
+        prefix = tuple(chain)
+        prefix_links = tuple(random_hom(rng, chain[i + 1], chain[i])
+                             for i in range(len(chain) - 1))
+    return Tower(prefix=prefix, prefix_links=prefix_links,
+                 block=tuple(blocks), block_links=block_links)
 
 
 def random_descriptor(rng) -> ObstructionDescriptor:

@@ -11,6 +11,7 @@ from cwbrauer.abgroup import FgAbGroup, GroupHom, ext1
 from cwbrauer.errors import SemanticError, UnsupportedComputation
 from cwbrauer import limits
 from cwbrauer.cli import run_line
+from _oracles import draw_eventually_periodic
 from cwbrauer.intlin import IntMatrix, solve_integral
 from cwbrauer.limits import (
     Atom, ConstantStrand, DirectedSystem, Lim1Certificate,
@@ -120,21 +121,21 @@ def test_first_ulm():
 
 def finite_tower():
     z4, z8 = zmod(4), zmod(8)
-    return Tower(block_groups=(z4, z8),
-                 block_maps=(GroupHom.scalar(z4, z8, 2),
-                             GroupHom.scalar(z8, z4, 1)))
+    return Tower(block=(z4, z8),
+                 block_links=(GroupHom.scalar(z4, z8, 2),
+                              GroupHom.scalar(z8, z4, 1)))
 
 
 def test_tower_indexing():
     z2, z4, z8 = zmod(2), zmod(4), zmod(8)
-    t = Tower(prefix_groups=(z2, z8),
-              prefix_maps=(GroupHom.scalar(z8, z2, 1),),
-              block_groups=(z4, z8),
-              block_maps=(GroupHom.scalar(z4, z8, 2),
-                          GroupHom.scalar(z8, z4, 1)))
-    assert [t.group(i) for i in range(6)] == [z2, z8, z4, z8, z4, z8]
-    assert t.map(1).codomain == z2
-    assert t.map(2).domain == z4 and t.map(2).codomain == z8
+    t = Tower(prefix=(z2, z8),
+              prefix_links=(GroupHom.scalar(z8, z2, 1),),
+              block=(z4, z8),
+              block_links=(GroupHom.scalar(z4, z8, 2),
+                           GroupHom.scalar(z8, z4, 1)))
+    assert [t.item(i) for i in range(6)] == [z2, z8, z4, z8, z4, z8]
+    assert t.link(1).codomain == z2
+    assert t.link(2).domain == z4 and t.link(2).codomain == z8
     comp = t.composite(4, 1)
     assert comp.domain == z4 and comp.codomain == z8
     assert t.composite(3, 3).matrix == GroupHom.identity(z8).matrix
@@ -143,22 +144,22 @@ def test_tower_indexing():
 def test_tower_validation():
     z4, z8 = zmod(4), zmod(8)
     with pytest.raises(SemanticError):
-        Tower(block_groups=(), block_maps=())
+        Tower(block=(), block_links=())
     with pytest.raises(SemanticError):
-        Tower(block_groups=(z4,), block_maps=())
+        Tower(block=(z4,), block_links=())
     with pytest.raises(SemanticError):
-        Tower(prefix_maps=(GroupHom.scalar(z4, z4, 1),),
-              block_groups=(z4,),
-              block_maps=(GroupHom.scalar(z4, z4, 1),))
+        Tower(prefix_links=(GroupHom.scalar(z4, z4, 1),),
+              block=(z4,),
+              block_links=(GroupHom.scalar(z4, z4, 1),))
     with pytest.raises(SemanticError):   # block map 0 must land in the LAST group
-        Tower(block_groups=(z4, z8),
-              block_maps=(GroupHom.scalar(z4, z4, 1),
-                          GroupHom.scalar(z8, z4, 1)))
+        Tower(block=(z4, z8),
+              block_links=(GroupHom.scalar(z4, z4, 1),
+                           GroupHom.scalar(z8, z4, 1)))
     with pytest.raises(SemanticError):   # seam: last prefix != last block group
-        Tower(prefix_groups=(z4,), prefix_maps=(),
-              block_groups=(z4, z8),
-              block_maps=(GroupHom.scalar(z4, z8, 2),
-                          GroupHom.scalar(z8, z4, 1)))
+        Tower(prefix=(z4,), prefix_links=(),
+              block=(z4, z8),
+              block_links=(GroupHom.scalar(z4, z8, 2),
+                           GroupHom.scalar(z8, z4, 1)))
 
 
 def test_lim1_jensen_finite():
@@ -169,7 +170,7 @@ def test_lim1_jensen_finite():
 
 
 def test_lim1_mittag_leffler():
-    t = Tower(block_groups=(Z,), block_maps=(GroupHom.identity(Z),))
+    t = Tower(block=(Z,), block_links=(GroupHom.identity(Z),))
     cert = lim1_certificate(t)
     assert (cert.verdict, cert.reason) == ("VANISHES", "MittagLeffler")
 
@@ -177,12 +178,12 @@ def test_lim1_mittag_leffler():
     z2 = FgAbGroup.from_cyclic_orders((0, 0))
     incl = GroupHom(Z, z2, [[1], [0]])
     proj = GroupHom(z2, Z, [[1, 0]])
-    t = Tower(block_groups=(Z, z2), block_maps=(incl, proj))
+    t = Tower(block=(Z, z2), block_links=(incl, proj))
     assert lim1_certificate(t).reason == "MittagLeffler"
 
 
 def test_lim1_inconclusive_for_p_adic_style_tower():
-    t = Tower(block_groups=(Z,), block_maps=(GroupHom.scalar(Z, Z, 2),))
+    t = Tower(block=(Z,), block_links=(GroupHom.scalar(Z, Z, 2),))
     cert = lim1_certificate(t)
     assert cert.verdict == "INCONCLUSIVE"
     assert cert.reason is None
@@ -310,10 +311,10 @@ def _random_tower(rng):
     prefix = []
     if rng.random() < 0.5:
         prefix = [group() for _ in range(rng.randint(0, 2))] + [block[-1]]
-    return Tower(prefix_groups=tuple(prefix),
-                 prefix_maps=tuple(hom(prefix[i + 1], prefix[i])
-                                   for i in range(len(prefix) - 1)),
-                 block_groups=tuple(block), block_maps=maps)
+    return Tower(prefix=tuple(prefix),
+                 prefix_links=tuple(hom(prefix[i + 1], prefix[i])
+                                    for i in range(len(prefix) - 1)),
+                 block=tuple(block), block_links=maps)
 
 
 def test_lim1_verdicts_match_a_two_period_solve_reference():
@@ -324,13 +325,13 @@ def test_lim1_verdicts_match_a_two_period_solve_reference():
     seen = {"JensenFinite": 0, "MittagLeffler": 0, None: 0}
     for _ in range(300):
         t = _random_tower(rng)
-        p, m = len(t.prefix_groups), t.block_length
-        if all(g.is_finite for g in t.prefix_groups + t.block_groups):
+        p, m = len(t.prefix), t.period
+        if all(g.is_finite for g in t.prefix + t.block):
             want = "JensenFinite"
         else:
             stable = True
             for j in range(p, p + m):
-                rel = rel_matrix(t.group(j).cyclic_orders())
+                rel = rel_matrix(t.item(j).cyclic_orders())
                 one = t.composite(j + m, j).matrix
                 two = t.composite(j + 2 * m, j).matrix
                 stable &= contains(rel, one, two) and contains(rel, two, one)
@@ -355,8 +356,8 @@ def test_lim1_reads_two_smith_diagonals_per_block_stage(monkeypatch):
     swap = GroupHom(z2, z2, [[0, 1], [1, 0]])
     for m in (1, 2, 3):
         calls.clear()
-        t = Tower(prefix_groups=(Z, z2), prefix_maps=(GroupHom(z2, Z, [[1, 0]]),),
-                  block_groups=(z2,) * m, block_maps=(swap,) * m)
+        t = Tower(prefix=(Z, z2), prefix_links=(GroupHom(z2, Z, [[1, 0]]),),
+                  block=(z2,) * m, block_links=(swap,) * m)
         assert lim1_certificate(t).reason == "MittagLeffler"
         assert len(calls) == 2 * m
 
@@ -366,10 +367,61 @@ def test_tower_names_a_block_link_with_the_wrong_target():
     a tower literal."""
     z4 = zmod(4)
     with pytest.raises(SemanticError) as direct:
-        Tower(block_groups=(Z,), block_maps=(GroupHom.scalar(Z, z4, 2),))
+        Tower(block=(Z,), block_links=(GroupHom.scalar(Z, z4, 2),))
     want = "block link 0 must map to Z (the previous stage), not Z/4"
     assert str(direct.value) == want
     code, out = run_line_json("lim1 tower block [Z -(x2)-> Z/4]")
     assert (code, out["error"]["message"]) == (3, want)
     with pytest.raises(SemanticError, match="block map 0 does not chain"):
-        Tower(block_groups=(Z,), block_maps=(GroupHom.scalar(z4, Z, 0),))
+        Tower(block=(Z,), block_links=(GroupHom.scalar(z4, Z, 0),))
+
+
+def test_tower_seam_refusal_names_the_last_prefix_group():
+    """A first block link that misses the last prefix group is refused
+    as that link, with the message every block link has."""
+    code, out = run_line_json("lim1 tower prefix [Z/2] block [Z/4 -(x1)-> Z/4]")
+    assert (code, out["error"]["message"]) == (
+        3, "block link 0 must map to Z/2 (the previous stage), not Z/4")
+
+
+def _tower_rules_before_the_shared_base(prefix, prefix_links, block,
+                                        block_links) -> bool:
+    """The checks Tower made on its own fields, each written out: counts,
+    the prefix chain, every block link against B_(i-1 mod m), and the
+    seam (last prefix group = last block group)."""
+    p, m = len(prefix), len(block)
+    if not m or len(block_links) != m:
+        return False
+    if len(prefix_links) != (p - 1 if p else 0):
+        return False
+    for i, f in enumerate(prefix_links):
+        if f.domain != prefix[i + 1] or f.codomain != prefix[i]:
+            return False
+    for i, f in enumerate(block_links):
+        if f.domain != block[i] or f.codomain != block[(i - 1) % m]:
+            return False
+    return not p or prefix[-1] == block[-1]
+
+
+def test_tower_accepts_exactly_what_its_written_out_rules_accept():
+    rng = random.Random(20)
+    pool = [FgAbGroup.from_cyclic_orders(o)
+            for o in ((0,), (2,), (4,), (0, 0), (0, 2))]
+
+    def zero_hom(rng, x, y):
+        return GroupHom(x, y, IntMatrix.zeros(len(y.cyclic_orders()),
+                                              len(x.cyclic_orders())))
+
+    seen = {}
+    for _ in range(600):
+        kind, *data = draw_eventually_periodic(
+            rng, lambda rng: rng.choice(pool), zero_hom)
+        try:
+            Tower(*data)
+            accepted = True
+        except SemanticError:
+            accepted = False
+        assert accepted == _tower_rules_before_the_shared_base(*data), data
+        assert accepted == (kind == "valid"), (kind, data)
+        seen[kind] = seen.get(kind, 0) + 1
+    assert min(seen.values()) > 100, seen

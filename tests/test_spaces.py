@@ -16,6 +16,7 @@ from cwbrauer.grammar import parse_space
 from cwbrauer.limits import (Atom, DirectedSystem, SymbolicGroup,
                              phantom_of_telescope)
 from cwbrauer.profiles import OMEGA, CyclicProfile, StructuralDescriptor
+from _oracles import draw_eventually_periodic
 from cwbrauer.spaces import (
     EQUAL, STRICT, UNKNOWN, EqualityCertificate, PeriodicComplex,
     QZ_TOKEN, SpaceDescription, bg_profile, bpgl, brauer_prime,
@@ -61,11 +62,11 @@ def _prefix_demo():
     # A Moore complex glued below an eventually 2-periodic tail: prefix
     # carries degrees 0..3, the block then repeats (Z -0-> Z -4-> Z).
     return PeriodicComplex(
-        prefix_ranks=(1, 0, 1, 1),
-        prefix_boundaries=(IntMatrix.zeros(1, 0), IntMatrix.zeros(0, 1),
-                           IntMatrix([[6]])),
-        block_ranks=(1, 1),
-        block_boundaries=(IntMatrix([[0]]), IntMatrix([[4]])))
+        prefix=(1, 0, 1, 1),
+        prefix_links=(IntMatrix.zeros(1, 0), IntMatrix.zeros(0, 1),
+                      IntMatrix([[6]])),
+        block=(1, 1),
+        block_links=(IntMatrix([[0]]), IntMatrix([[4]])))
 
 
 def test_periodic_with_prefix():
@@ -137,13 +138,13 @@ def test_chains_of_finite_space_is_the_stored_complex():
 
 def test_periodic_validation():
     with pytest.raises(SemanticError):
-        PeriodicComplex(prefix_ranks=(), prefix_boundaries=(),
-                        block_ranks=(), block_boundaries=())
+        PeriodicComplex(prefix=(), prefix_links=(),
+                        block=(), block_links=())
     with pytest.raises(SemanticError):
         # block boundary shapes must chain up around the wrap
-        PeriodicComplex(prefix_ranks=(), prefix_boundaries=(),
-                        block_ranks=(1, 2),
-                        block_boundaries=(IntMatrix([[1]]), IntMatrix([[1]])))
+        PeriodicComplex(prefix=(), prefix_links=(),
+                        block=(1, 2),
+                        block_links=(IntMatrix([[1]]), IntMatrix([[1]])))
 
 
 # 2 x 2 boundaries with E @ N != 0 but N @ E = N @ N = 0
@@ -164,11 +165,11 @@ def test_periodic_validation_sees_every_block_pair(period, bad, prefix):
     blocks[bad] = _E
     if period > 1:
         blocks[(bad + 1) % period] = _N
-    kwargs = dict(prefix_ranks=(2,) * prefix, block_ranks=(2,) * period)
+    kwargs = dict(prefix=(2,) * prefix, block=(2,) * period)
     with pytest.raises(SemanticError, match="!= 0"):
-        PeriodicComplex(block_boundaries=tuple(blocks), **kwargs)
+        PeriodicComplex(block_links=tuple(blocks), **kwargs)
     blocks[bad] = _O
-    PeriodicComplex(block_boundaries=tuple(blocks), **kwargs)
+    PeriodicComplex(block_links=tuple(blocks), **kwargs)
 
 
 @pytest.mark.parametrize("period", [1, 2, 3])
@@ -176,10 +177,71 @@ def test_periodic_validation_sees_the_prefix_seam(period):
     """del del != 0 only for (last prefix boundary, block[0])."""
     blocks = (_N,) + (_O,) * (period - 1)
     with pytest.raises(SemanticError, match="del_1 del_2 != 0"):
-        PeriodicComplex(prefix_ranks=(2, 2), prefix_boundaries=(_E,),
-                        block_ranks=(2,) * period, block_boundaries=blocks)
-    PeriodicComplex(prefix_ranks=(2, 2), prefix_boundaries=(_O,),
-                    block_ranks=(2,) * period, block_boundaries=blocks)
+        PeriodicComplex(prefix=(2, 2), prefix_links=(_E,),
+                        block=(2,) * period, block_links=blocks)
+    PeriodicComplex(prefix=(2, 2), prefix_links=(_O,),
+                    block=(2,) * period, block_links=blocks)
+
+
+def _periodic_rules_before_the_shared_base(prefix, prefix_links, block,
+                                           block_links) -> bool:
+    """The checks PeriodicComplex made on its own fields, each written out
+    on plain lists: counts, the seam (last prefix rank = last block rank),
+    then on degrees 0 .. p + m + 1 every boundary's shape and
+    del_n del_(n+1) = 0."""
+    p, m = len(prefix), len(block)
+    if not m or len(block_links) != m:
+        return False
+    if len(prefix_links) != (p - 1 if p else 0):
+        return False
+    if p and prefix[-1] != block[-1]:
+        return False
+
+    def rank(n):
+        return 0 if n < 0 else prefix[n] if n < p else block[(n - p) % m]
+
+    def rows(n):
+        if n < 1:
+            return [[0] * rank(n) for _ in range(rank(n - 1))]
+        a = prefix_links[n - 1] if n < p else block_links[(n - p) % m]
+        return a.to_lists() if a.shape == (rank(n - 1), rank(n)) else None
+
+    top = p + m + 1
+    mats = [rows(n) for n in range(top + 1)]
+    if any(a is None for a in mats):
+        return False
+    for n in range(1, top):
+        a, b = mats[n], mats[n + 1]
+        if any(sum(a[i][k] * b[k][j] for k in range(rank(n)))
+               for i in range(rank(n - 1)) for j in range(rank(n + 1))):
+            return False
+    return True
+
+
+def test_periodic_complex_accepts_exactly_what_its_written_out_rules_accept():
+    rng = random.Random(20)
+
+    def boundary(rng, x, y):
+        a = [[0] * x for _ in range(y)]
+        if x and y and rng.random() < 0.4:
+            a[rng.randrange(y)][rng.randrange(x)] = rng.choice((-2, 1, 3))
+        return IntMatrix(a, cols=x)
+
+    seen = {}
+    for _ in range(600):
+        kind, *data = draw_eventually_periodic(
+            rng, lambda rng: rng.choice((0, 1, 2)), boundary)
+        try:
+            PeriodicComplex(*data)
+            accepted = True
+        except SemanticError:
+            accepted = False
+        assert accepted == _periodic_rules_before_the_shared_base(*data), data
+        if kind != "valid":
+            assert not accepted, (kind, data)
+        seen[kind, accepted] = seen.get((kind, accepted), 0) + 1
+    assert min(seen[k, False] for k in ("count", "link", "seam")) > 100, seen
+    assert min(seen["valid", ok] for ok in (False, True)) > 20, seen
 
 
 def test_unroll_agrees_with_ranks():
@@ -478,11 +540,11 @@ def test_even_cell_rule_on_finite_dimensional_periodic_spaces():
         return SpaceDescription(
             ("complex", ("prefix-only", top)),
             PeriodicComplex(
-                prefix_ranks=ranks,
-                prefix_boundaries=tuple(
+                prefix=ranks,
+                prefix_links=tuple(
                     IntMatrix.zeros(ranks[d - 1], ranks[d])
                     for d in range(1, len(ranks))),
-                block_ranks=(0,), block_boundaries=(IntMatrix.zeros(0, 0),)))
+                block=(0,), block_links=(IntMatrix.zeros(0, 0),)))
 
     for top in range(2, 10):
         x = prefix_only(top)
