@@ -697,6 +697,11 @@ def main(argv=None) -> int:
         ap.error("--batch and a direct request are mutually exclusive")
     if ns.batch is None and not ns.request:
         ap.error("no request given (try: cwbrauer brauer 'moore3(6)')")
+    # a closed descriptor leaves the stream None, refused like a bad FILE
+    if ns.batch == "-" and sys.stdin is None:
+        ap.error("cannot read -: standard input is closed")
+    if sys.stdout is None:
+        ap.error("cannot write the output: standard output is closed")
     try:
         # undecodable bytes reach the tokenizer, which refuses their line
         # alone, from stdin as from a FILE

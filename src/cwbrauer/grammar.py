@@ -669,8 +669,6 @@ def _format_space_label(label: tuple) -> str:
         return f"bg({format_profile(args[0])})"
     if head == "telescope":
         return f"telescope(Z, x{args[0]})"
-    if head == "lens":
-        return f"lens({args[0]}, {args[1]})"
     return f"{head}({', '.join(str(a) for a in args)})"
 
 

@@ -5,23 +5,21 @@ ever converted to floats.  An `IntMatrix` stores its entries as a tuple
 of row tuples of ints together with its column count, and this module
 is the only one that relies on that layout.
 
-There are two elimination routines, and transforms are computed only on
-demand.  `smith_invariants` returns the diagonal of the Smith normal
-form alone, a divisibility chain d1 | d2 | ... | dk followed by zeros;
-homology, cohomology, cokernels and traced diagonals read nothing
-else.  A matrix keeps its diagonal once computed, so a later reader of
-the same object, such as a `--trace` line, does not eliminate it again.
-`smith_form` runs the transform elimination U @ A @ V = S, U and V
-unimodular, and builds only the transforms its caller asks for: U, V,
-and the inverses U^-1 and V^-1, tracked through the same operations.
-`smith_normal_form` asks for U and V; a kernel basis needs V alone.
-The kernel basis of A is saturated, so its own Smith form is read off
-V^-1 (`SmithForm.kernel_form`) instead of a second elimination.  The
-one solve path, `SmithForm.solve_columns`, takes all right-hand sides
-of a system as the columns of one matrix B: one product C = U @ B, one
-divisibility check per row of C against the diagonal, one product
-X = V @ Y.  The vector `solve` is its one-column case.  Bareiss
-`determinant` is an independent reference.
+There are two eliminations, and transforms are built only on demand.
+`smith_invariants` returns the diagonal of the Smith normal form alone,
+a divisibility chain d1 | d2 | ... | dk followed by zeros; homology,
+cohomology, cokernels and traced diagonals read nothing else, and a
+matrix keeps that diagonal, so a later reader such as a `--trace` line
+does not eliminate it again.  `smith_form` finds U @ A @ V = S, U and V
+unimodular, by eliminating one working matrix: A, extended by the
+identity on the right when U is asked for and below when V is, so U and
+V are read off as blocks of the result.  U^-1 and V^-1 are tracked
+beside it through the same operations.  `smith_normal_form` asks for U
+and V; a kernel basis needs V alone, and its own Smith form is read off
+V^-1 (`SmithForm.kernel_form`).  `SmithForm.solve_columns` solves for
+all right-hand sides of a system at once, as the columns of one matrix
+B, with one product U @ B and one product V @ Y.  Bareiss `determinant`
+is an independent reference.
 """
 
 from __future__ import annotations
@@ -289,7 +287,8 @@ def smith_normal_form(a: IntMatrix | list) -> SmithForm:
 def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
                u_inv: bool = False, v_inv: bool = False) -> SmithForm:
     """Smith normal form u @ a @ v = s, building only the transforms
-    asked for; the others are None.
+    asked for; the others are None.  The diagonal is never stored on a,
+    so `smith_invariants` stays a separate elimination.
 
     Strategy: repeatedly move a nonzero entry of minimal absolute value
     to the working diagonal slot, then clear its row and column by
@@ -299,27 +298,28 @@ def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
     pivot gets its row added to the pivot row and the clearing restarts;
     that enforces the divisibility chain.
 
-    The pivots and operations depend on S alone, so every transform
-    that is built is the same whatever else is asked for.  U^-1 is kept
-    as a list of columns and V^-1 as a list of rows: "row i -= q row k"
-    adds q times column i of U^-1 to its column k, "col j -= q col k"
-    adds q times row j of V^-1 to its row k, a swap swaps the matching
-    columns of U^-1 or rows of V^-1, and negating row i negates column
-    i of U^-1.
+    One matrix S is eliminated: [a | I] when U is asked for, with the
+    rows of I (cols x cols) below when V is.  Pivots and searches read
+    the a block alone, so row operations carry U, column operations
+    carry V, and every block is the same whatever else is asked for.
+    The inverses are tracked beside S, U^-1 as columns and V^-1 as rows:
+    "row i -= q row k" adds q times column i of U^-1 to its column k,
+    "col j -= q col k" adds q times row j of V^-1 to its row k, a swap
+    swaps the matching columns or rows, and negating row i negates
+    column i of U^-1.
     """
     if not isinstance(a, IntMatrix):
         a = IntMatrix(a)
     rows, cols = a.rows, a.cols
-    S = a.to_lists()
-    U = _identity_lists(rows) if u else None
+    S = ([list(r) + e for r, e in zip(a._rows, _identity_lists(rows))] if u
+         else a.to_lists())
+    if v:
+        S += _identity_lists(cols)
     Ui = _identity_lists(rows) if u_inv else None   # columns of U^-1
-    V = _identity_lists(cols) if v else None
     Vi = _identity_lists(cols) if v_inv else None   # rows of V^-1
 
-    def row_op(i, k, q):  # row i -= q * row k   (on S, U and U^-1)
+    def row_op(i, k, q):  # row i -= q * row k   (on S and U^-1)
         S[i] = [x - q * y for x, y in zip(S[i], S[k])]
-        if U is not None:
-            U[i] = [x - q * y for x, y in zip(U[i], U[k])]
         if Ui is not None:
             Ui[k] = [x + q * y for x, y in zip(Ui[k], Ui[i])]
 
@@ -327,8 +327,6 @@ def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
     def swap_rows(i, k):
         if i != k:
             S[i], S[k] = S[k], S[i]
-            if U is not None:
-                U[i], U[k] = U[k], U[i]
             if Ui is not None:
                 Ui[i], Ui[k] = Ui[k], Ui[i]
 
@@ -336,9 +334,6 @@ def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
         if j != k:
             for r in S:
                 r[j], r[k] = r[k], r[j]
-            if V is not None:
-                for r in V:
-                    r[j], r[k] = r[k], r[j]
             if Vi is not None:
                 Vi[j], Vi[k] = Vi[k], Vi[j]
 
@@ -361,18 +356,15 @@ def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
                     if S[i][t] != 0:
                         dirty = True
             # "col j -= q * col t" changes no entry of column t, so the
-            # rows of S and V that meet it are collected once per sweep;
-            # a zero q changes nothing and is skipped
+            # rows of S that meet it, V's among them, are collected once
+            # per sweep; a zero q changes nothing and is skipped
             p = S[t]
             hits = [r for r in S if r[t]]
-            vhits = [r for r in V if r[t]] if V is not None else ()
             for j in range(t + 1, cols):
                 if p[j] != 0:
                     q = p[j] // p[t]
                     if q:
                         for r in hits:
-                            r[j] -= q * r[t]
-                        for r in vhits:
                             r[j] -= q * r[t]
                         if Vi is not None:
                             Vi[t] = [x + q * y for x, y in zip(Vi[t], Vi[j])]
@@ -405,20 +397,20 @@ def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
     for i in range(limit):
         if S[i][i] < 0:
             S[i] = [-x for x in S[i]]
-            if U is not None:
-                U[i] = [-x for x in U[i]]
             if Ui is not None:
                 Ui[i] = [-x for x in Ui[i]]
 
-    def wrap(lists, width):
-        return None if lists is None else IntMatrix._of(
-            tuple(map(tuple, lists)), width)
-
-    return SmithForm(u=wrap(U, rows), s=wrap(S, cols), v=wrap(V, cols),
-                     diagonal=tuple(S[i][i] for i in range(limit)),
-                     u_inv=None if Ui is None else IntMatrix._of(
-                         tuple(zip(*Ui)), rows),
-                     v_inv=wrap(Vi, cols))
+    # the blocks of S: a's rows hold s, then u; the rows below hold v
+    top = S[:rows]
+    return SmithForm(
+        u=(IntMatrix._of(tuple(tuple(r[cols:]) for r in top), rows)
+           if u else None),
+        s=IntMatrix._of(tuple(tuple(r[:cols]) for r in top), cols),
+        v=IntMatrix._of(tuple(map(tuple, S[rows:])), cols) if v else None,
+        diagonal=tuple(S[i][i] for i in range(limit)),
+        u_inv=None if Ui is None else IntMatrix._of(tuple(zip(*Ui)), rows),
+        v_inv=None if Vi is None else IntMatrix._of(tuple(map(tuple, Vi)),
+                                                    cols))
 
 
 def smith_invariants(a: IntMatrix | list) -> tuple[int, ...]:

@@ -357,12 +357,9 @@ def brauer_prime(x: SpaceDescription):
     catalog spaces the recorded group, which for infinite BG profiles is
     a StructuralDescriptor rather than a pretend-exact group.
     """
-    if x.cells is not None:
-        h2 = space_homology(x, 2)
-        return ext1(h2, Z).torsion_part()
-    if x.system is not None:
-        # finite stages are circles; H_2 vanishes
-        return FgAbGroup.trivial()
+    if x.cells is not None or x.system is not None:
+        # a telescope's H_2 is trivial: its finite stages are circles
+        return ext1(space_homology(x, 2), Z).torsion_part()
     return catalog_lookup(x).br_prime
 
 

@@ -296,7 +296,8 @@ def test_uct_check_is_not_circular(monkeypatch):
     route makes the check fail instead of agreeing with itself.  It
     fails on a warm cache too, where a Bockstein into H^3 has built and
     kept the integral presentation that the check reads: its transform
-    eliminations leave no diagonal for the Ext/Hom side."""
+    eliminations leave no diagonal on any boundary for the Ext/Hom side
+    to read, so the free rank is not read from one elimination twice."""
     real = chaincx.smith_invariants
 
     def drop_one_torsion_factor(a):
@@ -317,6 +318,7 @@ def test_uct_check_is_not_circular(monkeypatch):
     warm_cx = tensor_complexes(lens_complex(4, 3), lens_complex(6, 3))
     chaincx._presented.cache_clear()
     bockstein(warm_cx, 2, 2)
+    assert not any(hasattr(b, "_diagonal") for b in warm_cx.boundaries)
     hits = chaincx._presented.cache_info().hits
     monkeypatch.setattr(chaincx, "smith_invariants", drop_one_torsion_factor)
     with pytest.raises(SemanticError, match="universal coefficients mismatch"):

@@ -1130,3 +1130,19 @@ def test_closed_stdout_pipe_exits_without_traceback(args):
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == EXIT_BROKEN_PIPE
+
+
+@pytest.mark.parametrize("command, stream", [
+    ("--batch - <&-", "standard input"),
+    ("brauer 'moore3(6)' >&-", "standard output"),
+])
+def test_closed_stdio_descriptor_is_a_usage_error(command, stream):
+    """A closed stdin under `--batch -`, or a closed stdout, leaves the
+    stream None; it is refused before any request, like a FILE that
+    cannot be opened: exit 2, a message on stderr, no traceback."""
+    proc = subprocess.run(
+        ["sh", "-c", f'"$0" -m cwbrauer.cli {command}', sys.executable],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{stream} is closed" in proc.stderr
+    assert "Traceback" not in proc.stderr

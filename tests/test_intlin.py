@@ -150,41 +150,49 @@ def test_transform_snf_matches_its_frozen_reference():
     picks.  Compared with `_snf_reference`, a copy of the routine from
     before the skips, on seeded dense and sparse matrices, chain_heavy
     boundaries, their transposes (the cochain maps) and the [d | mI]
-    matrices of mod-m cocycles.  Each narrowed request of `smith_form`
-    returns the reference's U or V, the same S, and inverses equal to
-    the reference's inverse of U or V; what it did not ask for is None."""
+    matrices of mod-m cocycles.  Each request of `smith_form` returns the
+    reference's U or V, the same S, and the reference's inverse of U or V;
+    what it did not ask for is None.  U and V are blocks of one working
+    matrix whose layout depends on the request, so all 16 requests run
+    on the empty shapes, the chain_heavy boundaries and their transposes
+    and the first 200 dense matrices; the three requests that chaincx
+    makes run on every input."""
     rng = random.Random(20261018)
-    inputs = [IntMatrix(random_matrix(rng)) for _ in range(1000)]
-    inputs += [IntMatrix([[x if rng.random() < 0.3 else 0 for x in row]
-                          for row in random_matrix(rng)])
-               for _ in range(1000)]
-    inputs += [IntMatrix([], cols=3), IntMatrix([[]] * 2, cols=0)]
+    dense = [IntMatrix(random_matrix(rng)) for _ in range(1000)]
+    sparse = [IntMatrix([[x if rng.random() < 0.3 else 0 for x in row]
+                         for row in random_matrix(rng)])
+              for _ in range(1000)]
+    shaped = [IntMatrix([], cols=3), IntMatrix([[]] * 2, cols=0)]
+    cocycles = []
     for b in _chain_heavy_shaped(rng):
         d = b.transpose()
-        inputs += [b, d]
-        inputs += [d.hstack(IntMatrix.diagonal([m] * d.rows))
-                   for m in (2, 3, 4, 6)]
-    for a in inputs:
-        sf = smith_normal_form(a)
-        u, s, v, diag = reference_smith_normal_form(a.to_lists(), a.cols)
-        assert (sf.u.to_lists(), sf.s.to_lists(), sf.v.to_lists()) == (
-            u, s, v), a
-        assert list(sf.diagonal) == diag, a
-        want = {"u": u, "v": v, "u_inv": _reference_inverse(u),
-                "v_inv": _reference_inverse(v)}
-        for asked in (("v",), ("u", "u_inv"), ("v", "v_inv")):
-            narrow = intlin.smith_form(a, **dict.fromkeys(asked, True))
-            assert narrow.s == sf.s and narrow.diagonal == sf.diagonal, a
-            for name, ref in want.items():
-                got = getattr(narrow, name)
-                assert (got.to_lists() if name in asked else got) == (
-                    ref if name in asked else None), (a, asked, name)
+        shaped += [b, d]
+        cocycles += [d.hstack(IntMatrix.diagonal([m] * d.rows))
+                     for m in (2, 3, 4, 6)]
+    names = ("u", "v", "u_inv", "v_inv")
+    every = [asked for k in range(5)
+             for asked in itertools.combinations(names, k)]
+    made = (("v",), ("u", "u_inv"), ("v", "v_inv"))
+    for requests, batch in ((every, dense[:200] + shaped),
+                            (made, dense[200:] + sparse + cocycles)):
+        for a in batch:
+            sf = smith_normal_form(a)
+            u, s, v, diag = reference_smith_normal_form(a.to_lists(), a.cols)
+            assert (sf.u.to_lists(), sf.s.to_lists(), sf.v.to_lists()) == (
+                u, s, v), a
+            assert list(sf.diagonal) == diag, a
+            want = {"u": sf.u, "v": sf.v}
             for name in ("u", "v"):
-                inv = getattr(narrow, name + "_inv")
-                if inv is not None:
-                    m = IntMatrix(want[name], cols=len(want[name]))
-                    one = IntMatrix.identity(m.rows)
-                    assert m @ inv == inv @ m == one, (a, asked)
+                m = want[name]
+                inv = want[name + "_inv"] = IntMatrix(
+                    _reference_inverse(m.to_lists()), cols=m.rows)
+                assert m @ inv == inv @ m == IntMatrix.identity(m.rows), a
+            for asked in requests:
+                narrow = intlin.smith_form(a, **dict.fromkeys(asked, True))
+                assert narrow.s == sf.s and narrow.diagonal == sf.diagonal, a
+                for name, ref in want.items():
+                    assert getattr(narrow, name) == (
+                        ref if name in asked else None), (a, asked, name)
 
 
 def _reference_inverse(m):
