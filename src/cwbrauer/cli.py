@@ -33,11 +33,13 @@ for the report vocabulary; the tests keep the stdlib encoder as its
 oracle.  It builds no encoder object, so a report leaves no garbage for
 the cyclic collector.
 
-Exit codes: 0 success; 1 reproduce found failing items; 2 parse error;
-3 semantic error; 4 computation unsupported (outside the symbolic
-tables, or over a cap of grammar.py: MAX_SPACE_NESTING, MAX_COMPLEX_CELLS,
-MAX_COMPLEX_DEGREE, MAX_GROUP_GENERATORS, MAX_PROFILE_MULTIPLICITY, or an
-integer literal with more digits than the interpreter converts); 70
+Exit codes: 0 success; 1 reproduce found failing items; 2, 3 or 4 for
+a refused request, read off the `code` that the exception classes of
+errors.py carry: 2 parse error, 3 semantic error, 4 computation
+unsupported (outside the symbolic tables, or over a cap of grammar.py:
+MAX_SPACE_NESTING, MAX_COMPLEX_CELLS, MAX_COMPLEX_DEGREE,
+MAX_GROUP_GENERATORS, MAX_PROFILE_MULTIPLICITY, or an integer literal
+with more digits than the interpreter converts); 70
 (EX_SOFTWARE) in --batch for a line whose evaluation raised an
 unexpected exception, reported as that line's "InternalError" while the
 other lines are still answered; 141 (128 + SIGPIPE) if stdout's reader
@@ -67,19 +69,11 @@ from .spaces import (EQUAL, SpaceDescription, brauer_prime, catalog_lookup,
 
 EXIT_OK = 0
 EXIT_REPRODUCE_FAIL = 1
-EXIT_PARSE = 2
-EXIT_SEMANTIC = 3
-EXIT_UNSUPPORTED = 4
+EXIT_PARSE = ParseError.code
+EXIT_SEMANTIC = SemanticError.code
+EXIT_UNSUPPORTED = UnsupportedComputation.code
 EXIT_INTERNAL = 70
 EXIT_BROKEN_PIPE = 141
-
-_RULE_CITATIONS = {
-    "CompactSerre": ("compact-equality",),
-    "WoodwardDimLe4": ("woodward-dim4",),
-    "EvenCells": ("even-cells",),
-    "CatalogTheorem": (),  # the catalog entry carries its own citations
-    "NonBrauerCondition": ("bg-strict",),
-}
 
 
 @dataclass(frozen=True)
@@ -221,15 +215,10 @@ def _verdict(cert) -> str:
 def _certificate(space: SpaceDescription):
     """Equality certificate of a space, its payload and its citations."""
     cert = equality_certificate(space)
-    citations = ["brauer-cw-formula"]
-    for rule in cert.applicable_rules:
-        citations += _RULE_CITATIONS.get(rule, ())
-        if rule == "CatalogTheorem":
-            citations += catalog_lookup(space).citations
     payload = {"verdict": cert.verdict, "reason": cert.reason,
                "witness": cert.witness,
                "also_applicable": list(cert.also_applicable)}
-    return cert, payload, citations
+    return cert, payload, ["brauer-cw-formula", *cert.citations]
 
 
 def _homology(space, n):
@@ -316,11 +305,8 @@ def _lim1(tower):
     cert = lim1_certificate(tower)
     result = {"kind": "lim1", "verdict": cert.verdict,
               "reason": cert.reason, "witness": cert.witness}
-    citations = {"JensenFinite": ["jensen-finite"],
-                 "MittagLeffler": ["mittag-leffler"]}.get(
-                     cert.reason, ["mittag-leffler", "jensen-finite"])
-    return (result, f"lim^1 {_verdict(cert)}: {cert.witness}", citations,
-            [cert.witness])
+    return (result, f"lim^1 {_verdict(cert)}: {cert.witness}",
+            cert.citations, [cert.witness])
 
 
 def _profile_brauer(profile):
@@ -603,24 +589,13 @@ def _error_payload(code: int, line: str, message: str, kind: str) -> dict:
             "error": {"code": code, "message": message, "type": kind}}
 
 
-def _classify(err: Exception) -> int:
-    if isinstance(err, ParseError):
-        return EXIT_PARSE
-    if isinstance(err, SemanticError):
-        return EXIT_SEMANTIC
-    if isinstance(err, UnsupportedComputation):
-        return EXIT_UNSUPPORTED
-    raise err
-
-
 def _evaluate(line: str, trace: bool) -> tuple[int, dict]:
     """Exit code and report of one request line; a refused request's
     report is its error payload."""
     try:
         report = execute(parse_request(line), trace=trace)
     except (ParseError, SemanticError, UnsupportedComputation) as e:
-        code = _classify(e)
-        return code, _error_payload(code, line, str(e), type(e).__name__)
+        return e.code, _error_payload(e.code, line, str(e), type(e).__name__)
     if report["command"] == "reproduce" and report["result"]["failed"] > 0:
         return EXIT_REPRODUCE_FAIL, report
     return EXIT_OK, report
@@ -634,7 +609,13 @@ def run_line(line: str, as_json: bool, trace: bool,
     if as_json:
         print(render_json(report), file=out)
     elif "error" in report:
-        print(f"error: {report['error']['message']}", file=sys.stderr)
+        # A closed stderr loses the message but not the exit code.  As in
+        # argparse's _print_message, the write is skipped, and nothing
+        # falls back to stdout.
+        try:
+            sys.stderr.write(f"error: {report['error']['message']}\n")
+        except (AttributeError, OSError):
+            pass
     else:
         print(render_text(report), file=out)
     return code

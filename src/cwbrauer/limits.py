@@ -339,6 +339,7 @@ class Lim1Certificate:
     verdict: str                 # "VANISHES" | "INCONCLUSIVE"
     reason: str | None           # "JensenFinite" | "MittagLeffler" | None
     witness: str
+    citations: tuple[str, ...] = ()  # fact keys of the rule, or of both
 
     def __post_init__(self):
         if self.verdict not in ("VANISHES", "INCONCLUSIVE"):
@@ -362,7 +363,7 @@ def lim1_certificate(t: Tower) -> Lim1Certificate:
     if all(g.is_finite for g in t.prefix + t.block):
         return Lim1Certificate(
             "VANISHES", "JensenFinite",
-            "every group in the tower is finite")
+            "every group in the tower is finite", ("jensen-finite",))
     p, m = len(t.prefix), t.period
     periods = (t.composite(j + m, j) for j in range(p, p + m))
     if all(_images_equal(f.codomain, f.matrix, f.compose(f).matrix)
@@ -370,11 +371,12 @@ def lim1_certificate(t: Tower) -> Lim1Certificate:
         return Lim1Certificate(
             "VANISHES", "MittagLeffler",
             f"images of A_(j+k) -> A_j agree at k = {m} and k = {2 * m} "
-            f"for every stage j in one block period")
+            f"for every stage j in one block period", ("mittag-leffler",))
     return Lim1Certificate(
         "INCONCLUSIVE", None,
         "images keep shrinking within two block periods; this tool does "
-        "not assert nonvanishing of lim^1")
+        "not assert nonvanishing of lim^1",
+        ("mittag-leffler", "jensen-finite"))
 
 
 # ---------------------------------------------------------------------------

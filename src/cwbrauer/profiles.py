@@ -293,6 +293,9 @@ class AffineExpr:
     def __call__(self, i: int) -> int:
         return self.a * i + self.b
 
+    def __sub__(self, other: "AffineExpr") -> "AffineExpr":
+        return AffineExpr(self.a - other.a, self.b - other.b)
+
     def __str__(self):
         if self.a == 0:
             return str(self.b)
@@ -319,7 +322,7 @@ class Rule:
 
     def size(self, i: int) -> int:
         """|J_i| = max(0, upper(i) - lower(i))."""
-        return max(0, self.upper(i) - self.lower(i))
+        return max(0, (self.upper - self.lower)(i))
 
     def __str__(self):
         rng = f"i>={self.lo}" if self.hi is None else f"{self.lo}<=i<={self.hi}"
@@ -356,7 +359,7 @@ class ObstructionDescriptor:
 def _interval_nonneg(f: AffineExpr, g: AffineExpr, lo: int, hi: int | None) -> bool:
     """Is f(i) >= g(i) for every integer i in [lo, hi]?  (affine, so it is
     enough to look at the endpoints, or at lo and the slope when unbounded)"""
-    diff = AffineExpr(f.a - g.a, f.b - g.b)
+    diff = f - g
     if hi is None:
         return diff.a >= 0 and diff(lo) >= 0
     return diff(lo) >= 0 and diff(hi) >= 0
@@ -398,16 +401,13 @@ def non_brauer_certificate(p: CyclicProfile,
     a_reason = ("all interval endpoints are affine in i, so every J_i is "
                 "finite; the exceptional set is empty")
 
-    unbounded_growth = None
-    for r in alpha.rules:
-        slope = r.upper.a - r.lower.a
-        if r.hi is None and slope > 0:
-            unbounded_growth = r
-            break
+    unbounded_growth = next((r for r in alpha.rules
+                             if r.hi is None and (r.upper - r.lower).a > 0),
+                            None)
     cond_b = unbounded_growth is not None
     if cond_b:
-        b_reason = (f"{unbounded_growth} has |J_i| = "
-                    f"{AffineExpr(unbounded_growth.upper.a - unbounded_growth.lower.a, unbounded_growth.upper.b - unbounded_growth.lower.b)} "
+        size = unbounded_growth.upper - unbounded_growth.lower
+        b_reason = (f"{unbounded_growth} has |J_i| = {size} "
                     f"on an unbounded range, so sup |J_i| = infinity")
     elif alpha.is_zero:
         b_reason = ("alpha has no rules: it is the zero class, which lies "

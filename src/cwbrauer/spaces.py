@@ -402,13 +402,16 @@ class EqualityCertificate:
 
     reason is the first applicable rule in the fixed priority order;
     also_applicable lists any further rules that fire, so a finite
-    4-dimensional even complex shows all three EQUAL rules.
+    4-dimensional even complex shows all three EQUAL rules.  citations
+    are the fact keys of every rule that fired, so a caller cites them
+    without knowing the rules.
     """
 
     verdict: str
     reason: str | None
     witness: str
     also_applicable: tuple[str, ...] = ()
+    citations: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.verdict not in (EQUAL, STRICT, UNKNOWN):
@@ -436,34 +439,38 @@ def _no_odd_cells_high(x: SpaceDescription) -> bool | None:
 def equality_certificate(x: SpaceDescription) -> EqualityCertificate:
     """Fixed-priority rule engine; all EQUAL rules are theorems, so the
     order only decides which one is cited first."""
-    fired: list[tuple[str, str, str]] = []  # (rule, verdict, note)
+    # (rule, verdict, note, fact keys) of each rule that fires
+    fired: list[tuple[str, str, str, tuple[str, ...]]] = []
     if x.kind == "finite":
         fired.append((RULE_COMPACT, EQUAL,
-                      "finite CW complexes are compact"))
+                      "finite CW complexes are compact",
+                      ("compact-equality",)))
     dim = x.dimension()
     if dim is not None and dim <= 4:
         fired.append((RULE_DIM4, EQUAL,
-                      f"dimension {dim} <= 4"))
+                      f"dimension {dim} <= 4", ("woodward-dim4",)))
     even = _no_odd_cells_high(x)
     if even:
         fired.append((RULE_EVEN, EQUAL,
                       "finite-dimensional with no odd cells of "
-                      "dimension >= 5"))
+                      "dimension >= 5", ("even-cells",)))
     if x.kind == "catalog":
         entry = catalog_lookup(x)
         if entry.verdict in (EQUAL, STRICT):
-            fired.append((RULE_CATALOG, entry.verdict, entry.equality_note))
+            fired.append((RULE_CATALOG, entry.verdict, entry.equality_note,
+                          entry.citations))
     if not fired:
         return EqualityCertificate(
             UNKNOWN, None,
             "no equality or strictness rule applies to this description")
-    rule, verdict, note = fired[0]
-    others = tuple(r for r, _, _ in fired[1:])
+    rule, verdict, note, _ = fired[0]
+    others = tuple(r for r, _, _, _ in fired[1:])
     witness = note
     if others:
         witness += "; also applicable: " + ", ".join(
-            f"{r} ({n})" for r, _, n in fired[1:])
-    return EqualityCertificate(verdict, rule, witness, others)
+            f"{r} ({n})" for r, _, n, _ in fired[1:])
+    return EqualityCertificate(verdict, rule, witness, others,
+                               tuple(c for *_, keys in fired for c in keys))
 
 
 def certificate_from_descriptor(profile: CyclicProfile,
@@ -475,7 +482,7 @@ def certificate_from_descriptor(profile: CyclicProfile,
     return EqualityCertificate(
         STRICT, RULE_NON_BRAUER,
         "a class of Br'(BG) certified to lie outside the image of Br: "
-        + report.witness)
+        + report.witness, citations=("bg-strict",))
 
 
 def min_bundle_rank(x: SpaceDescription, alpha_order: int) -> int | None:
@@ -531,29 +538,30 @@ def catalog_lookup(x) -> CatalogEntry:
     return x.catalog_entry
 
 
+_RECORDED = "recorded fact; not computed from a cell structure"
+
+
 def _catalog_entry(x: SpaceDescription) -> CatalogEntry:
     head, args = x.label
     if head == "bpgl":
         n = args[0]
-        g = FgAbGroup.cyclic(n) if n > 1 else FgAbGroup.trivial()
+        g = FgAbGroup.cyclic(n)
         return CatalogEntry(
             name=f"bpgl({n})",
             br_prime=g, br=g, verdict=EQUAL,
             equality_note=("the obstruction class of the universal "
                            "projective bundle generates Br' and is the "
                            "image of a Brauer class"),
-            citations=("bpgl-brauer",),
-            notes=("recorded fact; not computed from a cell structure",))
+            citations=("bpgl-brauer",), notes=(_RECORDED,))
     if head == "k":
         g, j = args
         if j >= 3:
             return CatalogEntry(
-                name=f"k({g if isinstance(g, str) else g}, {j})",
+                name=f"k({g}, {j})",
                 br_prime=FgAbGroup.trivial(), br=FgAbGroup.trivial(),
                 verdict=EQUAL,
                 equality_note="H_2 vanishes, so Br' = 0 and Br = Br' trivially",
-                citations=("brauer-cw-formula",),
-                notes=("recorded fact; not computed from a cell structure",))
+                citations=("brauer-cw-formula",), notes=(_RECORDED,))
         if g == QZ_TOKEN:
             return CatalogEntry(
                 name="k(Q/Z, 2)",
@@ -561,8 +569,7 @@ def _catalog_entry(x: SpaceDescription) -> CatalogEntry:
                 verdict=EQUAL,
                 equality_note=("H_2 = Q/Z is divisible, so Ext^1(H_2, Z) "
                                "is torsion-free and Br' = 0"),
-                citations=("vanishing-divisible-free",),
-                notes=("recorded fact; not computed from a cell structure",))
+                citations=("vanishing-divisible-free",), notes=(_RECORDED,))
         data = brauer_of_k_g_2(g)
         if data.strict:
             verdict, note = STRICT, (
@@ -575,8 +582,7 @@ def _catalog_entry(x: SpaceDescription) -> CatalogEntry:
             br_prime=data.br_prime, br=data.br, verdict=verdict,
             equality_note=note,
             citations=("kg2-trivial-brauer", "kg2-containment"),
-            notes=(data.note,
-                   "recorded fact; not computed from a cell structure"))
+            notes=(data.note, _RECORDED))
     if head == "bg":
         p = args[0]
         bp = brauer_of_bg(p)
@@ -590,14 +596,13 @@ def _catalog_entry(x: SpaceDescription) -> CatalogEntry:
                                "a witness class lies in Br' but not in the "
                                "image of Br"),
                 citations=("bg-brauer-formula", "bg-strict"),
-                notes=("recorded fact; not computed from a cell structure",))
+                notes=(_RECORDED,))
         return CatalogEntry(
             name=f"bg({format_profile(p)})",
             br_prime=bp, br=None, verdict=UNKNOWN,
             equality_note=("no recorded theorem decides Br = Br' for this "
                            "profile"),
-            citations=("bg-brauer-formula",),
-            notes=("recorded fact; not computed from a cell structure",))
+            citations=("bg-brauer-formula",), notes=(_RECORDED,))
     raise SemanticError(f"no catalog entry for {head!r}")
 
 

@@ -21,6 +21,7 @@ from cwbrauer.cli import (
     EXIT_SEMANTIC, EXIT_UNSUPPORTED, execute, main, parse_request,
     render_json, run_batch, run_line,
 )
+from cwbrauer.errors import ParseError, SemanticError, UnsupportedComputation
 from cwbrauer.facts import FACTS
 from cwbrauer.grammar import (MAX_COMPLEX_CELLS, MAX_COMPLEX_DEGREE,
                               MAX_GROUP_GENERATORS, MAX_PROFILE_MULTIPLICITY,
@@ -196,6 +197,12 @@ def test_exit_code_unsupported():
     assert report["error"]["code"] == EXIT_UNSUPPORTED
     code, _ = run("cohomology telescope(Z, x2) 2")
     assert code == EXIT_UNSUPPORTED
+
+
+def test_error_classes_carry_the_exit_codes():
+    assert (ParseError.code, SemanticError.code,
+            UnsupportedComputation.code) == (2, 3, 4)
+    assert (EXIT_PARSE, EXIT_SEMANTIC, EXIT_UNSUPPORTED) == (2, 3, 4)
 
 
 def test_error_text_goes_to_stderr(capsys):
@@ -1146,3 +1153,19 @@ def test_closed_stdio_descriptor_is_a_usage_error(command, stream):
     assert proc.returncode == 2, proc.stderr
     assert f"{stream} is closed" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("request_line, code", [
+    ("brauer 'moore3('", EXIT_PARSE),
+    ("homology 'sphere(0)' 0", EXIT_SEMANTIC),
+])
+def test_closed_stderr_keeps_the_exit_code(request_line, code):
+    """With stderr closed the error message is lost, but the exit code is
+    the refusal's own (an unhandled write error would exit 1), and the
+    message does not move to stdout."""
+    proc = subprocess.run(
+        ["sh", "-c", f'"$0" -m cwbrauer.cli {request_line} 2>&-',
+         sys.executable],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == code
+    assert proc.stdout == ""

@@ -5,6 +5,8 @@ import ast
 from pathlib import Path
 
 import cwbrauer
+from cwbrauer.errors import ParseError, SemanticError, UnsupportedComputation
+from cwbrauer.spaces import _KNOWN_RULES
 
 # bottom up; the package's __init__ sits above them all
 LAYERS = ("errors", "facts", "intlin", "abgroup", "chaincx", "limits",
@@ -39,3 +41,40 @@ def test_modules_import_only_from_lower_layers():
         tree = ast.parse((PACKAGE / f"{name}.py").read_text())
         upward = _package_imports(tree) - set(LAYERS[:i])
         assert not upward, f"{name} imports {sorted(upward)}"
+
+
+def _lim1_reasons() -> set[str]:
+    """The reason strings that limits.lim1_certificate can return: the
+    second argument of each Lim1Certificate(...) built in limits.py."""
+    tree = ast.parse((PACKAGE / "limits.py").read_text())
+    return {node.args[1].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "Lim1Certificate"
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)}
+
+
+def test_cli_formats_and_does_not_decide():
+    """Citations come with the certificates of spaces and limits, and exit
+    codes with the exception classes of errors.  So cli.py names no
+    certificate rule or lim^1 reason, outside the frozen reproduce table,
+    and sorts no exception by class."""
+    reasons = _lim1_reasons()
+    assert reasons == {"JensenFinite", "MittagLeffler"}  # the scan sees them
+    decided = set(_KNOWN_RULES) | reasons
+    errors = {c.__name__ for c in (ParseError, SemanticError,
+                                   UnsupportedComputation)}
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    for node in tree.body:
+        if getattr(node, "name", None) == "_reproduce_items":
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Constant):
+                assert sub.value not in decided, (
+                    f"cli.py line {sub.lineno} names {sub.value!r}")
+            if (isinstance(sub, ast.Call)
+                    and getattr(sub.func, "id", None) == "isinstance"):
+                named = {n.id for n in ast.walk(sub.args[1])
+                         if isinstance(n, ast.Name)}
+                assert not named & errors, (
+                    f"cli.py line {sub.lineno} sorts errors by class")

@@ -167,12 +167,14 @@ def test_lim1_jensen_finite():
     assert cert.verdict == "VANISHES"
     assert cert.reason == "JensenFinite"
     assert "finite" in cert.witness
+    assert cert.citations == ("jensen-finite",)
 
 
 def test_lim1_mittag_leffler():
     t = Tower(block=(Z,), block_links=(GroupHom.identity(Z),))
     cert = lim1_certificate(t)
     assert (cert.verdict, cert.reason) == ("VANISHES", "MittagLeffler")
+    assert cert.citations == ("mittag-leffler",)
 
     # projection/inclusion period: composites are the identity on Z
     z2 = FgAbGroup.from_cyclic_orders((0, 0))
@@ -188,6 +190,8 @@ def test_lim1_inconclusive_for_p_adic_style_tower():
     assert cert.verdict == "INCONCLUSIVE"
     assert cert.reason is None
     assert "not assert nonvanishing" in cert.witness
+    # both rules were tried, so both facts are cited
+    assert set(cert.citations) == {"mittag-leffler", "jensen-finite"}
 
 
 def test_lim1_certificate_invariants():

@@ -227,6 +227,7 @@ def test_symbolic_torsion_group_validation():
 
 def test_affine_expr():
     assert AffineExpr(2, 3)(5) == 13
+    assert AffineExpr(2, 3) - AffineExpr(1, 5) == AffineExpr(1, -2)
     assert str(AffineExpr(2, 3)) == "2i+3"
     assert str(AffineExpr(1, 0)) == "i"
     assert str(AffineExpr(1, -2)) == "i-2"

@@ -520,6 +520,9 @@ def test_certificate_rule_order_and_witness():
     assert cert.reason == "CompactSerre"
     assert set(cert.also_applicable) == {"WoodwardDimLe4", "EvenCells"}
     assert "also applicable" in cert.witness
+    # each fired rule brings its own fact key
+    assert set(cert.citations) == {"compact-equality", "woodward-dim4",
+                                   "even-cells"}
 
     even6 = wedge([sphere(2), sphere(4), sphere(6)])
     cert = equality_certificate(even6)
@@ -561,9 +564,13 @@ def test_certificate_telescope():
 
 
 def test_certificate_catalog_cases():
-    strict = equality_certificate(k_space(FgAbGroup.cyclic(5), 2))
+    k52 = k_space(FgAbGroup.cyclic(5), 2)
+    strict = equality_certificate(k52)
     assert strict.verdict == STRICT
     assert strict.applicable_rules == ("CatalogTheorem",)
+    # the catalog rule cites the entry's own facts
+    assert strict.citations == catalog_lookup(k52).citations
+    assert set(strict.citations) == {"kg2-trivial-brauer", "kg2-containment"}
 
     equal = equality_certificate(k_space(FgAbGroup.free(2), 2))
     assert equal.verdict == EQUAL
@@ -581,13 +588,16 @@ def test_certificate_catalog_cases():
         bg_profile(CyclicProfile.from_pairs([(6, 2)])))
     assert unknown_bg.verdict == UNKNOWN
     assert unknown_bg.reason is None
+    assert unknown_bg.citations == ()
 
 
 def test_certificate_unknown_for_periodic():
-    cert = equality_certificate(lens_periodic(3))
-    assert cert.verdict == UNKNOWN
-    assert cert.reason is None
-    assert cert.applicable_rules == ()
+    for n in (3, 4):
+        cert = equality_certificate(lens_periodic(n))
+        assert cert.verdict == UNKNOWN
+        assert cert.reason is None
+        assert cert.applicable_rules == ()
+        assert cert.citations == ()
 
 
 def test_certificate_verdicts_are_exclusive():
@@ -632,6 +642,7 @@ def test_certificate_from_descriptor():
     cert = certificate_from_descriptor(p, report)
     assert cert.verdict == STRICT
     assert cert.reason == "NonBrauerCondition"
+    assert cert.citations == ("bg-strict",)
 
     bounded = ObstructionDescriptor(
         rules=(Rule(lo=1, hi=9, lower=AffineExpr(1, 0),
@@ -684,6 +695,7 @@ def test_catalog_entries():
     assert e.br == FgAbGroup.cyclic(6)
     assert e.verdict == EQUAL
     assert "bpgl-brauer" in e.citations
+    assert catalog_lookup(bpgl(1)).br_prime == FgAbGroup.trivial()
 
     e = catalog_lookup(k_space(FgAbGroup.cyclic(8), 2))
     assert e.br_prime == FgAbGroup.cyclic(8)
