@@ -77,9 +77,11 @@ class ChainComplex:
                 raise SemanticError(
                     f"boundary {n} has shape {b.shape}, expected "
                     f"{(ranks[n - 1], ranks[n])}")
+        zero = [b.is_zero() for b in boundaries]
         for n in range(1, len(ranks) - 1):
-            prod = boundaries[n - 1] @ boundaries[n]
-            if not prod.is_zero():
+            if zero[n - 1] or zero[n]:
+                continue
+            if not (boundaries[n - 1] @ boundaries[n]).is_zero():
                 raise SemanticError(f"del_{n} del_{n + 1} != 0")
         self.ranks = ranks
         self.boundaries = boundaries
@@ -91,7 +93,7 @@ class ChainComplex:
         mats = [[[0] * c for _ in range(r)] for r, c in zip(ranks, ranks[1:])]
         for n, i, j, x in entries:
             mats[n - 1][i][j] = x
-        return cls(ranks, [IntMatrix(a, cols=c)
+        return cls(ranks, [IntMatrix._of(tuple(map(tuple, a)), c)
                            for a, c in zip(mats, ranks[1:])])
 
     @property

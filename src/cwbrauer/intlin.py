@@ -60,7 +60,7 @@ class IntMatrix:
 
     @classmethod
     def _of(cls, rows: tuple, cols: int) -> "IntMatrix":
-        """Wrap row tuples of ints built in this module, unchecked."""
+        """Wrap row tuples of ints, each of length cols, unchecked."""
         m = cls.__new__(cls)
         m._rows = rows
         m._cols = cols

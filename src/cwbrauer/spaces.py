@@ -20,18 +20,21 @@ dataclass equality is exactly "same description".
 
 Every builder that makes chains (`sphere`, `moore_3cell`,
 `lens_skeleton`, `lens_periodic`, `wedge`, `product`, `from_complex`)
-returns a space from one LRU of `MAX_BUILT_SPACES` entries keyed by the
-label.  A label determines its space and a space is never changed, so
-every request on the same space shares one object: its boundary
-matrices, the Smith diagonals they keep, and through them the cochain
-presentations chaincx memoizes.  A builder that refuses its arguments
-caches nothing.  A finite complex is labelled by the value of its
-chains, ("complex", (ranks, boundaries)), so `from_complex` and
-`from_literal`, which the grammar calls for a `complex{...}` literal,
-share one entry, and a kept literal is found before a ChainComplex is
-built and checked.  The cache lives as long as the process.  A
-catalog space is built per request and keeps its `catalog_entry`, looked
-up on the first read, so a request reads the catalog once.
+returns a space from one LRU keyed by the label and bounded in cells:
+the spaces it keeps weigh at most `MAX_BUILT_CELLS` together, each 1
+plus the cells of its chains and of the literals its label names, and
+one space over the budget is kept alone.  A label determines its space
+and a space is never changed, so every request on the same space
+shares one object: its boundary matrices, the Smith diagonals they
+keep, and through them the cochain presentations chaincx memoizes.  A
+builder that refuses its arguments caches nothing.  A finite complex is
+labelled by the value of its chains, ("complex", (ranks, boundaries)),
+so `from_complex` and `from_literal`, which the grammar calls for a
+`complex{...}` literal, share one entry, and a kept literal is found
+before a ChainComplex is built and checked.  The cache lives as long as
+the process.  A catalog space is built per request and keeps its
+`catalog_entry`, looked up on the first read, so a request reads the
+catalog once.
 
 Chain-level code reads a finite or periodic space through its `chains`:
 the stored ChainComplex or PeriodicComplex itself, which answers
@@ -147,24 +150,66 @@ class SpaceDescription:
 # builders
 # ---------------------------------------------------------------------------
 
-# Spaces kept by _built, least recently used first.  A request on a
-# product of four factors touches seven labels (the factors and the
-# three nested products), so eight keep a whole session on one space.
-MAX_BUILT_SPACES = 8
-_built_spaces: OrderedDict[tuple, SpaceDescription] = OrderedDict()
+# Cells that _built keeps, counted by _weight: twice the grammar's
+# MAX_COMPLEX_CELLS, so a product of two literals under that cap is kept
+# with both of them, and a repeat of the request builds nothing.
+MAX_BUILT_CELLS = 1024
+
+
+class _KeptSpaces(OrderedDict):
+    """Built spaces by label, least recently used first, and the sum of
+    their weights; clear() empties both."""
+
+    def __init__(self):
+        super().__init__()
+        self.weight = 0
+
+    def clear(self):
+        super().clear()
+        self.weight = 0
+
+
+_built_spaces = _KeptSpaces()
+
+
+def _literal_cells(label: tuple) -> int:
+    """Cells of the complex{...} literals a label names: a literal's
+    label holds its matrices, and a product's or wedge's the labels of
+    its parts."""
+    head, args = label
+    if head == "complex":
+        return sum(args[0])
+    if head in ("product", "wedge"):
+        return sum(map(_literal_cells, args))
+    return 0
+
+
+def _weight(x: SpaceDescription) -> int:
+    """1 plus the cells x keeps alive: those of its chains, and those of
+    the literals its label names besides them (a product with a 0-cell
+    factor has no cells, but its label keeps the other's matrices)."""
+    c = x.cells
+    own = (sum(c.ranks) if isinstance(c, ChainComplex)
+           else sum(c.prefix) + sum(c.block))
+    return 1 + own + (0 if x.label[0] == "complex"
+                      else _literal_cells(x.label))
 
 
 def _built(label: tuple, chains) -> SpaceDescription:
     """The space with this label: the kept one, or on a miss a new one
-    whose chains are chains(), a ChainComplex or a PeriodicComplex."""
-    x = _built_spaces.get(label)
+    whose chains are chains(), a ChainComplex or a PeriodicComplex.  A
+    miss evicts the least recently used spaces until the kept weight
+    fits MAX_BUILT_CELLS, but never the space it built."""
+    kept = _built_spaces
+    x = kept.get(label)
     if x is not None:
-        _built_spaces.move_to_end(label)
+        kept.move_to_end(label)
         return x
     x = SpaceDescription(label, chains())
-    if len(_built_spaces) == MAX_BUILT_SPACES:
-        _built_spaces.popitem(last=False)
-    _built_spaces[label] = x
+    kept[label] = x
+    kept.weight += _weight(x)
+    while kept.weight > MAX_BUILT_CELLS and len(kept) > 1:
+        kept.weight -= _weight(kept.popitem(last=False)[1])
     return x
 
 

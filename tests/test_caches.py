@@ -7,9 +7,12 @@ earlier request built, both caches stay within their bounds and evict
 the least recently used entry, refusals are never kept, and the output
 corpus reads the same from cold and from warm caches."""
 
+import importlib.util
 import io
 import json
+import re
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -21,6 +24,7 @@ from cwbrauer.cli import (EXIT_OK, EXIT_PARSE, EXIT_SEMANTIC,
 from cwbrauer.errors import SemanticError
 from cwbrauer.grammar import format_complex, parse_space
 
+ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
 
 DENSE_LITERAL = ("complex{cells 0: 2; cells 1: 2; cells 2: 1; "
@@ -67,21 +71,171 @@ def test_same_space_text_shares_one_space_and_its_work(monkeypatch, line):
 
 
 def test_spaces_are_evicted_least_recently_used_first():
-    cap = spaces.MAX_BUILT_SPACES
-    first = spaces.sphere(1)
+    """A Moore space has three cells and weighs 4, so the budget keeps
+    MAX_BUILT_CELLS // 4 of them."""
+    cap = spaces.MAX_BUILT_CELLS // 4
+    first = spaces.moore_3cell(1)
     for n in range(2, cap + 2):  # cap + 1 distinct builds in all
-        spaces.sphere(n)
+        spaces.moore_3cell(n)
     assert len(spaces._built_spaces) == cap
-    assert spaces.sphere(cap + 1) is spaces.sphere(cap + 1)
-    assert spaces.sphere(1) is not first
-    assert spaces.sphere(1) == first  # rebuilt, equal by value
+    assert spaces._built_spaces.weight == 4 * cap
+    assert spaces.moore_3cell(cap + 1) is spaces.moore_3cell(cap + 1)
+    assert spaces.moore_3cell(1) is not first
+    assert spaces.moore_3cell(1) == first  # rebuilt, equal by value
 
     spaces._built_spaces.clear()
-    kept = [spaces.sphere(n) for n in range(1, cap + 1)]
-    assert spaces.sphere(1) is kept[0]  # now the most recently used
-    spaces.sphere(cap + 1)
-    assert spaces.sphere(1) is kept[0]
-    assert spaces.sphere(2) is not kept[1]
+    assert spaces._built_spaces.weight == 0
+    kept = [spaces.moore_3cell(n) for n in range(1, cap + 1)]
+    assert spaces.moore_3cell(1) is kept[0]  # now the most recently used
+    spaces.moore_3cell(cap + 1)
+    assert spaces.moore_3cell(1) is kept[0]
+    assert spaces.moore_3cell(2) is not kept[1]
+
+
+def _literal(*ranks) -> str:
+    """A complex{...} literal with these ranks and zero boundaries."""
+    return ("complex{" + "; ".join(f"cells {n}: {r}"
+                                   for n, r in enumerate(ranks)) + "}")
+
+
+def test_kept_weight_stays_within_the_budget_over_seeded_builds():
+    """Each space's weight is worked out here from what it was built
+    of: 1 plus its cells, plus those of a literal factor that only its
+    label holds.  After every build the kept weight is the sum of the
+    kept spaces' weights, the newest space is kept, and the weight fits
+    the budget unless that space is kept alone."""
+    rng = Random(24)
+    weight = {}
+    kept = spaces._built_spaces
+    for _ in range(400):
+        kind = rng.randrange(5)
+        if kind == 0:
+            n, top = rng.randint(2, 9), rng.randint(1, 60)
+            x, w = spaces.lens_skeleton(n, top), 1 + top + 1
+        elif kind == 1:
+            x, w = spaces.lens_periodic(rng.randint(2, 99)), 1 + 2
+        elif kind == 2:
+            t1, t2 = rng.randint(1, 20), rng.randint(1, 20)
+            a, b = spaces.lens_skeleton(2, t1), spaces.lens_skeleton(3, t2)
+            weight[a.label], weight[b.label] = 1 + t1 + 1, 1 + t2 + 1
+            x, w = spaces.product(a, b), 1 + (t1 + 1) * (t2 + 1)
+        elif kind == 3:
+            r = rng.randint(1, 300)
+            x, w = parse_space(_literal(1, r)), 1 + 1 + r
+        else:
+            r = rng.randint(1, 300)
+            a, b = parse_space(_literal(0)), parse_space(_literal(1, r))
+            weight[a.label], weight[b.label] = 1, 1 + 1 + r
+            x = parse_space(f"product({_literal(0)}, {_literal(1, r)})")
+            w = 1 + 0 + (1 + r)   # no cells, but the literal's label
+        weight[x.label] = w
+        assert next(reversed(kept)) == x.label and kept[x.label] is x
+        assert kept.weight == sum(weight[label] for label in kept)
+        assert kept.weight <= spaces.MAX_BUILT_CELLS or len(kept) == 1
+
+
+def test_a_space_over_the_budget_is_kept_alone():
+    over = spaces.MAX_BUILT_CELLS + 76
+    spaces.sphere(2)
+    big = spaces.from_complex(ChainComplex([over], []))
+    assert list(spaces._built_spaces.values()) == [big]
+    assert spaces._built_spaces.weight == 1 + over
+    assert spaces.from_complex(ChainComplex([over], [])) is big
+    small = spaces.sphere(2)
+    assert list(spaces._built_spaces.values()) == [small]
+    assert spaces._built_spaces.weight == 1 + 2
+
+
+def test_a_near_cap_product_of_two_literals_is_built_once(monkeypatch):
+    """22 x 23 = 506 cells, under the grammar's 512.  The product and
+    both literals fit the budget together, so a repeat of the request
+    finds all three and builds no ChainComplex."""
+    text = f"product({_literal(1, 10, 11)}, {_literal(1, 11, 11)})"
+    line = f"homology {text} 2"
+    first = parse_request(line).args[0]
+    assert sum(first.cells.ranks) == 506
+    want = execute(parse_request(line))
+    built = _counting(monkeypatch, ChainComplex, "__init__")
+    for _ in range(3):
+        again = parse_request(line)
+        assert again.args[0] is first and execute(again) == want
+    assert built == []
+    assert len(spaces._built_spaces) == 3
+
+
+def test_zero_cell_products_naming_distinct_literals_stay_in_budget():
+    """product(complex{cells 0: 0}, L) has no cells, but its label keeps
+    L's matrices alive, so it weighs L's cells.  The literal cells that
+    the kept labels name stay within the budget."""
+    named = {}
+    kept = spaces._built_spaces
+    for r in range(40, 100):
+        lit = _literal(1, r)
+        x = parse_space(f"product({_literal(0)}, {lit})")
+        assert sum(x.cells.ranks) == 0
+        named[x.label] = named[parse_space(lit).label] = 1 + r
+        assert sum(named.get(label, 0) for label in kept) <= (
+            spaces.MAX_BUILT_CELLS)
+    assert len(kept) < 2 * spaces.MAX_BUILT_CELLS // 40
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _replay(monkeypatch, entries) -> list[list]:
+    """Runs the benchmark entries through run_line and returns, per
+    line, the labels of the spaces it built, read by a wrapper put
+    around spaces._built."""
+    built = []
+    real = spaces._built
+
+    def recorded(label, chains):
+        def build():
+            built[-1].append(label)
+            return chains()
+        return real(label, build)
+
+    monkeypatch.setattr(spaces, "_built", recorded)
+    for text, trace, _ in entries:
+        built.append([])
+        run_line(text, True, trace, out=io.StringIO())
+    return built
+
+
+def test_periodic_deep_builds_each_lens_space_once(monkeypatch):
+    """A benchmark run of periodic_deep (seed 1, 256 lines) names 103
+    distinct lens_periodic(n), and builds each of them once."""
+    entries = _workloads().generate("periodic_deep", 1, 256)
+    named = {("lens_periodic", (int(n),)) for text, _, _ in entries
+             for n in re.findall(r"lens_periodic\((\d+)\)", text)}
+    built = [label for line in _replay(monkeypatch, entries)
+             for label in line]
+    assert len(named) == 103
+    assert sorted(built) == sorted(named)
+
+
+def test_chain_heavy_sessions_build_their_spaces_once(monkeypatch):
+    """The first block of chain_heavy (seed 1) is six sessions of six
+    requests on one space each: the first request of a session builds
+    its labels, the other five build nothing, and no label is built
+    twice."""
+    workloads = _workloads()
+    per_session = len(workloads._SESSION_FORMS)
+    entries = workloads.generate("chain_heavy", 1,
+                                 workloads.BLOCK["chain_heavy"])
+    built = _replay(monkeypatch, entries)
+    assert len(built) == 6 * per_session
+    for start in range(0, len(built), per_session):
+        assert built[start]
+        assert built[start + 1:start + per_session] == [[]] * (
+            per_session - 1)
+    labels = [label for line in built for label in line]
+    assert len(labels) == len(set(labels))
 
 
 def test_presentation_cache_stays_within_its_bound():

@@ -127,6 +127,41 @@ def test_complex_validation():
         ChainComplex([1, 1, 1], [[[1]], [[1]]])
 
 
+def test_del_del_refusal_names_the_first_bad_degree():
+    """Seeded boundaries, a third of them zero, checked against numpy
+    products: a complex is refused exactly when some del_n del_{n+1} is
+    nonzero, and the message names the first such n.  The same chains
+    given by their nonzero entries build an equal complex."""
+    rng = random.Random(24)
+    refused = 0
+    for _ in range(300):
+        ranks = [rng.randint(0, 3) for _ in range(rng.randint(1, 6))]
+        dense = [[[0 if rng.random() < 0.5 else rng.randint(-2, 2)
+                   for _ in range(c)] for _ in range(r)]
+                 if rng.random() > 1 / 3 else [[0] * c for _ in range(r)]
+                 for r, c in zip(ranks, ranks[1:])]
+        bad = [n for n in range(1, len(ranks) - 1)
+               if np.any(np.array(dense[n - 1], dtype=int).reshape(
+                   ranks[n - 1], ranks[n])
+                   @ np.array(dense[n], dtype=int).reshape(
+                       ranks[n], ranks[n + 1]))]
+        mats = [IntMatrix(a, cols=c) for a, c in zip(dense, ranks[1:])]
+        entries = [(n, i, j, x) for n, a in enumerate(dense, start=1)
+                   for i, row in enumerate(a) for j, x in enumerate(row) if x]
+        for build in (lambda: ChainComplex(ranks, mats),
+                      lambda: ChainComplex.from_entries(ranks, entries)):
+            if bad:
+                with pytest.raises(SemanticError) as e:
+                    build()
+                assert str(e.value) == f"del_{bad[0]} del_{bad[0] + 1} != 0"
+            else:
+                c = build()
+                assert c == ChainComplex(ranks, mats)
+                assert hash(c) == hash(ChainComplex(ranks, mats))
+        refused += bool(bad)
+    assert 30 < refused < 270
+
+
 def test_complex_accessors():
     c = lens_complex(3, 4)
     assert c.top_degree == 4

@@ -1,7 +1,8 @@
 """`tools/bench_pair.py`'s summary on a synthetic record: medians of both
 tables, pairs won, ties counting for neither side, and one verdict per
-end-to-end metric; its refusal to overwrite a record; and the pinned
-digest of `tools/output_digest.py`."""
+end-to-end metric; its refusal to overwrite a record; the pinned
+digest of `tools/output_digest.py`; and `tools/cache_traffic.py` on
+short streams."""
 
 import importlib.util
 import json
@@ -9,6 +10,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from cwbrauer.spaces import MAX_BUILT_CELLS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -130,3 +133,29 @@ def test_output_digest_is_pinned():
         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == OUTPUT_DIGEST
+
+
+def test_cache_traffic_counts_lookups_builds_and_weight():
+    """64 lines of each workload.  A periodic_deep line looks up one
+    lens_periodic(n), which weighs 1 + 2 cells, and 64 lines' worth of
+    them all fit the budget, so the kept weight is 3 per build."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cache_traffic.py"),
+         "--count", "64"], capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "mixed_small", "chain_heavy", "periodic_deep"]
+    pattern = (r"(\w+) seed 1, 64 lines: spaces (\d+) lookups, (\d+) builds, "
+               r"[\d.]+% hit, kept weight (\d+) \(peak (\d+)\); "
+               r"presentations (\d+) lookups, (\d+) hits \(([\d.]+%|-)\)")
+    for line in lines:
+        m = re.fullmatch(pattern, line)
+        assert m, line
+        lookups, builds, kept, peak, p_lookups, p_hits = map(
+            int, m.groups()[1:7])
+        assert 0 < builds <= lookups and kept <= peak <= MAX_BUILT_CELLS
+        assert p_hits <= p_lookups
+    m = re.fullmatch(pattern, lines[2])
+    lookups, builds, kept = map(int, m.groups()[1:4])
+    assert lookups == 64 and kept == 3 * builds
