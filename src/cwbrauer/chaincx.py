@@ -12,7 +12,9 @@ cohomology by universal coefficients.
 A cochain presentation (`SubquotientPresentation`, built on transform
 SNFs) is built only where its generators are needed: as the second
 route that `uct_decompose` checks the universal-coefficient split
-against, and for `bockstein`.  Each transform elimination builds only
+against, and for a `bockstein` whose image is nonzero (a zero one is
+decided from the Smith diagonal of one boundary and answered from the
+diagonals alone).  Each transform elimination builds only
 the transforms its reader uses (`intlin.smith_form`): V for a kernel,
 U and U^-1 for the relations, whose U^-1 gives the generators.  With Z
 coefficients the cocycles ker d^n are eliminated once, with V and V^-1:
@@ -311,14 +313,28 @@ def uct_decompose(c, n: int) -> UctDecomposition:
 def bockstein(c, n: int, m: int) -> GroupHom:
     """The integral Bockstein beta : H^n(c; Z/m) -> H^{n+1}(c; Z).
 
-    Computed at the cochain level: lift a mod-m cocycle to an integer
-    cochain x, then beta[x] = [d x / m].  All generators of the domain
-    are lifted together (one product d X, one divisibility check) and
-    their coordinates in H^{n+1} are read in one call.  The returned
-    GroupHom acts on the canonical generators of both groups.
+    Whether beta is zero is decided first, from the Smith diagonal of
+    del_{n+1} alone.  The coefficient sequence 0 -> Z -(x m)-> Z -> Z/m
+    -> 0 gives the exact sequence H^n(; Z/m) -(beta)-> H^{n+1}(; Z)
+    -(x m)-> H^{n+1}(; Z), so im beta = ker(x m) is the m-torsion of
+    H^{n+1}(; Z).  That torsion is Ext^1(H_n, Z), whose invariant
+    factors are those >= 2 of del_{n+1}: a factor d contributes
+    Z/gcd(d, m) to the m-torsion.  So beta = 0 exactly when every such d
+    is prime to m, and then it is the zero map between the canonical
+    groups, with no cochain presentation built.
+
+    Otherwise it is computed at the cochain level: lift a mod-m cocycle
+    to an integer cochain x, then beta[x] = [d x / m].  All generators
+    of the domain are lifted together (one product d X, one
+    divisibility check) and their coordinates in H^{n+1} are read in one
+    call.  The returned GroupHom acts on the canonical generators of
+    both groups.
     """
     if m < 2:
         raise SemanticError("Bockstein modulus must be >= 2")
+    if all(gcd(d, m) == 1 for d in smith_invariants(c.boundary(n + 1))
+           if d >= 2):
+        return GroupHom.zero(cohomology(c, n, m), cohomology(c, n + 1))
     dom = _cochain_presentation(c, n, m)
     cod = _cochain_presentation(c, n + 1, None)
     d_out = c.boundary(n + 1).transpose()

@@ -326,19 +326,23 @@ def test_equal_complexes_built_apart_share_one_presentation():
 
 def test_finite_complex_above_its_top_gives_the_trivial_group():
     """lens(4, 5) has top degree 5.  Above it the boundaries are
-    zero-shaped, and each degree and modulus keeps its own entry.  uct
-    reads H^n, and bockstein reads H^n(; Z/2) and H^{n+1}.  So uct finds
-    the entries of H^6 and H^7 that bockstein made, and H^8 hits the
-    entry of H^7: both read two 0 x 0 boundaries.  No other lookup
-    hits."""
+    zero-shaped, and each degree keeps its own entry.  uct reads the
+    presentation of H^n; a Bockstein from degree 5 up has zero image
+    (del_6 and above carry no invariant factor), so it reads the Smith
+    diagonals and looks up no presentation.  uct of H^5, H^6 and H^7
+    each miss, and H^8 hits the entry of H^7: both read two 0 x 0
+    boundaries.  No other lookup hits."""
     want = {5: ("Z", "Z/2"), 6: ("0", "0"), 7: ("0", "0")}
     for n, (integral, mod2) in want.items():
         _, report = run_json(f"uct lens(4, 5) {n}")
         assert report["result"]["total"] == integral
         _, report = run_json(f"bockstein lens(4, 5) {n} mod 2")
         assert report["result"]["domain"] == mod2
+        assert report["result"]["is_zero"]
+    _, report = run_json("uct lens(4, 5) 8")
+    assert report["result"]["total"] == "0"
     info = chaincx._presented.cache_info()
-    assert (info.hits, info.misses) == (3, 6)
+    assert (info.hits, info.misses) == (1, 3)
 
 
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])

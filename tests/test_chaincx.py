@@ -14,7 +14,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from cwbrauer.abgroup import FgAbGroup, Z, ext1, hom, tensor, tor1
+from cwbrauer.abgroup import FgAbGroup, GroupHom, Z, ext1, hom, tensor, tor1
 from cwbrauer import chaincx, intlin
 from cwbrauer.chaincx import (
     ChainComplex, SubquotientPresentation, bockstein, cohomology, homology, random_complex,
@@ -22,8 +22,8 @@ from cwbrauer.chaincx import (
 )
 from cwbrauer.errors import SemanticError
 from cwbrauer.intlin import IntMatrix
-from cwbrauer.spaces import (from_complex, lens_skeleton, moore_3cell, product,
-                             sphere, wedge)
+from cwbrauer.spaces import (from_complex, lens_periodic, lens_skeleton,
+                             moore_3cell, product, sphere, wedge)
 
 from _oracles import homology_oracle, rank_mod_p
 from _snf_reference import reference_smith_normal_form, reference_solve
@@ -330,9 +330,12 @@ def test_uct_check_is_not_circular(monkeypatch):
     the cochain presentation: losing one torsion factor on the diagonal
     route makes the check fail instead of agreeing with itself.  It
     fails on a warm cache too, where a Bockstein into H^3 has built and
-    kept the integral presentation that the check reads: its transform
-    eliminations leave no diagonal on any boundary for the Ext/Hom side
-    to read, so the free rank is not read from one elimination twice."""
+    kept the integral presentation that the check reads.  The Bockstein
+    reads the Smith diagonal of del_3 to decide that its image is
+    nonzero, but every diagonal a boundary holds afterwards comes from
+    the diagonal elimination (`intlin._smith_diagonal`), never from the
+    presentation's transform eliminations, so the free rank is not read
+    from one elimination twice."""
     real = chaincx.smith_invariants
 
     def drop_one_torsion_factor(a):
@@ -352,8 +355,17 @@ def test_uct_check_is_not_circular(monkeypatch):
     monkeypatch.setattr(chaincx, "smith_invariants", real)
     warm_cx = tensor_complexes(lens_complex(4, 3), lens_complex(6, 3))
     chaincx._presented.cache_clear()
-    bockstein(warm_cx, 2, 2)
-    assert not any(hasattr(b, "_diagonal") for b in warm_cx.boundaries)
+    eliminated = []
+    real_diagonal = intlin._smith_diagonal
+
+    def record(a):  # keeps a alive, so no two records share an id
+        eliminated.append(a)
+        return real_diagonal(a)
+
+    monkeypatch.setattr(intlin, "_smith_diagonal", record)
+    assert not bockstein(warm_cx, 2, 2).is_zero()
+    held = [b for b in warm_cx.boundaries if hasattr(b, "_diagonal")]
+    assert held and {id(b) for b in held} <= {id(a) for a in eliminated}
     hits = chaincx._presented.cache_info().hits
     monkeypatch.setattr(chaincx, "smith_invariants", drop_one_torsion_factor)
     with pytest.raises(SemanticError, match="universal coefficients mismatch"):
@@ -415,6 +427,59 @@ def test_bockstein_vanishes_without_torsion():
 def test_bockstein_modulus_validation():
     with pytest.raises(SemanticError):
         bockstein(moore_complex(2), 2, 1)
+
+
+def _bockstein_from_presentations(c, n: int, m: int) -> GroupHom:
+    """The Bockstein computed at the cochain level whatever its image:
+    both cochain presentations, each generator of H^n(; Z/m) lifted to an
+    integer cochain x, and the coordinates of d x / m in H^{n+1}."""
+    dom = chaincx._cochain_presentation(c, n, m)
+    cod = chaincx._cochain_presentation(c, n + 1, None)
+    gens = dom.generator_matrix()
+    dx = (c.boundary(n + 1).transpose() @ gens).to_lists()
+    assert not any(x % m for row in dx for x in row), (n, m)
+    lifted = IntMatrix([[x // m for x in row] for row in dx], cols=gens.cols)
+    return GroupHom(dom.group, cod.group, cod.column_coordinates(lifted))
+
+
+def _bockstein_inputs():
+    """Seeded (complex, n, m): random complexes from degree 0 to one above
+    the top, lens skeleta, three-cell Moore complexes, and lens_periodic
+    at degrees 10^6 and 10^6 + 1, each with m = 2..12."""
+    rng = random.Random(20261025)
+    cases = []
+    for _ in range(200):
+        c = random_complex(rng)
+        cases += [(c, n) for n in range(c.top_degree + 2)]
+    for k in (2, 3, 4, 6, 9, 12):
+        cases += [(lens_complex(k, 5), n) for n in range(7)]
+        cases += [(moore_complex(k), n) for n in range(5)]
+        cases += [(lens_periodic(k).chains, n) for n in (10**6, 10**6 + 1)]
+    return [(c, n, m) for c, n in cases for m in range(2, 13)]
+
+
+def test_bockstein_equals_the_cochain_level_route():
+    """The Bockstein equals the one built on both cochain presentations
+    (domain, codomain and matrix), and it is zero exactly when no
+    invariant factor of H^{n+1}(; Z) shares a prime with m: its image
+    is the m-torsion of H^{n+1}(; Z).  A zero Bockstein looks up no
+    presentation, and a nonzero one looks up two."""
+    inputs = _bockstein_inputs()
+    zero = 0
+    for c, n, m in inputs:
+        before = chaincx._presented.cache_info()
+        beta = bockstein(c, n, m)
+        after = chaincx._presented.cache_info()
+        lookups = (after.hits + after.misses) - (before.hits + before.misses)
+        want = _bockstein_from_presentations(c, n, m)
+        assert (beta.domain, beta.codomain) == (want.domain, want.codomain)
+        assert beta.matrix == want.matrix, (c, n, m)
+        coprime = all(gcd(d, m) == 1
+                      for d in cohomology(c, n + 1).invariant_factors)
+        assert beta.is_zero() == coprime, (c, n, m)
+        assert lookups == (0 if beta.is_zero() else 2), (c, n, m)
+        zero += beta.is_zero()
+    assert 0 < zero < len(inputs)
 
 
 # -- presentations -----------------------------------------------------------------

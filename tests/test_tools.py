@@ -148,7 +148,8 @@ def test_cache_traffic_counts_lookups_builds_and_weight():
         "mixed_small", "chain_heavy", "periodic_deep"]
     pattern = (r"(\w+) seed 1, 64 lines: spaces (\d+) lookups, (\d+) builds, "
                r"[\d.]+% hit, kept weight (\d+) \(peak (\d+)\); "
-               r"presentations (\d+) lookups, (\d+) hits \(([\d.]+%|-)\)")
+               r"presentations (\d+) lookups, (\d+) hits \(([\d.]+%|-)\); "
+               r"bocksteins (\d+), (\d+) with no presentation")
     for line in lines:
         m = re.fullmatch(pattern, line)
         assert m, line
@@ -156,6 +157,8 @@ def test_cache_traffic_counts_lookups_builds_and_weight():
             int, m.groups()[1:7])
         assert 0 < builds <= lookups and kept <= peak <= MAX_BUILT_CELLS
         assert p_hits <= p_lookups
+        bocksteins, zero_image = map(int, m.groups()[8:10])
+        assert 0 <= zero_image <= bocksteins
     m = re.fullmatch(pattern, lines[2])
     lookups, builds, kept = map(int, m.groups()[1:4])
     assert lookups == 64 and kept == 3 * builds

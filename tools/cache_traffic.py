@@ -12,12 +12,15 @@ stream gives
 
   space lookups, builds, hit rate, the weight kept at the end and its peak
   (`spaces.MAX_BUILT_CELLS` bounds both, save for one space kept alone);
-  presentation lookups and hits.
+  presentation lookups and hits;
+  Bockstein requests, and how many of them looked up no presentation
+  (a Bockstein with zero image is read off the Smith diagonals).
 
-Space lookups are counted by a wrapper put around `spaces._built` from
-outside, as `perfbench/tracer.py` wraps functions; presentation lookups
-are read from the counters of the `chaincx._presented` LRU.  Nothing
-under src/ changes.
+Space lookups and Bocksteins are counted by wrappers put around
+`spaces._built` and `cli.bockstein` from outside, as
+`perfbench/tracer.py` wraps functions; presentation lookups are read
+from the counters of the `chaincx._presented` LRU.  Nothing under src/
+changes.
 """
 
 from __future__ import annotations
@@ -47,8 +50,10 @@ def traffic(entries) -> dict:
     kept = spaces._built_spaces
     kept.clear()
     chaincx._presented.cache_clear()
-    counts = {"lookups": 0, "builds": 0, "peak": 0}
+    counts = {"lookups": 0, "builds": 0, "peak": 0,
+              "bocksteins": 0, "no_presentation": 0}
     real = spaces._built
+    real_bockstein = cli.bockstein
 
     def counted(label, chains):
         counts["lookups"] += 1
@@ -58,12 +63,26 @@ def traffic(entries) -> dict:
         finally:
             counts["peak"] = max(counts["peak"], kept.weight)
 
+    def presentation_lookups() -> int:
+        info = chaincx._presented.cache_info()
+        return info.hits + info.misses
+
+    def bockstein(*args):
+        before = presentation_lookups()
+        try:
+            return real_bockstein(*args)
+        finally:
+            counts["bocksteins"] += 1
+            counts["no_presentation"] += presentation_lookups() == before
+
     spaces._built = counted
+    cli.bockstein = bockstein
     try:
         for text, trace, _ in entries:
             cli.run_line(text, True, trace, out=io.StringIO())
     finally:
         spaces._built = real
+        cli.bockstein = real_bockstein
     info = chaincx._presented.cache_info()
     return {**counts, "kept": kept.weight,
             "presentation_lookups": info.hits + info.misses,
@@ -95,7 +114,9 @@ def main(argv=None) -> int:
               f"kept weight {t['kept']} (peak {t['peak']}); presentations "
               f"{t['presentation_lookups']} lookups, "
               f"{t['presentation_hits']} hits "
-              f"({_rate(t['presentation_hits'], t['presentation_lookups'])})")
+              f"({_rate(t['presentation_hits'], t['presentation_lookups'])}); "
+              f"bocksteins {t['bocksteins']}, {t['no_presentation']} with "
+              f"no presentation")
     return 0
 
 
