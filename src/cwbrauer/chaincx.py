@@ -9,14 +9,17 @@ Homology and cohomology, with Z or Z/m coefficients, read only the
 Smith diagonals of two boundaries (`smith_invariants`, no transforms);
 cohomology by universal coefficients.
 
+`uct_decompose` checks the universal-coefficient split against the
+homology of the dual complex, read off the diagonals of `smith_form`
+on the transposed boundaries.
+
 A cochain presentation (`SubquotientPresentation`, built on transform
-SNFs) is built only where its generators are needed: as the second
-route that `uct_decompose` checks the universal-coefficient split
-against, and for a `bockstein` whose image is nonzero (a zero one is
-decided from the Smith diagonal of one boundary and answered from the
-diagonals alone).  Each transform elimination builds only
-the transforms its reader uses (`intlin.smith_form`): V for a kernel,
-U and U^-1 for the relations, whose U^-1 gives the generators.  With Z
+SNFs) is built only where its generators are needed: for a `bockstein`
+whose image is nonzero (a zero one is decided from the Smith diagonal
+of one boundary and answered from the diagonals alone).  Each
+transform elimination builds only the transforms its reader uses
+(`intlin.smith_form`): V for a kernel, U and U^-1 for the relations,
+whose U^-1 gives the generators.  With Z
 coefficients the cocycles ker d^n are eliminated once, with V and V^-1:
 they are saturated, so their Smith form is read off V^-1 and they are
 not eliminated a second time.  With Z/m coefficients it is computed
@@ -224,10 +227,11 @@ def _diagonals(c, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return d_in, d_out, free
 
 
-# Entries of the _presented LRU.  On sessions of uct and bockstein
-# requests around one degree of one space (perfbench's chain_heavy), the
-# share of lookups that hit stops rising at four.
-MAX_CACHED_PRESENTATIONS = 4
+# Entries of the _presented LRU, which only a bockstein with nonzero
+# image reads.  On sessions of bockstein requests around one degree of
+# one space (perfbench's chain_heavy), the share of lookups that hit
+# stops rising at two.
+MAX_CACHED_PRESENTATIONS = 2
 
 
 def _cochain_presentation(c, n: int, modulus: int | None
@@ -298,16 +302,33 @@ def uct_decompose(c, n: int) -> UctDecomposition:
     Ext^1(H_{n-1}, Z) is the torsion of H_{n-1}, which is the torsion of
     coker del_n: the invariant factors >= 2 of del_n.  Hom(H_n, Z) is free
     of the rank of H_n.  So the split reads the Smith diagonals of del_n
-    and del_{n+1}, once each.  The total is the group of the cochain
-    presentation (transform SNF, no Smith diagonal), so the check
-    compares two independent routes.
+    and del_{n+1}, once each (`smith_invariants`).
+
+    The total is the homology ker d^n / im d^{n-1} of the dual complex,
+    with d^{n-1} = del_n^T and d^n = del_{n+1}^T.  C^n / ker d^n is
+    isomorphic to im d^n, a subgroup of the free C^{n+1}, so it is free
+    and ker d^n is a direct summand of C^n.  So the torsion of
+    ker d^n / im d^{n-1} is the torsion of C^n / im d^{n-1}, the factors
+    >= 2 of d^{n-1}, and its rank is r_n - rank d^{n-1} - rank d^n.
+    Those diagonals come from `smith_form`'s elimination of the
+    transposes, another routine on other matrices, and `smith_form`
+    stores no diagonal on its input: the check compares two
+    independent routes.
     """
     d_in, _, free = _diagonals(c, n)
     ext_part = FgAbGroup(0, tuple(d for d in d_in if d >= 2))
     hom_part = FgAbGroup(free)
-    total = _cochain_presentation(c, n, None).group
     return UctDecomposition(degree=n, ext_part=ext_part,
-                            hom_part=hom_part, total=total)
+                            hom_part=hom_part, total=_dual_cohomology(c, n))
+
+
+def _dual_cohomology(c, n: int) -> FgAbGroup:
+    """H^n(c; Z) from the `smith_form` diagonals of d^{n-1} = del_n^T and
+    d^n = del_{n+1}^T, with no transform; see `uct_decompose`."""
+    a = smith_form(c.boundary(n).transpose()).diagonal
+    b = smith_form(c.boundary(n + 1).transpose()).diagonal
+    free = c.rank(n) - sum(1 for d in a + b if d)
+    return FgAbGroup(free, tuple(d for d in a if d >= 2))
 
 
 def bockstein(c, n: int, m: int) -> GroupHom:

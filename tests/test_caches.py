@@ -17,7 +17,7 @@ from random import Random
 import pytest
 
 from cwbrauer import chaincx, intlin, spaces
-from cwbrauer.chaincx import ChainComplex, bockstein, uct_decompose
+from cwbrauer.chaincx import ChainComplex, bockstein
 from cwbrauer.cli import (EXIT_OK, EXIT_PARSE, EXIT_SEMANTIC,
                           EXIT_UNSUPPORTED, execute, parse_request, run_batch,
                           run_line)
@@ -307,40 +307,50 @@ def test_presentations_are_keyed_by_modulus():
 
 
 def test_periodic_degrees_a_period_apart_share_one_presentation():
-    for n in (4, 6, 1000):
-        _, report = run_json(f"uct lens_periodic(6) {n}")
-        assert report["result"]["total"] == "Z/6"
+    """Each Bockstein reads H^N(; Z/2) and H^{N+1}: the first misses
+    both, and degrees 3, 5 and 1001 read the same two matrices."""
+    for n in (3, 5, 1001):
+        _, report = run_json(f"bockstein lens_periodic(6) {n} mod 2")
+        result = report["result"]
+        assert (result["domain"], result["codomain"]) == ("Z/2", "Z/6")
+        assert not result["is_zero"]
     info = chaincx._presented.cache_info()
-    assert (info.currsize, info.hits, info.misses) == (1, 2, 1)
+    assert (info.currsize, info.hits, info.misses) == (2, 4, 2)
 
 
 def test_equal_complexes_built_apart_share_one_presentation():
     def build():
         return ChainComplex([1, 2, 1], [[[0, 0]], [[3], [-3]]])
     assert build() is not build()
-    assert (str(uct_decompose(build(), 2).total)
-            == str(uct_decompose(build(), 2).total) == "Z/3")
+    first, second = bockstein(build(), 1, 3), bockstein(build(), 1, 3)
+    assert not first.is_zero()
+    assert (first.domain, first.codomain, first.matrix) == (
+        second.domain, second.codomain, second.matrix)
     info = chaincx._presented.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)
+    assert (info.currsize, info.hits) == (2, 2)
 
 
 def test_finite_complex_above_its_top_gives_the_trivial_group():
     """lens(4, 5) has top degree 5.  Above it the boundaries are
     zero-shaped, and each degree keeps its own entry.  uct reads the
-    presentation of H^n; a Bockstein from degree 5 up has zero image
-    (del_6 and above carry no invariant factor), so it reads the Smith
-    diagonals and looks up no presentation.  uct of H^5, H^6 and H^7
-    each miss, and H^8 hits the entry of H^7: both read two 0 x 0
+    dual complex's diagonals and a Bockstein from degree 5 up has zero
+    image (del_6 and above carry no invariant factor), so neither looks
+    up a presentation.  The presentations of H^5, H^6 and H^7 each
+    miss, and H^8 hits the entry of H^7: both read two 0 x 0
     boundaries.  No other lookup hits."""
     want = {5: ("Z", "Z/2"), 6: ("0", "0"), 7: ("0", "0")}
+    chains = spaces.lens_skeleton(4, 5).chains
     for n, (integral, mod2) in want.items():
         _, report = run_json(f"uct lens(4, 5) {n}")
         assert report["result"]["total"] == integral
         _, report = run_json(f"bockstein lens(4, 5) {n} mod 2")
         assert report["result"]["domain"] == mod2
         assert report["result"]["is_zero"]
+        group = chaincx._cochain_presentation(chains, n, None).group
+        assert str(group) == integral
     _, report = run_json("uct lens(4, 5) 8")
     assert report["result"]["total"] == "0"
+    assert chaincx._cochain_presentation(chains, 8, None).group.is_trivial
     info = chaincx._presented.cache_info()
     assert (info.hits, info.misses) == (1, 3)
 

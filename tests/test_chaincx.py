@@ -8,6 +8,7 @@ test-side Gaussian elimination, and hand-derived frozen families
 (spheres, three-cell Moore complexes, lens skeletons).
 """
 
+import dataclasses
 import random
 from math import gcd
 
@@ -326,16 +327,18 @@ def test_uct_frozen_moore():
 
 
 def test_uct_check_is_not_circular(monkeypatch):
-    """The Ext/Hom side reads Smith diagonals and the total goes through
-    the cochain presentation: losing one torsion factor on the diagonal
-    route makes the check fail instead of agreeing with itself.  It
-    fails on a warm cache too, where a Bockstein into H^3 has built and
-    kept the integral presentation that the check reads.  The Bockstein
-    reads the Smith diagonal of del_3 to decide that its image is
-    nonzero, but every diagonal a boundary holds afterwards comes from
-    the diagonal elimination (`intlin._smith_diagonal`), never from the
-    presentation's transform eliminations, so the free rank is not read
-    from one elimination twice."""
+    """The Ext/Hom side reads Smith diagonals (`smith_invariants`) and the
+    total the diagonals of `smith_form` on the transposed boundaries:
+    losing one torsion factor on the first route makes the check fail
+    instead of agreeing with itself.  It fails on a warm state too,
+    where a Bockstein into H^3 has built and kept the integral
+    presentation of H^3.  The Bockstein reads the Smith diagonal of
+    del_3 to decide that its image is nonzero, but every diagonal a
+    boundary holds afterwards comes from the diagonal elimination
+    (`intlin._smith_diagonal`), never from the presentation's transform
+    eliminations, and the check then looks up no presentation and
+    builds none, so the free rank is not read from one elimination
+    twice."""
     real = chaincx.smith_invariants
 
     def drop_one_torsion_factor(a):
@@ -366,11 +369,73 @@ def test_uct_check_is_not_circular(monkeypatch):
     assert not bockstein(warm_cx, 2, 2).is_zero()
     held = [b for b in warm_cx.boundaries if hasattr(b, "_diagonal")]
     assert held and {id(b) for b in held} <= {id(a) for a in eliminated}
-    hits = chaincx._presented.cache_info().hits
+    kept = chaincx._presented.cache_info()
+    assert kept.currsize == 2   # H^2(; Z/2) and H^3(; Z)
+    presented = []
+    real_init = SubquotientPresentation.__init__
+
+    def count(self, *args, **kwargs):
+        presented.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubquotientPresentation, "__init__", count)
     monkeypatch.setattr(chaincx, "smith_invariants", drop_one_torsion_factor)
     with pytest.raises(SemanticError, match="universal coefficients mismatch"):
         uct_decompose(warm_cx, 3)
-    assert chaincx._presented.cache_info().hits == hits + 1
+    assert chaincx._presented.cache_info() == kept and presented == []
+
+
+def test_uct_check_fails_when_its_total_loses_a_factor(monkeypatch):
+    """The mirror of the mutation above: the total's route loses one
+    torsion factor of a `smith_form` diagonal, and the split, read off
+    `smith_invariants`, no longer agrees with it."""
+    real = chaincx.smith_form
+
+    def drop_one_torsion_factor(a, **asked):
+        sf = real(a, **asked)
+        diag = list(sf.diagonal)
+        for i, d in enumerate(diag):
+            if d >= 2:
+                diag[i] = 1
+                break
+        return dataclasses.replace(sf, diagonal=tuple(diag))
+
+    monkeypatch.setattr(chaincx, "smith_form", drop_one_torsion_factor)
+    for c, n in ((moore_complex(6), 3),
+                 (tensor_complexes(lens_complex(4, 3), lens_complex(6, 3)), 3),
+                 (lens_periodic(6).chains, 10**6)):
+        with pytest.raises(SemanticError,
+                           match="universal coefficients mismatch"):
+            uct_decompose(c, n)
+
+
+def _seeded_inputs():
+    """Seeded (complex, n): random complexes from degree 0 to one above
+    the top, lens skeleta, three-cell Moore complexes, and lens_periodic
+    at degrees 10^6 and 10^6 + 1."""
+    rng = random.Random(20261025)
+    cases = []
+    for _ in range(200):
+        c = random_complex(rng)
+        cases += [(c, n) for n in range(c.top_degree + 2)]
+    for k in (2, 3, 4, 6, 9, 12):
+        cases += [(lens_complex(k, 5), n) for n in range(7)]
+        cases += [(moore_complex(k), n) for n in range(5)]
+        cases += [(lens_periodic(k).chains, n) for n in (10**6, 10**6 + 1)]
+    return cases
+
+
+def test_uct_total_equals_the_cochain_presentation():
+    """On the seeded inputs and three products of lens skeleta, the total,
+    read off the dual complex's diagonals, equals the group of the
+    integral cochain presentation, which stays as its oracle."""
+    cases = _seeded_inputs()
+    for a, b in ((2, 2), (4, 6), (3, 9)):
+        prod_cx = tensor_complexes(lens_complex(a, 3), lens_complex(b, 3))
+        cases += [(prod_cx, n) for n in range(prod_cx.top_degree + 2)]
+    for c, n in cases:
+        want = chaincx._cochain_presentation(c, n, None).group
+        assert uct_decompose(c, n).total == want, (c, n)
 
 
 # -- Bockstein ---------------------------------------------------------------------
@@ -442,29 +507,13 @@ def _bockstein_from_presentations(c, n: int, m: int) -> GroupHom:
     return GroupHom(dom.group, cod.group, cod.column_coordinates(lifted))
 
 
-def _bockstein_inputs():
-    """Seeded (complex, n, m): random complexes from degree 0 to one above
-    the top, lens skeleta, three-cell Moore complexes, and lens_periodic
-    at degrees 10^6 and 10^6 + 1, each with m = 2..12."""
-    rng = random.Random(20261025)
-    cases = []
-    for _ in range(200):
-        c = random_complex(rng)
-        cases += [(c, n) for n in range(c.top_degree + 2)]
-    for k in (2, 3, 4, 6, 9, 12):
-        cases += [(lens_complex(k, 5), n) for n in range(7)]
-        cases += [(moore_complex(k), n) for n in range(5)]
-        cases += [(lens_periodic(k).chains, n) for n in (10**6, 10**6 + 1)]
-    return [(c, n, m) for c, n in cases for m in range(2, 13)]
-
-
 def test_bockstein_equals_the_cochain_level_route():
     """The Bockstein equals the one built on both cochain presentations
     (domain, codomain and matrix), and it is zero exactly when no
     invariant factor of H^{n+1}(; Z) shares a prime with m: its image
     is the m-torsion of H^{n+1}(; Z).  A zero Bockstein looks up no
     presentation, and a nonzero one looks up two."""
-    inputs = _bockstein_inputs()
+    inputs = [(c, n, m) for c, n in _seeded_inputs() for m in range(2, 13)]
     zero = 0
     for c, n, m in inputs:
         before = chaincx._presented.cache_info()

@@ -798,6 +798,26 @@ def test_cohomology_of_a_dense_80_by_80_literal_answers_quickly():
     assert len(mod4.invariant_factors) == 80 - rank_mod_p(rows, 2)
 
 
+def test_uct_of_a_dense_80_by_80_literal_answers_quickly():
+    """uct checks its split against the diagonals of the transposed
+    boundaries, with no transform, so a cold request on a dense literal
+    grows no U or V.  H^2 = Z^80 / im del_2^T is finite of order
+    |det del_2| (Bareiss, an independent route)."""
+    rng = random.Random(80)
+    rows = [[rng.randint(-9, 9) for _ in range(80)] for _ in range(80)]
+    space = ("complex{cells 0: 0; cells 1: 80; cells 2: 80; "
+             f"boundary 2: {rows}}}")
+    det = intlin.determinant(IntMatrix(rows))
+    assert det != 0
+    t0 = time.perf_counter()
+    code, rep = run_json(f"uct {space} 2")
+    assert time.perf_counter() - t0 < 5
+    assert code == EXIT_OK, rep
+    total = parse_group(rep["result"]["total"])
+    assert total.free_rank == 0
+    assert prod(total.invariant_factors) == abs(det)
+
+
 _HUGE = "9" * 5000
 
 
