@@ -18,8 +18,9 @@ SNFs) is built only where its generators are needed: for a `bockstein`
 whose image is nonzero (a zero one is decided from the Smith diagonal
 of one boundary and answered from the diagonals alone).  Each
 transform elimination builds only the transforms its reader uses
-(`intlin.smith_form`): V for a kernel, U and U^-1 for the relations,
-whose U^-1 gives the generators.  With Z
+(`intlin.smith_form`): V for a kernel; for the relations, U^-1 in the
+Z/m presentation (the Bockstein's domain, read for its generators) and
+U in the integral one (the codomain, read for coordinates).  With Z
 coefficients the cocycles ker d^n are eliminated once, with V and V^-1:
 they are saturated, so their Smith form is read off V^-1 and they are
 not eliminated a second time.  With Z/m coefficients it is computed
@@ -38,19 +39,11 @@ spaces.PeriodicComplex alike: an infinite complex is read at degree n
 without being cut or unrolled.  Above the top degree of a bounded
 complex the ranks are 0 and the boundaries zero-shaped, which gives the
 trivial group with no special case.
-
-Cochain presentations are memoized in one LRU of
-`MAX_CACHED_PRESENTATIONS` entries, keyed by the values a presentation
-depends on: del_n, del_{n+1} and the modulus.  Matrices compare by
-value, so the same degree of a re-parsed literal, or degrees n and
-n + period of a periodic complex, share one entry.  A presentation is
-never changed after it is built, and an error is never cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from random import Random
 
@@ -156,12 +149,13 @@ class SubquotientPresentation:
 
     gens_form is a Smith form of gens with U and V, when the caller has
     one; otherwise gens is eliminated here.  The relations are
-    eliminated with U and U^-1 only: coordinates read U, generators
-    U^-1.
+    eliminated with the transform of one reader only: U for
+    `column_coordinates` when coordinates is true, else U^-1 for
+    `generator_matrix`.
     """
 
     def __init__(self, gens: IntMatrix, sub: IntMatrix,
-                 gens_form: SmithForm | None = None):
+                 gens_form: SmithForm | None = None, *, coordinates: bool):
         if gens.rows != sub.rows:
             raise SemanticError("ambient dimension mismatch")
         self.gens = gens
@@ -171,7 +165,7 @@ class SubquotientPresentation:
         if y is None:
             raise SemanticError("subgroup generator outside the lattice")
         self.relations = self._gens_sf.kernel().hstack(y)
-        sf = smith_form(self.relations, u=True, u_inv=True)
+        sf = smith_form(self.relations, u=coordinates, u_inv=not coordinates)
         self._u = sf.u
         self._u_inv = sf.u_inv
         self._diag = sf.diagonal + (0,) * (g - len(sf.diagonal))
@@ -227,37 +221,24 @@ def _diagonals(c, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return d_in, d_out, free
 
 
-# Entries of the _presented LRU, which only a bockstein with nonzero
-# image reads.  On sessions of bockstein requests around one degree of
-# one space (perfbench's chain_heavy), the share of lookups that hit
-# stops rising at two.
-MAX_CACHED_PRESENTATIONS = 2
-
-
 def _cochain_presentation(c, n: int, modulus: int | None
                           ) -> SubquotientPresentation:
-    """Presentation of H^n with Z or Z/modulus coefficients."""
-    return _presented(c.boundary(n), c.boundary(n + 1), modulus)
-
-
-@lru_cache(maxsize=MAX_CACHED_PRESENTATIONS)
-def _presented(bnd_n: IntMatrix, bnd_next: IntMatrix, modulus: int | None
-               ) -> SubquotientPresentation:
-    """The presentation of H^n from del_n and del_{n+1} alone."""
-    rn = bnd_n.cols
-    d_in = bnd_n.transpose()        # d^{n-1}: C^{n-1} -> C^n
-    d_out = bnd_next.transpose()    # d^n: C^n -> C^{n+1}
+    """Presentation of H^n with Z or Z/modulus coefficients, as a
+    Bockstein reads it: for coordinates with Z, for generators with Z/m."""
+    d_in = c.boundary(n).transpose()        # d^{n-1}: C^{n-1} -> C^n
+    d_out = c.boundary(n + 1).transpose()   # d^n: C^n -> C^{n+1}
     if modulus is None:
         # the cocycles are saturated: one elimination of d^n gives them
         # and, through V^-1, their own Smith form
         sf = smith_form(d_out, v=True, v_inv=True)
-        return SubquotientPresentation(sf.kernel(), d_in, sf.kernel_form())
-    m = modulus
+        return SubquotientPresentation(sf.kernel(), d_in, sf.kernel_form(),
+                                       coordinates=True)
+    m, rn = modulus, c.rank(n)
     # mod-m cocycles: x-projections of ker [d^n | mI]
     ker = kernel_basis(d_out.hstack(IntMatrix.diagonal([m] * d_out.rows)))
     gens = ker.submatrix(range(rn), range(ker.cols))
     sub = d_in.hstack(IntMatrix.diagonal([m] * rn))
-    return SubquotientPresentation(gens, sub)
+    return SubquotientPresentation(gens, sub, coordinates=False)
 
 
 def cohomology(c, n: int, modulus: int | None = None) -> FgAbGroup:

@@ -90,11 +90,3 @@ FACTS: dict[str, str] = {
         "diagonal is determined by gcds of minors.",
 }
 
-
-def citation(key: str) -> str:
-    """The statement behind a citation key (KeyError for unknown keys)."""
-    return FACTS[key]
-
-
-def known_fact_keys() -> tuple[str, ...]:
-    return tuple(sorted(FACTS))

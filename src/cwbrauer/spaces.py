@@ -24,9 +24,8 @@ returns a space from one LRU keyed by the label and bounded in cells:
 the spaces it keeps weigh at most `MAX_BUILT_CELLS` together, each 1
 plus the cells of its chains and of the literals its label names, and
 one space over the budget is kept alone.  A label determines its space
-and a space is never changed, so every request on the same space
-shares one object: its boundary matrices, the Smith diagonals they
-keep, and through them the cochain presentations chaincx memoizes.  A
+and a space is never changed, so every request on the same space shares
+one object: its boundary matrices and the Smith diagonals they keep.  A
 builder that refuses its arguments caches nothing.  A finite complex is
 labelled by the value of its chains, ("complex", (ranks, boundaries)),
 so `from_complex` and `from_literal`, which the grammar calls for a

@@ -31,7 +31,7 @@ counting, not the gcd shortcut used inside the package.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache
 from math import gcd, lcm
 
 import numpy as np
@@ -76,7 +76,7 @@ def brute_census(orders) -> np.ndarray:
     return counts
 
 
-@lru_cache(maxsize=None)
+@cache
 def _cyclic_census(m: int) -> tuple[int, ...]:
     """Census of Z/m (m >= 1) by counting solutions of d*x = 0 mod m."""
     xs = np.arange(m, dtype=np.int64)
@@ -85,7 +85,7 @@ def _cyclic_census(m: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _census_from_invariants_cached(factors: tuple) -> np.ndarray:
     out = np.ones(len(DIVISORS) + 1, dtype=np.int64)
     for m in factors:
@@ -99,7 +99,7 @@ def census_from_invariants(factors) -> np.ndarray:
     return _census_from_invariants_cached(tuple(int(m) for m in factors))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _census_bytes_cached(factors: tuple) -> bytes:
     return _census_from_invariants_cached(factors).tobytes()
 
@@ -213,7 +213,7 @@ def oracle_census_bytes(piece: str, a_factors, b_table: BruteTable) -> bytes:
     return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def _fg(factors: tuple):
     from cwbrauer.abgroup import FgAbGroup
     return FgAbGroup(0, factors)

@@ -1,11 +1,12 @@
-"""The two caches: built spaces (`spaces`, keyed by label) and cochain
-presentations (`chaincx`, keyed by del_n, del_{n+1} and the modulus).
+"""The space cache (`spaces`, keyed by label), and the cochain
+presentations, which no cache keeps.
 
-They must share work between requests on the same space and change no
-answer, no error and no exit code: hits return the very objects an
-earlier request built, both caches stay within their bounds and evict
-the least recently used entry, refusals are never kept, and the output
-corpus reads the same from cold and from warm caches."""
+The space cache must share work between requests on the same space and
+change no answer, no error and no exit code: hits return the very
+objects an earlier request built, the cache stays within its bound and
+evicts the least recently used entry, refusals are never kept, and the
+output corpus reads the same from cold and from warm caches.  A
+Bockstein with nonzero image builds its two presentations each time."""
 
 import importlib.util
 import io
@@ -238,15 +239,18 @@ def test_chain_heavy_sessions_build_their_spaces_once(monkeypatch):
     assert len(labels) == len(set(labels))
 
 
-def test_presentation_cache_stays_within_its_bound():
-    """Each Bockstein reads the presentations of H^1(; Z/m) and H^2."""
+def test_each_nonzero_bockstein_builds_two_presentations(monkeypatch):
+    """A Bockstein H^1(; Z/m) -> H^2 = Z/3 has nonzero image exactly when
+    3 divides m, and then it builds the presentations of H^1(; Z/m) and
+    H^2 afresh, the same modulus twice in a row included."""
     per = spaces.lens_periodic(3).chains
-    for m in range(2, 24):
+    presented = _counting(monkeypatch, chaincx.SubquotientPresentation,
+                          "__init__")
+    for m in [*range(2, 24), 6]:
+        before = len(presented)
         assert str(bockstein(per, 1, m).domain) == (
             "Z/3" if m % 3 == 0 else "0")
-        info = chaincx._presented.cache_info()
-        assert info.currsize <= chaincx.MAX_CACHED_PRESENTATIONS
-    assert info.currsize == chaincx.MAX_CACHED_PRESENTATIONS == info.maxsize
+        assert len(presented) - before == (2 if m % 3 == 0 else 0), m
 
 
 def test_refusals_are_not_kept():
@@ -306,40 +310,45 @@ def test_presentations_are_keyed_by_modulus():
             assert report["result"]["domain"] == f"Z/{m}"
 
 
-def test_periodic_degrees_a_period_apart_share_one_presentation():
-    """Each Bockstein reads H^N(; Z/2) and H^{N+1}: the first misses
-    both, and degrees 3, 5 and 1001 read the same two matrices."""
+def test_periodic_degrees_a_period_apart_give_equal_bocksteins(monkeypatch):
+    """Degrees 3, 5 and 1001 read the same two matrices, and each
+    Bockstein builds its presentations of H^N(; Z/2) and H^{N+1}."""
+    presented = _counting(monkeypatch, chaincx.SubquotientPresentation,
+                          "__init__")
+    results = []
     for n in (3, 5, 1001):
         _, report = run_json(f"bockstein lens_periodic(6) {n} mod 2")
         result = report["result"]
         assert (result["domain"], result["codomain"]) == ("Z/2", "Z/6")
         assert not result["is_zero"]
-    info = chaincx._presented.cache_info()
-    assert (info.currsize, info.hits, info.misses) == (2, 4, 2)
+        results.append(result["matrix"])
+    assert results[0] == results[1] == results[2]
+    assert len(presented) == 6
 
 
-def test_equal_complexes_built_apart_share_one_presentation():
+def test_equal_complexes_built_apart_give_equal_bocksteins(monkeypatch):
     def build():
         return ChainComplex([1, 2, 1], [[[0, 0]], [[3], [-3]]])
     assert build() is not build()
+    presented = _counting(monkeypatch, chaincx.SubquotientPresentation,
+                          "__init__")
     first, second = bockstein(build(), 1, 3), bockstein(build(), 1, 3)
     assert not first.is_zero()
     assert (first.domain, first.codomain, first.matrix) == (
         second.domain, second.codomain, second.matrix)
-    info = chaincx._presented.cache_info()
-    assert (info.currsize, info.hits) == (2, 2)
+    assert len(presented) == 4
 
 
-def test_finite_complex_above_its_top_gives_the_trivial_group():
+def test_finite_complex_above_its_top_gives_the_trivial_group(monkeypatch):
     """lens(4, 5) has top degree 5.  Above it the boundaries are
-    zero-shaped, and each degree keeps its own entry.  uct reads the
-    dual complex's diagonals and a Bockstein from degree 5 up has zero
-    image (del_6 and above carry no invariant factor), so neither looks
-    up a presentation.  The presentations of H^5, H^6 and H^7 each
-    miss, and H^8 hits the entry of H^7: both read two 0 x 0
-    boundaries.  No other lookup hits."""
+    zero-shaped.  uct reads the dual complex's diagonals and a Bockstein
+    from degree 5 up has zero image (del_6 and above carry no invariant
+    factor), so neither builds a presentation: the four built are those
+    of H^5 to H^8 asked for here, which give the groups uct gives."""
     want = {5: ("Z", "Z/2"), 6: ("0", "0"), 7: ("0", "0")}
     chains = spaces.lens_skeleton(4, 5).chains
+    presented = _counting(monkeypatch, chaincx.SubquotientPresentation,
+                          "__init__")
     for n, (integral, mod2) in want.items():
         _, report = run_json(f"uct lens(4, 5) {n}")
         assert report["result"]["total"] == integral
@@ -351,8 +360,7 @@ def test_finite_complex_above_its_top_gives_the_trivial_group():
     _, report = run_json("uct lens(4, 5) 8")
     assert report["result"]["total"] == "0"
     assert chaincx._cochain_presentation(chains, 8, None).group.is_trivial
-    info = chaincx._presented.cache_info()
-    assert (info.hits, info.misses) == (1, 3)
+    assert len(presented) == 4
 
 
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])

@@ -326,19 +326,31 @@ def test_uct_frozen_moore():
     assert u.total == FgAbGroup.cyclic(6)
 
 
+def _presentations_built(monkeypatch) -> list:
+    """The arguments of every SubquotientPresentation built from now on."""
+    built = []
+    real_init = SubquotientPresentation.__init__
+
+    def count(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubquotientPresentation, "__init__", count)
+    return built
+
+
 def test_uct_check_is_not_circular(monkeypatch):
     """The Ext/Hom side reads Smith diagonals (`smith_invariants`) and the
     total the diagonals of `smith_form` on the transposed boundaries:
     losing one torsion factor on the first route makes the check fail
     instead of agreeing with itself.  It fails on a warm state too,
-    where a Bockstein into H^3 has built and kept the integral
-    presentation of H^3.  The Bockstein reads the Smith diagonal of
-    del_3 to decide that its image is nonzero, but every diagonal a
-    boundary holds afterwards comes from the diagonal elimination
-    (`intlin._smith_diagonal`), never from the presentation's transform
-    eliminations, and the check then looks up no presentation and
-    builds none, so the free rank is not read from one elimination
-    twice."""
+    where a Bockstein into H^3 has built the integral presentation of
+    H^3.  The Bockstein reads the Smith diagonal of del_3 to decide that
+    its image is nonzero, but every diagonal a boundary holds afterwards
+    comes from the diagonal elimination (`intlin._smith_diagonal`),
+    never from the presentation's transform eliminations, and the check
+    then builds no presentation, so the free rank is not read from one
+    elimination twice."""
     real = chaincx.smith_invariants
 
     def drop_one_torsion_factor(a):
@@ -357,7 +369,6 @@ def test_uct_check_is_not_circular(monkeypatch):
         uct_decompose(prod_cx, 3)
     monkeypatch.setattr(chaincx, "smith_invariants", real)
     warm_cx = tensor_complexes(lens_complex(4, 3), lens_complex(6, 3))
-    chaincx._presented.cache_clear()
     eliminated = []
     real_diagonal = intlin._smith_diagonal
 
@@ -366,23 +377,16 @@ def test_uct_check_is_not_circular(monkeypatch):
         return real_diagonal(a)
 
     monkeypatch.setattr(intlin, "_smith_diagonal", record)
+    presented = _presentations_built(monkeypatch)
     assert not bockstein(warm_cx, 2, 2).is_zero()
     held = [b for b in warm_cx.boundaries if hasattr(b, "_diagonal")]
     assert held and {id(b) for b in held} <= {id(a) for a in eliminated}
-    kept = chaincx._presented.cache_info()
-    assert kept.currsize == 2   # H^2(; Z/2) and H^3(; Z)
-    presented = []
-    real_init = SubquotientPresentation.__init__
-
-    def count(self, *args, **kwargs):
-        presented.append(args)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(SubquotientPresentation, "__init__", count)
+    assert len(presented) == 2   # H^2(; Z/2) and H^3(; Z)
+    presented.clear()
     monkeypatch.setattr(chaincx, "smith_invariants", drop_one_torsion_factor)
     with pytest.raises(SemanticError, match="universal coefficients mismatch"):
         uct_decompose(warm_cx, 3)
-    assert chaincx._presented.cache_info() == kept and presented == []
+    assert presented == []
 
 
 def test_uct_check_fails_when_its_total_loses_a_factor(monkeypatch):
@@ -507,26 +511,26 @@ def _bockstein_from_presentations(c, n: int, m: int) -> GroupHom:
     return GroupHom(dom.group, cod.group, cod.column_coordinates(lifted))
 
 
-def test_bockstein_equals_the_cochain_level_route():
+def test_bockstein_equals_the_cochain_level_route(monkeypatch):
     """The Bockstein equals the one built on both cochain presentations
     (domain, codomain and matrix), and it is zero exactly when no
     invariant factor of H^{n+1}(; Z) shares a prime with m: its image
-    is the m-torsion of H^{n+1}(; Z).  A zero Bockstein looks up no
-    presentation, and a nonzero one looks up two."""
+    is the m-torsion of H^{n+1}(; Z).  A zero Bockstein builds no
+    presentation, and a nonzero one builds two."""
+    built = _presentations_built(monkeypatch)
     inputs = [(c, n, m) for c, n in _seeded_inputs() for m in range(2, 13)]
     zero = 0
     for c, n, m in inputs:
-        before = chaincx._presented.cache_info()
+        built.clear()
         beta = bockstein(c, n, m)
-        after = chaincx._presented.cache_info()
-        lookups = (after.hits + after.misses) - (before.hits + before.misses)
+        presented = len(built)
         want = _bockstein_from_presentations(c, n, m)
         assert (beta.domain, beta.codomain) == (want.domain, want.codomain)
         assert beta.matrix == want.matrix, (c, n, m)
         coprime = all(gcd(d, m) == 1
                       for d in cohomology(c, n + 1).invariant_factors)
         assert beta.is_zero() == coprime, (c, n, m)
-        assert lookups == (0 if beta.is_zero() else 2), (c, n, m)
+        assert presented == (0 if beta.is_zero() else 2), (c, n, m)
         zero += beta.is_zero()
     assert 0 < zero < len(inputs)
 
@@ -552,16 +556,18 @@ def _count_eliminations(monkeypatch):
 def test_presentation_factors_each_matrix_once(monkeypatch):
     """gens is eliminated once, with U and V, for its kernel, for all sub
     columns in one solve and for coordinates(); the relations matrix once
-    more, with U and U^-1 only.  Coordinates of a whole matrix of vectors
-    make no further elimination, and no generator matrix inverts U."""
+    more, with the transform of the presentation's one reader: U for
+    coordinates, U^-1 for generators.  Coordinates of a whole matrix of
+    vectors make no further elimination, and no generator matrix inverts
+    U."""
     calls = _count_eliminations(monkeypatch)
     # span(gens) = 2Z + Z + 3Z (the fourth column is the sum of the
     # first two), span(sub) = 4Z + 2Z + 6Z: the quotient is (Z/2)^3
     gens = IntMatrix([[2, 0, 0, 2], [0, 1, 0, 1], [0, 0, 3, 0]])
     sub = IntMatrix([[4, 0, 0, 4], [0, 2, 0, 2], [0, 0, 6, 0]])
-    pres = SubquotientPresentation(gens, sub)
+    pres = SubquotientPresentation(gens, sub, coordinates=True)
     assert pres.group == FgAbGroup(0, (2, 2, 2))
-    assert calls == [(gens, ["u", "v"]), (pres.relations, ["u", "u_inv"])]
+    assert calls == [(gens, ["u", "v"]), (pres.relations, ["u"])]
     for j in range(sub.cols):
         assert coordinates(pres, sub.col_tuple(j)) == (0, 0, 0)
     assert coordinates(pres, (2, 1, 3)) != (0, 0, 0)
@@ -571,6 +577,14 @@ def test_presentation_factors_each_matrix_once(monkeypatch):
     assert coords.col_tuple(8) == coordinates(pres, (2, 1, 3))
     assert all(coords.col_tuple(j) == (0, 0, 0) for j in range(4, 8))
     assert len(calls) == 2
+    # the generators of a generators reader, eliminated apart, are the
+    # canonical generators in the coordinates of a coordinates reader
+    calls.clear()
+    reader = SubquotientPresentation(gens, sub, coordinates=False)
+    assert calls == [(gens, ["u", "v"]), (reader.relations, ["u_inv"])]
+    assert reader.relations == pres.relations and reader.group == pres.group
+    assert pres.column_coordinates(reader.generator_matrix()) == (
+        IntMatrix.identity(3))
     # with Z coefficients the cocycles are ker d^n, which is saturated:
     # d^n is eliminated once, with V and V^-1, the relations once, and
     # the cocycle basis not at all
@@ -583,15 +597,16 @@ def test_presentation_factors_each_matrix_once(monkeypatch):
     pres = chaincx._cochain_presentation(c, 3, None)
     assert pres.group == cohomology(c, 3)
     assert calls == [(c.boundary(4).transpose(), ["v", "v_inv"]),
-                     (pres.relations, ["u", "u_inv"])]
+                     (pres.relations, ["u"])]
     assert all(a != pres.gens for a, _ in calls)
     # a Bockstein into it reads generators from the tracked U^-1 of its
-    # mod-2 domain: kernel (V), gens (U, V), relations (U, U^-1)
+    # mod-2 domain: kernel (V), gens (U, V), relations (U^-1); then its
+    # codomain as above: d^3 (V, V^-1), relations (U)
     calls.clear()
     beta = bockstein(c, 2, 2)
     assert beta.codomain == pres.group and not beta.is_zero()
     assert [asked for _, asked in calls] == [
-        ["v"], ["u", "v"], ["u", "u_inv"]]
+        ["v"], ["u", "v"], ["u_inv"], ["v", "v_inv"], ["u"]]
 
 
 def _ref_matmul(a, b):
@@ -643,9 +658,10 @@ class _ReferencePresentation:
                  for r in range(self.ambient)] for i in self.index]
 
 
-def _reference_presented(c, n, m):
-    """gens and sub of H^n as `_presented` forms them, on reference
-    kernels: cocycles (mod m) and coboundaries (and m times cochains)."""
+def _reference_presentation(c, n, m):
+    """gens and sub of H^n as `_cochain_presentation` forms them, on
+    reference kernels: cocycles (mod m) and coboundaries (and m times
+    cochains)."""
     rn = c.rank(n)
     d_in = c.boundary(n).to_lists()            # rows are coboundaries
     d_out = c.boundary(n + 1).transpose().to_lists()
@@ -698,11 +714,17 @@ def _dense_literal(rng, lo, hi):
 def _check_against_reference(c, n, m, rng):
     """relations, coordinates and the Bockstein matrix of (c, n, m) equal
     the column-by-column reference; a vector outside the lattice is
-    refused exactly when the reference finds no solution for it."""
+    refused exactly when the reference finds no solution for it.  A Z/m
+    presentation reads generators, so its coordinates are read on a
+    coordinates reader built from the same gens and sub."""
     pres = chaincx._cochain_presentation(c, n, m)
-    ref = _reference_presented(c, n, m)
+    ref = _reference_presentation(c, n, m)
     assert pres.relations.to_lists() == ref.relations, (c.ranks, n, m)
     rn = c.rank(n)
+    if m is not None:
+        sub = c.boundary(n).transpose().hstack(IntMatrix.diagonal([m] * rn))
+        pres = SubquotientPresentation(pres.gens, sub, coordinates=True)
+        assert pres.relations.to_lists() == ref.relations, (c.ranks, n, m)
     vecs = list(ref.gens)
     for _ in range(3):
         coeffs = [rng.randint(-3, 3) for _ in ref.gens]
@@ -723,7 +745,7 @@ def _check_against_reference(c, n, m, rng):
         assert list(coordinates(pres, stray)) == ref.coordinates(stray)
     if m is None:
         return
-    cod = _reference_presented(c, n + 1, None)
+    cod = _reference_presentation(c, n + 1, None)
     d_out = c.boundary(n + 1).transpose().to_lists()
     cols = []
     for x in ref.generators():

@@ -323,9 +323,9 @@ def _recording(monkeypatch, owner, name) -> list:
     seen = []
     real = getattr(owner, name)
 
-    def record(*args):
+    def record(*args, **kwargs):
         seen.append(args[0])
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, record)
     return seen

@@ -148,17 +148,17 @@ def test_cache_traffic_counts_lookups_builds_and_weight():
         "mixed_small", "chain_heavy", "periodic_deep"]
     pattern = (r"(\w+) seed 1, 64 lines: spaces (\d+) lookups, (\d+) builds, "
                r"[\d.]+% hit, kept weight (\d+) \(peak (\d+)\); "
-               r"presentations (\d+) lookups, (\d+) hits \(([\d.]+%|-)\); "
+               r"presentations (\d+) built; "
                r"bocksteins (\d+), (\d+) with no presentation")
     for line in lines:
         m = re.fullmatch(pattern, line)
         assert m, line
-        lookups, builds, kept, peak, p_lookups, p_hits = map(
-            int, m.groups()[1:7])
+        lookups, builds, kept, peak, presentations = map(
+            int, m.groups()[1:6])
         assert 0 < builds <= lookups and kept <= peak <= MAX_BUILT_CELLS
-        assert p_hits <= p_lookups
-        bocksteins, zero_image = map(int, m.groups()[8:10])
+        bocksteins, zero_image = map(int, m.groups()[6:8])
         assert 0 <= zero_image <= bocksteins
+        assert presentations == 2 * (bocksteins - zero_image)
     m = re.fullmatch(pattern, lines[2])
     lookups, builds, kept = map(int, m.groups()[1:4])
     assert lookups == 64 and kept == 3 * builds

@@ -1,5 +1,5 @@
 """Cache traffic of the benchmark's request streams: how often the space
-cache and the presentation cache hit, and what the space cache keeps.
+cache hits, what it keeps, and how many cochain presentations are built.
 
     python3 tools/cache_traffic.py [--seed N] [--count N] [WORKLOAD ...]
 
@@ -12,15 +12,14 @@ stream gives
 
   space lookups, builds, hit rate, the weight kept at the end and its peak
   (`spaces.MAX_BUILT_CELLS` bounds both, save for one space kept alone);
-  presentation lookups and hits;
-  Bockstein requests, and how many of them looked up no presentation
+  presentations built (no cache keeps them);
+  Bockstein requests, and how many of them built no presentation
   (a Bockstein with zero image is read off the Smith diagonals).
 
-Space lookups and Bocksteins are counted by wrappers put around
-`spaces._built` and `cli.bockstein` from outside, as
-`perfbench/tracer.py` wraps functions; presentation lookups are read
-from the counters of the `chaincx._presented` LRU.  Nothing under src/
-changes.
+Space lookups, presentations and Bocksteins are counted by wrappers put
+around `spaces._built`, `chaincx.SubquotientPresentation.__init__` and
+`cli.bockstein` from outside, as `perfbench/tracer.py` wraps functions.
+Nothing under src/ changes.
 """
 
 from __future__ import annotations
@@ -44,15 +43,15 @@ def default_count(name: str) -> int:
 
 
 def traffic(entries) -> dict:
-    """Replays (text, trace, spec) entries from cold caches and returns
-    the counts of both caches."""
+    """Replays (text, trace, spec) entries from a cold space cache and
+    returns the counts of spaces, presentations and Bocksteins."""
     from cwbrauer import chaincx, cli, spaces
     kept = spaces._built_spaces
     kept.clear()
-    chaincx._presented.cache_clear()
-    counts = {"lookups": 0, "builds": 0, "peak": 0,
+    counts = {"lookups": 0, "builds": 0, "peak": 0, "presentations": 0,
               "bocksteins": 0, "no_presentation": 0}
     real = spaces._built
+    real_init = chaincx.SubquotientPresentation.__init__
     real_bockstein = cli.bockstein
 
     def counted(label, chains):
@@ -63,30 +62,29 @@ def traffic(entries) -> dict:
         finally:
             counts["peak"] = max(counts["peak"], kept.weight)
 
-    def presentation_lookups() -> int:
-        info = chaincx._presented.cache_info()
-        return info.hits + info.misses
+    def presented(self, *args, **kwargs):
+        counts["presentations"] += 1
+        real_init(self, *args, **kwargs)
 
     def bockstein(*args):
-        before = presentation_lookups()
+        before = counts["presentations"]
         try:
             return real_bockstein(*args)
         finally:
             counts["bocksteins"] += 1
-            counts["no_presentation"] += presentation_lookups() == before
+            counts["no_presentation"] += counts["presentations"] == before
 
     spaces._built = counted
+    chaincx.SubquotientPresentation.__init__ = presented
     cli.bockstein = bockstein
     try:
         for text, trace, _ in entries:
             cli.run_line(text, True, trace, out=io.StringIO())
     finally:
         spaces._built = real
+        chaincx.SubquotientPresentation.__init__ = real_init
         cli.bockstein = real_bockstein
-    info = chaincx._presented.cache_info()
-    return {**counts, "kept": kept.weight,
-            "presentation_lookups": info.hits + info.misses,
-            "presentation_hits": info.hits}
+    return {**counts, "kept": kept.weight}
 
 
 def _rate(hits: int, lookups: int) -> str:
@@ -112,10 +110,7 @@ def main(argv=None) -> int:
               f"{t['lookups']} lookups, {t['builds']} builds, "
               f"{_rate(t['lookups'] - t['builds'], t['lookups'])} hit, "
               f"kept weight {t['kept']} (peak {t['peak']}); presentations "
-              f"{t['presentation_lookups']} lookups, "
-              f"{t['presentation_hits']} hits "
-              f"({_rate(t['presentation_hits'], t['presentation_lookups'])}); "
-              f"bocksteins {t['bocksteins']}, {t['no_presentation']} with "
+              f"{t['presentations']} built; bocksteins {t['bocksteins']}, {t['no_presentation']} with "
               f"no presentation")
     return 0
 
