@@ -13,8 +13,8 @@ the modules before it:
   Z and Z/m coefficients, universal-coefficient splittings, cochain-level
   Bockstein maps, tensor products;
 - limits: eventually periodic sequences (prefix plus repeating block),
-  towers with lim^1 vanishing certificates, symbolic colimits, symbolic
-  Ext^1, first Ulm subgroups, telescope phantom groups;
+  towers with lim^1 vanishing certificates, and the symbolic colimits
+  of telescopes (Z[1/n]) with their symbolic Ext^1;
 - profiles: direct sums of cyclic groups with finite or countable
   multiplicities, Br'(BG), basic-subgroup reduction, and non-membership
   certificates for descriptor classes;

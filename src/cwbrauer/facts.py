@@ -65,9 +65,6 @@ FACTS: dict[str, str] = {
     "pext-ulm":
         "The phantom (pure-Ext) part of Ext^1(A, Z) is the first Ulm "
         "subgroup - the maximal divisible part - of Ext^1(A, Z).",
-    "ext-prufer-padic":
-        "Ext^1(Z(p^oo), Z) is the additive group of the p-adic "
-        "integers.",
     "bockstein-sequence":
         "The long exact sequence of 0 -> Z -x m-> Z -> Z/m -> 0 yields "
         "the Bockstein homomorphism H^n(X; Z/m) -> H^{n+1}(X; Z).",

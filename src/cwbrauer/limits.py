@@ -8,12 +8,10 @@ lim^1 is never computed; we only certify that it vanishes, either
 because every group in the tower is finite or because the images
 provably stabilize (Mittag-Leffler), and say INCONCLUSIVE otherwise.
 
-Colimit-side systems are finite sums of strands whose shapes we can
-take colimits of symbolically: a Z-strand with periodic multiplication
-maps, the growing chain Z/p -> Z/p^2 -> ... with the standard
-injections, and constant finite strands.  Their colimits, and Ext^1 of
-the resulting symbolic groups, live in a small atom algebra with
-property flags instead of pretend-exact answers.
+Colimit-side systems are finite sums of Z-strands with periodic
+multiplication maps, the directed systems of mapping telescopes.  Their
+colimits (Z or Z[1/n]), and Ext^1 of those, live in a small atom algebra
+with property flags instead of pretend-exact answers.
 """
 
 from __future__ import annotations
@@ -33,12 +31,7 @@ from .intlin import IntMatrix, smith_invariants
 _FLAG_TABLE = {
     # kind: (divisible, torsion, torsion_free, nonzero)
     "free": (False, False, True, True),
-    "cyclic": (False, True, False, True),
     "localized": (False, False, True, True),
-    "prufer": (True, True, False, True),
-    "rationals": (True, False, True, True),
-    "padic": (False, False, True, True),
-    "continuum_q_vector": (True, False, True, True),
 }
 
 
@@ -83,19 +76,9 @@ class Atom:
         if self.kind == "free":
             r = self.params[0]
             return "Z" if r == 1 else f"Z^{r}"
-        if self.kind == "cyclic":
-            return f"Z/{self.params[0]}"
         if self.kind == "localized":
             inside = ",".join(f"1/{p}" for p in self.params)
             return f"Z[{inside}]"
-        if self.kind == "prufer":
-            return f"Z({self.params[0]}^oo)"
-        if self.kind == "rationals":
-            return "Q"
-        if self.kind == "padic":
-            return f"Zhat_{self.params[0]}"
-        if self.kind == "continuum_q_vector":
-            return "Q-vector space of continuum dimension"
         return self.params[0]  # opaque: params[0] is the expression text
 
 
@@ -103,28 +86,8 @@ def free_atom(rank: int) -> Atom:
     return Atom("free", (int(rank),))
 
 
-def cyclic_atom(n: int) -> Atom:
-    return Atom("cyclic", (int(n),))
-
-
 def localized_atom(primes) -> Atom:
     return Atom("localized", tuple(sorted(set(int(p) for p in primes))))
-
-
-def prufer_atom(p: int) -> Atom:
-    return Atom("prufer", (int(p),))
-
-
-def rationals_atom() -> Atom:
-    return Atom("rationals")
-
-
-def padic_atom(p: int) -> Atom:
-    return Atom("padic", (int(p),))
-
-
-def continuum_q_vector_atom() -> Atom:
-    return Atom("continuum_q_vector")
 
 
 def opaque_ext_atom(expression: str, *, divisible: bool, torsion: bool,
@@ -138,18 +101,6 @@ class SymbolicGroup:
     """A finite formal direct sum of atoms, with aggregate property flags."""
 
     atoms: tuple[Atom, ...] = ()
-
-    @classmethod
-    def zero(cls) -> "SymbolicGroup":
-        return cls(())
-
-    @classmethod
-    def from_fg(cls, g: FgAbGroup) -> "SymbolicGroup":
-        atoms = []
-        if g.free_rank:
-            atoms.append(free_atom(g.free_rank))
-        atoms.extend(cyclic_atom(d) for d in g.invariant_factors)
-        return cls(tuple(atoms))
 
     @property
     def is_zero(self) -> bool:
@@ -171,9 +122,6 @@ class SymbolicGroup:
     def nonzero(self) -> bool:
         return any(a.nonzero for a in self.atoms)
 
-    def plus(self, other: "SymbolicGroup") -> "SymbolicGroup":
-        return SymbolicGroup(self.atoms + other.atoms)
-
     def describe(self) -> str:
         if not self.atoms:
             return "0"
@@ -193,26 +141,17 @@ def torsion_free_quotient(g: SymbolicGroup) -> SymbolicGroup:
     return SymbolicGroup(tuple(kept))
 
 
-def ext1_symbolic(g: SymbolicGroup | FgAbGroup) -> SymbolicGroup:
+def ext1_symbolic(g: SymbolicGroup) -> SymbolicGroup:
     """Ext^1(g, Z) by the atom table.
 
-    Z^r -> 0, Z/n -> Z/n, Q -> a continuum-dimensional Q-vector space,
-    Z(p^oo) -> the p-adic integers, Z[1/S] -> an opaque divisible nonzero
-    group.  Atoms outside the table raise UnsupportedComputation.
+    Z^r -> 0, Z[1/S] -> an opaque divisible nonzero group.  Atoms outside
+    the table raise UnsupportedComputation.
     """
-    if isinstance(g, FgAbGroup):
-        g = SymbolicGroup.from_fg(g)
     out = []
     for a in g.atoms:
         if a.kind == "free":
             continue
-        if a.kind == "cyclic":
-            out.append(cyclic_atom(a.params[0]))
-        elif a.kind == "rationals":
-            out.append(continuum_q_vector_atom())
-        elif a.kind == "prufer":
-            out.append(padic_atom(a.params[0]))
-        elif a.kind == "localized":
+        if a.kind == "localized":
             inside = ",".join(f"1/{p}" for p in a.params)
             out.append(opaque_ext_atom(
                 f"Ext^1(Z[{inside}], Z)",
@@ -222,17 +161,6 @@ def ext1_symbolic(g: SymbolicGroup | FgAbGroup) -> SymbolicGroup:
             raise UnsupportedComputation(
                 f"Ext^1 of atom {a.describe()} is outside the table")
     return SymbolicGroup(tuple(out))
-
-
-def first_ulm(g: SymbolicGroup | FgAbGroup) -> SymbolicGroup:
-    """First Ulm subgroup (the intersection of the mE): the divisible part.
-
-    Finitely generated groups are reduced, so their first Ulm subgroup is
-    zero; for symbolic groups the divisible atoms survive.
-    """
-    if isinstance(g, FgAbGroup):
-        return SymbolicGroup.zero()
-    return SymbolicGroup(tuple(a for a in g.atoms if a.divisible))
 
 
 # ---------------------------------------------------------------------------
@@ -397,81 +325,27 @@ class MultiplicationStrand:
 
 
 @dataclass(frozen=True)
-class PruferStrand:
-    """Z/p -> Z/p^2 -> ... with the standard injections 1 -> p."""
-
-    prime: int
-
-    def __post_init__(self):
-        if self.prime < 2:
-            raise SemanticError("prime must be >= 2")
-
-
-@dataclass(frozen=True)
-class ConstantStrand:
-    """A fixed finite group with identity maps."""
-
-    group: FgAbGroup
-
-    def __post_init__(self):
-        if not self.group.is_finite:
-            raise SemanticError("constant strands must be finite")
-
-
-Strand = MultiplicationStrand | PruferStrand | ConstantStrand
-
-
-@dataclass(frozen=True)
 class DirectedSystem:
     """A finite direct sum of strands, the maps acting diagonally."""
 
-    strands: tuple[Strand, ...]
+    strands: tuple[MultiplicationStrand, ...]
 
     @classmethod
     def telescope_z(cls, multiplier: int) -> "DirectedSystem":
         return cls((MultiplicationStrand((multiplier,)),))
 
-    @classmethod
-    def prufer(cls, p: int) -> "DirectedSystem":
-        return cls((PruferStrand(p),))
-
-    @classmethod
-    def constant(cls, g: FgAbGroup) -> "DirectedSystem":
-        return cls((ConstantStrand(g),))
-
 
 def colimit_symbolic(d: DirectedSystem) -> SymbolicGroup:
-    """Colimit of the system, strand by strand.
-
-    (Z, xc per period): composite 0 gives 0, composite +-1 gives Z,
-    otherwise Z with the primes of the composite inverted.  The Prufer
-    chain gives Z(p^oo); a constant finite strand is its own colimit.
-    """
+    """Colimit of the system, strand by strand: (Z, xc per period) with
+    composite c gives 0 for c = 0, Z for c = +-1, and otherwise Z with
+    the primes of c inverted."""
     atoms: list[Atom] = []
     for s in d.strands:
-        if isinstance(s, MultiplicationStrand):
-            c = 1
-            for x in s.multipliers:
-                c *= x
-            if c == 0:
-                continue
-            if abs(c) == 1:
-                atoms.append(free_atom(1))
-            else:
-                atoms.append(localized_atom(_prime_factors(c)))
-        elif isinstance(s, PruferStrand):
-            atoms.append(prufer_atom(s.prime))
-        elif isinstance(s, ConstantStrand):
-            atoms.extend(SymbolicGroup.from_fg(s.group).atoms)
+        c = prod(s.multipliers)
+        if c == 0:
+            continue
+        if abs(c) == 1:
+            atoms.append(free_atom(1))
         else:
-            raise UnsupportedComputation(f"strand {s!r} outside the tables")
+            atoms.append(localized_atom(_prime_factors(c)))
     return SymbolicGroup(tuple(atoms))
-
-
-def phantom_of_telescope(d: DirectedSystem, degree: int) -> SymbolicGroup:
-    """Phantom subgroup of H^degree of a telescope whose H_(degree-1) is
-    the colimit of d: Ext^1 of the torsion-free quotient of the colimit."""
-    if degree < 1:
-        raise SemanticError("phantom degree must be >= 1")
-    colim = colimit_symbolic(d)
-    return ext1_symbolic(torsion_free_quotient(colim))

@@ -388,7 +388,7 @@ def non_brauer_certificate(p: CyclicProfile,
     infinite = p.total_multiplicity() is OMEGA
     if prime is None or not infinite:
         why = []
-        if prime is None:
+        if prime is None and not p.is_zero:   # 0 has no orders to mix
             why.append("profile is not primary (orders mix primes)")
         if not infinite:
             why.append("profile has only finitely many summands")

@@ -135,6 +135,9 @@ def test_non_brauer_check_command():
     assert code == EXIT_OK and "CERTIFIED_NOT_IN_BR" in text
     code, text = run("non-brauer-check (Z/3)^w with rule 1<=i<=9: J=(i, 2i]")
     assert code == EXIT_OK and "CONDITION_FAILS" in text
+    code, text = run("non-brauer-check 0 with rule i>=1: J=(i, 3i]")
+    assert code == EXIT_OK and text.splitlines()[0] == (
+        "NOT_APPLICABLE: profile has only finitely many summands")
 
 
 def test_mixed_primes_are_refused_before_a_large_prime_order():
@@ -1057,18 +1060,32 @@ def test_execute_reports_are_json_safe():
             assert report["citations"] == sorted(set(report["citations"]))
 
 
-def test_every_cited_key_is_a_recorded_fact():
-    """Each citation key a report names, over the sample lines and every
-    request `reproduce` checks (and reproduce's own report), has a
-    statement in facts.FACTS."""
-    lines = SAMPLE_LINES + tuple(line for _, line, _, _ in
-                                 cli._reproduce_items())
+def _cited_keys(lines) -> set:
     cited = set()
     for line in lines:
         for trace in (False, True):
             cited |= set(execute(parse_request(line), trace)["citations"])
+    return cited
+
+
+def test_every_cited_key_is_a_recorded_fact():
+    """Each citation key a report names, over the sample lines and every
+    request `reproduce` checks (and reproduce's own report), has a
+    statement in facts.FACTS."""
+    cited = _cited_keys(SAMPLE_LINES + tuple(
+        line for _, line, _, _ in cli._reproduce_items()))
     assert len(cited) > 15
     assert cited <= set(FACTS), sorted(cited - set(FACTS))
+
+
+def test_every_recorded_fact_is_cited():
+    """The converse: each key of facts.FACTS is cited by some request,
+    among the sample lines, the `reproduce` items and the two catalog
+    entries that name a fact of their own."""
+    cited = _cited_keys(SAMPLE_LINES + tuple(
+        line for _, line, _, _ in cli._reproduce_items()) + (
+        "catalog plus_construction", "catalog compact_realization"))
+    assert set(FACTS) <= cited, sorted(set(FACTS) - cited)
 
 
 # characters the writer must escape as the stdlib does: quote, backslash,

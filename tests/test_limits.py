@@ -1,5 +1,5 @@
 """Tests for towers, lim^1 certificates, directed systems, symbolic
-colimits, and the symbolic Ext^1 / Ulm / torsion-free-quotient tables."""
+colimits, and the symbolic Ext^1 / torsion-free-quotient tables."""
 
 import io
 import json
@@ -7,18 +7,16 @@ import random
 
 import pytest
 
-from cwbrauer.abgroup import FgAbGroup, GroupHom, ext1
+from cwbrauer.abgroup import FgAbGroup, GroupHom
 from cwbrauer.errors import SemanticError, UnsupportedComputation
 from cwbrauer import limits
 from cwbrauer.cli import run_line
 from _oracles import draw_eventually_periodic
 from cwbrauer.intlin import IntMatrix, solve_integral
 from cwbrauer.limits import (
-    Atom, ConstantStrand, DirectedSystem, Lim1Certificate,
-    MultiplicationStrand, PruferStrand, SymbolicGroup, Tower, colimit_symbolic,
-    continuum_q_vector_atom, cyclic_atom, ext1_symbolic, first_ulm, free_atom,
-    lim1_certificate, localized_atom, opaque_ext_atom, padic_atom,
-    _images_equal, phantom_of_telescope, prufer_atom, rationals_atom,
+    Atom, DirectedSystem, Lim1Certificate, MultiplicationStrand,
+    SymbolicGroup, Tower, colimit_symbolic, ext1_symbolic, free_atom,
+    lim1_certificate, localized_atom, opaque_ext_atom, _images_equal,
     torsion_free_quotient,
 )
 
@@ -41,45 +39,45 @@ def run_line_json(line):
 def test_atom_describe():
     assert free_atom(1).describe() == "Z"
     assert free_atom(3).describe() == "Z^3"
-    assert cyclic_atom(12).describe() == "Z/12"
     assert localized_atom([3, 2, 2]).describe() == "Z[1/2,1/3]"
-    assert prufer_atom(5).describe() == "Z(5^oo)"
-    assert rationals_atom().describe() == "Q"
-    assert padic_atom(7).describe() == "Zhat_7"
-    assert "continuum" in continuum_q_vector_atom().describe()
     op = opaque_ext_atom("Ext^1(Z[1/2], Z)", divisible=True, torsion=False,
                          torsion_free=False, nonzero=True)
     assert op.describe() == "Ext^1(Z[1/2], Z)"
 
 
 def test_atom_flags():
-    assert prufer_atom(3).divisible and prufer_atom(3).torsion
     assert free_atom(2).torsion_free and not free_atom(2).divisible
-    assert rationals_atom().divisible and rationals_atom().torsion_free
+    assert not free_atom(2).torsion and free_atom(2).nonzero
+    loc = localized_atom([5])
+    assert loc.torsion_free and not loc.divisible and not loc.torsion
     with pytest.raises(SemanticError):
         Atom("free", (1,), (True, True, True, True))  # fixed-kind flags
     with pytest.raises(SemanticError):
         Atom("opaque_ext", ("x",))                    # needs explicit flags
     with pytest.raises(SemanticError):
         Atom("mystery")
+    with pytest.raises(SemanticError, match="unknown atom kind"):
+        Atom("prufer", (3,))                          # a removed kind
 
 
 def test_symbolic_group_flags_and_describe():
-    g = SymbolicGroup.from_fg(FgAbGroup.from_cyclic_orders((0, 0, 2, 6)))
-    assert g.describe() == "Z^2 + Z/2 + Z/6"
-    assert not g.torsion and not g.torsion_free and g.nonzero
-    assert SymbolicGroup.zero().describe() == "0"
-    assert not SymbolicGroup.zero().nonzero
-    assert SymbolicGroup.zero().torsion        # vacuous
-    both = SymbolicGroup((prufer_atom(2),)).plus(SymbolicGroup((free_atom(1),)))
-    assert both.describe() == "Z(2^oo) + Z"
-    assert not both.divisible
+    g = SymbolicGroup((free_atom(2), localized_atom([2, 3])))
+    assert g.describe() == "Z^2 + Z[1/2,1/3]"
+    assert not g.torsion and g.torsion_free and g.nonzero
+    assert not g.divisible
+    zero = SymbolicGroup(())
+    assert zero.is_zero and zero.describe() == "0"
+    assert not zero.nonzero
+    assert zero.torsion and zero.divisible     # vacuous
 
 
 def test_torsion_free_quotient():
-    g = SymbolicGroup((free_atom(2), cyclic_atom(4), localized_atom([5]),
-                       prufer_atom(3)))
+    g = SymbolicGroup((free_atom(2), localized_atom([5])))
+    assert torsion_free_quotient(g) == g
     assert torsion_free_quotient(g).describe() == "Z^2 + Z[1/5]"
+    torsion = opaque_ext_atom("T", divisible=False, torsion=True,
+                              torsion_free=False, nonzero=True)
+    assert torsion_free_quotient(SymbolicGroup((torsion,) + g.atoms)) == g
     mixed = SymbolicGroup((opaque_ext_atom(
         "E", divisible=True, torsion=False, torsion_free=False, nonzero=True),))
     with pytest.raises(UnsupportedComputation):
@@ -88,32 +86,16 @@ def test_torsion_free_quotient():
 
 def test_ext1_symbolic_table():
     assert ext1_symbolic(SymbolicGroup((free_atom(5),))).is_zero
-    assert ext1_symbolic(SymbolicGroup((cyclic_atom(9),))).describe() == "Z/9"
-    assert ext1_symbolic(SymbolicGroup((prufer_atom(3),))).describe() \
-        == "Zhat_3"
-    q = ext1_symbolic(SymbolicGroup((rationals_atom(),)))
-    assert q.atoms[0].kind == "continuum_q_vector"
     loc = ext1_symbolic(SymbolicGroup((localized_atom([2, 3]),)))
+    assert loc.atoms[0].kind == "opaque_ext"
     assert loc.atoms[0].describe() == "Ext^1(Z[1/2,1/3], Z)"
     assert loc.divisible and loc.nonzero and not loc.torsion_free
-    with pytest.raises(UnsupportedComputation):
-        ext1_symbolic(SymbolicGroup((padic_atom(2),)))
-
-
-def test_ext1_symbolic_matches_exact_on_fg_groups():
-    for orders in [(0,), (4,), (0, 2, 6), (2, 4, 8), (0, 0, 0), ()]:
-        g = FgAbGroup.from_cyclic_orders(orders)
-        sym = ext1_symbolic(g)
-        exact = ext1(g, Z)
-        assert sorted(a.params[0] for a in sym.atoms) \
-            == sorted(exact.invariant_factors)
-        assert all(a.kind == "cyclic" for a in sym.atoms)
-
-
-def test_first_ulm():
-    assert first_ulm(FgAbGroup.from_cyclic_orders((0, 4))).is_zero
-    g = SymbolicGroup((prufer_atom(2), free_atom(1), rationals_atom()))
-    assert first_ulm(g).describe() == "Z(2^oo) + Q"
+    assert not loc.torsion
+    assert ext1_symbolic(SymbolicGroup(())).is_zero
+    opaque = opaque_ext_atom("E", divisible=True, torsion=False,
+                             torsion_free=False, nonzero=True)
+    with pytest.raises(UnsupportedComputation, match="outside the table"):
+        ext1_symbolic(SymbolicGroup((opaque,)))
 
 
 # -- towers --------------------------------------------------------------------------
@@ -209,10 +191,6 @@ def test_lim1_certificate_invariants():
 def test_strand_validation():
     with pytest.raises(SemanticError):
         MultiplicationStrand(())
-    with pytest.raises(SemanticError):
-        PruferStrand(1)
-    with pytest.raises(SemanticError):
-        ConstantStrand(Z)
 
 
 def test_colimit_symbolic():
@@ -223,23 +201,6 @@ def test_colimit_symbolic():
     assert colimit_symbolic(DirectedSystem.telescope_z(0)).is_zero
     two_step = DirectedSystem((MultiplicationStrand((2, -3)),))
     assert colimit_symbolic(two_step).describe() == "Z[1/2,1/3]"
-    assert colimit_symbolic(DirectedSystem.prufer(5)).describe() == "Z(5^oo)"
-    assert colimit_symbolic(DirectedSystem.constant(zmod(6))).describe() \
-        == "Z/6"
-    mixed = DirectedSystem((MultiplicationStrand((2,)), PruferStrand(3),
-                            ConstantStrand(zmod(4))))
-    assert colimit_symbolic(mixed).describe() == "Z[1/2] + Z(3^oo) + Z/4"
-
-
-def test_phantom_of_telescope():
-    ph = phantom_of_telescope(DirectedSystem.telescope_z(6), 2)
-    assert ph.nonzero and ph.divisible
-    assert ph.atoms[0].describe() == "Ext^1(Z[1/2,1/3], Z)"
-    assert phantom_of_telescope(DirectedSystem.telescope_z(1), 2).is_zero
-    assert phantom_of_telescope(DirectedSystem.prufer(3), 2).is_zero
-    assert phantom_of_telescope(DirectedSystem.constant(zmod(9)), 5).is_zero
-    with pytest.raises(SemanticError):
-        phantom_of_telescope(DirectedSystem.telescope_z(2), 0)
 
 
 def rel_matrix(orders):

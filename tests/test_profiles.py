@@ -309,6 +309,17 @@ def test_certificate_not_applicable():
     assert report.verdict == "NOT_APPLICABLE"
     assert "finitely many summands" in report.witness
 
+    # the zero profile has no orders, so none of them mix primes
+    zero = CyclicProfile.from_pairs([])
+    report = non_brauer_certificate(zero, ObstructionDescriptor((growth_rule(),)))
+    assert report.verdict == "NOT_APPLICABLE"
+    assert report.witness == "profile has only finitely many summands"
+
+    both = CyclicProfile.from_pairs([(2, 1), (3, 1)])
+    report = non_brauer_certificate(both, ObstructionDescriptor((growth_rule(),)))
+    assert report.witness == ("profile is not primary (orders mix primes); "
+                              "profile has only finitely many summands")
+
 
 def test_certificate_monotone_under_extra_rules():
     """Adding disjoint extra rules to a certified descriptor never

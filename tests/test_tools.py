@@ -1,8 +1,8 @@
 """`tools/bench_pair.py`'s summary on a synthetic record: medians of both
 tables, pairs won, ties counting for neither side, and one verdict per
 end-to-end metric; its refusal to overwrite a record; the pinned
-digest of `tools/output_digest.py`; and `tools/cache_traffic.py` on
-short streams."""
+digest of `tools/output_digest.py`; `tools/cache_traffic.py` on short
+streams; and the line counts of `tools/src_lines.py`."""
 
 import importlib.util
 import json
@@ -162,3 +162,35 @@ def test_cache_traffic_counts_lookups_builds_and_weight():
     m = re.fullmatch(pattern, lines[2])
     lookups, builds, kept = map(int, m.groups()[1:4])
     assert lookups == 64 and kept == 3 * builds
+
+
+def _src_lines():
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", ROOT / "tools" / "src_lines.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_src_lines_skips_blank_and_comment_only_lines(tmp_path, capsys):
+    package = tmp_path / "src" / "cwbrauer"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        '"""Doc."""\n\n# a comment\n   # an indented comment\n'
+        'x = 1  # code with a comment\n\t\n    \n')
+    (package / "b.py").write_text("def f():\n    return 2\n")
+    (package / "notes.txt").write_text("not a module\n")
+    assert _src_lines().main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     2 a.py", "     2 b.py", "     4 total"]
+
+
+def test_src_lines_total_is_the_sum_of_the_modules():
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "src_lines.py")],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    rows = [line.split() for line in run.stdout.splitlines()]
+    modules = sorted(p.name for p in (ROOT / "src" / "cwbrauer").glob("*.py"))
+    assert [name for _, name in rows[:-1]] == modules
+    assert rows[-1][1] == "total"
+    assert int(rows[-1][0]) == sum(int(n) for n, _ in rows[:-1]) > 0
