@@ -10,9 +10,8 @@ uncountable divisible group.
 """
 
 from cwbrauer.grammar import format_space
-from cwbrauer.limits import colimit_symbolic
 from cwbrauer.spaces import (lens_periodic, moore_3cell, phantom_subgroup,
-                             product, sphere, telescope_z)
+                             product, space_homology, sphere, telescope_z)
 
 # 1. Finite complexes: every phantom group is zero, in every degree.
 finite = product(moore_3cell(4), sphere(2))
@@ -33,7 +32,7 @@ for n in (2, 3, 7, 12):
 
 # 3. The telescope of multiplication by 6 on a circle.
 tel = telescope_z(6)
-h1 = colimit_symbolic(tel.system)
+h1 = space_homology(tel, 1)
 print(f"\ntelescope of x6 maps: H_1 = colimit = {h1.describe()}")
 
 ph2 = phantom_subgroup(tel, 2)

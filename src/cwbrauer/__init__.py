@@ -12,14 +12,14 @@ the modules before it:
 - chaincx: chain complexes of free Z-modules - homology, cohomology with
   Z and Z/m coefficients, universal-coefficient splittings, cochain-level
   Bockstein maps, tensor products;
-- limits: eventually periodic sequences (prefix plus repeating block),
-  towers with lim^1 vanishing certificates, and the symbolic colimits
-  of telescopes (Z[1/n]) with their symbolic Ext^1;
+- limits: eventually periodic sequences (prefix plus repeating block)
+  and towers with lim^1 vanishing certificates;
 - profiles: direct sums of cyclic groups with finite or countable
   multiplicities, Br'(BG), basic-subgroup reduction, and non-membership
   certificates for descriptor classes;
 - spaces: CW-space descriptions (finite, periodic, telescope, catalog),
-  Br', phantom subgroups, equality certificates, minimal bundle ranks,
-  and the recorded-facts catalog;
+  the telescope's symbolic H_1 (Z[1/n]) and its Ext^1, Br', phantom
+  subgroups, equality certificates, minimal bundle ranks, and the
+  recorded-facts catalog;
 - grammar, then cli: shared text grammars and the command-line front end.
 """

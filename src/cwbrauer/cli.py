@@ -62,11 +62,12 @@ from .chaincx import bockstein, cohomology, uct_decompose
 from .errors import ParseError, SemanticError, UnsupportedComputation
 from .grammar import _Parser, format_descriptor, format_group, format_profile
 from .intlin import smith_invariants
-from .limits import SymbolicGroup, lim1_certificate
+from .limits import lim1_certificate
 from .profiles import (StructuralDescriptor, brauer_of_bg,
                        lambda_square_profile, non_brauer_certificate)
-from .spaces import (EQUAL, SpaceDescription, brauer_prime, catalog_lookup,
-                     equality_certificate, phantom_subgroup, space_homology)
+from .spaces import (EQUAL, SpaceDescription, SymbolicGroup, brauer_prime,
+                     catalog_lookup, equality_certificate, phantom_subgroup,
+                     space_homology)
 
 EXIT_OK = 0
 EXIT_REPRODUCE_FAIL = 1

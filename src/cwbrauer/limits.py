@@ -1,4 +1,4 @@
-"""Towers, directed systems, lim^1 certificates, and symbolic groups.
+"""Towers and lim^1 certificates.
 
 Towers (inverse systems indexed by the naturals) are finite data: an
 `EventuallyPeriodic` sequence of groups, a prefix and a repeating block
@@ -8,159 +8,19 @@ lim^1 is never computed; we only certify that it vanishes, either
 because every group in the tower is finite or because the images
 provably stabilize (Mittag-Leffler), and say INCONCLUSIVE otherwise.
 
-Colimit-side systems are finite sums of Z-strands with periodic
-multiplication maps, the directed systems of mapping telescopes.  Their
-colimits (Z or Z[1/n]), and Ext^1 of those, live in a small atom algebra
-with property flags instead of pretend-exact answers.
+A mapping telescope's directed system is not kept as data: the
+telescope holds only its `multiplier`, and `spaces` reads its H_1 and
+that group's Ext^1 off it in closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
-from .abgroup import FgAbGroup, GroupHom, _prime_factors
-from .errors import SemanticError, UnsupportedComputation
+from .abgroup import FgAbGroup, GroupHom
+from .errors import SemanticError
 from .intlin import IntMatrix, smith_invariants
-
-
-# ---------------------------------------------------------------------------
-# symbolic groups
-# ---------------------------------------------------------------------------
-
-_FLAG_TABLE = {
-    # kind: (divisible, torsion, torsion_free, nonzero)
-    "free": (False, False, True, True),
-    "localized": (False, False, True, True),
-}
-
-
-@dataclass(frozen=True)
-class Atom:
-    """One indecomposable (or opaque) symbolic summand."""
-
-    kind: str
-    params: tuple = ()
-    flags: tuple[bool, bool, bool, bool] = field(default=None)  # type: ignore
-
-    def __post_init__(self):
-        if self.kind == "opaque_ext":
-            if self.flags is None:
-                raise SemanticError("opaque atoms need explicit flags")
-        else:
-            expected = _FLAG_TABLE.get(self.kind)
-            if expected is None:
-                raise SemanticError(f"unknown atom kind {self.kind!r}")
-            if self.flags is None:
-                object.__setattr__(self, "flags", expected)
-            elif tuple(self.flags) != expected:
-                raise SemanticError(f"flags for {self.kind} atom are fixed")
-
-    @property
-    def divisible(self) -> bool:
-        return self.flags[0]
-
-    @property
-    def torsion(self) -> bool:
-        return self.flags[1]
-
-    @property
-    def torsion_free(self) -> bool:
-        return self.flags[2]
-
-    @property
-    def nonzero(self) -> bool:
-        return self.flags[3]
-
-    def describe(self) -> str:
-        if self.kind == "free":
-            r = self.params[0]
-            return "Z" if r == 1 else f"Z^{r}"
-        if self.kind == "localized":
-            inside = ",".join(f"1/{p}" for p in self.params)
-            return f"Z[{inside}]"
-        return self.params[0]  # opaque: params[0] is the expression text
-
-
-def free_atom(rank: int) -> Atom:
-    return Atom("free", (int(rank),))
-
-
-def localized_atom(primes) -> Atom:
-    return Atom("localized", tuple(sorted(set(int(p) for p in primes))))
-
-
-def opaque_ext_atom(expression: str, *, divisible: bool, torsion: bool,
-                    torsion_free: bool, nonzero: bool) -> Atom:
-    return Atom("opaque_ext", (expression,),
-                (divisible, torsion, torsion_free, nonzero))
-
-
-@dataclass(frozen=True)
-class SymbolicGroup:
-    """A finite formal direct sum of atoms, with aggregate property flags."""
-
-    atoms: tuple[Atom, ...] = ()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.atoms
-
-    @property
-    def divisible(self) -> bool:
-        return all(a.divisible for a in self.atoms)
-
-    @property
-    def torsion(self) -> bool:
-        return all(a.torsion for a in self.atoms)
-
-    @property
-    def torsion_free(self) -> bool:
-        return all(a.torsion_free for a in self.atoms)
-
-    @property
-    def nonzero(self) -> bool:
-        return any(a.nonzero for a in self.atoms)
-
-    def describe(self) -> str:
-        if not self.atoms:
-            return "0"
-        return " + ".join(a.describe() for a in self.atoms)
-
-
-def torsion_free_quotient(g: SymbolicGroup) -> SymbolicGroup:
-    """g / Torsion(g), atom by atom."""
-    kept = []
-    for a in g.atoms:
-        if a.torsion:
-            continue
-        if not a.torsion_free:
-            raise UnsupportedComputation(
-                f"mixed atom {a.describe()} has no tabulated torsion-free quotient")
-        kept.append(a)
-    return SymbolicGroup(tuple(kept))
-
-
-def ext1_symbolic(g: SymbolicGroup) -> SymbolicGroup:
-    """Ext^1(g, Z) by the atom table.
-
-    Z^r -> 0, Z[1/S] -> an opaque divisible nonzero group.  Atoms outside
-    the table raise UnsupportedComputation.
-    """
-    out = []
-    for a in g.atoms:
-        if a.kind == "free":
-            continue
-        if a.kind == "localized":
-            inside = ",".join(f"1/{p}" for p in a.params)
-            out.append(opaque_ext_atom(
-                f"Ext^1(Z[{inside}], Z)",
-                divisible=True, torsion=False, torsion_free=False,
-                nonzero=True))
-        else:
-            raise UnsupportedComputation(
-                f"Ext^1 of atom {a.describe()} is outside the table")
-    return SymbolicGroup(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -306,46 +166,3 @@ def lim1_certificate(t: Tower) -> Lim1Certificate:
         "not assert nonvanishing of lim^1",
         ("mittag-leffler", "jensen-finite"))
 
-
-# ---------------------------------------------------------------------------
-# directed systems (colimit side)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MultiplicationStrand:
-    """Z -> Z -> ... with one period of multiplication maps."""
-
-    multipliers: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.multipliers:
-            raise SemanticError("empty multiplier period")
-        object.__setattr__(self, "multipliers",
-                           tuple(int(x) for x in self.multipliers))
-
-
-@dataclass(frozen=True)
-class DirectedSystem:
-    """A finite direct sum of strands, the maps acting diagonally."""
-
-    strands: tuple[MultiplicationStrand, ...]
-
-    @classmethod
-    def telescope_z(cls, multiplier: int) -> "DirectedSystem":
-        return cls((MultiplicationStrand((multiplier,)),))
-
-
-def colimit_symbolic(d: DirectedSystem) -> SymbolicGroup:
-    """Colimit of the system, strand by strand: (Z, xc per period) with
-    composite c gives 0 for c = 0, Z for c = +-1, and otherwise Z with
-    the primes of c inverted."""
-    atoms: list[Atom] = []
-    for s in d.strands:
-        c = prod(s.multipliers)
-        if c == 0:
-            continue
-        if abs(c) == 1:
-            atoms.append(free_atom(1))
-        else:
-            atoms.append(localized_atom(_prime_factors(c)))
-    return SymbolicGroup(tuple(atoms))

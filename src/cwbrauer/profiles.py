@@ -226,23 +226,6 @@ def format_profile(p: CyclicProfile) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SymbolicTorsionGroup:
-    """A torsion group of the shape D + B: divisible part (a finite list of
-    (prime, multiplicity) Prufer summands) plus a reduced part described by
-    a cyclic profile."""
-
-    divisible_part: tuple[tuple[int, Mult], ...] = ()
-    reduced_part: CyclicProfile = CyclicProfile()
-
-    def __post_init__(self):
-        for p, mult in self.divisible_part:
-            if p < 2:
-                raise SemanticError("Prufer prime must be >= 2")
-            if mult is not OMEGA and (not isinstance(mult, int) or mult < 1):
-                raise SemanticError(f"bad multiplicity {mult!r}")
-
-
-@dataclass(frozen=True)
 class BasicReduction:
     """Result of reduce_to_basic: the basic subgroup's profile plus the
     verified conditions (text, holds, reason)."""
@@ -255,18 +238,16 @@ class BasicReduction:
         object.__setattr__(self, "h2_profile", lambda_square_profile(self.basic))
 
 
-def reduce_to_basic(g: SymbolicTorsionGroup | CyclicProfile) -> BasicReduction:
-    """Identify the reduced part B as a basic subgroup of G = D + B.
+def reduce_to_basic(b: CyclicProfile) -> BasicReduction:
+    """Identify the profile b as a basic subgroup B of G = D + B, for
+    any divisible part D (the trivial one included).
 
-    A bare profile is read as G = B with no divisible part.  The three
-    defining conditions are verified symbolically for this shape: B is a
-    direct sum of cyclics by construction, G/B is the divisible part D
-    (possibly trivial), and purity nB = nG intersect B holds because the
+    The three defining conditions are verified symbolically for this
+    shape: B is a direct sum of cyclics by construction, G/B is the
+    divisible part D, and purity nB = nG intersect B holds because the
     sum is direct and nD = D.  H_2(G) = Lambda^2(G) = Lambda^2(B) then
     reduces the Brauer computation to the basic subgroup.
     """
-    if isinstance(g, CyclicProfile):
-        g = SymbolicTorsionGroup(divisible_part=(), reduced_part=g)
     conditions = (
         ("B is a direct sum of cyclic groups", True,
          "B is given by a cyclic profile"),
@@ -276,7 +257,7 @@ def reduce_to_basic(g: SymbolicTorsionGroup | CyclicProfile) -> BasicReduction:
          "with G = D + B direct and nD = D, an element of nG in B has "
          "zero D-component, so it lies in nB"),
     )
-    return BasicReduction(basic=g.reduced_part, conditions=conditions)
+    return BasicReduction(basic=b, conditions=conditions)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,14 @@ kind is read off what it holds:
   periodic  - cells is a PeriodicComplex, prefix + repeating block of
               boundary matrices (an infinite complex such as the
               infinite lens space);
-  telescope - system is the DirectedSystem of the mapping telescope of
-              multiplication self-maps of a circle, whose degree-1
-              homology is a symbolic colimit;
+  telescope - multiplier is the degree k of the self-maps of a circle
+              whose mapping telescope this is; its H_1 and the phantom
+              part of its H^2 are SymbolicGroups in closed form in k;
   catalog   - neither: a space whose invariants are recorded facts, not
               computed here (classifying spaces, Eilenberg-MacLane spaces).
 
 The label is a printable expression tree (what the grammar prints and
-parses); cells and system are derived from it by the builders, so
+parses); cells and multiplier are derived from it by the builders, so
 dataclass equality is exactly "same description".
 
 Every builder that makes chains (`sphere`, `moore_3cell`,
@@ -51,12 +51,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
-from .abgroup import FgAbGroup, Z, brauer_of_k_g_2, ext1
+from .abgroup import FgAbGroup, Z, _prime_factors, brauer_of_k_g_2, ext1
 from .chaincx import ChainComplex, homology, tensor_complexes
 from .errors import SemanticError, UnsupportedComputation
 from .intlin import IntMatrix
-from .limits import (DirectedSystem, EventuallyPeriodic, colimit_symbolic,
-                     ext1_symbolic, torsion_free_quotient)
+from .limits import EventuallyPeriodic
 from .profiles import (OMEGA, CyclicProfile, StructuralDescriptor,
                        brauer_of_bg, format_profile, lambda_square_profile)
 
@@ -107,11 +106,12 @@ class PeriodicComplex(EventuallyPeriodic):
 class SpaceDescription:
     label: tuple
     cells: ChainComplex | PeriodicComplex | None = None
-    system: DirectedSystem | None = None
+    multiplier: int | None = None
 
     def __post_init__(self):
-        if self.cells is not None and self.system is not None:
-            raise SemanticError("a space carries cells or a system, not both")
+        if self.cells is not None and self.multiplier is not None:
+            raise SemanticError(
+                "a space carries cells or a multiplier, not both")
 
     @property
     def kind(self) -> str:
@@ -119,13 +119,13 @@ class SpaceDescription:
         if self.cells is not None:
             return ("finite" if isinstance(self.cells, ChainComplex)
                     else "periodic")
-        return "catalog" if self.system is None else "telescope"
+        return "catalog" if self.multiplier is None else "telescope"
 
     def dimension(self) -> int | None:
         """CW dimension; None means infinite."""
         if self.cells is not None:
             return self.cells.dimension()
-        return 2 if self.system is not None else None  # circles, cylinders
+        return 2 if self.multiplier is not None else None  # circles, cylinders
 
     @property
     def chains(self) -> ChainComplex | PeriodicComplex:
@@ -300,7 +300,7 @@ def telescope_z(multiplier: int) -> SpaceDescription:
     Two-dimensional; H_1 is the colimit of (Z -x k-> Z -x k-> ...).
     """
     return SpaceDescription(("telescope", (multiplier,)),
-                            system=DirectedSystem.telescope_z(multiplier))
+                            multiplier=multiplier)
 
 
 def bpgl(n: int) -> SpaceDescription:
@@ -329,6 +329,40 @@ def bg_profile(p: CyclicProfile) -> SpaceDescription:
 # homology across kinds
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class SymbolicGroup:
+    """A telescope's group that no FgAbGroup holds: its description and
+    four property flags.  The default is the zero group "0", whose flags
+    hold vacuously: divisible, torsion and torsion-free, not nonzero."""
+
+    description: str = "0"
+    divisible: bool = True
+    torsion: bool = True
+    torsion_free: bool = True
+    nonzero: bool = False
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.nonzero
+
+    def describe(self) -> str:
+        return self.description
+
+
+def _telescope_h1(k: int) -> SymbolicGroup:
+    """H_1 of telescope_z(k), the colimit of Z -x k-> Z -x k-> ...: 0 for
+    k = 0, Z for k = +-1, and otherwise Z with the primes of k inverted.
+    A k that cannot be factored is refused (UnsupportedComputation)."""
+    if k == 0:
+        return SymbolicGroup()
+    if abs(k) == 1:
+        name = "Z"
+    else:
+        name = f"Z[{','.join(f'1/{p}' for p in _prime_factors(k))}]"
+    return SymbolicGroup(name, divisible=False, torsion=False,
+                         torsion_free=True, nonzero=True)
+
+
 def space_homology(x: SpaceDescription, n: int):
     """H_n(x): an FgAbGroup where exact, a SymbolicGroup for telescopes.
 
@@ -338,11 +372,11 @@ def space_homology(x: SpaceDescription, n: int):
         return FgAbGroup.trivial()
     if x.cells is not None:
         return homology(x.cells, n)
-    if x.system is not None:
+    if x.multiplier is not None:
         if n == 0:
             return Z
         if n == 1:
-            return colimit_symbolic(x.system)
+            return _telescope_h1(x.multiplier)
         return FgAbGroup.trivial()
     return _catalog_homology(x, n)
 
@@ -401,7 +435,7 @@ def brauer_prime(x: SpaceDescription):
     catalog spaces the recorded group, which for infinite BG profiles is
     a StructuralDescriptor rather than a pretend-exact group.
     """
-    if x.cells is not None or x.system is not None:
+    if x.cells is not None or x.multiplier is not None:
         # a telescope's H_2 is trivial: its finite stages are circles
         return ext1(space_homology(x, 2), Z).torsion_part()
     return catalog_lookup(x).br_prime
@@ -418,8 +452,12 @@ def phantom_subgroup(x: SpaceDescription, n: int):
     h = space_homology(x, n - 1)
     if isinstance(h, FgAbGroup):
         return ext1(h.free_quotient(), Z)
-    # symbolic homology: Ext^1 of its torsion-free quotient
-    return ext1_symbolic(torsion_free_quotient(h))
+    # a telescope's H_1, torsion-free: Ext^1 of 0 and of Z vanishes, and
+    # that of Z[1/p,...] is divisible and nonzero
+    if abs(x.multiplier) <= 1:
+        return SymbolicGroup()
+    return SymbolicGroup(f"Ext^1({h.describe()}, Z)", divisible=True,
+                         torsion=False, torsion_free=False, nonzero=True)
 
 
 # ---------------------------------------------------------------------------

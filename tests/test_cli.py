@@ -938,6 +938,7 @@ def test_homology_and_brauer_requests_make_no_transform_snf(monkeypatch):
     # split, so its localization is refused
     ("catalog bg((Z/1000000016000000063)^w)", EXIT_OK, "UNKNOWN"),
     ("homology telescope(Z, x1000000016000000063) 1", EXIT_UNSUPPORTED, ""),
+    ("phantom telescope(Z, x1000000016000000063) 2", EXIT_UNSUPPORTED, ""),
 ])
 def test_large_prime_orders_answer_within_a_second(line, code, part):
     """Trial division stops at a fixed bound; a 19-digit cofactor is then

@@ -1,5 +1,4 @@
-"""Tests for towers, lim^1 certificates, directed systems, symbolic
-colimits, and the symbolic Ext^1 / torsion-free-quotient tables."""
+"""Tests for towers and lim^1 certificates."""
 
 import io
 import json
@@ -8,17 +7,13 @@ import random
 import pytest
 
 from cwbrauer.abgroup import FgAbGroup, GroupHom
-from cwbrauer.errors import SemanticError, UnsupportedComputation
+from cwbrauer.errors import SemanticError
 from cwbrauer import limits
 from cwbrauer.cli import run_line
 from _oracles import draw_eventually_periodic
 from cwbrauer.intlin import IntMatrix, solve_integral
-from cwbrauer.limits import (
-    Atom, DirectedSystem, Lim1Certificate, MultiplicationStrand,
-    SymbolicGroup, Tower, colimit_symbolic, ext1_symbolic, free_atom,
-    lim1_certificate, localized_atom, opaque_ext_atom, _images_equal,
-    torsion_free_quotient,
-)
+from cwbrauer.limits import (Lim1Certificate, Tower, _images_equal,
+                             lim1_certificate)
 
 Z = FgAbGroup.cyclic(0)
 
@@ -31,71 +26,6 @@ def run_line_json(line):
     out = io.StringIO()
     code = run_line(line, True, False, out=out)
     return code, json.loads(out.getvalue())
-
-
-# -- atoms and symbolic groups -------------------------------------------------------
-
-
-def test_atom_describe():
-    assert free_atom(1).describe() == "Z"
-    assert free_atom(3).describe() == "Z^3"
-    assert localized_atom([3, 2, 2]).describe() == "Z[1/2,1/3]"
-    op = opaque_ext_atom("Ext^1(Z[1/2], Z)", divisible=True, torsion=False,
-                         torsion_free=False, nonzero=True)
-    assert op.describe() == "Ext^1(Z[1/2], Z)"
-
-
-def test_atom_flags():
-    assert free_atom(2).torsion_free and not free_atom(2).divisible
-    assert not free_atom(2).torsion and free_atom(2).nonzero
-    loc = localized_atom([5])
-    assert loc.torsion_free and not loc.divisible and not loc.torsion
-    with pytest.raises(SemanticError):
-        Atom("free", (1,), (True, True, True, True))  # fixed-kind flags
-    with pytest.raises(SemanticError):
-        Atom("opaque_ext", ("x",))                    # needs explicit flags
-    with pytest.raises(SemanticError):
-        Atom("mystery")
-    with pytest.raises(SemanticError, match="unknown atom kind"):
-        Atom("prufer", (3,))                          # a removed kind
-
-
-def test_symbolic_group_flags_and_describe():
-    g = SymbolicGroup((free_atom(2), localized_atom([2, 3])))
-    assert g.describe() == "Z^2 + Z[1/2,1/3]"
-    assert not g.torsion and g.torsion_free and g.nonzero
-    assert not g.divisible
-    zero = SymbolicGroup(())
-    assert zero.is_zero and zero.describe() == "0"
-    assert not zero.nonzero
-    assert zero.torsion and zero.divisible     # vacuous
-
-
-def test_torsion_free_quotient():
-    g = SymbolicGroup((free_atom(2), localized_atom([5])))
-    assert torsion_free_quotient(g) == g
-    assert torsion_free_quotient(g).describe() == "Z^2 + Z[1/5]"
-    torsion = opaque_ext_atom("T", divisible=False, torsion=True,
-                              torsion_free=False, nonzero=True)
-    assert torsion_free_quotient(SymbolicGroup((torsion,) + g.atoms)) == g
-    mixed = SymbolicGroup((opaque_ext_atom(
-        "E", divisible=True, torsion=False, torsion_free=False, nonzero=True),))
-    with pytest.raises(UnsupportedComputation):
-        torsion_free_quotient(mixed)
-
-
-def test_ext1_symbolic_table():
-    assert ext1_symbolic(SymbolicGroup((free_atom(5),))).is_zero
-    loc = ext1_symbolic(SymbolicGroup((localized_atom([2, 3]),)))
-    assert loc.atoms[0].kind == "opaque_ext"
-    assert loc.atoms[0].describe() == "Ext^1(Z[1/2,1/3], Z)"
-    assert loc.divisible and loc.nonzero and not loc.torsion_free
-    assert not loc.torsion
-    assert ext1_symbolic(SymbolicGroup(())).is_zero
-    opaque = opaque_ext_atom("E", divisible=True, torsion=False,
-                             torsion_free=False, nonzero=True)
-    with pytest.raises(UnsupportedComputation, match="outside the table"):
-        ext1_symbolic(SymbolicGroup((opaque,)))
 
 
 # -- towers --------------------------------------------------------------------------
@@ -183,24 +113,6 @@ def test_lim1_certificate_invariants():
         Lim1Certificate("VANISHES", None, "x")
     with pytest.raises(SemanticError):
         Lim1Certificate("INCONCLUSIVE", "JensenFinite", "x")
-
-
-# -- directed systems ----------------------------------------------------------------
-
-
-def test_strand_validation():
-    with pytest.raises(SemanticError):
-        MultiplicationStrand(())
-
-
-def test_colimit_symbolic():
-    assert colimit_symbolic(DirectedSystem.telescope_z(6)).describe() \
-        == "Z[1/2,1/3]"
-    assert colimit_symbolic(DirectedSystem.telescope_z(1)).describe() == "Z"
-    assert colimit_symbolic(DirectedSystem.telescope_z(-1)).describe() == "Z"
-    assert colimit_symbolic(DirectedSystem.telescope_z(0)).is_zero
-    two_step = DirectedSystem((MultiplicationStrand((2, -3)),))
-    assert colimit_symbolic(two_step).describe() == "Z[1/2,1/3]"
 
 
 def rel_matrix(orders):

@@ -14,8 +14,8 @@ from cwbrauer.abgroup import FgAbGroup, exterior_square
 from cwbrauer.errors import SemanticError
 from cwbrauer.profiles import (
     OMEGA, AffineExpr, BasicReduction, CertificateReport, CyclicProfile,
-    ObstructionDescriptor, Rule, StructuralDescriptor, SymbolicTorsionGroup,
-    brauer_of_bg, format_profile, lambda_square_profile, non_brauer_certificate,
+    ObstructionDescriptor, Rule, StructuralDescriptor, brauer_of_bg,
+    format_profile, lambda_square_profile, non_brauer_certificate,
     reduce_to_basic,
 )
 
@@ -203,23 +203,6 @@ def test_reduce_to_basic_bare_profile():
     assert all(holds for _, holds, _ in red.conditions)
     assert len(red.conditions) == 3
     assert red.h2_profile == lambda_square_profile(p)
-
-
-def test_reduce_to_basic_with_divisible_part():
-    g = SymbolicTorsionGroup(
-        divisible_part=((3, 2), (5, OMEGA)),
-        reduced_part=CyclicProfile.from_pairs([(3, OMEGA)]))
-    red = reduce_to_basic(g)
-    assert red.basic == g.reduced_part
-    assert all(holds for _, holds, _ in red.conditions)
-    assert red.h2_profile.summands == ((3, OMEGA),)
-
-
-def test_symbolic_torsion_group_validation():
-    with pytest.raises(SemanticError):
-        SymbolicTorsionGroup(divisible_part=((1, 2),))
-    with pytest.raises(SemanticError):
-        SymbolicTorsionGroup(divisible_part=((3, 0),))
 
 
 # -- affine expressions and rules ----------------------------------------------------

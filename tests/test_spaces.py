@@ -13,16 +13,15 @@ from cwbrauer.chaincx import (ChainComplex, bockstein, cohomology, homology,
 from cwbrauer.errors import SemanticError, UnsupportedComputation
 from cwbrauer.intlin import IntMatrix
 from cwbrauer.grammar import parse_space
-from cwbrauer.limits import Atom, DirectedSystem, SymbolicGroup
 from cwbrauer.profiles import OMEGA, CyclicProfile, StructuralDescriptor
 from _oracles import draw_eventually_periodic
 from cwbrauer.spaces import (
     EQUAL, STRICT, UNKNOWN, EqualityCertificate, PeriodicComplex,
-    QZ_TOKEN, SpaceDescription, bg_profile, bpgl, brauer_prime,
-    catalog_lookup, certificate_from_descriptor, equality_certificate,
-    from_complex, k_space, lens_periodic, lens_skeleton, min_bundle_rank,
-    moore_3cell, phantom_subgroup, product, space_homology, sphere,
-    telescope_z, wedge,
+    QZ_TOKEN, SpaceDescription, SymbolicGroup, bg_profile, bpgl,
+    brauer_prime, catalog_lookup, certificate_from_descriptor,
+    equality_certificate, from_complex, k_space, lens_periodic,
+    lens_skeleton, min_bundle_rank, moore_3cell, phantom_subgroup, product,
+    space_homology, sphere, telescope_z, wedge,
 )
 
 
@@ -294,7 +293,7 @@ def test_product_homology_kunneth():
 def test_space_description_validation():
     with pytest.raises(SemanticError):
         SpaceDescription(("telescope", (2,)), sphere(2).chains,
-                         DirectedSystem.telescope_z(2))   # cells and system
+                         multiplier=2)   # cells and multiplier
 
 
 def test_kind_is_read_off_the_payload():
@@ -378,6 +377,24 @@ def test_telescope_homology():
     assert space_homology(t, 2).is_trivial
 
 
+def test_symbolic_group_flags_and_describe():
+    """The zero group, the telescope's H_1 (Z and Z[1/2,1/3]) and the
+    opaque Ext group of its phantom H^2, each with its four flags."""
+    zero = SymbolicGroup()
+    assert zero.is_zero and zero.describe() == "0"
+    assert not zero.nonzero
+    assert zero.torsion and zero.divisible and zero.torsion_free  # vacuous
+    for k, name in ((1, "Z"), (6, "Z[1/2,1/3]")):
+        h1 = space_homology(telescope_z(k), 1)
+        assert h1.describe() == name
+        assert h1.torsion_free and h1.nonzero and not h1.is_zero
+        assert not h1.torsion and not h1.divisible
+    ext = phantom_subgroup(telescope_z(6), 2)
+    assert ext.describe() == "Ext^1(Z[1/2,1/3], Z)"
+    assert ext.divisible and ext.nonzero and not ext.is_zero
+    assert not ext.torsion and not ext.torsion_free
+
+
 # -- Brauer groups -----------------------------------------------------------------
 
 
@@ -444,13 +461,12 @@ def test_phantom_suite():
     assert run_phantom_suite() > 100
 
 
-def _telescope_phantom_closed_form(k: int) -> SymbolicGroup:
-    """Phantom H^2 of the mapping telescope of Z -(k)-> Z -(k)-> ...:
-    zero for k in {0, 1, -1}, else the one divisible nonzero atom
-    Ext^1(Z[1/p,...], Z) over the distinct primes p of k, found here by
-    trial division."""
-    if abs(k) <= 1:
-        return SymbolicGroup(())
+TELESCOPE_MULTIPLIERS = (0, 1, -1, 2, 5, 6, -12, 30, 1000003,
+                         2 * 1000003 ** 2)
+
+
+def _distinct_primes(k: int) -> list[int]:
+    """The distinct primes of k != 0, ascending, by trial division."""
     primes, n, p = [], abs(k), 2
     while n > 1:
         if p * p > n:
@@ -460,15 +476,39 @@ def _telescope_phantom_closed_form(k: int) -> SymbolicGroup:
             while n % p == 0:
                 n //= p
         p += 1
-    inside = ",".join(f"1/{p}" for p in primes)
-    return SymbolicGroup((Atom("opaque_ext", (f"Ext^1(Z[{inside}], Z)",),
-                               (True, False, False, True)),))
+    return primes
+
+
+def _telescope_h1_closed_form(k: int) -> SymbolicGroup:
+    """H_1 of the mapping telescope of Z -(k)-> Z -(k)-> ...: zero for
+    k = 0, Z for k = +-1, else the torsion-free nonzero Z[1/p,...] over
+    the distinct primes p of k."""
+    if k == 0:
+        return SymbolicGroup()
+    inside = ",".join(f"1/{p}" for p in _distinct_primes(k))
+    return SymbolicGroup(f"Z[{inside}]" if inside else "Z", divisible=False,
+                         torsion=False, torsion_free=True, nonzero=True)
+
+
+def _telescope_phantom_closed_form(k: int) -> SymbolicGroup:
+    """Phantom H^2 of the same telescope: zero for k in {0, 1, -1}, else
+    the divisible nonzero Ext^1(Z[1/p,...], Z) over the distinct primes
+    p of k."""
+    if abs(k) <= 1:
+        return SymbolicGroup()
+    inside = ",".join(f"1/{p}" for p in _distinct_primes(k))
+    return SymbolicGroup(f"Ext^1(Z[{inside}], Z)", divisible=True,
+                         torsion=False, torsion_free=False, nonzero=True)
+
+
+def test_telescope_h1_matches_its_closed_form():
+    for k in TELESCOPE_MULTIPLIERS:
+        assert space_homology(telescope_z(k), 1) \
+            == _telescope_h1_closed_form(k), k
 
 
 def test_telescope_phantom_matches_its_closed_form():
-    """The generic route (Ext^1 of the torsion-free quotient of H_1)
-    equals the closed form."""
-    for k in (0, 1, -1, 2, 5, 6, -12, 30, 1000003, 2 * 1000003 ** 2):
+    for k in TELESCOPE_MULTIPLIERS:
         x = telescope_z(k)
         expected = _telescope_phantom_closed_form(k)
         assert phantom_subgroup(x, 2) == expected, k

@@ -1,8 +1,9 @@
 """`tools/bench_pair.py`'s summary on a synthetic record: medians of both
 tables, pairs won, ties counting for neither side, and one verdict per
-end-to-end metric; its refusal to overwrite a record; the pinned
-digest of `tools/output_digest.py`; `tools/cache_traffic.py` on short
-streams; and the line counts of `tools/src_lines.py`."""
+end-to-end metric; its refusal to overwrite a record, and its cleanup
+when stopped by SIGTERM; the pinned digest of `tools/output_digest.py`;
+`tools/cache_traffic.py` on short streams; and the line counts of
+`tools/src_lines.py`."""
 
 import importlib.util
 import json
@@ -118,6 +119,49 @@ def test_an_existing_record_is_refused_before_any_run(tmp_path, monkeypatch,
     assert out.read_text() == '{"runs": []}\n'
     err = capsys.readouterr().err
     assert str(out) in err and "summarize(json.load" in err
+
+
+_SIGTERM_CHILD = """
+import os, signal, sys, tempfile, time
+import importlib.util
+
+spec = importlib.util.spec_from_file_location("bench_pair", sys.argv[1])
+mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(mod)
+tempfile.tempdir = sys.argv[2]
+
+
+def prepare(side_dir, parent):
+    side_dir.mkdir()
+    (side_dir / "placeholder").write_text("a copy of src/")
+
+
+def run(side_dir, seed):
+    os.kill(os.getpid(), signal.SIGTERM)
+    time.sleep(30)
+    raise AssertionError("SIGTERM did not stop the run")
+
+
+mod._git = lambda *args: b"0000000"
+mod._prepare, mod._run = prepare, run
+sys.exit(mod.main([sys.argv[3]]))
+"""
+
+
+def test_a_run_stopped_by_sigterm_removes_its_temporary_directory(tmp_path):
+    """In a child process, so pytest's own signal handlers stay as they
+    are: the first run sends SIGTERM to its own process, which exits 143
+    and leaves nothing in the temporary directory."""
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    out = tmp_path / "BENCH_stopped.json"
+    run = subprocess.run(
+        [sys.executable, "-c", _SIGTERM_CHILD,
+         str(ROOT / "tools" / "bench_pair.py"), str(temp), str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 143, run.stderr
+    assert list(temp.iterdir()) == []
+    assert not out.exists()
 
 
 OUTPUT_DIGEST = ("9366 outputs, sha256 58dfaf030e6660a0fe8d40a5516224fc"

@@ -35,7 +35,9 @@ which layer a change of the end-to-end figures sits.
 
 An existing OUT.json is never overwritten: the script exits 2 before
 any run, naming the file.  To reprint the summary of an old record,
-call `summarize(json.load(open("OUT.json")))` from this module.
+call `summarize(json.load(open("OUT.json")))` from this module.  A run
+stopped by SIGTERM exits 143 and, as on any other exit, kills the
+benchmark process it waits for and removes its temporary directory.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import argparse
 import io
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -153,6 +156,11 @@ def summarize(record: dict) -> None:
                   f" {_relative(med['change'], med['parent'])}")
 
 
+def _exit_on_sigterm(signum, frame):
+    """Leave by SystemExit, so that the `with` blocks clean up."""
+    raise SystemExit(143)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", type=Path, help="JSON file to write")
@@ -177,6 +185,7 @@ def main(argv=None) -> int:
                  "tools/bench_pair.py."),
         "runs": [],
     }
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     with tempfile.TemporaryDirectory() as tmp:
         dirs = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
         _prepare(dirs["parent"], parent)
