@@ -1,4 +1,5 @@
-"""Tests for towers and lim^1 certificates."""
+"""Tests for towers and lim^1 certificates, and for the symbolic groups
+a telescope's colimit H_1 and its Ext^1 give."""
 
 import io
 import json
@@ -7,13 +8,15 @@ import random
 import pytest
 
 from cwbrauer.abgroup import FgAbGroup, GroupHom
-from cwbrauer.errors import SemanticError
+from cwbrauer.errors import SemanticError, UnsupportedComputation
 from cwbrauer import limits
 from cwbrauer.cli import run_line
 from _oracles import draw_eventually_periodic
 from cwbrauer.intlin import IntMatrix, solve_integral
 from cwbrauer.limits import (Lim1Certificate, Tower, _images_equal,
                              lim1_certificate)
+from cwbrauer.spaces import (SymbolicGroup, phantom_subgroup, space_homology,
+                             telescope_z)
 
 Z = FgAbGroup.cyclic(0)
 
@@ -26,6 +29,58 @@ def run_line_json(line):
     out = io.StringIO()
     code = run_line(line, True, False, out=out)
     return code, json.loads(out.getvalue())
+
+
+# -- symbolic groups -----------------------------------------------------------------
+
+
+def test_atom_describe():
+    assert space_homology(telescope_z(1), 1).describe() == "Z"
+    assert space_homology(telescope_z(-1), 1).describe() == "Z"
+    assert space_homology(telescope_z(12), 1).describe() == "Z[1/2,1/3]"
+    assert space_homology(telescope_z(-12), 1).describe() == "Z[1/2,1/3]"
+    assert phantom_subgroup(telescope_z(2), 2).describe() == "Ext^1(Z[1/2], Z)"
+
+
+def test_atom_flags():
+    for k in (1, 5):
+        h1 = space_homology(telescope_z(k), 1)
+        assert h1.torsion_free and not h1.divisible
+        assert not h1.torsion and h1.nonzero
+    with pytest.raises(UnsupportedComputation, match="cannot factor"):
+        space_homology(telescope_z(1000000016000000063), 1)  # 10^9+7 times 10^9+9
+    with pytest.raises(SemanticError):
+        phantom_subgroup(telescope_z(2), 0)
+
+
+def test_symbolic_group_flags_and_describe():
+    """The zero group, the telescope's H_1 (Z and Z[1/2,1/3]) and the
+    opaque Ext group of its phantom H^2, each with its four flags."""
+    zero = SymbolicGroup()
+    assert zero.is_zero and zero.describe() == "0"
+    assert not zero.nonzero
+    assert zero.torsion and zero.divisible and zero.torsion_free  # vacuous
+    assert space_homology(telescope_z(0), 1) == zero
+    for k, name in ((1, "Z"), (6, "Z[1/2,1/3]")):
+        h1 = space_homology(telescope_z(k), 1)
+        assert h1.describe() == name
+        assert h1.torsion_free and h1.nonzero and not h1.is_zero
+        assert not h1.torsion and not h1.divisible
+    ext = phantom_subgroup(telescope_z(6), 2)
+    assert ext.describe() == "Ext^1(Z[1/2,1/3], Z)"
+    assert ext.divisible and ext.nonzero and not ext.is_zero
+    assert not ext.torsion and not ext.torsion_free
+
+
+def test_ext1_symbolic_table():
+    """Ext^1(H_1, Z) of a telescope: 0 for H_1 = 0 or Z, and one opaque
+    divisible group for Z[1/p,...]."""
+    for k in (0, 1, -1):
+        assert phantom_subgroup(telescope_z(k), 2).is_zero
+    loc = phantom_subgroup(telescope_z(6), 2)
+    assert loc.describe() == "Ext^1(Z[1/2,1/3], Z)"
+    assert loc.divisible and loc.nonzero and not loc.torsion_free
+    assert not loc.torsion
 
 
 # -- towers --------------------------------------------------------------------------

@@ -377,24 +377,6 @@ def test_telescope_homology():
     assert space_homology(t, 2).is_trivial
 
 
-def test_symbolic_group_flags_and_describe():
-    """The zero group, the telescope's H_1 (Z and Z[1/2,1/3]) and the
-    opaque Ext group of its phantom H^2, each with its four flags."""
-    zero = SymbolicGroup()
-    assert zero.is_zero and zero.describe() == "0"
-    assert not zero.nonzero
-    assert zero.torsion and zero.divisible and zero.torsion_free  # vacuous
-    for k, name in ((1, "Z"), (6, "Z[1/2,1/3]")):
-        h1 = space_homology(telescope_z(k), 1)
-        assert h1.describe() == name
-        assert h1.torsion_free and h1.nonzero and not h1.is_zero
-        assert not h1.torsion and not h1.divisible
-    ext = phantom_subgroup(telescope_z(6), 2)
-    assert ext.describe() == "Ext^1(Z[1/2,1/3], Z)"
-    assert ext.divisible and ext.nonzero and not ext.is_zero
-    assert not ext.torsion and not ext.torsion_free
-
-
 # -- Brauer groups -----------------------------------------------------------------
 
 
