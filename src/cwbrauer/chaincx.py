@@ -129,14 +129,6 @@ class ChainComplex:
         return f"ChainComplex(ranks={self.ranks})"
 
 
-def truncate(c: ChainComplex, k: int) -> ChainComplex:
-    """The k-skeleton: degrees above k are dropped."""
-    if k < 0:
-        raise SemanticError("truncation degree must be >= 0")
-    k = min(k, c.top_degree)
-    return ChainComplex(c.ranks[:k + 1], c.boundaries[:k])
-
-
 class SubquotientPresentation:
     """span(gens) / span(sub) inside Z^ambient, with canonical coordinates.
 

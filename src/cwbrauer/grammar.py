@@ -38,13 +38,19 @@ literal with more than MAX_PROFILE_MULTIPLICITY finite cyclic summands
 (w counts none), and an integer literal with more digits than the
 interpreter converts (sys.get_int_max_str_digits).
 
-A well-formed numeric MATRIX with at least one row is one token, and
-its entries are read by splitting its text, so a dense complex literal
-costs a few tokens, not one per bracket, comma, sign and digit run.
-Anything else that starts with "[" is read token by token.  Where a
-message needs it, a matrix token is first turned back into those plain
-tokens, so every error, its line and its column read as if matrices
-were always read token by token.
+A complex literal, from "complex" to its first "}", is one token
+when every character in it is one the other tokens accept.  As a SPACE
+it is first looked up by its exact text among the kept spaces
+(`spaces.kept_literal`), so a literal repeated in a session is neither
+tokenized nor converted again; any other read unfolds it into the
+tokens below, and a literal read in full registers its text once its
+space is built.  A well-formed numeric MATRIX with at least one row is
+one token, and its entries are read by splitting its text, so a dense
+literal read in full costs a few tokens, not one per bracket, comma,
+sign and digit run.  Anything else that starts with "[" is read token
+by token.  Where a message needs it, a complex or matrix token is
+first turned back into those plain tokens, so every error, its line
+and its column read as if the line were always read token by token.
 
 A tower is read front to back, once: each map is kept as written and
 becomes a GroupHom when the groups on both sides of its arrow are read.
@@ -95,6 +101,8 @@ MAX_PROFILE_MULTIPLICITY = 64
 # tokenizer
 # ---------------------------------------------------------------------------
 
+# A complex literal's body admits only characters the other tokens
+# accept, so a line that tokenizes plainly tokenizes the same with it.
 # Matrix entries are (-\s*)?\d+: with -?\s*\d+ the two \s* that meet
 # after a comma could share a run of blanks in many ways, and a long
 # literal missing its last "]" would backtrack for minutes.
@@ -103,6 +111,7 @@ _ROW = rf"\[\s*(?:{_ENTRY}(?:\s*,\s*{_ENTRY})*\s*)?\]"
 _TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
   | (?P<int>\d+)
+  | (?P<complex>complex\s*\{{[\sA-Za-z0-9_\^+/()\[\],;:=<>-]*\}})
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<matrix>\[\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\])
   | (?P<sym><=|>=|[\^+/()\[\]{{}},;:=<>-])
@@ -110,7 +119,7 @@ _TOKEN_RE = re.compile(rf"""
 
 
 class Token(NamedTuple):
-    kind: str   # "int" | "ident" | "matrix" | "sym" | "eof"
+    kind: str   # "int" | "ident" | "complex" | "matrix" | "sym" | "eof"
     text: str
     line: int
     col: int
@@ -129,7 +138,7 @@ def _tokenize(src: str, line: int = 1, col: int = 1) -> list[Token]:
         text = m.group()
         if kind != "ws":
             out.append(Token(kind, text, line, start - line_start + 1))
-        if "\n" in text:   # only blanks and matrices span lines
+        if "\n" in text:   # only blanks, literals and matrices span lines
             line += text.count("\n")
             line_start = start + text.rfind("\n") + 1
         pos = m.end()
@@ -156,13 +165,21 @@ class _Parser:
     # self.pos never passes the final "eof" token: next() stays on it, and
     # no caller accepts or expects kind "eof".  So the cursor reads
     # self.tokens[self.pos] directly; only a lookahead past it is clamped.
+    # Only space() reads a complex token whole; every other read unfolds
+    # it at the cursor first, so the parser sees the tokens it always saw.
+    # A lookahead reads one past the cursor whole, which no caller can
+    # tell apart: none looks ahead for the ident "complex" or past it.
     def next(self) -> Token:
+        if self.tokens[self.pos].kind == "complex":
+            self._unfold()
         t = self.tokens[self.pos]
         if t.kind != "eof":
             self.pos += 1
         return t
 
     def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
+        if self.tokens[self.pos].kind == "complex":
+            self._unfold()
         t = self.tokens[min(self.pos + ahead, len(self.tokens) - 1)
                         if ahead else self.pos]
         return t.kind == kind and (text is None or t.text == text)
@@ -172,6 +189,9 @@ class _Parser:
         if t.kind == kind and (text is None or t.text == text):
             self.pos += 1
             return t
+        if t.kind == "complex":
+            self._unfold()
+            return self.accept(kind, text)
         return None
 
     def expect(self, kind: str, text: str | None = None,
@@ -181,7 +201,7 @@ class _Parser:
             return t
         t = self.tokens[self.pos]
         if t.kind == "matrix":   # a matrix where none belongs, or a "["
-            self._unfold_matrix()
+            self._unfold()
             return self.expect(kind, text, what)
         want = what or (text if text is not None else kind)
         got = t.text if t.kind != "eof" else "end of input"
@@ -194,20 +214,23 @@ class _Parser:
 
     def expect_end(self):
         if self.at("matrix"):
-            self._unfold_matrix()
+            self._unfold()
         t = self.tokens[self.pos]
         if t.kind != "eof":
             self.fail(f"unexpected trailing input {t.text!r}")
 
-    def _unfold_matrix(self):
-        """Replace the matrix token at the cursor by the plain tokens of
-        its text, so a message names and places the "[" it starts with.
-        Only a row follows that first "[", so the rest of the text
-        tokenizes into plain tokens."""
+    def _unfold(self):
+        """Replace the complex or matrix token at the cursor by the tokens
+        its text reads as without it, so a message names and places the
+        "complex" or "[" it starts with.  A blank or "{" follows that
+        "complex", and only a row that "[", so the rest of the text cannot
+        match a token of the same kind again."""
         t = self.tokens[self.pos]
+        head = (Token("ident", "complex", t.line, t.col) if t.kind == "complex"
+                else Token("sym", "[", t.line, t.col))
+        n = len(head.text)
         self.tokens[self.pos:self.pos + 1] = (
-            [Token("sym", "[", t.line, t.col)]
-            + _tokenize(t.text[1:], t.line, t.col + 1)[:-1])
+            [head] + _tokenize(t.text[n:], t.line, t.col + n)[:-1])
 
     # -- shared small pieces -------------------------------------------
     def integer(self, what: str = "integer") -> int:
@@ -325,7 +348,7 @@ class _Parser:
             rows = [[int(x) for x in r.split(",")] if r else []
                     for r in body.split("],[")]
         except ValueError:
-            self._unfold_matrix()
+            self._unfold()
             return None
         self.pos += 1
         return rows
@@ -384,6 +407,14 @@ class _Parser:
 
     # -- space literals ----------------------------------------------------
     def space(self) -> _sp.SpaceDescription:
+        t = self.tokens[self.pos]
+        if t.kind == "complex":   # found by its text before it is read
+            x = _sp.kept_literal(t.text)
+            if x is not None:
+                self.pos += 1
+                return x
+            self._unfold()
+            return _sp.from_literal(*self._complex_chains(), text=t.text)
         if self.at("ident", "complex"):
             return _sp.from_literal(*self._complex_chains())
         t = self.expect("ident", what="space builder")

@@ -30,10 +30,14 @@ builder that refuses its arguments caches nothing.  A finite complex is
 labelled by the value of its chains, ("complex", (ranks, boundaries)),
 so `from_complex` and `from_literal`, which the grammar calls for a
 `complex{...}` literal, share one entry, and a kept literal is found
-before a ChainComplex is built and checked.  The cache lives as long as
-the process.  A catalog space is built per request and keeps its
-`catalog_entry`, looked up on the first read, so a request reads the
-catalog once.
+before a ChainComplex is built and checked.  Before that, the grammar
+asks `kept_literal` for the literal's exact text: the cache indexes at
+most one text per kept space (the last one read), drops it when the
+space is evicted, and registers it only once the space is built, so a
+literal repeated in a session is found before it is tokenized and a
+refused one is never indexed.  The cache lives as long as the process.
+A catalog space is built per request and keeps its `catalog_entry`,
+looked up on the first read, so a request reads the catalog once.
 
 Chain-level code reads a finite or periodic space through its `chains`:
 the stored ChainComplex or PeriodicComplex itself, which answers
@@ -156,16 +160,22 @@ MAX_BUILT_CELLS = 1024
 
 
 class _KeptSpaces(OrderedDict):
-    """Built spaces by label, least recently used first, and the sum of
-    their weights; clear() empties both."""
+    """Built spaces by label, least recently used first, the sum of
+    their weights, and an index of complex{...} literal texts: at most
+    one text per kept space, in `by_text` (text -> space) and `text_of`
+    (label -> text).  clear() empties all of them."""
 
     def __init__(self):
         super().__init__()
         self.weight = 0
+        self.by_text: dict[str, SpaceDescription] = {}
+        self.text_of: dict[tuple, str] = {}
 
     def clear(self):
         super().clear()
         self.weight = 0
+        self.by_text.clear()
+        self.text_of.clear()
 
 
 _built_spaces = _KeptSpaces()
@@ -208,7 +218,9 @@ def _built(label: tuple, chains) -> SpaceDescription:
     kept[label] = x
     kept.weight += _weight(x)
     while kept.weight > MAX_BUILT_CELLS and len(kept) > 1:
-        kept.weight -= _weight(kept.popitem(last=False)[1])
+        old, gone = kept.popitem(last=False)
+        kept.weight -= _weight(gone)
+        kept.by_text.pop(kept.text_of.pop(old, None), None)
     return x
 
 
@@ -252,12 +264,30 @@ def from_complex(c: ChainComplex) -> SpaceDescription:
     return _built(("complex", (c.ranks, c.boundaries)), lambda: c)
 
 
-def from_literal(ranks: tuple, boundaries: tuple) -> SpaceDescription:
+def from_literal(ranks: tuple, boundaries: tuple,
+                 text: str | None = None) -> SpaceDescription:
     """from_complex(ChainComplex(ranks, boundaries)), except that the
     complex is built, and checked for del del = 0, only when no space
-    with these chains is kept."""
-    return _built(("complex", (ranks, boundaries)),
-                  lambda: ChainComplex(ranks, boundaries))
+    with these chains is kept.  The literal's text, when given, then
+    finds the space through kept_literal, in place of any earlier
+    spelling of the same chains."""
+    x = _built(("complex", (ranks, boundaries)),
+               lambda: ChainComplex(ranks, boundaries))
+    if text is not None:
+        kept = _built_spaces
+        kept.by_text.pop(kept.text_of.get(x.label), None)
+        kept.text_of[x.label] = text
+        kept.by_text[text] = x
+    return x
+
+
+def kept_literal(text: str) -> SpaceDescription | None:
+    """The kept space of the complex{...} literal spelled exactly text,
+    now the most recently used, or None."""
+    x = _built_spaces.by_text.get(text)
+    if x is not None:
+        _built_spaces.move_to_end(x.label)
+    return x
 
 
 def wedge(parts) -> SpaceDescription:

@@ -3,9 +3,10 @@ presentations, which no cache keeps.
 
 The space cache must share work between requests on the same space and
 change no answer, no error and no exit code: hits return the very
-objects an earlier request built, the cache stays within its bound and
-evicts the least recently used entry, refusals are never kept, and the
-output corpus reads the same from cold and from warm caches.  A
+objects an earlier request built, a literal repeated word for word is
+found by its text before it is read, the cache stays within its bound
+and evicts the least recently used entry, refusals are never kept, and
+the output corpus reads the same from cold and from warm caches.  A
 Bockstein with nonzero image builds its two presentations each time."""
 
 import importlib.util
@@ -17,12 +18,12 @@ from random import Random
 
 import pytest
 
-from cwbrauer import chaincx, intlin, spaces
+from cwbrauer import chaincx, grammar, intlin, spaces
 from cwbrauer.chaincx import ChainComplex, bockstein
 from cwbrauer.cli import (EXIT_OK, EXIT_PARSE, EXIT_SEMANTIC,
                           EXIT_UNSUPPORTED, execute, parse_request, run_batch,
                           run_line)
-from cwbrauer.errors import SemanticError
+from cwbrauer.errors import SemanticError, UnsupportedComputation
 from cwbrauer.grammar import format_complex, parse_space
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -289,6 +290,66 @@ def test_a_complex_and_its_literal_find_one_space_in_either_order(
     assert first.cells is not c   # built from the literal's text
     built = _counting(monkeypatch, ChainComplex, "__init__")
     assert spaces.from_complex(c) is first and built == []
+
+
+def test_a_repeated_literal_is_found_by_its_text_before_it_is_read(
+        monkeypatch):
+    """The second request on the same literal text returns the kept
+    space without converting a matrix or building a complex, and a new
+    spelling of the same chains takes the place of the old one in the
+    index."""
+    line = f"homology {DENSE_LITERAL} 1"
+    first = parse_request(line).args[0]
+    kept = spaces._built_spaces
+    assert kept.by_text == {DENSE_LITERAL: first}
+    spaces.sphere(2)   # now the literal's space is the least recent
+    read = (_counting(monkeypatch, grammar._Parser, "_matrix_token_rows")
+            + _counting(monkeypatch, intlin.IntMatrix, "__init__")
+            + _counting(monkeypatch, ChainComplex, "__init__"))
+    for _ in range(3):
+        assert parse_request(line).args[0] is first
+    assert next(reversed(kept)) == first.label
+    assert read == []
+    monkeypatch.undo()
+
+    respelled = DENSE_LITERAL.replace("; ", ";")
+    assert parse_space(respelled) is first
+    assert kept.by_text == {respelled: first}
+    assert kept.text_of == {first.label: respelled}
+
+
+@pytest.mark.parametrize("literal", [
+    "complex{cells 0: 1; cells 1: 1; cells 2: 1; "
+    "boundary 1: [[1]]; boundary 2: [[1]]}",
+    "complex{cells 0: 1; cells 1: 600}",
+], ids=["del-del-nonzero", "over-the-cell-cap"])
+def test_a_refused_literal_leaves_no_index_entry(literal):
+    for _ in range(2):
+        with pytest.raises((SemanticError, UnsupportedComputation)):
+            parse_space(literal)
+    assert spaces._built_spaces.by_text == {}
+    assert spaces._built_spaces.text_of == {}
+
+
+def test_eviction_and_a_cold_cache_empty_the_literal_index(cold_caches):
+    """A literal with r cells in degree 1 weighs 2 + r.  Filling the
+    budget with lens spaces evicts the literal and drops its text; a
+    cold cache drops every text."""
+    text = _literal(1, 8)
+    x = parse_space(text)
+    kept = spaces._built_spaces
+    assert kept.by_text == {text: x}
+    top = 1
+    while x.label in kept:
+        spaces.lens_skeleton(2, top)
+        top += 1
+    assert kept.by_text == {} and kept.text_of == {}
+    assert parse_space(text) is not x and parse_space(text) == x
+
+    parse_space(_literal(1, 9))
+    assert len(kept.by_text) == 2
+    cold_caches()
+    assert kept.by_text == {} and kept.text_of == {}
 
 
 def test_a_literal_with_nonzero_del_del_is_refused_every_time():

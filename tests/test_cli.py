@@ -764,6 +764,37 @@ def test_long_malformed_matrices_fail_fast_with_their_position(space, message):
     assert rep["error"]["message"] == message
 
 
+_ONE = "complex{cells 0: 1}"
+
+
+@pytest.mark.parametrize("line, code, message", [
+    ("homology complex{cells 0: 1; cell 1: 2} 1", EXIT_PARSE,
+     "expected 'cells' or 'boundary' (line 1, column 21)"),
+    ("homology complex{cells 0: 1; cells 1: 2; boundary 1: [[1]]} 1",
+     EXIT_SEMANTIC, "boundary 1 must be 1 x 2"),
+    ("homology complex{cells 0: 1; cells 1: 1; boundary 1: [[1"
+     + "7" * 5000 + "]]} 0", EXIT_UNSUPPORTED,
+     "integer literal of 5001 digits is too long (line 1, column 47)"),
+    (f"homology {_ONE} 0 {_ONE}", EXIT_PARSE,
+     "unexpected trailing input 'complex' (line 1, column 23)"),
+    (f"cohomology {_ONE} {_ONE}", EXIT_PARSE,
+     "expected 'degree', found 'complex' (line 1, column 21)"),
+], ids=["bad-statement", "boundary-shape", "long-entry", "trailing-input",
+        "literal-for-degree"])
+def test_malformed_literals_that_are_one_token_keep_their_errors(
+        line, code, message):
+    """Each literal here is one complex token, and each error reads as
+    when every bracket, comma and digit run was a token: cold, again,
+    and with complex{cells 0: 1} kept under its text."""
+    for _ in range(2):
+        assert run_json(line)[1]["error"] == {
+            "code": code, "message": message,
+            "type": {EXIT_PARSE: "ParseError", EXIT_SEMANTIC: "SemanticError",
+                     EXIT_UNSUPPORTED: "UnsupportedComputation"}[code]}
+    assert run_json(f"homology {_ONE} 0")[0] == EXIT_OK
+    assert run_json(line)[1]["error"]["message"] == message
+
+
 def test_unit_pivots_answer_a_free_group_of_rank_511_quickly():
     # del_1 is the 1 x 511 zero matrix, so the cycles are a 511 x 511
     # identity: every pivot is 1 and no divisibility scan is needed

@@ -420,10 +420,19 @@ def ref_tokenize(src):
 _MATRICES = ["[[1, -2], [30, 4]]", "[[]]", "[[ - 3 ]]", "[\n[1],\t[2]\n]",
              "[[0],[-12] ,[ 7 ]]", "[ [], [5 ,6]\n,\n[] ]"]
 
+# complex{...} literals, each one token for _tokenize whether or not it
+# parses: well-formed ones (one across lines), an empty one, a bad
+# statement, a matrix of the wrong shape and one "[" short.
+_LITERALS = ["complex{cells 0: 1}", "complex {\n cells 0: 2;\tcells 1: 1 ;\n"
+             " boundary 1: [[1], [-1]] }", "complex{}",
+             "complex{cells 0: 1 cell x^2 <= 3}",
+             "complex { boundary 2: [[1, 2], [3]]; }", "complex{[[1],[2]}"]
+
 _PIECES = st.sampled_from(
     list("Zxi09 ") + ["12", "ab_c", "\n", "\t", "\r\n", "  ", "<=", ">=",
                       "^", "+", "/", "(", ")", "[", "]", "{", "}", ",", ";",
-                      ":", "=", "<", ">", "-"] + _MATRICES)
+                      ":", "=", "<", ">", "-", "complex", "complex{"]
+    + _MATRICES + _LITERALS)
 
 
 @st.composite
@@ -435,6 +444,30 @@ def _token_text(draw):
         at = draw(st.integers(0, len(src)))
         src = src[:at] + draw(st.sampled_from(["$", "\u00e9", "@"])) + src[at:]
     return src
+
+
+def _assert_covers(tokens, want):
+    """tokens read as the reference tokens want, as the tokenizer test
+    describes."""
+    first = {"matrix": ("sym", "["), "complex": ("ident", "complex")}
+    j = 0
+    for t in tokens:
+        if t.kind not in first:
+            assert tuple(t) == want[j]
+            j += 1
+            continue
+        assert want[j] == (*first[t.kind], t.line, t.col)
+        end = _end_of(t)
+        span = []
+        while want[j][2:] < end:
+            span.append(want[j])
+            j += 1
+        kinds = {kind for kind, _, _, _ in span}
+        assert kinds <= ({"sym", "int"} if t.kind == "matrix"
+                         else {"sym", "int", "ident"})
+        assert "".join(text for _, text, _, _ in span) \
+            == "".join(t.text.split())
+    assert j == len(want)
 
 
 def _end_of(t):
@@ -450,26 +483,18 @@ def _end_of(t):
 @example("boundary 1: [[1, -2],\n [ - 3, 4]]; x [[]]\t[ [5] ] ]")
 def test_tokenizer_matches_per_token_reference(src):
     """Plain tokens equal the reference's.  A matrix token starts where
-    the reference's "[" does and covers exactly the reference tokens of
-    its span, and every later token keeps its position."""
+    the reference's "[" does, a complex token where its "complex" does,
+    and each covers exactly the reference tokens of its span; every later
+    token keeps its position.  The parser's tokens, once next() has
+    unfolded every complex token, do the same."""
     want, bad = ref_tokenize(src)
     if bad is None:
-        j = 0
-        for t in _tokenize(src):
-            if t.kind != "matrix":
-                assert tuple(t) == want[j]
-                j += 1
-                continue
-            assert want[j] == ("sym", "[", t.line, t.col)
-            end = _end_of(t)
-            span = []
-            while want[j][2:] < end:
-                span.append(want[j])
-                j += 1
-            assert {kind for kind, _, _, _ in span} <= {"sym", "int"}
-            assert "".join(text for _, text, _, _ in span) \
-                == "".join(t.text.split())
-        assert j == len(want)
+        _assert_covers(_tokenize(src), want)
+        p = _Parser(src)
+        while p.next().kind != "eof":
+            pass
+        assert "complex" not in {t.kind for t in p.tokens}
+        _assert_covers(p.tokens, want)
         return
     with pytest.raises(ParseError) as e:
         _tokenize(src)

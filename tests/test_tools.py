@@ -182,7 +182,9 @@ def test_output_digest_is_pinned():
 def test_cache_traffic_counts_lookups_builds_and_weight():
     """64 lines of each workload.  A periodic_deep line looks up one
     lens_periodic(n), which weighs 1 + 2 cells, and 64 lines' worth of
-    them all fit the budget, so the kept weight is 3 per build."""
+    them all fit the budget, so the kept weight is 3 per build.  A
+    stream that repeats one literal builds it once and finds it by its
+    text after that."""
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "cache_traffic.py"),
          "--count", "64"], capture_output=True, text=True, timeout=300)
@@ -190,22 +192,41 @@ def test_cache_traffic_counts_lookups_builds_and_weight():
     lines = run.stdout.splitlines()
     assert [line.split()[0] for line in lines] == [
         "mixed_small", "chain_heavy", "periodic_deep"]
-    pattern = (r"(\w+) seed 1, 64 lines: spaces (\d+) lookups, (\d+) builds, "
+    pattern = (r"(\w+) seed 1, 64 lines: spaces (\d+) lookups "
+               r"\((\d+) by text\), (\d+) builds, "
                r"[\d.]+% hit, kept weight (\d+) \(peak (\d+)\); "
                r"presentations (\d+) built; "
                r"bocksteins (\d+), (\d+) with no presentation")
     for line in lines:
         m = re.fullmatch(pattern, line)
         assert m, line
-        lookups, builds, kept, peak, presentations = map(
-            int, m.groups()[1:6])
+        lookups, by_text, builds, kept, peak, presentations = map(
+            int, m.groups()[1:7])
         assert 0 < builds <= lookups and kept <= peak <= MAX_BUILT_CELLS
-        bocksteins, zero_image = map(int, m.groups()[6:8])
+        assert by_text <= lookups - builds
+        bocksteins, zero_image = map(int, m.groups()[7:9])
         assert 0 <= zero_image <= bocksteins
         assert presentations == 2 * (bocksteins - zero_image)
+    by_text = [int(re.fullmatch(pattern, line).group(3)) for line in lines]
+    assert by_text[0] == by_text[2] == 0 < by_text[1]
     m = re.fullmatch(pattern, lines[2])
-    lookups, builds, kept = map(int, m.groups()[1:4])
+    lookups, _, builds, kept = map(int, m.groups()[1:5])
     assert lookups == 64 and kept == 3 * builds
+
+    literal = "complex{cells 0: 1; cells 1: 2; boundary 1: [[0, 0]]}"
+    t = _cache_traffic().traffic(
+        [(f"homology {literal} 1", False, None)] * 3
+        + [(f"uct {literal} 1", True, None)])
+    assert (t["lookups"], t["text_hits"], t["builds"]) == (4, 3, 1)
+    assert t["kept"] == t["peak"] == 1 + 3
+
+
+def _cache_traffic():
+    spec = importlib.util.spec_from_file_location(
+        "cache_traffic", ROOT / "tools" / "cache_traffic.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def _src_lines():

@@ -10,16 +10,19 @@ the workload's benchmark run: the whole blocks that `perfbench/run.py
 --trace 0` issues in BENCHMARK.json's `run_seconds`.  One line per
 stream gives
 
-  space lookups, builds, hit rate, the weight kept at the end and its peak
+  space lookups, how many of them found a complex{...} literal by its
+  text, builds, hit rate, the weight kept at the end and its peak
   (`spaces.MAX_BUILT_CELLS` bounds both, save for one space kept alone);
   presentations built (no cache keeps them);
   Bockstein requests, and how many of them built no presentation
   (a Bockstein with zero image is read off the Smith diagonals).
 
 Space lookups, presentations and Bocksteins are counted by wrappers put
-around `spaces._built`, `chaincx.SubquotientPresentation.__init__` and
-`cli.bockstein` from outside, as `perfbench/tracer.py` wraps functions.
-Nothing under src/ changes.
+around `spaces._built`, `spaces.kept_literal`,
+`chaincx.SubquotientPresentation.__init__` and `cli.bockstein` from
+outside, as `perfbench/tracer.py` wraps functions.  A literal found by
+its text never reaches `_built`, so a lookup is a call of `_built` or a
+text hit.  Nothing under src/ changes.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ def traffic(entries) -> dict:
     from cwbrauer import chaincx, cli, spaces
     kept = spaces._built_spaces
     kept.clear()
-    counts = {"lookups": 0, "builds": 0, "peak": 0, "presentations": 0,
-              "bocksteins": 0, "no_presentation": 0}
+    counts = {"lookups": 0, "text_hits": 0, "builds": 0, "peak": 0,
+              "presentations": 0, "bocksteins": 0, "no_presentation": 0}
     real = spaces._built
+    real_by_text = spaces.kept_literal
     real_init = chaincx.SubquotientPresentation.__init__
     real_bockstein = cli.bockstein
 
@@ -61,6 +65,13 @@ def traffic(entries) -> dict:
             return real(label, chains)
         finally:
             counts["peak"] = max(counts["peak"], kept.weight)
+
+    def by_text(text):
+        x = real_by_text(text)
+        if x is not None:
+            counts["lookups"] += 1
+            counts["text_hits"] += 1
+        return x
 
     def presented(self, *args, **kwargs):
         counts["presentations"] += 1
@@ -75,6 +86,7 @@ def traffic(entries) -> dict:
             counts["no_presentation"] += counts["presentations"] == before
 
     spaces._built = counted
+    spaces.kept_literal = by_text
     chaincx.SubquotientPresentation.__init__ = presented
     cli.bockstein = bockstein
     try:
@@ -82,6 +94,7 @@ def traffic(entries) -> dict:
             cli.run_line(text, True, trace, out=io.StringIO())
     finally:
         spaces._built = real
+        spaces.kept_literal = real_by_text
         chaincx.SubquotientPresentation.__init__ = real_init
         cli.bockstein = real_bockstein
     return {**counts, "kept": kept.weight}
@@ -107,7 +120,8 @@ def main(argv=None) -> int:
         count = args.count or default_count(name)
         t = traffic(generate(name, args.seed, count))
         print(f"{name} seed {args.seed}, {count} lines: spaces "
-              f"{t['lookups']} lookups, {t['builds']} builds, "
+              f"{t['lookups']} lookups ({t['text_hits']} by text), "
+              f"{t['builds']} builds, "
               f"{_rate(t['lookups'] - t['builds'], t['lookups'])} hit, "
               f"kept weight {t['kept']} (peak {t['peak']}); presentations "
               f"{t['presentations']} built; bocksteins {t['bocksteins']}, {t['no_presentation']} with "
