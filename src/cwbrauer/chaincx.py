@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from random import Random
 
 from .abgroup import FgAbGroup, GroupHom
 from .errors import SemanticError
@@ -372,22 +371,3 @@ def tensor_complexes(c: ChainComplex, d: ChainComplex) -> ChainComplex:
                         yield p + q, r0 + k * rq + i, c0 + k * b + j, sign * x
     return ChainComplex.from_entries(ranks, entries())
 
-
-def random_complex(rng: Random, max_top: int = 5, max_rank: int = 5,
-                   entry_bound: int = 3) -> ChainComplex:
-    """A random valid complex: del_{n+1} = (kernel basis of del_n) @ C with
-    random C, so del del = 0 holds by construction (and is re-checked)."""
-    top = rng.randint(0, max_top)
-    ranks = [rng.randint(0, max_rank) for _ in range(top + 1)]
-    if ranks[0] == 0:
-        ranks[0] = 1
-    boundaries = []
-    prev = IntMatrix.zeros(0, ranks[0])  # del_0
-    for n in range(1, top + 1):
-        k = kernel_basis(prev)
-        a = [[rng.randint(-entry_bound, entry_bound) for _ in range(ranks[n])]
-             for _ in range(k.cols)]
-        nxt = k @ IntMatrix(a) if k.cols else IntMatrix.zeros(ranks[n - 1], ranks[n])
-        boundaries.append(nxt)
-        prev = nxt
-    return ChainComplex(ranks, boundaries)

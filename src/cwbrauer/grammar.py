@@ -39,18 +39,19 @@ literal with more than MAX_PROFILE_MULTIPLICITY finite cyclic summands
 interpreter converts (sys.get_int_max_str_digits).
 
 A complex literal, from "complex" to its first "}", is one token
-when every character in it is one the other tokens accept.  As a SPACE
-it is first looked up by its exact text among the kept spaces
-(`spaces.kept_literal`), so a literal repeated in a session is neither
-tokenized nor converted again; any other read unfolds it into the
-tokens below, and a literal read in full registers its text once its
-space is built.  A well-formed numeric MATRIX with at least one row is
-one token, and its entries are read by splitting its text, so a dense
-literal read in full costs a few tokens, not one per bracket, comma,
-sign and digit run.  Anything else that starts with "[" is read token
-by token.  Where a message needs it, a complex or matrix token is
-first turned back into those plain tokens, so every error, its line
-and its column read as if the line were always read token by token.
+when every character in it is one the other tokens accept, and a
+well-formed numeric MATRIX with at least one row is one token too.
+Both kinds follow one rule: everywhere but `space()` and
+`matrix_rows()` such a compound token reads as the plain token it
+starts with, "complex" or "[", and it is unfolded into the tokens its
+text reads as only when that first token is consumed.  So every error,
+its line and its column read as if the line were always read token by
+token.  `space()` reads a complex token whole: it looks the literal up
+by its exact text among the kept spaces (`spaces.kept_literal`), so a
+literal repeated in a session is neither tokenized nor converted again.
+`matrix_rows()` reads a matrix token whole by splitting its text, so a
+dense literal costs a few tokens, not one per bracket, comma, sign and
+digit run.
 
 A tower is read front to back, once: each map is kept as written and
 becomes a GroupHom when the groups on both sides of its arrow are read.
@@ -149,6 +150,14 @@ def _tokenize(src: str, line: int = 1, col: int = 1) -> list[Token]:
     return out
 
 
+def _plain(t: Token) -> Token:
+    """t as the parser reads it: a complex or matrix token as the plain
+    token it starts with, "complex" or "[", at its position."""
+    if t.kind == "complex":
+        return Token("ident", "complex", t.line, t.col)
+    return Token("sym", "[", t.line, t.col) if t.kind == "matrix" else t
+
+
 def _refusal(message: str, t: Token) -> UnsupportedComputation:
     """The refusal of a well-formed literal too large to compute, placed
     at token t."""
@@ -165,23 +174,20 @@ class _Parser:
     # self.pos never passes the final "eof" token: next() stays on it, and
     # no caller accepts or expects kind "eof".  So the cursor reads
     # self.tokens[self.pos] directly; only a lookahead past it is clamped.
-    # Only space() reads a complex token whole; every other read unfolds
-    # it at the cursor first, so the parser sees the tokens it always saw.
-    # A lookahead reads one past the cursor whole, which no caller can
-    # tell apart: none looks ahead for the ident "complex" or past it.
+    # A complex or matrix token reads as its first plain token (_plain),
+    # and is unfolded by the read that consumes that token; only space()
+    # and matrix_rows() read one whole.
     def next(self) -> Token:
-        if self.tokens[self.pos].kind == "complex":
-            self._unfold()
         t = self.tokens[self.pos]
+        if t.kind in ("complex", "matrix"):
+            return self._unfold()
         if t.kind != "eof":
             self.pos += 1
         return t
 
     def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
-        if self.tokens[self.pos].kind == "complex":
-            self._unfold()
-        t = self.tokens[min(self.pos + ahead, len(self.tokens) - 1)
-                        if ahead else self.pos]
+        t = _plain(self.tokens[min(self.pos + ahead, len(self.tokens) - 1)
+                               if ahead else self.pos])
         return t.kind == kind and (text is None or t.text == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
@@ -189,9 +195,8 @@ class _Parser:
         if t.kind == kind and (text is None or t.text == text):
             self.pos += 1
             return t
-        if t.kind == "complex":
-            self._unfold()
-            return self.accept(kind, text)
+        if t.kind in ("complex", "matrix") and self.at(kind, text):
+            return self._unfold()
         return None
 
     def expect(self, kind: str, text: str | None = None,
@@ -199,10 +204,7 @@ class _Parser:
         t = self.accept(kind, text)
         if t is not None:
             return t
-        t = self.tokens[self.pos]
-        if t.kind == "matrix":   # a matrix where none belongs, or a "["
-            self._unfold()
-            return self.expect(kind, text, what)
+        t = _plain(self.tokens[self.pos])
         want = what or (text if text is not None else kind)
         got = t.text if t.kind != "eof" else "end of input"
         raise ParseError(f"expected {want!r}, found {got!r}",
@@ -213,24 +215,23 @@ class _Parser:
         raise ParseError(message, line=t.line, column=t.col)
 
     def expect_end(self):
-        if self.at("matrix"):
-            self._unfold()
-        t = self.tokens[self.pos]
+        t = _plain(self.tokens[self.pos])
         if t.kind != "eof":
             self.fail(f"unexpected trailing input {t.text!r}")
 
-    def _unfold(self):
+    def _unfold(self) -> Token:
         """Replace the complex or matrix token at the cursor by the tokens
-        its text reads as without it, so a message names and places the
-        "complex" or "[" it starts with.  A blank or "{" follows that
-        "complex", and only a row that "[", so the rest of the text cannot
-        match a token of the same kind again."""
+        its text reads as without it, and consume the first of them.  A
+        blank or "{" follows that "complex", and only a row that "[", so
+        the rest of the text cannot match a token of the same kind
+        again."""
         t = self.tokens[self.pos]
-        head = (Token("ident", "complex", t.line, t.col) if t.kind == "complex"
-                else Token("sym", "[", t.line, t.col))
+        head = _plain(t)
         n = len(head.text)
         self.tokens[self.pos:self.pos + 1] = (
             [head] + _tokenize(t.text[n:], t.line, t.col + n)[:-1])
+        self.pos += 1
+        return head
 
     # -- shared small pieces -------------------------------------------
     def integer(self, what: str = "integer") -> int:
@@ -317,7 +318,8 @@ class _Parser:
 
     # -- matrices ------------------------------------------------------
     def matrix_rows(self) -> list[list[int]]:
-        rows = self._matrix_token_rows() if self.at("matrix") else None
+        rows = (self._matrix_token_rows()
+                if self.tokens[self.pos].kind == "matrix" else None)
         if rows is None:   # no matrix token: read it token by token
             self.expect("sym", "[")
             rows = []
@@ -340,15 +342,14 @@ class _Parser:
 
     def _matrix_token_rows(self) -> list[list[int]] | None:
         """The rows of the matrix token at the cursor, read by splitting
-        its text.  An entry too long for int() unfolds the token and
-        gives None, so the token path reports it with its position."""
+        its text.  An entry too long for int() gives None, so the token
+        path reports it with its position."""
         text = self.tokens[self.pos].text
         body = "".join(text.split())[2:-2]   # "1,-2],[],[3,4"
         try:
             rows = [[int(x) for x in r.split(",")] if r else []
                     for r in body.split("],[")]
         except ValueError:
-            self._unfold()
             return None
         self.pos += 1
         return rows
@@ -408,15 +409,14 @@ class _Parser:
     # -- space literals ----------------------------------------------------
     def space(self) -> _sp.SpaceDescription:
         t = self.tokens[self.pos]
-        if t.kind == "complex":   # found by its text before it is read
-            x = _sp.kept_literal(t.text)
+        text = t.text if t.kind == "complex" else None
+        if text is not None:   # found by its text before it is read
+            x = _sp.kept_literal(text)
             if x is not None:
                 self.pos += 1
                 return x
-            self._unfold()
-            return _sp.from_literal(*self._complex_chains(), text=t.text)
         if self.at("ident", "complex"):
-            return _sp.from_literal(*self._complex_chains())
+            return _sp.from_literal(*self._complex_chains(), text=text)
         t = self.expect("ident", what="space builder")
         name = t.text
         self.expect("sym", "(")
@@ -459,6 +459,8 @@ class _Parser:
             parts = [self.space()]
             while self.accept("sym", ","):
                 parts.append(self.space())
+            if not self.at("sym", ")"):   # a syntax error before the checks
+                self.expect("sym", ")")
             if all(x.kind == "finite" for x in parts):
                 # the summands share their one 0-cell
                 self._check_size(
@@ -518,7 +520,7 @@ class _Parser:
             spec = "id"
         elif self.at("ident"):
             spec = self._scalar_map("scalar map")
-        elif self.at("matrix") or self.at("sym", "["):
+        elif self.at("sym", "["):
             spec = self.matrix_rows()
         else:
             self.fail("expected a map: id, x<k>, or a matrix")

@@ -19,23 +19,21 @@ parses); cells and multiplier are derived from it by the builders, so
 dataclass equality is exactly "same description".
 
 Every builder that makes chains (`sphere`, `moore_3cell`,
-`lens_skeleton`, `lens_periodic`, `wedge`, `product`, `from_complex`)
-returns a space from one LRU keyed by the label and bounded in cells:
-the spaces it keeps weigh at most `MAX_BUILT_CELLS` together, each 1
-plus the cells of its chains and of the literals its label names, and
-one space over the budget is kept alone.  A label determines its space
-and a space is never changed, so every request on the same space shares
-one object: its boundary matrices and the Smith diagonals they keep.  A
-builder that refuses its arguments caches nothing.  A finite complex is
-labelled by the value of its chains, ("complex", (ranks, boundaries)),
-so `from_complex` and `from_literal`, which the grammar calls for a
-`complex{...}` literal, share one entry, and a kept literal is found
-before a ChainComplex is built and checked.  Before that, the grammar
-asks `kept_literal` for the literal's exact text: the cache indexes at
-most one text per kept space (the last one read), drops it when the
-space is evicted, and registers it only once the space is built, so a
-literal repeated in a session is found before it is tokenized and a
-refused one is never indexed.  The cache lives as long as the process.
+`lens_skeleton`, `lens_periodic`, `wedge`, `product`, `from_complex`,
+`from_literal`) returns a space from one LRU with one key per space,
+bounded in cells: the spaces it keeps weigh at most `MAX_BUILT_CELLS`
+together, each 1 plus the cells of its chains and of the literals its
+label names, and one space over the budget is kept alone.  A space is
+kept under its label, save a `complex{...}` literal read as one token,
+which is kept under its exact text: `kept_literal` finds it there
+before the grammar tokenizes or converts any of it, so a literal
+repeated in a session is read once.  A second spelling of the same
+chains is a second key and an equal space.  A key determines its space
+and a space is never changed, so every request on the same space text
+shares one object: its boundary matrices and the Smith diagonals they
+keep.  A builder that refuses its arguments keeps nothing.  A finite
+complex is labelled by the value of its chains, ("complex", (ranks,
+boundaries)).  The cache lives as long as the process.
 A catalog space is built per request and keeps its `catalog_entry`,
 looked up on the first read, so a request reads the catalog once.
 
@@ -160,22 +158,16 @@ MAX_BUILT_CELLS = 1024
 
 
 class _KeptSpaces(OrderedDict):
-    """Built spaces by label, least recently used first, the sum of
-    their weights, and an index of complex{...} literal texts: at most
-    one text per kept space, in `by_text` (text -> space) and `text_of`
-    (label -> text).  clear() empties all of them."""
+    """Built spaces by key, least recently used first, and the sum of
+    their weights.  clear() empties both."""
 
     def __init__(self):
         super().__init__()
         self.weight = 0
-        self.by_text: dict[str, SpaceDescription] = {}
-        self.text_of: dict[tuple, str] = {}
 
     def clear(self):
         super().clear()
         self.weight = 0
-        self.by_text.clear()
-        self.text_of.clear()
 
 
 _built_spaces = _KeptSpaces()
@@ -204,23 +196,23 @@ def _weight(x: SpaceDescription) -> int:
                       else _literal_cells(x.label))
 
 
-def _built(label: tuple, chains) -> SpaceDescription:
-    """The space with this label: the kept one, or on a miss a new one
-    whose chains are chains(), a ChainComplex or a PeriodicComplex.  A
-    miss evicts the least recently used spaces until the kept weight
-    fits MAX_BUILT_CELLS, but never the space it built."""
+def _built(label: tuple, chains, key=None) -> SpaceDescription:
+    """The space kept under key (by default its label): the kept one,
+    or on a miss a new one whose chains are chains(), a ChainComplex or
+    a PeriodicComplex.  A miss evicts the least recently used spaces
+    until the kept weight fits MAX_BUILT_CELLS, but never the space it
+    built."""
     kept = _built_spaces
-    x = kept.get(label)
+    key = label if key is None else key
+    x = kept.get(key)
     if x is not None:
-        kept.move_to_end(label)
+        kept.move_to_end(key)
         return x
     x = SpaceDescription(label, chains())
-    kept[label] = x
+    kept[key] = x
     kept.weight += _weight(x)
     while kept.weight > MAX_BUILT_CELLS and len(kept) > 1:
-        old, gone = kept.popitem(last=False)
-        kept.weight -= _weight(gone)
-        kept.by_text.pop(kept.text_of.pop(old, None), None)
+        kept.weight -= _weight(kept.popitem(last=False)[1])
     return x
 
 
@@ -266,27 +258,19 @@ def from_complex(c: ChainComplex) -> SpaceDescription:
 
 def from_literal(ranks: tuple, boundaries: tuple,
                  text: str | None = None) -> SpaceDescription:
-    """from_complex(ChainComplex(ranks, boundaries)), except that the
-    complex is built, and checked for del del = 0, only when no space
-    with these chains is kept.  The literal's text, when given, then
-    finds the space through kept_literal, in place of any earlier
-    spelling of the same chains."""
-    x = _built(("complex", (ranks, boundaries)),
-               lambda: ChainComplex(ranks, boundaries))
-    if text is not None:
-        kept = _built_spaces
-        kept.by_text.pop(kept.text_of.get(x.label), None)
-        kept.text_of[x.label] = text
-        kept.by_text[text] = x
-    return x
+    """from_complex(ChainComplex(ranks, boundaries)), kept under the
+    literal's text when given, else under its label.  The complex is
+    built, and checked for del del = 0, only on a miss."""
+    return _built(("complex", (ranks, boundaries)),
+                  lambda: ChainComplex(ranks, boundaries), text)
 
 
 def kept_literal(text: str) -> SpaceDescription | None:
     """The kept space of the complex{...} literal spelled exactly text,
     now the most recently used, or None."""
-    x = _built_spaces.by_text.get(text)
+    x = _built_spaces.get(text)
     if x is not None:
-        _built_spaces.move_to_end(x.label)
+        _built_spaces.move_to_end(text)
     return x
 
 
@@ -502,10 +486,8 @@ RULE_COMPACT = "CompactSerre"
 RULE_DIM4 = "WoodwardDimLe4"
 RULE_EVEN = "EvenCells"
 RULE_CATALOG = "CatalogTheorem"
-RULE_NON_BRAUER = "NonBrauerCondition"
 
-_KNOWN_RULES = (RULE_COMPACT, RULE_DIM4, RULE_EVEN, RULE_CATALOG,
-                RULE_NON_BRAUER)
+_KNOWN_RULES = (RULE_COMPACT, RULE_DIM4, RULE_EVEN, RULE_CATALOG)
 
 
 @dataclass(frozen=True)
@@ -583,18 +565,6 @@ def equality_certificate(x: SpaceDescription) -> EqualityCertificate:
             f"{r} ({n})" for r, _, n, _ in fired[1:])
     return EqualityCertificate(verdict, rule, witness, others,
                                tuple(c for *_, keys in fired for c in keys))
-
-
-def certificate_from_descriptor(profile: CyclicProfile,
-                                report) -> EqualityCertificate:
-    """Turn a CERTIFIED_NOT_IN_BR descriptor check into a strictness
-    certificate for the corresponding BG."""
-    if report.verdict != "CERTIFIED_NOT_IN_BR":
-        raise SemanticError("only certified descriptors witness strictness")
-    return EqualityCertificate(
-        STRICT, RULE_NON_BRAUER,
-        "a class of Br'(BG) certified to lie outside the image of Br: "
-        + report.witness, citations=("bg-strict",))
 
 
 def min_bundle_rank(x: SpaceDescription, alpha_order: int) -> int | None:

@@ -1,14 +1,19 @@
 """Integer-matrix oracles implemented from scratch for the tests.
 
-Plain Python integers and lists throughout; nothing here calls into the
+Plain Python integers and lists throughout; no oracle calls into the
 package, so these can sit on the other side of an equality from the
-library's answers.
+library's answers.  The one exception is `random_complex`, which is a
+generator of test inputs, not an oracle: it builds package values.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import gcd, prod
+from random import Random
+
+from cwbrauer.chaincx import ChainComplex
+from cwbrauer.intlin import IntMatrix, kernel_basis
 
 
 def det_oracle(rows: list[list[int]]) -> int:
@@ -267,3 +272,23 @@ def draw_eventually_periodic(rng, item, link):
             links[part].append(links["block"][0])
     return (kind, tuple(prefix), tuple(links["prefix"]), tuple(block),
             tuple(links["block"]))
+
+
+def random_complex(rng: Random, max_top: int = 5, max_rank: int = 5,
+                   entry_bound: int = 3) -> ChainComplex:
+    """A random valid complex: del_{n+1} = (kernel basis of del_n) @ C with
+    random C, so del del = 0 holds by construction (and is re-checked)."""
+    top = rng.randint(0, max_top)
+    ranks = [rng.randint(0, max_rank) for _ in range(top + 1)]
+    if ranks[0] == 0:
+        ranks[0] = 1
+    boundaries = []
+    prev = IntMatrix.zeros(0, ranks[0])  # del_0
+    for n in range(1, top + 1):
+        k = kernel_basis(prev)
+        a = [[rng.randint(-entry_bound, entry_bound) for _ in range(ranks[n])]
+             for _ in range(k.cols)]
+        nxt = k @ IntMatrix(a) if k.cols else IntMatrix.zeros(ranks[n - 1], ranks[n])
+        boundaries.append(nxt)
+        prev = nxt
+    return ChainComplex(ranks, boundaries)

@@ -15,10 +15,10 @@ import test_grammar as _gr
 import test_intlin as _il
 import test_limits as _lm
 import test_spaces as _sx
-from _oracles import cokernel_order_oracle
+from _oracles import cokernel_order_oracle, random_complex
 
 from cwbrauer.abgroup import FgAbGroup, GroupHom, exterior_square
-from cwbrauer.chaincx import cohomology, random_complex
+from cwbrauer.chaincx import cohomology
 from cwbrauer.cli import EXIT_OK, EXIT_REPRODUCE_FAIL, run_line
 from cwbrauer.grammar import (
     format_complex, format_descriptor, format_group, format_profile,

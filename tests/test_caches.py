@@ -1,5 +1,6 @@
-"""The space cache (`spaces`, keyed by label), and the cochain
-presentations, which no cache keeps.
+"""The space cache (`spaces`, one key per space: its label, or a
+complex{...} literal's text), and the cochain presentations, which no
+cache keeps.
 
 The space cache must share work between requests on the same space and
 change no answer, no error and no exit code: hits return the very
@@ -103,14 +104,16 @@ def _literal(*ranks) -> str:
 def test_kept_weight_stays_within_the_budget_over_seeded_builds():
     """Each space's weight is worked out here from what it was built
     of: 1 plus its cells, plus those of a literal factor that only its
-    label holds.  After every build the kept weight is the sum of the
-    kept spaces' weights, the newest space is kept, and the weight fits
-    the budget unless that space is kept alone."""
+    label holds.  A literal is kept under its text, every other space
+    under its label.  After every build the kept weight is the sum of
+    the kept spaces' weights, the newest space is kept, and the weight
+    fits the budget unless that space is kept alone."""
     rng = Random(24)
     weight = {}
     kept = spaces._built_spaces
     for _ in range(400):
         kind = rng.randrange(5)
+        key = None
         if kind == 0:
             n, top = rng.randint(2, 9), rng.randint(1, 60)
             x, w = spaces.lens_skeleton(n, top), 1 + top + 1
@@ -123,16 +126,20 @@ def test_kept_weight_stays_within_the_budget_over_seeded_builds():
             x, w = spaces.product(a, b), 1 + (t1 + 1) * (t2 + 1)
         elif kind == 3:
             r = rng.randint(1, 300)
-            x, w = parse_space(_literal(1, r)), 1 + 1 + r
+            key = _literal(1, r)
+            x, w = parse_space(key), 1 + 1 + r
         else:
             r = rng.randint(1, 300)
-            a, b = parse_space(_literal(0)), parse_space(_literal(1, r))
-            weight[a.label], weight[b.label] = 1, 1 + 1 + r
-            x = parse_space(f"product({_literal(0)}, {_literal(1, r)})")
+            zero, lit = _literal(0), _literal(1, r)
+            parse_space(zero)
+            parse_space(lit)
+            weight[zero], weight[lit] = 1, 1 + 1 + r
+            x = parse_space(f"product({zero}, {lit})")
             w = 1 + 0 + (1 + r)   # no cells, but the literal's label
-        weight[x.label] = w
-        assert next(reversed(kept)) == x.label and kept[x.label] is x
-        assert kept.weight == sum(weight[label] for label in kept)
+        key = x.label if key is None else key
+        weight[key] = w
+        assert next(reversed(kept)) == key and kept[key] is x
+        assert kept.weight == sum(weight[k] for k in kept)
         assert kept.weight <= spaces.MAX_BUILT_CELLS or len(kept) == 1
 
 
@@ -168,15 +175,16 @@ def test_a_near_cap_product_of_two_literals_is_built_once(monkeypatch):
 def test_zero_cell_products_naming_distinct_literals_stay_in_budget():
     """product(complex{cells 0: 0}, L) has no cells, but its label keeps
     L's matrices alive, so it weighs L's cells.  The literal cells that
-    the kept labels name stay within the budget."""
+    the kept spaces name stay within the budget."""
     named = {}
     kept = spaces._built_spaces
     for r in range(40, 100):
         lit = _literal(1, r)
         x = parse_space(f"product({_literal(0)}, {lit})")
         assert sum(x.cells.ranks) == 0
-        named[x.label] = named[parse_space(lit).label] = 1 + r
-        assert sum(named.get(label, 0) for label in kept) <= (
+        parse_space(lit)
+        named[x.label] = named[lit] = 1 + r
+        assert sum(named.get(key, 0) for key in kept) <= (
             spaces.MAX_BUILT_CELLS)
     assert len(kept) < 2 * spaces.MAX_BUILT_CELLS // 40
 
@@ -196,11 +204,11 @@ def _replay(monkeypatch, entries) -> list[list]:
     built = []
     real = spaces._built
 
-    def recorded(label, chains):
+    def recorded(label, chains, key=None):
         def build():
             built[-1].append(label)
             return chains()
-        return real(label, build)
+        return real(label, build, key)
 
     monkeypatch.setattr(spaces, "_built", recorded)
     for text, trace, _ in entries:
@@ -272,50 +280,49 @@ def test_refusals_are_not_kept():
     assert list(spaces._built_spaces) == [("lens", (2, 30))]
 
 
-def test_a_complex_and_its_literal_find_one_space_in_either_order(
-        monkeypatch, cold_caches):
-    """A finite space is keyed by the value of its chains, so
-    from_complex and the literal text of the same chains share one
-    entry: the second lookup, in either order, returns the space the
-    first made and builds no ChainComplex."""
-    c = ChainComplex([1, 2, 1], [[[0, 0]], [[3], [-3]]])
-    first = spaces.from_complex(c)
-    built = _counting(monkeypatch, ChainComplex, "__init__")
-    assert parse_space(format_complex(c)) is first and built == []
-    assert list(spaces._built_spaces) == [first.label]
-
-    cold_caches()
-    monkeypatch.undo()
-    first = parse_space(format_complex(c))
-    assert first.cells is not c   # built from the literal's text
-    built = _counting(monkeypatch, ChainComplex, "__init__")
-    assert spaces.from_complex(c) is first and built == []
-
-
 def test_a_repeated_literal_is_found_by_its_text_before_it_is_read(
         monkeypatch):
-    """The second request on the same literal text returns the kept
-    space without converting a matrix or building a complex, and a new
-    spelling of the same chains takes the place of the old one in the
-    index."""
+    """The second request on the same literal text returns the space
+    kept under that text without converting a matrix or building a
+    complex, and makes it the most recently used."""
     line = f"homology {DENSE_LITERAL} 1"
     first = parse_request(line).args[0]
     kept = spaces._built_spaces
-    assert kept.by_text == {DENSE_LITERAL: first}
+    assert list(kept.items()) == [(DENSE_LITERAL, first)]
     spaces.sphere(2)   # now the literal's space is the least recent
     read = (_counting(monkeypatch, grammar._Parser, "_matrix_token_rows")
             + _counting(monkeypatch, intlin.IntMatrix, "__init__")
             + _counting(monkeypatch, ChainComplex, "__init__"))
     for _ in range(3):
         assert parse_request(line).args[0] is first
-    assert next(reversed(kept)) == first.label
+    assert next(reversed(kept)) == DENSE_LITERAL
     assert read == []
-    monkeypatch.undo()
 
-    respelled = DENSE_LITERAL.replace("; ", ";")
-    assert parse_space(respelled) is first
-    assert kept.by_text == {respelled: first}
-    assert kept.text_of == {first.label: respelled}
+
+def test_a_second_spelling_gets_its_own_equal_space(monkeypatch):
+    """A literal is kept under its exact text, and from_complex under
+    the label, the value of the chains: a new spelling of the same
+    chains, and the complex itself, each get a key and a space of their
+    own, equal to the first and built from their own input.  A literal
+    that is not one token (here its digit is an Arabic-Indic one) is
+    kept under its label too."""
+    c = ChainComplex([1, 2, 1], [[[0, 0]], [[3], [-3]]])
+    text = format_complex(c)
+    respelled = text.replace("; ", ";")
+    first = parse_space(text)
+    built = _counting(monkeypatch, ChainComplex, "__init__")
+    second = parse_space(respelled)
+    assert built == ["__init__"]
+    assert spaces.from_complex(c).cells is c
+    kept = spaces._built_spaces
+    assert list(kept) == [text, respelled, first.label]
+    assert first == second == kept[first.label] == spaces.from_complex(c)
+    assert first is not second and first is not kept[first.label]
+    assert parse_space(text) is first and parse_space(respelled) is second
+
+    plain = text.replace("cells 0: 1", "cells 0: \u0661")
+    assert parse_space(plain) is kept[first.label]
+    assert len(kept) == 3 and len(built) == 1
 
 
 @pytest.mark.parametrize("literal", [
@@ -324,32 +331,33 @@ def test_a_repeated_literal_is_found_by_its_text_before_it_is_read(
     "complex{cells 0: 1; cells 1: 600}",
 ], ids=["del-del-nonzero", "over-the-cell-cap"])
 def test_a_refused_literal_leaves_no_index_entry(literal):
+    """Refused on every request, and kept under no key."""
     for _ in range(2):
         with pytest.raises((SemanticError, UnsupportedComputation)):
             parse_space(literal)
-    assert spaces._built_spaces.by_text == {}
-    assert spaces._built_spaces.text_of == {}
+    assert spaces._built_spaces == {}
+    assert spaces._built_spaces.weight == 0
 
 
 def test_eviction_and_a_cold_cache_empty_the_literal_index(cold_caches):
     """A literal with r cells in degree 1 weighs 2 + r.  Filling the
-    budget with lens spaces evicts the literal and drops its text; a
-    cold cache drops every text."""
+    budget with lens spaces evicts the literal and drops its text key; a
+    cold cache drops every key."""
     text = _literal(1, 8)
     x = parse_space(text)
     kept = spaces._built_spaces
-    assert kept.by_text == {text: x}
+    assert list(kept.items()) == [(text, x)]
     top = 1
-    while x.label in kept:
+    while text in kept:
         spaces.lens_skeleton(2, top)
         top += 1
-    assert kept.by_text == {} and kept.text_of == {}
+    assert not any(isinstance(key, str) for key in kept)
     assert parse_space(text) is not x and parse_space(text) == x
 
     parse_space(_literal(1, 9))
-    assert len(kept.by_text) == 2
+    assert {text, _literal(1, 9)} <= set(kept)
     cold_caches()
-    assert kept.by_text == {} and kept.text_of == {}
+    assert kept == {} and kept.weight == 0
 
 
 def test_a_literal_with_nonzero_del_del_is_refused_every_time():

@@ -795,6 +795,24 @@ def test_malformed_literals_that_are_one_token_keep_their_errors(
     assert run_json(line)[1]["error"]["message"] == message
 
 
+@pytest.mark.parametrize("line, code, message", [
+    ("homology wedge(sphere(2) sphere(3)) 1", EXIT_PARSE,
+     "expected ')', found 'sphere' (line 1, column 17)"),
+    ("homology wedge(sphere(2), lens_periodic(3) x) 1", EXIT_PARSE,
+     "expected ')', found 'x' (line 1, column 35)"),
+    ("brauer wedge(moore3(5))", EXIT_SEMANTIC,
+     "wedge needs at least two summands"),
+    ("homology wedge(sphere(2), lens_periodic(3)) 1", EXIT_SEMANTIC,
+     "wedge summands must be finite complexes"),
+], ids=["summand-for-comma", "trailing-input", "one-summand", "periodic"])
+def test_a_wedge_reads_its_closing_parenthesis_before_its_checks(
+        line, code, message):
+    """A syntax error after the last summand is a parse error (exit 2),
+    as in product(...); only a wedge read to its ")" is checked."""
+    assert run_json(line)[1]["error"]["message"] == message
+    assert run(line)[0] == code
+
+
 def test_unit_pivots_answer_a_free_group_of_rank_511_quickly():
     # del_1 is the 1 x 511 zero matrix, so the cycles are a 511 x 511
     # identity: every pivot is 1 and no divisibility scan is needed

@@ -14,7 +14,6 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from cwbrauer.abgroup import FgAbGroup, GroupHom
-from cwbrauer.chaincx import random_complex
 from cwbrauer.cli import parse_request
 from cwbrauer.errors import ParseError, SemanticError, UnsupportedComputation
 from cwbrauer.grammar import (
@@ -27,6 +26,7 @@ from cwbrauer.limits import Tower
 from cwbrauer.profiles import (OMEGA, AffineExpr, CyclicProfile,
                                ObstructionDescriptor, Rule)
 from cwbrauer import spaces as sp
+from _oracles import random_complex
 
 N_TRIPS = 500
 
@@ -485,16 +485,17 @@ def test_tokenizer_matches_per_token_reference(src):
     """Plain tokens equal the reference's.  A matrix token starts where
     the reference's "[" does, a complex token where its "complex" does,
     and each covers exactly the reference tokens of its span; every later
-    token keeps its position.  The parser's tokens, once next() has
-    unfolded every complex token, do the same."""
+    token keeps its position.  next() consumes a complex or matrix token
+    by unfolding it, so once it has read to the end no token of either
+    kind is left, and the parser's tokens equal the reference's."""
     want, bad = ref_tokenize(src)
     if bad is None:
         _assert_covers(_tokenize(src), want)
         p = _Parser(src)
         while p.next().kind != "eof":
             pass
-        assert "complex" not in {t.kind for t in p.tokens}
-        _assert_covers(p.tokens, want)
+        assert not {"complex", "matrix"} & {t.kind for t in p.tokens}
+        assert [tuple(t) for t in p.tokens] == want
         return
     with pytest.raises(ParseError) as e:
         _tokenize(src)
@@ -644,3 +645,27 @@ def test_matrix_rows_reads_entries_and_keeps_error_positions():
         assert str(e.value) == f"{message} (line 1, column {col})", src
     with pytest.raises(UnsupportedComputation, match="5000 digits"):
         _Parser(f"[[1, -{'7' * 5000}]]").matrix_rows()
+
+
+def test_a_tower_map_that_is_one_matrix_token_is_read_whole(monkeypatch):
+    """`_map` reads a matrix token as the "[" it starts with, and
+    matrix_rows reads it whole: one _matrix_token_rows call on its text,
+    and nothing unfolded."""
+    matrix = "[[2, 1], [0, 1]]"
+    read, unfolded = [], []
+    rows, unfold = _Parser._matrix_token_rows, _Parser._unfold
+
+    def rows_counted(self):
+        read.append(self.tokens[self.pos].text)
+        return rows(self)
+
+    def unfold_counted(self):
+        unfolded.append(self.tokens[self.pos])
+        return unfold(self)
+
+    monkeypatch.setattr(_Parser, "_matrix_token_rows", rows_counted)
+    monkeypatch.setattr(_Parser, "_unfold", unfold_counted)
+    request = parse_request(f"lim1 tower block [Z^2 -({matrix})-> Z^2]")
+    assert read == [matrix] and unfolded == []
+    assert request.args[0].block_links[0].matrix == IntMatrix([[2, 1],
+                                                               [0, 1]])

@@ -264,12 +264,14 @@ def test_certificate_certified():
 
 def test_certificate_condition_fails():
     p = CyclicProfile.from_pairs([(3, OMEGA)])
-    bounded = ObstructionDescriptor((growth_rule(hi=100),))
-    report = non_brauer_certificate(p, bounded)
-    assert report.verdict == "CONDITION_FAILS"
-    held = {name: holds for name, holds, _ in report.conditions}
-    assert held["(a) all but finitely many J_i are finite"]
-    assert not held["(b) sup |J_i| over the finite-J indices is unbounded"]
+    for hi in (9, 100):
+        bounded = ObstructionDescriptor((growth_rule(hi=hi),))
+        report = non_brauer_certificate(p, bounded)
+        assert report.verdict == "CONDITION_FAILS"
+        held = {name: holds for name, holds, _ in report.conditions}
+        assert held["(a) all but finitely many J_i are finite"]
+        assert not held["(b) sup |J_i| over the finite-J indices is "
+                        "unbounded"]
 
     flat = ObstructionDescriptor((
         Rule(lo=1, hi=None, lower=AffineExpr(1, 0), upper=AffineExpr(1, 7)),))

@@ -9,16 +9,16 @@ import pytest
 
 from cwbrauer.abgroup import FgAbGroup, Z, exterior_square
 from cwbrauer.chaincx import (ChainComplex, bockstein, cohomology, homology,
-                              random_complex, uct_decompose)
+                              uct_decompose)
 from cwbrauer.errors import SemanticError, UnsupportedComputation
 from cwbrauer.intlin import IntMatrix
 from cwbrauer.grammar import parse_space
 from cwbrauer.profiles import OMEGA, CyclicProfile, StructuralDescriptor
-from _oracles import draw_eventually_periodic
+from _oracles import draw_eventually_periodic, random_complex
 from cwbrauer.spaces import (
     EQUAL, STRICT, UNKNOWN, EqualityCertificate, PeriodicComplex,
     QZ_TOKEN, SpaceDescription, SymbolicGroup, bg_profile, bpgl,
-    brauer_prime, catalog_lookup, certificate_from_descriptor,
+    brauer_prime, catalog_lookup,
     equality_certificate, from_complex, k_space, lens_periodic,
     lens_skeleton, min_bundle_rank, moore_3cell, phantom_subgroup, product,
     space_homology, sphere, telescope_z, wedge,
@@ -632,8 +632,7 @@ def test_certificate_verdicts_are_exclusive():
         cert = equality_certificate(x)
         assert cert.verdict in (EQUAL, STRICT, UNKNOWN)
         if cert.verdict == STRICT:
-            assert set(cert.applicable_rules) <= {"CatalogTheorem",
-                                                  "NonBrauerCondition"}
+            assert set(cert.applicable_rules) <= {"CatalogTheorem"}
         if cert.verdict == UNKNOWN:
             assert cert.applicable_rules == ()
 
@@ -647,29 +646,6 @@ def test_certificate_constructor_invariants():
         EqualityCertificate(EQUAL, None, "")
     with pytest.raises(SemanticError):
         EqualityCertificate(EQUAL, "BogusRule", "")
-
-
-def test_certificate_from_descriptor():
-    from cwbrauer.profiles import (
-        AffineExpr, ObstructionDescriptor, Rule, non_brauer_certificate)
-    p = CyclicProfile.from_pairs([(3, OMEGA)])
-    rules = (Rule(lo=1, hi=None, lower=AffineExpr(1, 0),
-                  upper=AffineExpr(2, 0)),)
-    desc = ObstructionDescriptor(rules=rules)
-    report = non_brauer_certificate(p, desc)
-    assert report.verdict == "CERTIFIED_NOT_IN_BR"
-    cert = certificate_from_descriptor(p, report)
-    assert cert.verdict == STRICT
-    assert cert.reason == "NonBrauerCondition"
-    assert cert.citations == ("bg-strict",)
-
-    bounded = ObstructionDescriptor(
-        rules=(Rule(lo=1, hi=9, lower=AffineExpr(1, 0),
-                    upper=AffineExpr(2, 0)),))
-    failing = non_brauer_certificate(p, bounded)
-    assert failing.verdict == "CONDITION_FAILS"
-    with pytest.raises(SemanticError):
-        certificate_from_descriptor(p, failing)
 
 
 # -- minimal bundle rank -----------------------------------------------------------

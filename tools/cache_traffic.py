@@ -21,8 +21,8 @@ Space lookups, presentations and Bocksteins are counted by wrappers put
 around `spaces._built`, `spaces.kept_literal`,
 `chaincx.SubquotientPresentation.__init__` and `cli.bockstein` from
 outside, as `perfbench/tracer.py` wraps functions.  A literal found by
-its text never reaches `_built`, so a lookup is a call of `_built` or a
-text hit.  Nothing under src/ changes.
+its text (its key) never reaches `_built`, so a lookup is a call of
+`_built` or a text hit.  Nothing under src/ changes.
 """
 
 from __future__ import annotations
@@ -58,11 +58,11 @@ def traffic(entries) -> dict:
     real_init = chaincx.SubquotientPresentation.__init__
     real_bockstein = cli.bockstein
 
-    def counted(label, chains):
+    def counted(label, chains, key=None):
         counts["lookups"] += 1
-        counts["builds"] += label not in kept
+        counts["builds"] += (label if key is None else key) not in kept
         try:
-            return real(label, chains)
+            return real(label, chains, key)
         finally:
             counts["peak"] = max(counts["peak"], kept.weight)
 
