@@ -38,20 +38,20 @@ literal with more than MAX_PROFILE_MULTIPLICITY finite cyclic summands
 (w counts none), and an integer literal with more digits than the
 interpreter converts (sys.get_int_max_str_digits).
 
-A complex literal, from "complex" to its first "}", is one token
-when every character in it is one the other tokens accept, and a
-well-formed numeric MATRIX with at least one row is one token too.
-Both kinds follow one rule: everywhere but `space()` and
-`matrix_rows()` such a compound token reads as the plain token it
-starts with, "complex" or "[", and it is unfolded into the tokens its
-text reads as only when that first token is consumed.  So every error,
-its line and its column read as if the line were always read token by
-token.  `space()` reads a complex token whole: it looks the literal up
-by its exact text among the kept spaces (`spaces.kept_literal`), so a
-literal repeated in a session is neither tokenized nor converted again.
-`matrix_rows()` reads a matrix token whole by splitting its text, so a
-dense literal costs a few tokens, not one per bracket, comma, sign and
-digit run.
+The parser scans plain tokens (integers, identifiers, symbols) one at a
+time as it moves, straight from the source text, and keeps each
+token's offset: a line and column are worked out only for an error.
+Two readers take whole text at the cursor instead.  `matrix_rows()`
+reads a well-formed numeric MATRIX with at least one row by one
+regular-expression match and a split of its text, so a dense literal
+costs a few tokens, not one per bracket, comma, sign and digit run.
+`space()` at "complex" matches the literal up to its first "}" when
+every character in it is one the tokens accept, and looks that text up
+among the kept spaces (`spaces.kept_literal`), so a literal repeated
+in a session is neither scanned nor converted again.  Anything else is
+read token by token, so every error, its line and its column read the
+same either way.  A line holding a character no token accepts is
+refused before it is parsed.
 
 A tower is read front to back, once: each map is kept as written and
 becomes a GroupHom when the groups on both sides of its arrow are read.
@@ -64,7 +64,9 @@ that convention, and `format_tower` prints each map's own groups.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from functools import partial
+from itertools import islice, repeat
+from typing import Callable, Iterator, NamedTuple
 
 from .abgroup import FgAbGroup, GroupHom
 from .chaincx import ChainComplex
@@ -102,101 +104,97 @@ MAX_PROFILE_MULTIPLICITY = 64
 # tokenizer
 # ---------------------------------------------------------------------------
 
-# A complex literal's body admits only characters the other tokens
-# accept, so a line that tokenizes plainly tokenizes the same with it.
 # Matrix entries are (-\s*)?\d+: with -?\s*\d+ the two \s* that meet
 # after a comma could share a run of blanks in many ways, and a long
 # literal missing its last "]" would backtrack for minutes.
 _ENTRY = r"(?:-\s*)?\d+"
 _ROW = rf"\[\s*(?:{_ENTRY}(?:\s*,\s*{_ENTRY})*\s*)?\]"
+_MATRIX_RE = re.compile(rf"\[\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\]")
+# A complex literal's body admits only characters the tokens accept, so
+# the literal scans the same plainly as its text reads.  Its class names
+# the ASCII blanks, which \s holds too, so that each character is first
+# looked up in a bitmap: a 13 KB literal matches in 0.7 of the time.
+_COMPLEX_RE = re.compile(
+    r"complex\s*\{[\t\n\v\f\r\x1c-\x1f A-Za-z0-9_\^+/()\[\],;:=<>\s-]*\}")
+_SYMS = r"\^+/()\[\]{},;:=<>-"
 _TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
   | (?P<int>\d+)
-  | (?P<complex>complex\s*\{{[\sA-Za-z0-9_\^+/()\[\],;:=<>-]*\}})
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<matrix>\[\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\])
-  | (?P<sym><=|>=|[\^+/()\[\]{{}},;:=<>-])
+  | (?P<sym><=|>=|[{_SYMS}])
 """, re.VERBOSE)
+# A character no token accepts, and the ASCII bytes that some token
+# accepts (\s matches \x1c-\x1f too).
+_BAD_CHAR = re.compile(rf"[^\s\dA-Za-z_{_SYMS}]")
+_TOKEN_BYTES = bytes(c for c in range(128) if not _BAD_CHAR.match(chr(c)))
 
 
 class Token(NamedTuple):
-    kind: str   # "int" | "ident" | "complex" | "matrix" | "sym" | "eof"
+    kind: str   # "int" | "ident" | "sym" | "eof"
     text: str
-    line: int
-    col: int
+    at: int     # offset of its first character in the source
 
 
-def _tokenize(src: str, line: int = 1, col: int = 1) -> list[Token]:
-    """The tokens of src, whose first character sits at (line, col)."""
-    out: list[Token] = []
-    line_start = 1 - col   # offset of column 1 of the current line
-    pos = 0
-    for m in _TOKEN_RE.finditer(src):
-        start = m.start()
-        if start != pos:   # finditer skipped a character no token matches
-            break
+def _scan(src: str, i: int) -> Iterator[Token]:
+    """The tokens of src from offset i on, then "eof" for ever.  src
+    holds no character that no token matches (_Parser checks)."""
+    for m in _TOKEN_RE.finditer(src, i):
         kind = m.lastgroup
-        text = m.group()
         if kind != "ws":
-            out.append(Token(kind, text, line, start - line_start + 1))
-        if "\n" in text:   # only blanks, literals and matrices span lines
-            line += text.count("\n")
-            line_start = start + text.rfind("\n") + 1
-        pos = m.end()
-    if pos < len(src):
-        raise ParseError(f"unexpected character {src[pos]!r}",
-                         line=line, column=pos - line_start + 1)
-    out.append(Token("eof", "", line, pos - line_start + 1))
-    return out
-
-
-def _plain(t: Token) -> Token:
-    """t as the parser reads it: a complex or matrix token as the plain
-    token it starts with, "complex" or "[", at its position."""
-    if t.kind == "complex":
-        return Token("ident", "complex", t.line, t.col)
-    return Token("sym", "[", t.line, t.col) if t.kind == "matrix" else t
-
-
-def _refusal(message: str, t: Token) -> UnsupportedComputation:
-    """The refusal of a well-formed literal too large to compute, placed
-    at token t."""
-    return UnsupportedComputation(f"{message} (line {t.line}, column {t.col})")
+            yield Token(kind, m.group(), m.start())
+    yield from repeat(Token("eof", "", len(src)))
 
 
 class _Parser:
     def __init__(self, src: str):
-        self.tokens = _tokenize(src)
-        self.pos = 0
+        self.src = src
+        # An ASCII line is cleared by deleting the bytes the tokens
+        # accept, five times as fast as by a regular expression.
+        if not src.isascii() or src.encode().translate(None, _TOKEN_BYTES):
+            bad = _BAD_CHAR.search(src)
+            if bad is not None:
+                raise ParseError(f"unexpected character {bad.group()!r}",
+                                 *self._place(bad.start()))
         self.space_depth = 0
+        self._seek(0)
 
     # -- token plumbing ----------------------------------------------------
-    # self.pos never passes the final "eof" token: next() stays on it, and
-    # no caller accepts or expects kind "eof".  So the cursor reads
-    # self.tokens[self.pos] directly; only a lookahead past it is clamped.
-    # A complex or matrix token reads as its first plain token (_plain),
-    # and is unfolded by the read that consumes that token; only space()
-    # and matrix_rows() read one whole.
+    # self.tok is the token at the cursor, and self._tokens scans the ones
+    # after it; past the end both stay on "eof", and no caller accepts or
+    # expects kind "eof".  matrix_rows() and space() may move the cursor
+    # past a whole text they read (_seek).
+    def _seek(self, i: int):
+        self._tokens = _scan(self.src, i)
+        self.tok = next(self._tokens)
+
+    def _place(self, i: int) -> tuple[int, int]:
+        """(line, column) of offset i of the source."""
+        return (self.src.count("\n", 0, i) + 1,
+                i - self.src.rfind("\n", 0, i))
+
+    def _refusal(self, message: str, t: Token) -> UnsupportedComputation:
+        """The refusal of a well-formed literal too large to compute,
+        placed at token t."""
+        line, col = self._place(t.at)
+        return UnsupportedComputation(f"{message} (line {line}, column {col})")
+
     def next(self) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind in ("complex", "matrix"):
-            return self._unfold()
-        if t.kind != "eof":
-            self.pos += 1
+        t = self.tok
+        self.tok = next(self._tokens)
         return t
 
     def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
-        t = _plain(self.tokens[min(self.pos + ahead, len(self.tokens) - 1)
-                               if ahead else self.pos])
+        t = self.tok
+        if ahead:
+            t = next(islice(_scan(self.src, t.at + len(t.text)),
+                            ahead - 1, None))
         return t.kind == kind and (text is None or t.text == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        t = self.tokens[self.pos]
+        t = self.tok
         if t.kind == kind and (text is None or t.text == text):
-            self.pos += 1
+            self.tok = next(self._tokens)
             return t
-        if t.kind in ("complex", "matrix") and self.at(kind, text):
-            return self._unfold()
         return None
 
     def expect(self, kind: str, text: str | None = None,
@@ -204,34 +202,18 @@ class _Parser:
         t = self.accept(kind, text)
         if t is not None:
             return t
-        t = _plain(self.tokens[self.pos])
+        t = self.tok
         want = what or (text if text is not None else kind)
         got = t.text if t.kind != "eof" else "end of input"
         raise ParseError(f"expected {want!r}, found {got!r}",
-                         line=t.line, column=t.col)
+                         *self._place(t.at))
 
     def fail(self, message: str):
-        t = self.tokens[self.pos]
-        raise ParseError(message, line=t.line, column=t.col)
+        raise ParseError(message, *self._place(self.tok.at))
 
     def expect_end(self):
-        t = _plain(self.tokens[self.pos])
-        if t.kind != "eof":
-            self.fail(f"unexpected trailing input {t.text!r}")
-
-    def _unfold(self) -> Token:
-        """Replace the complex or matrix token at the cursor by the tokens
-        its text reads as without it, and consume the first of them.  A
-        blank or "{" follows that "complex", and only a row that "[", so
-        the rest of the text cannot match a token of the same kind
-        again."""
-        t = self.tokens[self.pos]
-        head = _plain(t)
-        n = len(head.text)
-        self.tokens[self.pos:self.pos + 1] = (
-            [head] + _tokenize(t.text[n:], t.line, t.col + n)[:-1])
-        self.pos += 1
-        return head
+        if self.tok.kind != "eof":
+            self.fail(f"unexpected trailing input {self.tok.text!r}")
 
     # -- shared small pieces -------------------------------------------
     def integer(self, what: str = "integer") -> int:
@@ -242,22 +224,21 @@ class _Parser:
         t = self.expect("int", what=what)
         return self._digits(t.text, t)
 
-    @staticmethod
-    def _digits(text: str, t: Token) -> int:
+    def _digits(self, text: str, t: Token) -> int:
         """The value of a digit string; one longer than the interpreter
         converts (sys.get_int_max_str_digits) is refused, not raised."""
         try:
             return int(text)
         except ValueError:
-            raise _refusal(f"integer literal of {len(text)} digits is too "
-                           "long", t) from None
+            raise self._refusal(f"integer literal of {len(text)} digits "
+                                "is too long", t) from None
 
     # -- group literals ----------------------------------------------------
     def group(self) -> FgAbGroup:
         if self.at("int", "0"):
             self.next()
             return FgAbGroup.trivial()
-        start = self.tokens[self.pos]
+        start = self.tok
         free = 0
         torsion: list[int] = []
         while True:
@@ -275,9 +256,9 @@ class _Parser:
             else:
                 free += 1
             if free + len(torsion) > MAX_GROUP_GENERATORS:
-                raise _refusal("group literal has more than "
-                               f"{MAX_GROUP_GENERATORS} cyclic generators",
-                               start)
+                raise self._refusal(
+                    f"group literal has more than {MAX_GROUP_GENERATORS} "
+                    "cyclic generators", start)
             if not self.accept("sym", "+"):
                 break
         return FgAbGroup.from_cyclic_orders([0] * free + torsion)
@@ -287,7 +268,7 @@ class _Parser:
         if self.at("int", "0"):
             self.next()
             return CyclicProfile()
-        start = self.tokens[self.pos]
+        start = self.tok
         finite = 0
         pairs: list[tuple[int, object]] = []
         while True:
@@ -307,7 +288,7 @@ class _Parser:
                     raise SemanticError("multiplicities must be >= 1 (or w)")
                 finite += mult
                 if finite > MAX_PROFILE_MULTIPLICITY:
-                    raise _refusal(
+                    raise self._refusal(
                         f"profile literal has more than "
                         f"{MAX_PROFILE_MULTIPLICITY} finite cyclic summands",
                         start)
@@ -318,9 +299,18 @@ class _Parser:
 
     # -- matrices ------------------------------------------------------
     def matrix_rows(self) -> list[list[int]]:
-        rows = (self._matrix_token_rows()
-                if self.tokens[self.pos].kind == "matrix" else None)
-        if rows is None:   # no matrix token: read it token by token
+        rows = None
+        m = _MATRIX_RE.match(self.src, self.tok.at)
+        if m is not None:   # a well-formed numeric matrix: split its text
+            body = "".join(m.group().split())[2:-2]   # "1,-2],[],[3,4"
+            try:
+                rows = [[int(x) for x in r.split(",")] if r else []
+                        for r in body.split("],[")]
+            except ValueError:   # an entry too long for int()
+                pass
+            else:
+                self._seek(m.end())
+        if rows is None:   # token by token, so an error keeps its position
             self.expect("sym", "[")
             rows = []
             if not self.at("sym", "]"):
@@ -338,20 +328,6 @@ class _Parser:
             self.expect("sym", "]")
         if len({len(r) for r in rows}) > 1:
             raise SemanticError("matrix rows have differing lengths")
-        return rows
-
-    def _matrix_token_rows(self) -> list[list[int]] | None:
-        """The rows of the matrix token at the cursor, read by splitting
-        its text.  An entry too long for int() gives None, so the token
-        path reports it with its position."""
-        text = self.tokens[self.pos].text
-        body = "".join(text.split())[2:-2]   # "1,-2],[],[3,4"
-        try:
-            rows = [[int(x) for x in r.split(",")] if r else []
-                    for r in body.split("],[")]
-        except ValueError:
-            return None
-        self.pos += 1
         return rows
 
     # -- complex literals ------------------------------------------------
@@ -408,77 +384,81 @@ class _Parser:
 
     # -- space literals ----------------------------------------------------
     def space(self) -> _sp.SpaceDescription:
-        t = self.tokens[self.pos]
-        text = t.text if t.kind == "complex" else None
-        if text is not None:   # found by its text before it is read
-            x = _sp.kept_literal(text)
-            if x is not None:
-                self.pos += 1
-                return x
         if self.at("ident", "complex"):
+            m = _COMPLEX_RE.match(self.src, self.tok.at)
+            text = m.group() if m else None
+            if text is not None:   # found by its text before it is read
+                x = _sp.kept_literal(text)
+                if x is not None:
+                    self._seek(m.end())
+                    return x
             return _sp.from_literal(*self._complex_chains(), text=text)
         t = self.expect("ident", what="space builder")
-        name = t.text
         self.expect("sym", "(")
         if self.space_depth == MAX_SPACE_NESTING:
-            raise _refusal(f"space expression nested more than "
-                           f"{MAX_SPACE_NESTING} levels deep", t)
+            raise self._refusal(f"space expression nested more than "
+                                f"{MAX_SPACE_NESTING} levels deep", t)
         self.space_depth += 1
         try:
-            out = self._space_args(name, t)
+            build, size = self._space_args(t.text)
         finally:
             self.space_depth -= 1
-        self.expect("sym", ")")
-        return out
+        self.expect("sym", ")")   # a syntax error comes before any check
+        if size is not None:
+            self._check_size(*size, t)
+        return build()
 
     def _check_size(self, cells: int, top: int, t: Token):
         """Refuse a finite complex over MAX_COMPLEX_CELLS cells or with
         cells above degree MAX_COMPLEX_DEGREE, before it is built."""
         if cells > MAX_COMPLEX_CELLS or top > MAX_COMPLEX_DEGREE:
-            raise _refusal(
+            raise self._refusal(
                 f"space expression builds {cells} cells up to degree {top}; "
                 f"at most {MAX_COMPLEX_CELLS} cells up to degree "
                 f"{MAX_COMPLEX_DEGREE} are supported", t)
 
-    def _space_args(self, name: str, t: Token) -> _sp.SpaceDescription:
+    def _space_args(self, name: str) -> tuple[
+            Callable[[], _sp.SpaceDescription], tuple[int, int] | None]:
+        """Read the arguments of builder `name`.  Return the call that
+        builds its space and, when the size caps apply, the cells and
+        top degree of the complex it builds; space() checks and builds
+        only once it has read the closing ")"."""
         if name == "sphere":
             n = self.unsigned("dimension")
-            self._check_size(2, n, t)
-            return _sp.sphere(n)
+            return partial(_sp.sphere, n), (2, n)
         if name == "moore3":
-            return _sp.moore_3cell(self.unsigned("attachment degree"))
+            return partial(_sp.moore_3cell,
+                           self.unsigned("attachment degree")), None
         if name == "lens":
             n = self.unsigned("lens parameter")
             self.expect("sym", ",")
             top = self.unsigned("top degree")
-            self._check_size(top + 1, top, t)
-            return _sp.lens_skeleton(n, top)
+            return partial(_sp.lens_skeleton, n, top), (top + 1, top)
         if name == "lens_periodic":
-            return _sp.lens_periodic(self.unsigned("lens parameter"))
+            return partial(_sp.lens_periodic,
+                           self.unsigned("lens parameter")), None
         if name == "wedge":
             parts = [self.space()]
             while self.accept("sym", ","):
                 parts.append(self.space())
-            if not self.at("sym", ")"):   # a syntax error before the checks
-                self.expect("sym", ")")
+            size = None
             if all(x.kind == "finite" for x in parts):
                 # the summands share their one 0-cell
-                self._check_size(
-                    1 + sum(sum(x.cells.ranks) - x.cells.rank(0)
-                            for x in parts),
-                    max(x.cells.top_degree for x in parts), t)
-            return _sp.wedge(parts)
+                size = (1 + sum(sum(x.cells.ranks) - x.cells.rank(0)
+                                for x in parts),
+                        max(x.cells.top_degree for x in parts))
+            return partial(_sp.wedge, parts), size
         if name == "product":
             a = self.space()
             self.expect("sym", ",")
             b = self.space()
+            size = None
             if a.kind == b.kind == "finite":
-                self._check_size(
-                    sum(a.cells.ranks) * sum(b.cells.ranks),
-                    a.cells.top_degree + b.cells.top_degree, t)
-            return _sp.product(a, b)
+                size = (sum(a.cells.ranks) * sum(b.cells.ranks),
+                        a.cells.top_degree + b.cells.top_degree)
+            return partial(_sp.product, a, b), size
         if name == "bpgl":
-            return _sp.bpgl(self.unsigned("bundle rank"))
+            return partial(_sp.bpgl, self.unsigned("bundle rank")), None
         if name == "k":
             if (self.at("ident", "Q") and self.at("sym", "/", 1)
                     and self.at("ident", "Z", 2)):
@@ -489,15 +469,14 @@ class _Parser:
             else:
                 g = self.group()
             self.expect("sym", ",")
-            j = self.unsigned("degree")
-            return _sp.k_space(g, j)
+            return partial(_sp.k_space, g, self.unsigned("degree")), None
         if name == "bg":
-            return _sp.bg_profile(self.profile())
+            return partial(_sp.bg_profile, self.profile()), None
         if name == "telescope":
             self.expect("ident", "Z", what="Z")
             self.expect("sym", ",")
             k = self._scalar_map("telescope multiplier")
-            return _sp.telescope_z(k)
+            return partial(_sp.telescope_z, k), None
         self.fail(f"unknown space builder {name!r}")
 
     def _scalar_map(self, what: str) -> int:
@@ -507,7 +486,7 @@ class _Parser:
         if t.text == "x":
             return self.integer(what)
         raise ParseError(f"expected {what} like 'x5', found {t.text!r}",
-                         line=t.line, column=t.col)
+                         *self._place(t.at))
 
     # -- tower literals ------------------------------------------------
     def _map(self):

@@ -24,9 +24,9 @@ Every builder that makes chains (`sphere`, `moore_3cell`,
 bounded in cells: the spaces it keeps weigh at most `MAX_BUILT_CELLS`
 together, each 1 plus the cells of its chains and of the literals its
 label names, and one space over the budget is kept alone.  A space is
-kept under its label, save a `complex{...}` literal read as one token,
-which is kept under its exact text: `kept_literal` finds it there
-before the grammar tokenizes or converts any of it, so a literal
+kept under its label, save a `complex{...}` literal the grammar matches
+whole, which is kept under its exact text: `kept_literal` finds it there
+before the grammar scans or converts any of it, so a literal
 repeated in a session is read once.  A second spelling of the same
 chains is a second key and an equal space.  A key determines its space
 and a space is never changed, so every request on the same space text

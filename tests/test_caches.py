@@ -283,20 +283,33 @@ def test_refusals_are_not_kept():
 def test_a_repeated_literal_is_found_by_its_text_before_it_is_read(
         monkeypatch):
     """The second request on the same literal text returns the space
-    kept under that text without converting a matrix or building a
-    complex, and makes it the most recently used."""
+    kept under that text without scanning a token inside it, converting
+    a matrix or building a complex, and makes it the most recently
+    used."""
     line = f"homology {DENSE_LITERAL} 1"
     first = parse_request(line).args[0]
     kept = spaces._built_spaces
     assert list(kept.items()) == [(DENSE_LITERAL, first)]
     spaces.sphere(2)   # now the literal's space is the least recent
-    read = (_counting(monkeypatch, grammar._Parser, "_matrix_token_rows")
-            + _counting(monkeypatch, intlin.IntMatrix, "__init__")
-            + _counting(monkeypatch, ChainComplex, "__init__"))
+    scanned = []
+    scan = grammar._scan
+
+    def counted(src, i):
+        for t in scan(src, i):
+            scanned.append(t.at)
+            yield t
+
+    monkeypatch.setattr(grammar, "_scan", counted)
+    built = (_counting(monkeypatch, intlin.IntMatrix, "__init__")
+             + _counting(monkeypatch, ChainComplex, "__init__"))
     for _ in range(3):
         assert parse_request(line).args[0] is first
     assert next(reversed(kept)) == DENSE_LITERAL
-    assert read == []
+    assert built == []
+    # parse_request scans the text after "homology ": the literal's
+    # offsets there are 0 to len(DENSE_LITERAL) - 1
+    assert scanned and not [at for at in scanned
+                            if 0 < at < len(DENSE_LITERAL)]
 
 
 def test_a_second_spelling_gets_its_own_equal_space(monkeypatch):

@@ -804,13 +804,52 @@ def test_malformed_literals_that_are_one_token_keep_their_errors(
      "wedge needs at least two summands"),
     ("homology wedge(sphere(2), lens_periodic(3)) 1", EXIT_SEMANTIC,
      "wedge summands must be finite complexes"),
-], ids=["summand-for-comma", "trailing-input", "one-summand", "periodic"])
+    ("homology moore3(0 x) 1", EXIT_PARSE,
+     "expected ')', found 'x' (line 1, column 10)"),
+    ("homology moore3(0) 1", EXIT_SEMANTIC, "attachment degree must be >= 1"),
+    ("homology sphere(600 x) 1", EXIT_PARSE,
+     "expected ')', found 'x' (line 1, column 12)"),
+    ("homology sphere(600) 1", EXIT_UNSUPPORTED,
+     "space expression builds 2 cells up to degree 600; at most 512 cells "
+     "up to degree 512 are supported (line 1, column 1)"),
+    ("homology product(sphere(2), lens_periodic(3) x) 1", EXIT_PARSE,
+     "expected ')', found 'x' (line 1, column 37)"),
+    ("homology lens(0, 3 x) 1", EXIT_PARSE,
+     "expected ')', found 'x' (line 1, column 11)"),
+    ("homology lens(2, 600 x) 1", EXIT_PARSE,
+     "expected ')', found 'x' (line 1, column 13)"),
+    ("homology lens_periodic(0 x) 1", EXIT_PARSE,
+     "expected ')', found 'x' (line 1, column 17)"),
+    ("homology k(Z, 1 x) 1", EXIT_PARSE,
+     "expected ')', found 'x' (line 1, column 8)"),
+    ("homology bpgl(0 x) 1", EXIT_PARSE,
+     "expected ')', found 'x' (line 1, column 8)"),
+    ("homology wedge(sphere(600), sphere(2) x) 1", EXIT_UNSUPPORTED,
+     "space expression builds 2 cells up to degree 600; at most 512 cells "
+     "up to degree 512 are supported (line 1, column 7)"),
+], ids=["summand-for-comma", "trailing-input", "one-summand", "periodic",
+        "moore3", "moore3-closed", "sphere", "sphere-closed", "product",
+        "lens", "lens-cap", "lens_periodic", "k", "bpgl", "inner-summand"])
 def test_a_wedge_reads_its_closing_parenthesis_before_its_checks(
         line, code, message):
-    """A syntax error after the last summand is a parse error (exit 2),
-    as in product(...); only a wedge read to its ")" is checked."""
+    """Every builder reads its closing ")" before it checks its arguments
+    or builds its space, so a syntax error after the last argument is a
+    parse error (exit 2); only a builder read to its ")" is checked.  A
+    summand read whole is checked before its wedge goes on."""
     assert run_json(line)[1]["error"]["message"] == message
     assert run(line)[0] == code
+
+
+def test_a_bad_character_is_refused_before_any_check():
+    """A character no token matches ends the line with exit 2 at that
+    character, though what comes before it would fail a check; an
+    Arabic-Indic digit and a no-break space are a digit and a blank."""
+    line = "homology moore3(0) 1 $"
+    assert run_json(line)[1]["error"]["message"] == \
+        "unexpected character '$' (line 1, column 13)"
+    assert run(line)[0] == EXIT_PARSE
+    code, report = run_json("homology sphere(\u0662)\u00a0\u0662")
+    assert code == EXIT_OK and report["result_text"] == "H_2 = Z"
 
 
 def test_unit_pivots_answer_a_free_group_of_rank_511_quickly():

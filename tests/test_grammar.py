@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from cwbrauer.abgroup import FgAbGroup, GroupHom
 from cwbrauer.cli import parse_request
 from cwbrauer.errors import ParseError, SemanticError, UnsupportedComputation
+from cwbrauer import grammar
 from cwbrauer.grammar import (
-    MAX_SPACE_NESTING, _Parser, _tokenize, format_complex, format_descriptor, format_group, format_matrix, format_profile,
-    format_space, format_tower, parse_complex, parse_descriptor, parse_group,
-    parse_profile, parse_space, parse_tower,
+    MAX_SPACE_NESTING, _Parser, format_complex, format_descriptor,
+    format_group, format_matrix, format_profile, format_space, format_tower,
+    parse_complex, parse_descriptor, parse_group, parse_profile, parse_space,
+    parse_tower,
 )
 from cwbrauer.intlin import IntMatrix
 from cwbrauer.limits import Tower
@@ -415,12 +417,12 @@ def ref_tokenize(src):
     return out, None
 
 
-# Well-formed matrices, each one token for _tokenize: across lines and
-# tabs, with empty rows and with "-" apart from its digits.
+# Well-formed matrices, each read by one match in matrix_rows: across
+# lines and tabs, with empty rows and with "-" apart from its digits.
 _MATRICES = ["[[1, -2], [30, 4]]", "[[]]", "[[ - 3 ]]", "[\n[1],\t[2]\n]",
              "[[0],[-12] ,[ 7 ]]", "[ [], [5 ,6]\n,\n[] ]"]
 
-# complex{...} literals, each one token for _tokenize whether or not it
+# complex{...} literals, each matched whole by space() whether or not it
 # parses: well-formed ones (one across lines), an empty one, a bad
 # statement, a matrix of the wrong shape and one "[" short.
 _LITERALS = ["complex{cells 0: 1}", "complex {\n cells 0: 2;\tcells 1: 1 ;\n"
@@ -446,35 +448,18 @@ def _token_text(draw):
     return src
 
 
-def _assert_covers(tokens, want):
-    """tokens read as the reference tokens want, as the tokenizer test
-    describes."""
-    first = {"matrix": ("sym", "["), "complex": ("ident", "complex")}
-    j = 0
-    for t in tokens:
-        if t.kind not in first:
-            assert tuple(t) == want[j]
-            j += 1
-            continue
-        assert want[j] == (*first[t.kind], t.line, t.col)
-        end = _end_of(t)
-        span = []
-        while want[j][2:] < end:
-            span.append(want[j])
-            j += 1
-        kinds = {kind for kind, _, _, _ in span}
-        assert kinds <= ({"sym", "int"} if t.kind == "matrix"
-                         else {"sym", "int", "ident"})
-        assert "".join(text for _, text, _, _ in span) \
-            == "".join(t.text.split())
-    assert j == len(want)
+def _scanned(monkeypatch) -> list:
+    """The tokens the parser scans from now on, in order."""
+    seen = []
+    scan = grammar._scan
 
+    def counted(src, i):
+        for t in scan(src, i):
+            seen.append(t)
+            yield t
 
-def _end_of(t):
-    """(line, column) just past the text of token t."""
-    if "\n" not in t.text:
-        return t.line, t.col + len(t.text)
-    return t.line + t.text.count("\n"), len(t.text) - t.text.rfind("\n")
+    monkeypatch.setattr(grammar, "_scan", counted)
+    return seen
 
 
 @seed(20261020)
@@ -482,32 +467,32 @@ def _end_of(t):
 @given(_token_text())
 @example("boundary 1: [[1, -2],\n [ - 3, 4]]; x [[]]\t[ [5] ] ]")
 def test_tokenizer_matches_per_token_reference(src):
-    """Plain tokens equal the reference's.  A matrix token starts where
-    the reference's "[" does, a complex token where its "complex" does,
-    and each covers exactly the reference tokens of its span; every later
-    token keeps its position.  next() consumes a complex or matrix token
-    by unfolding it, so once it has read to the end no token of either
-    kind is left, and the parser's tokens equal the reference's."""
+    """The tokens next() reads to the end, each placed at the line and
+    column of its offset, equal the reference's; a line with a character
+    no token matches is refused when the parser is made, at that
+    character."""
     want, bad = ref_tokenize(src)
     if bad is None:
-        _assert_covers(_tokenize(src), want)
         p = _Parser(src)
-        while p.next().kind != "eof":
-            pass
-        assert not {"complex", "matrix"} & {t.kind for t in p.tokens}
-        assert [tuple(t) for t in p.tokens] == want
+        got = []
+        while not got or got[-1][0] != "eof":
+            t = p.next()
+            got.append((t.kind, t.text, *p._place(t.at)))
+        assert got == want
         return
     with pytest.raises(ParseError) as e:
-        _tokenize(src)
+        _Parser(src)
     ch, line, col = bad
     assert (e.value.line, e.value.column) == (line, col)
     assert str(e.value) == (f"unexpected character {ch!r} "
                             f"(line {line}, column {col})")
 
 
-def test_a_dense_complex_literal_is_a_few_tokens():
+def test_a_dense_complex_literal_is_a_few_tokens(monkeypatch):
     """A literal the size of the benchmark's dense ones: over 12 KB and
-    4000 tokens when every bracket, comma, sign and digit run is one."""
+    4000 tokens when every bracket, comma, sign and digit run is one.
+    Read cold, each of its matrices is one match, not one token per
+    piece; the whole literal is read before del del = 0 is checked."""
     rng = random.Random(10)
 
     def dense():
@@ -517,7 +502,26 @@ def test_a_dense_complex_literal_is_a_few_tokens():
         [f"cells {n}: 28" for n in range(4)]
         + [f"boundary {n}: {dense()}" for n in (1, 2, 3)]) + " }")
     assert len(text) > 12_000 and len(ref_tokenize(text)[0]) > 4000
-    assert len(_tokenize(text)) < 100
+    seen = _scanned(monkeypatch)
+    with pytest.raises(SemanticError, match="del_1 del_2 != 0"):
+        parse_space(text)
+    assert len(seen) < 100
+
+
+def test_the_parser_refuses_exactly_the_ascii_characters_no_token_matches():
+    """_Parser(c) refuses an ASCII character c exactly when the per-token
+    reference meets it as a bad character; \\x1c-\\x1f, which \\s
+    matches, are blanks."""
+    ascii_chars = [chr(c) for c in range(128)]
+    refused = set()
+    for c in ascii_chars:
+        try:
+            _Parser(c)
+        except ParseError as e:
+            assert str(e) == f"unexpected character {c!r} (line 1, column 1)"
+            refused.add(c)
+    assert refused == {c for c in ascii_chars if ref_tokenize(c)[1]}
+    assert not refused & set("\x1c\x1d\x1e\x1f")
 
 
 def ref_matrix_rows(src):
@@ -648,24 +652,23 @@ def test_matrix_rows_reads_entries_and_keeps_error_positions():
 
 
 def test_a_tower_map_that_is_one_matrix_token_is_read_whole(monkeypatch):
-    """`_map` reads a matrix token as the "[" it starts with, and
-    matrix_rows reads it whole: one _matrix_token_rows call on its text,
-    and nothing unfolded."""
+    """matrix_rows reads a well-formed matrix in a tower map by one
+    _MATRIX_RE match at its "[", and scans no token inside it."""
     matrix = "[[2, 1], [0, 1]]"
-    read, unfolded = [], []
-    rows, unfold = _Parser._matrix_token_rows, _Parser._unfold
+    text = f"tower block [Z^2 -({matrix})-> Z^2]"
+    start = text.index(matrix)
+    matched = []
 
-    def rows_counted(self):
-        read.append(self.tokens[self.pos].text)
-        return rows(self)
+    class Counted:
+        def match(self, src, i):
+            m = pattern.match(src, i)
+            matched.append((i, m and m.group()))
+            return m
 
-    def unfold_counted(self):
-        unfolded.append(self.tokens[self.pos])
-        return unfold(self)
-
-    monkeypatch.setattr(_Parser, "_matrix_token_rows", rows_counted)
-    monkeypatch.setattr(_Parser, "_unfold", unfold_counted)
-    request = parse_request(f"lim1 tower block [Z^2 -({matrix})-> Z^2]")
-    assert read == [matrix] and unfolded == []
-    assert request.args[0].block_links[0].matrix == IntMatrix([[2, 1],
-                                                               [0, 1]])
+    pattern = grammar._MATRIX_RE
+    monkeypatch.setattr(grammar, "_MATRIX_RE", Counted())
+    seen = _scanned(monkeypatch)
+    tower = parse_tower(text)
+    assert matched == [(start, matrix)]
+    assert [t for t in seen if start < t.at < start + len(matrix)] == []
+    assert tower.block_links[0].matrix == IntMatrix([[2, 1], [0, 1]])

@@ -8,13 +8,20 @@ four modes (json/text x traced/untraced), and the digest covers each
 run's stdout, stderr and exit code.  One `--batch` run over 80 of the
 lines, spread evenly, is added in json and in text.
 
+A second digest covers malformed input: 2000 mutants of the workload
+lines, made by a seeded Random, each with one to three characters
+inserted, dropped or swapped with the next, and one in ten a repeat of
+an earlier mutant.  Most are refused with exit 2, 3 or 4, so this one
+pins error messages, positions and exit codes.  Each mutant runs in the
+same four modes, after the corpus, in the same process.
+
     python3 tools/output_digest.py [ROOT]
 
 ROOT is the checkout whose `src/` and `perfbench/` are used (default:
 the one holding this script), so the same script can digest an older
-commit unpacked elsewhere.  It prints the number of outputs and the
-digest; a refactor that keeps every output prints the same two values
-as its parent.
+commit unpacked elsewhere.  It prints, for the corpus and then for the
+mutants, the number of outputs and the digest; a refactor that keeps
+every output prints the same four values as its parent.
 """
 
 from __future__ import annotations
@@ -23,18 +30,45 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
 SEED = 77
 SIZES = (("mixed_small", 1200), ("chain_heavy", 240), ("periodic_deep", 900))
 BATCH_LINES = 80
+MUTANTS = 2000
+# Characters a mutant may gain: ones the grammar reads, and "$", "é",
+# an Arabic-Indic digit, a no-break space and \x1c (a blank to \s).
+INSERTED = "0123456789 xZk()[]{},;:^+/-<>=$\u00e9\u0661\u00a0\x1c"
 
 
 def corpus_lines() -> list[str]:
     from perfbench.workloads import generate
     lines = [text for name, n in SIZES for text, _, _ in generate(name, SEED, n)]
     return lines + ["reproduce"]
+
+
+def mutated_lines(lines: list[str]) -> list[str]:
+    """MUTANTS seeded mutants of lines, as the module docstring says."""
+    rng = random.Random(SEED)
+    out: list[str] = []
+    while len(out) < MUTANTS:
+        if out and rng.random() < 0.1:
+            out.append(rng.choice(out))
+            continue
+        line = rng.choice(lines)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(line))
+            edit = rng.randrange(3)
+            if edit == 0:
+                line = line[:i] + rng.choice(INSERTED) + line[i:]
+            elif edit == 1:
+                line = line[:i] + line[i + 1:]
+            else:
+                line = line[:i] + line[i + 1:i + 2] + line[i] + line[i + 2:]
+        out.append(line)
+    return out
 
 
 def _capture(call) -> tuple:
@@ -49,15 +83,23 @@ def _capture(call) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def outputs():
-    """(label, exit code, stdout, stderr) of every run, in a fixed order."""
+def _runs(lines: list[str]):
+    """(line number, json, traced, exit code, stdout, stderr) of every
+    line in the four modes."""
     from cwbrauer import cli
-    lines = corpus_lines()
     for i, line in enumerate(lines):
         for as_json in (True, False):
             for trace in (False, True):
                 yield (i, as_json, trace, *_capture(
                     lambda out: cli.run_line(line, as_json, trace, out=out)))
+
+
+def outputs():
+    """(label, exit code, stdout, stderr) of every run, in a fixed order:
+    the corpus, then its batch runs."""
+    from cwbrauer import cli
+    lines = corpus_lines()
+    yield from _runs(lines)
     step = len(lines) // BATCH_LINES
     batch = lines[::step][:BATCH_LINES]
     for as_json in (True, False):
@@ -65,16 +107,21 @@ def outputs():
             lambda out: cli.run_batch(batch, as_json, True, out=out)))
 
 
+def _digest(records) -> str:
+    digest = hashlib.sha256()
+    count = 0
+    for record in records:
+        digest.update(json.dumps(record).encode() + b"\n")
+        count += 1
+    return f"{count} outputs, sha256 {digest.hexdigest()}"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1])
     sys.path[:0] = [str(root / "src"), str(root)]
-    digest = hashlib.sha256()
-    count = 0
-    for record in outputs():
-        digest.update(json.dumps(record).encode() + b"\n")
-        count += 1
-    print(f"{count} outputs, sha256 {digest.hexdigest()}")
+    print(_digest(outputs()))
+    print("mutants: " + _digest(_runs(mutated_lines(corpus_lines()[:-1]))))
     return 0
 
 
