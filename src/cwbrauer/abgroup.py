@@ -347,7 +347,6 @@ class KG2Brauer:
     is open; that is surfaced in `note` and never asserted.
     """
 
-    group: FgAbGroup
     br_prime: FgAbGroup
     br: FgAbGroup
     strict: bool
@@ -360,7 +359,7 @@ def brauer_of_k_g_2(g: FgAbGroup) -> KG2Brauer:
     note = ("Br is contained in Ext^1(G/Torsion, Z), which vanishes for "
             "finitely generated G; whether the containment is an equality "
             "for arbitrary G is an open question and is not asserted here.")
-    return KG2Brauer(group=g, br_prime=br_prime, br=br,
+    return KG2Brauer(br_prime=br_prime, br=br,
                      strict=not br_prime.is_trivial, note=note)
 
 
@@ -420,14 +419,6 @@ class GroupHom:
             raise SemanticError(
                 "scalar map needs equally many generators on both sides")
         return cls(domain, codomain, IntMatrix.diagonal([k] * n))
-
-    def apply(self, coords) -> tuple[int, ...]:
-        """Image of an element given by domain coordinates."""
-        out = list(self.matrix @ list(coords))
-        for i, e in enumerate(self.codomain.cyclic_orders()):
-            if e:
-                out[i] %= e
-        return tuple(out)
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner."""

@@ -60,14 +60,15 @@ from typing import Callable, NamedTuple
 from .abgroup import FgAbGroup
 from .chaincx import bockstein, cohomology, uct_decompose
 from .errors import ParseError, SemanticError, UnsupportedComputation
-from .grammar import _Parser, format_descriptor, format_group, format_profile
+from .grammar import (_Parser, format_descriptor, format_group,
+                      format_profile, format_space)
 from .intlin import smith_invariants
 from .limits import lim1_certificate
 from .profiles import (StructuralDescriptor, brauer_of_bg,
                        lambda_square_profile, non_brauer_certificate)
-from .spaces import (EQUAL, SpaceDescription, SymbolicGroup, brauer_prime,
-                     catalog_lookup, equality_certificate, phantom_subgroup,
-                     space_homology)
+from .spaces import (SpaceDescription, SymbolicGroup, brauer_group,
+                     brauer_prime, catalog_lookup, equality_certificate,
+                     phantom_subgroup, space_homology)
 
 EXIT_OK = 0
 EXIT_REPRODUCE_FAIL = 1
@@ -274,12 +275,7 @@ def _brauer(space):
     bp = brauer_prime(space)
     cert, equality, citations = _certificate(space)
     bp_payload = _group_payload(bp)
-    if space.kind == "catalog":
-        br = _payload_or_none(catalog_lookup(space).br)
-    elif cert.verdict == EQUAL and isinstance(bp, FgAbGroup):
-        br = bp_payload
-    else:
-        br = None
+    br = _payload_or_none(brauer_group(space, bp, cert))
     result = {"kind": "brauer", "br_prime": bp_payload, "br": br,
               "equality": equality}
     text = (f"Br' = {_group_text(bp_payload)}; Br = "
@@ -339,13 +335,14 @@ def _non_brauer(profile, descriptor):
 
 def _catalog(subject):
     entry = catalog_lookup(subject)
-    result = {"kind": "catalog", "name": entry.name,
+    name = subject if isinstance(subject, str) else format_space(subject)
+    result = {"kind": "catalog", "name": name,
               "br_prime": _payload_or_none(entry.br_prime),
               "br": _payload_or_none(entry.br),
               "verdict": entry.verdict,
               "equality_note": entry.equality_note,
               "notes": list(entry.notes)}
-    bits = [entry.name + ":"]
+    bits = [name + ":"]
     for label, key in (("Br'", "br_prime"), ("Br", "br")):
         if result[key] is not None:
             bits.append(f"{label} = {_group_text(result[key])},")

@@ -45,10 +45,10 @@ Two readers take whole text at the cursor instead.  `matrix_rows()`
 reads a well-formed numeric MATRIX with at least one row by one
 regular-expression match and a split of its text, so a dense literal
 costs a few tokens, not one per bracket, comma, sign and digit run.
-`space()` at "complex" matches the literal up to its first "}" when
-every character in it is one the tokens accept, and looks that text up
-among the kept spaces (`spaces.kept_literal`), so a literal repeated
-in a session is neither scanned nor converted again.  Anything else is
+`space()` at "complex" takes the text up to the first "}" and looks it
+up among the kept spaces (`spaces.kept_literal`), so a literal repeated
+in a session is neither scanned nor converted again; a literal is kept
+under that text only once it has been read whole.  Anything else is
 read token by token, so every error, its line and its column read the
 same either way.  A line holding a character no token accepts is
 refused before it is parsed.
@@ -110,12 +110,6 @@ MAX_PROFILE_MULTIPLICITY = 64
 _ENTRY = r"(?:-\s*)?\d+"
 _ROW = rf"\[\s*(?:{_ENTRY}(?:\s*,\s*{_ENTRY})*\s*)?\]"
 _MATRIX_RE = re.compile(rf"\[\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\]")
-# A complex literal's body admits only characters the tokens accept, so
-# the literal scans the same plainly as its text reads.  Its class names
-# the ASCII blanks, which \s holds too, so that each character is first
-# looked up in a bitmap: a 13 KB literal matches in 0.7 of the time.
-_COMPLEX_RE = re.compile(
-    r"complex\s*\{[\t\n\v\f\r\x1c-\x1f A-Za-z0-9_\^+/()\[\],;:=<>\s-]*\}")
 _SYMS = r"\^+/()\[\]{},;:=<>-"
 _TOKEN_RE = re.compile(rf"""
     (?P<ws>\s+)
@@ -385,13 +379,14 @@ class _Parser:
     # -- space literals ----------------------------------------------------
     def space(self) -> _sp.SpaceDescription:
         if self.at("ident", "complex"):
-            m = _COMPLEX_RE.match(self.src, self.tok.at)
-            text = m.group() if m else None
-            if text is not None:   # found by its text before it is read
-                x = _sp.kept_literal(text)
-                if x is not None:
-                    self._seek(m.end())
-                    return x
+            # A literal ends at its first "}", and is kept only once read
+            # whole, so a kept text found here is exactly this literal.
+            at = self.tok.at
+            text = self.src[at:self.src.find("}", at) + 1] or None  # no "}"
+            x = text and _sp.kept_literal(text)
+            if x is not None:
+                self._seek(at + len(text))
+                return x
             return _sp.from_literal(*self._complex_chains(), text=text)
         t = self.expect("ident", what="space builder")
         self.expect("sym", "(")
@@ -400,7 +395,7 @@ class _Parser:
                                 f"{MAX_SPACE_NESTING} levels deep", t)
         self.space_depth += 1
         try:
-            build, size = self._space_args(t.text)
+            build, size = self._space_args(t)
         finally:
             self.space_depth -= 1
         self.expect("sym", ")")   # a syntax error comes before any check
@@ -417,12 +412,14 @@ class _Parser:
                 f"at most {MAX_COMPLEX_CELLS} cells up to degree "
                 f"{MAX_COMPLEX_DEGREE} are supported", t)
 
-    def _space_args(self, name: str) -> tuple[
+    def _space_args(self, t: Token) -> tuple[
             Callable[[], _sp.SpaceDescription], tuple[int, int] | None]:
-        """Read the arguments of builder `name`.  Return the call that
-        builds its space and, when the size caps apply, the cells and
-        top degree of the complex it builds; space() checks and builds
-        only once it has read the closing ")"."""
+        """Read the arguments of the builder that token t names.  Return
+        the call that builds its space and, when the size caps apply, the
+        cells and top degree of the complex it builds; space() checks and
+        builds only once it has read the closing ")".  An unknown name is
+        refused at t."""
+        name = t.text
         if name == "sphere":
             n = self.unsigned("dimension")
             return partial(_sp.sphere, n), (2, n)
@@ -477,7 +474,8 @@ class _Parser:
             self.expect("sym", ",")
             k = self._scalar_map("telescope multiplier")
             return partial(_sp.telescope_z, k), None
-        self.fail(f"unknown space builder {name!r}")
+        raise ParseError(f"unknown space builder {name!r}",
+                         *self._place(t.at))
 
     def _scalar_map(self, what: str) -> int:
         t = self.expect("ident", what=what)

@@ -75,10 +75,6 @@ class IntMatrix:
         return cls.diagonal([1] * n)
 
     @classmethod
-    def column(cls, entries) -> "IntMatrix":
-        return cls([[int(x)] for x in entries], cols=1)
-
-    @classmethod
     def diagonal(cls, entries) -> "IntMatrix":
         entries = [int(x) for x in entries]
         n = len(entries)

@@ -29,23 +29,11 @@ from .errors import SemanticError
 
 
 class _Omega:
-    """The countable-infinity multiplicity symbol."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The countable-infinity multiplicity symbol; OMEGA is its one
+    instance, made at import."""
 
     def __repr__(self):
         return "w"
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __reduce__(self):
-        return (_Omega, ())
 
 
 OMEGA = _Omega()
@@ -300,10 +288,6 @@ class Rule:
             raise SemanticError("rule range must start at a natural number")
         if self.hi is not None and self.hi < self.lo:
             raise SemanticError("empty rule range")
-
-    def size(self, i: int) -> int:
-        """|J_i| = max(0, upper(i) - lower(i))."""
-        return max(0, (self.upper - self.lower)(i))
 
     def __str__(self):
         rng = f"i>={self.lo}" if self.hi is None else f"{self.lo}<=i<={self.hi}"

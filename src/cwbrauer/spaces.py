@@ -24,7 +24,7 @@ Every builder that makes chains (`sphere`, `moore_3cell`,
 bounded in cells: the spaces it keeps weigh at most `MAX_BUILT_CELLS`
 together, each 1 plus the cells of its chains and of the literals its
 label names, and one space over the budget is kept alone.  A space is
-kept under its label, save a `complex{...}` literal the grammar matches
+kept under its label, save a `complex{...}` literal the grammar reads
 whole, which is kept under its exact text: `kept_literal` finds it there
 before the grammar scans or converts any of it, so a literal
 repeated in a session is read once.  A second spelling of the same
@@ -59,7 +59,7 @@ from .errors import SemanticError, UnsupportedComputation
 from .intlin import IntMatrix
 from .limits import EventuallyPeriodic
 from .profiles import (OMEGA, CyclicProfile, StructuralDescriptor,
-                       brauer_of_bg, format_profile, lambda_square_profile)
+                       brauer_of_bg, lambda_square_profile)
 
 QZ_TOKEN = "Q/Z"
 
@@ -567,6 +567,15 @@ def equality_certificate(x: SpaceDescription) -> EqualityCertificate:
                                tuple(c for *_, keys in fired for c in keys))
 
 
+def brauer_group(x: SpaceDescription, br_prime,
+                 cert: EqualityCertificate):
+    """Br(x) where it is known: a catalog space's recorded group, else
+    br_prime (Br'(x)) when cert certifies Br = Br', else None."""
+    if x.kind == "catalog":
+        return catalog_lookup(x).br
+    return br_prime if cert.verdict == EQUAL else None
+
+
 def min_bundle_rank(x: SpaceDescription, alpha_order: int) -> int | None:
     """Smallest rank of a bundle representing a class of the given order.
 
@@ -602,7 +611,6 @@ class CatalogEntry:
     """A recorded fact: groups and verdicts are literature data, flagged
     as such, never computed from a cell structure."""
 
-    name: str
     br_prime: object  # FgAbGroup | StructuralDescriptor | None (fact-only)
     br: object        # FgAbGroup | None when unknown
     verdict: str      # EQUAL | STRICT | UNKNOWN
@@ -626,10 +634,8 @@ _RECORDED = "recorded fact; not computed from a cell structure"
 def _catalog_entry(x: SpaceDescription) -> CatalogEntry:
     head, args = x.label
     if head == "bpgl":
-        n = args[0]
-        g = FgAbGroup.cyclic(n)
+        g = FgAbGroup.cyclic(args[0])
         return CatalogEntry(
-            name=f"bpgl({n})",
             br_prime=g, br=g, verdict=EQUAL,
             equality_note=("the obstruction class of the universal "
                            "projective bundle generates Br' and is the "
@@ -639,14 +645,12 @@ def _catalog_entry(x: SpaceDescription) -> CatalogEntry:
         g, j = args
         if j >= 3:
             return CatalogEntry(
-                name=f"k({g}, {j})",
                 br_prime=FgAbGroup.trivial(), br=FgAbGroup.trivial(),
                 verdict=EQUAL,
                 equality_note="H_2 vanishes, so Br' = 0 and Br = Br' trivially",
                 citations=("brauer-cw-formula",), notes=(_RECORDED,))
         if g == QZ_TOKEN:
             return CatalogEntry(
-                name="k(Q/Z, 2)",
                 br_prime=FgAbGroup.trivial(), br=FgAbGroup.trivial(),
                 verdict=EQUAL,
                 equality_note=("H_2 = Q/Z is divisible, so Ext^1(H_2, Z) "
@@ -660,7 +664,6 @@ def _catalog_entry(x: SpaceDescription) -> CatalogEntry:
         else:
             verdict, note = EQUAL, "both Br and Br' vanish for torsion-free g"
         return CatalogEntry(
-            name=f"k({g}, 2)",
             br_prime=data.br_prime, br=data.br, verdict=verdict,
             equality_note=note,
             citations=("kg2-trivial-brauer", "kg2-containment"),
@@ -672,7 +675,6 @@ def _catalog_entry(x: SpaceDescription) -> CatalogEntry:
         infinite = p.total_multiplicity() is OMEGA
         if prime is not None and infinite:
             return CatalogEntry(
-                name=f"bg({format_profile(p)})",
                 br_prime=bp, br=None, verdict=STRICT,
                 equality_note=("p-primary with an infinite basic subgroup: "
                                "a witness class lies in Br' but not in the "
@@ -680,7 +682,6 @@ def _catalog_entry(x: SpaceDescription) -> CatalogEntry:
                 citations=("bg-brauer-formula", "bg-strict"),
                 notes=(_RECORDED,))
         return CatalogEntry(
-            name=f"bg({format_profile(p)})",
             br_prime=bp, br=None, verdict=UNKNOWN,
             equality_note=("no recorded theorem decides Br = Br' for this "
                            "profile"),
@@ -690,14 +691,12 @@ def _catalog_entry(x: SpaceDescription) -> CatalogEntry:
 
 _FACTS_ONLY = {
     "plus_construction": CatalogEntry(
-        name="plus_construction",
         br_prime=None, br=None, verdict=UNKNOWN,
         equality_note="not an equality statement",
         citations=("plus-construction",),
         notes=("the plus construction changes neither Br nor Br': both "
                "restriction maps are bijective",)),
     "compact_realization": CatalogEntry(
-        name="compact_realization",
         br_prime=None, br=None, verdict=UNKNOWN,
         equality_note="not an equality statement",
         citations=("compact-realization",),

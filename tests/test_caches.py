@@ -316,9 +316,9 @@ def test_a_second_spelling_gets_its_own_equal_space(monkeypatch):
     """A literal is kept under its exact text, and from_complex under
     the label, the value of the chains: a new spelling of the same
     chains, and the complex itself, each get a key and a space of their
-    own, equal to the first and built from their own input.  A literal
-    that is not one token (here its digit is an Arabic-Indic one) is
-    kept under its label too."""
+    own, equal to the first and built from their own input.  So does a
+    spelling with an Arabic-Indic digit, and a repeat of it finds it by
+    its text."""
     c = ChainComplex([1, 2, 1], [[[0, 0]], [[3], [-3]]])
     text = format_complex(c)
     respelled = text.replace("; ", ";")
@@ -333,9 +333,12 @@ def test_a_second_spelling_gets_its_own_equal_space(monkeypatch):
     assert first is not second and first is not kept[first.label]
     assert parse_space(text) is first and parse_space(respelled) is second
 
-    plain = text.replace("cells 0: 1", "cells 0: \u0661")
-    assert parse_space(plain) is kept[first.label]
-    assert len(kept) == 3 and len(built) == 1
+    arabic = text.replace("cells 0: 1", "cells 0: \u0661")
+    third = parse_space(arabic)
+    assert list(kept) == [first.label, text, respelled, arabic]
+    assert third == first and third is not kept[first.label]
+    assert len(built) == 2
+    assert parse_space(arabic) is third and len(built) == 2
 
 
 @pytest.mark.parametrize("literal", [

@@ -50,9 +50,14 @@ def lens_complex(n: int, top: int) -> ChainComplex:
     return ChainComplex([1] * (top + 1), bounds)
 
 
+def column(vec) -> IntMatrix:
+    """The vector as a one-column matrix."""
+    return IntMatrix([[x] for x in vec], cols=1)
+
+
 def coordinates(pres, vec) -> tuple:
     """Class of one ambient vector: one column of column_coordinates."""
-    return pres.column_coordinates(IntMatrix.column(vec)).col_tuple(0)
+    return pres.column_coordinates(column(vec)).col_tuple(0)
 
 
 def library_equals_oracle(c: ChainComplex, n: int) -> bool:
@@ -569,7 +574,7 @@ def test_presentation_factors_each_matrix_once(monkeypatch):
     for j in range(sub.cols):
         assert coordinates(pres, sub.col_tuple(j)) == (0, 0, 0)
     assert coordinates(pres, (2, 1, 3)) != (0, 0, 0)
-    vecs = gens.hstack(sub).hstack(IntMatrix.column((2, 1, 3)))
+    vecs = gens.hstack(sub).hstack(column((2, 1, 3)))
     coords = pres.column_coordinates(vecs)
     assert coords.shape == (3, 9)
     assert coords.col_tuple(8) == coordinates(pres, (2, 1, 3))
@@ -738,7 +743,7 @@ def _check_against_reference(c, n, m, rng):
     stray = [rng.randint(-5, 5) for _ in range(rn)]
     if ref.coordinates(stray) is None:
         with pytest.raises(SemanticError, match="not in the presented"):
-            pres.column_coordinates(mat.hstack(IntMatrix.column(stray)))
+            pres.column_coordinates(mat.hstack(column(stray)))
     else:
         assert list(coordinates(pres, stray)) == ref.coordinates(stray)
     if m is None:

@@ -161,6 +161,19 @@ def test_catalog_command():
     assert code == EXIT_SEMANTIC
 
 
+@pytest.mark.parametrize("subject", [
+    "bpgl(5)", "k(Q/Z, 2)", "k(Z/6, 2)", "k(Z^2 + Z/3, 4)",
+    "bg((Z/2)^3 + (Z/4)^1)", "bg((Z/3)^w)", "bg((Z/2)^1 + (Z/3)^w)",
+    "plus_construction", "compact_realization"])
+def test_catalog_names_its_subject_in_canonical_text(subject):
+    """A catalog space is named as the grammar prints it, and a fact by
+    its key; each subject here is already canonical."""
+    code, rep = run_json(f"catalog {subject}")
+    assert code == EXIT_OK and rep["result"]["name"] == subject
+    code, text = run(f"catalog {subject.replace(', ', ',')}")
+    assert code == EXIT_OK and text.startswith(f"{subject}: ")
+
+
 def test_reproduce_command():
     code, report = run_json("reproduce")
     assert code == EXIT_OK
@@ -838,6 +851,21 @@ def test_a_wedge_reads_its_closing_parenthesis_before_its_checks(
     summand read whole is checked before its wedge goes on."""
     assert run_json(line)[1]["error"]["message"] == message
     assert run(line)[0] == code
+
+
+@pytest.mark.parametrize("line, name, column", [
+    ("homology foo(1 x) 1", "foo", 1),
+    ("homology wedge(sphere(2), fo(3)) 1", "fo", 18),
+    ("brauer product(sphere(2), wedge(sphere(3), spher(4)))", "spher", 37),
+], ids=["outermost", "wedge-summand", "nested-twice"])
+def test_an_unknown_builder_is_refused_at_its_name(line, name, column):
+    """"unknown space builder" points at the builder's name, not at the
+    token after its "(", at any depth."""
+    code, rep = run_json(line)
+    assert code == EXIT_PARSE
+    assert rep["error"]["message"] == (
+        f"unknown space builder {name!r} (line 1, column {column})")
+    assert line.split(" ", 1)[1][column - 1:].startswith(name + "(")
 
 
 def test_a_bad_character_is_refused_before_any_check():

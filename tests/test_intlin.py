@@ -572,8 +572,7 @@ def test_intmatrix_construction_and_ops():
     assert (a @ IntMatrix.identity(2)) == a
     assert IntMatrix.zeros(2, 3).is_zero()
     assert IntMatrix.diagonal([2, 3]).to_lists() == [[2, 0], [0, 3]]
-    assert IntMatrix.column([5, 6]).shape == (2, 1)
-    assert a.hstack(IntMatrix.column([9, 9])).to_lists() == [[1, 2, 9], [3, 4, 9]]
+    assert a.hstack(IntMatrix([[9], [9]])).to_lists() == [[1, 2, 9], [3, 4, 9]]
     assert a.submatrix([1], [0, 1]).to_lists() == [[3, 4]]
 
 
@@ -605,7 +604,6 @@ def test_intmatrix_zero_shapes():
     p = IntMatrix.zeros(3, 0) @ IntMatrix.zeros(0, 4)
     assert p.shape == (3, 4) and p == IntMatrix.zeros(3, 4) and p.is_zero()
     assert IntMatrix.zeros(3, 0) @ [] == (0, 0, 0)
-    assert IntMatrix.column([]).shape == (0, 1)
     assert z @ [1, 2, 3] == ()
     assert (z @ IntMatrix.zeros(3, 2)).shape == (0, 2)
     assert IntMatrix.zeros(3, 0).hstack(IntMatrix.zeros(3, 0)).shape == (3, 0)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import cwbrauer
 from cwbrauer.errors import ParseError, SemanticError, UnsupportedComputation
-from cwbrauer.spaces import _KNOWN_RULES
+from cwbrauer.spaces import _KNOWN_RULES, EQUAL, STRICT, UNKNOWN
 
 # bottom up; the package's __init__ sits above them all
 LAYERS = ("errors", "facts", "intlin", "abgroup", "chaincx", "limits",
@@ -55,13 +55,16 @@ def _lim1_reasons() -> set[str]:
 
 
 def test_cli_formats_and_does_not_decide():
-    """Citations come with the certificates of spaces and limits, and exit
-    codes with the exception classes of errors.  So cli.py names no
-    certificate rule or lim^1 reason, outside the frozen reproduce table,
-    and sorts no exception by class."""
+    """Citations come with the certificates of spaces and limits, Br with
+    spaces.brauer_group, and exit codes with the exception classes of
+    errors.  So cli.py names no certificate rule, lim^1 reason or
+    equality verdict, outside the frozen reproduce table, and sorts no
+    exception by class."""
     reasons = _lim1_reasons()
     assert reasons == {"JensenFinite", "MittagLeffler"}  # the scan sees them
-    decided = set(_KNOWN_RULES) | reasons
+    verdicts = {EQUAL, STRICT, UNKNOWN}
+    assert verdicts == {"EQUAL", "STRICT", "UNKNOWN"}
+    decided = set(_KNOWN_RULES) | reasons | verdicts
     errors = {c.__name__ for c in (ParseError, SemanticError,
                                    UnsupportedComputation)}
     tree = ast.parse((PACKAGE / "cli.py").read_text())
@@ -72,6 +75,11 @@ def test_cli_formats_and_does_not_decide():
             if isinstance(sub, ast.Constant):
                 assert sub.value not in decided, (
                     f"cli.py line {sub.lineno} names {sub.value!r}")
+            # a verdict read by its name: imported, or as a module's attribute
+            name = (getattr(sub, "id", None) or getattr(sub, "attr", None)
+                    or getattr(sub, "name", None))
+            assert name not in verdicts, (
+                f"cli.py line {sub.lineno} reads {name}")
             if (isinstance(sub, ast.Call)
                     and getattr(sub.func, "id", None) == "isinstance"):
                 named = {n.id for n in ast.walk(sub.args[1])

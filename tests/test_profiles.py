@@ -2,9 +2,7 @@
 squares of profiles, Brauer groups of classifying spaces, basic-subgroup
 reduction, and non-Brauer certificates."""
 
-import copy
 import math
-import pickle
 import random
 import time
 
@@ -12,6 +10,7 @@ import pytest
 
 from cwbrauer.abgroup import FgAbGroup, exterior_square
 from cwbrauer.errors import SemanticError
+from cwbrauer.grammar import parse_profile
 from cwbrauer.profiles import (
     OMEGA, AffineExpr, BasicReduction, CertificateReport, CyclicProfile,
     ObstructionDescriptor, Rule, StructuralDescriptor, brauer_of_bg,
@@ -24,10 +23,14 @@ from cwbrauer.profiles import (
 
 
 def test_omega_is_a_singleton():
+    """OMEGA is made once, at import: the w that the grammar reads, and
+    every infinite multiplicity that the profile formulas make, is that
+    one object, so `is OMEGA` tells them apart from the integers."""
     assert repr(OMEGA) == "w"
-    assert copy.deepcopy(OMEGA) is OMEGA
-    assert pickle.loads(pickle.dumps(OMEGA)) is OMEGA
-    assert type(OMEGA)() is OMEGA
+    p = parse_profile("(Z/3)^w + (Z/9)^2")
+    assert p.summands[0][1] is OMEGA
+    assert p.total_multiplicity() is OMEGA
+    assert lambda_square_profile(p).summands[0][1] is OMEGA
 
 
 # -- profiles ----------------------------------------------------------------------
@@ -218,12 +221,14 @@ def test_affine_expr():
 
 
 def test_rule_validation_and_size():
+    # |J_i| = upper(i) - lower(i), the difference non_brauer_certificate
+    # reads for growth
     r = Rule(lo=1, hi=None, lower=AffineExpr(1, 0), upper=AffineExpr(2, 0))
-    assert r.size(4) == 4
+    assert (r.upper - r.lower)(4) == 4
     assert str(r) == "rule i>=1: J=(i, 2i]"
     bounded = Rule(lo=2, hi=9, lower=AffineExpr(1, 0), upper=AffineExpr(1, 3))
     assert str(bounded) == "rule 2<=i<=9: J=(i, i+3]"
-    assert bounded.size(7) == 3
+    assert (bounded.upper - bounded.lower)(7) == 3
     with pytest.raises(SemanticError):
         Rule(lo=-1, hi=None, lower=AffineExpr(1, 0), upper=AffineExpr(2, 0))
     with pytest.raises(SemanticError):

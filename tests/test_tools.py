@@ -5,6 +5,7 @@ when stopped by SIGTERM; the pinned digest of `tools/output_digest.py`;
 `tools/cache_traffic.py` on short streams; and the line counts of
 `tools/src_lines.py`."""
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -164,22 +165,34 @@ def test_a_run_stopped_by_sigterm_removes_its_temporary_directory(tmp_path):
     assert not out.exists()
 
 
+# The mutant digest moved when "unknown space builder" came to be placed
+# at the builder's name rather than at the token after its "(": 1652
+# mutant outputs changed in that column alone, and no corpus output.
 OUTPUT_DIGEST = ("9366 outputs, sha256 58dfaf030e6660a0fe8d40a5516224fc"
                  "7e291739a65a0b741304102a1d3c72e3\n"
-                 "mutants: 8000 outputs, sha256 36a66883128fe8cc1c3463a3f9"
-                 "f69bc844bc26dd2c57e2a0b5176a6cb2fc3744")
+                 "mutants: 8000 outputs, sha256 9bb895e1705615002eb6db0f0c"
+                 "9c1bd880beb86f7b8917269ee7698642a6b7e8")
 
 
-def test_output_digest_is_pinned():
+def test_output_digest_is_pinned(tmp_path):
     """Every byte, message and exit code the CLI gives on the digest's
     fixed corpus, and on its seeded malformed mutants, is unchanged.  A
     change that alters an output on purpose updates this pin and lists
-    every changed output in CHANGES.md."""
+    every changed output in CHANGES.md.  The --records file holds the
+    lines hashed: the corpus's, then the mutants'."""
+    records = tmp_path / "records.jsonl"
     run = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "output_digest.py")],
+        [sys.executable, str(ROOT / "tools" / "output_digest.py"),
+         "--records", str(records)],
         capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == OUTPUT_DIGEST
+    lines = records.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 9366 + 8000
+    corpus, mutants = lines[:9366], lines[9366:]
+    assert [hashlib.sha256(b"".join(part)).hexdigest()
+            for part in (corpus, mutants)] == re.findall(
+                r"sha256 ([0-9a-f]{64})", run.stdout)
 
 
 def test_cache_traffic_counts_lookups_builds_and_weight():

@@ -15,17 +15,23 @@ an earlier mutant.  Most are refused with exit 2, 3 or 4, so this one
 pins error messages, positions and exit codes.  Each mutant runs in the
 same four modes, after the corpus, in the same process.
 
-    python3 tools/output_digest.py [ROOT]
+    python3 tools/output_digest.py [ROOT] [--records FILE]
 
 ROOT is the checkout whose `src/` and `perfbench/` are used (default:
 the one holding this script), so the same script can digest an older
 commit unpacked elsewhere.  It prints, for the corpus and then for the
 mutants, the number of outputs and the digest; a refactor that keeps
 every output prints the same four values as its parent.
+
+With --records, FILE gets every record hashed, one per line, as the
+exact bytes hashed: the corpus records, then the mutant records.  A
+`diff` of the files written for two checkouts lists every output that
+differs between them.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -107,21 +113,38 @@ def outputs():
             lambda out: cli.run_batch(batch, as_json, True, out=out)))
 
 
-def _digest(records) -> str:
+def _digest(records, sink=None) -> str:
+    """Count and sha256 of the records' JSON lines; each line is also
+    written to sink, a binary file, when one is given."""
     digest = hashlib.sha256()
     count = 0
     for record in records:
-        digest.update(json.dumps(record).encode() + b"\n")
+        line = json.dumps(record).encode() + b"\n"
+        digest.update(line)
+        if sink is not None:
+            sink.write(line)
         count += 1
     return f"{count} outputs, sha256 {digest.hexdigest()}"
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1])
+    ap = argparse.ArgumentParser(
+        description="Digest the CLI's outputs on a fixed corpus and on "
+                    "its seeded mutants.")
+    ap.add_argument("root", nargs="?",
+                    default=Path(__file__).resolve().parents[1],
+                    help="checkout whose src/ and perfbench/ are used")
+    ap.add_argument("--records", metavar="FILE",
+                    help="also write every record hashed, one per line")
+    ns = ap.parse_args(argv)
+    root = Path(ns.root)
     sys.path[:0] = [str(root / "src"), str(root)]
-    print(_digest(outputs()))
-    print("mutants: " + _digest(_runs(mutated_lines(corpus_lines()[:-1]))))
+    records = (open(ns.records, "wb") if ns.records
+               else contextlib.nullcontext())
+    with records as sink:
+        print(_digest(outputs(), sink))
+        print("mutants: "
+              + _digest(_runs(mutated_lines(corpus_lines()[:-1])), sink))
     return 0
 
 
