@@ -548,34 +548,42 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+# The writer of each scalar type of the report vocabulary, looked up by
+# exact type, so a container writes its scalar members without a call of
+# _dump.
+_SCALAR_JSON = {str: _json_str, int: int.__repr__,
+                bool: lambda b: "true" if b else "false",
+                type(None): lambda _: "null"}
+
+
 def _dump(x, pad: str) -> str:
     """x as JSON text whose nested lines start with pad plus two blanks:
     the bytes of json.dumps(x, indent=2, sort_keys=True) for the report
     vocabulary (dicts with str keys, lists, str, int, bool, None).  Any
     other value, a float or tuple or a non-str key among them, raises
-    TypeError.  Reports are not cyclic, so none is checked for."""
-    if isinstance(x, str):
-        return _json_str(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
+    TypeError, as does a subclass of str or int (reports hold none).
+    Reports are not cyclic, so none is checked for."""
     inner = pad + "  "
     if isinstance(x, dict):
         if not x:
             return "{}"
-        body = ",\n".join(f"{inner}{_json_str(k)}: {_dump(v, inner)}"
-                          for k, v in sorted(x.items()))
-        return "{\n" + body + "\n" + pad + "}"
+        parts = []
+        for k, v in sorted(x.items()):
+            w = _SCALAR_JSON.get(type(v))
+            parts.append(f"{inner}{_json_str(k)}: "
+                         f"{w(v) if w else _dump(v, inner)}")
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     if isinstance(x, list):
         if not x:
             return "[]"
-        body = ",\n".join(inner + _dump(v, inner) for v in x)
-        return "[\n" + body + "\n" + pad + "]"
+        parts = []
+        for v in x:
+            w = _SCALAR_JSON.get(type(v))
+            parts.append(inner + (w(v) if w else _dump(v, inner)))
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    w = _SCALAR_JSON.get(type(x))
+    if w is not None:
+        return w(x)
     raise TypeError(f"Object of type {type(x).__name__} "
                     "is not JSON serializable")
 

@@ -129,13 +129,16 @@ class Token(NamedTuple):
     at: int     # offset of its first character in the source
 
 
+_token = Token._make   # a Token from a tuple, cheaper than Token(...)
+
+
 def _scan(src: str, i: int) -> Iterator[Token]:
     """The tokens of src from offset i on, then "eof" for ever.  src
     holds no character that no token matches (_Parser checks)."""
     for m in _TOKEN_RE.finditer(src, i):
         kind = m.lastgroup
         if kind != "ws":
-            yield Token(kind, m.group(), m.start())
+            yield _token((kind, m.group(), m.start()))
     yield from repeat(Token("eof", "", len(src)))
 
 

@@ -10,16 +10,20 @@ There are two eliminations, and transforms are built only on demand.
 a divisibility chain d1 | d2 | ... | dk followed by zeros; homology,
 cohomology, cokernels and traced diagonals read nothing else, and a
 matrix keeps that diagonal, so a later reader such as a `--trace` line
-does not eliminate it again.  `smith_form` finds U @ A @ V = S, U and V
-unimodular, by eliminating one working matrix: A, extended by the
-identity on the right when U is asked for and below when V is, so U and
-V are read off as blocks of the result.  U^-1 and V^-1 are tracked
-beside it through the same operations.  `smith_normal_form` asks for U
-and V; a kernel basis needs V alone, and its own Smith form is read off
-V^-1 (`SmithForm.kernel_form`).  `SmithForm.solve_columns` solves for
-all right-hand sides of a system at once, as the columns of one matrix
-B, with one product U @ B and one product V @ Y.  Bareiss `determinant`
-is an independent reference.
+does not eliminate it again.  When the shape decides the diagonal, it
+is read off with no elimination: it is empty when there are no rows or
+no columns, and the gcd of the entries when there is one row or one
+column.  `smith_form` takes no such shortcut, so it stays an
+independent route to the same diagonal.  `smith_form` finds
+U @ A @ V = S, U and V unimodular, by eliminating one working matrix:
+A, extended by the identity on the right when U is asked for and below
+when V is, so U and V are read off as blocks of the result.  U^-1 and
+V^-1 are tracked beside it through the same operations.
+`smith_normal_form` asks for U and V; a kernel basis needs V alone, and
+its own Smith form is read off V^-1 (`SmithForm.kernel_form`).
+`SmithForm.solve_columns` solves for all right-hand sides of a system at
+once, as the columns of one matrix B, with one product U @ B and one
+product V @ Y.  Bareiss `determinant` is an independent reference.
 """
 
 from __future__ import annotations
@@ -419,7 +423,10 @@ def smith_invariants(a: IntMatrix | list) -> tuple[int, ...]:
     so they reduce it modulo the pivot.  When both are clear the pivot
     row and column are dropped, as is every row that becomes zero.  The
     pivots then diagonalize a, and `divisibility_chain` turns them into
-    the chain.  The result is kept on a, and later calls return it.
+    the chain.  No elimination runs when the shape decides the diagonal:
+    () when a has no rows or no columns, (gcd of its entries,) when it
+    has one row or one column.  The result is kept on a, and later calls
+    return it.
     """
     if not isinstance(a, IntMatrix):
         a = IntMatrix(a)
@@ -431,9 +438,16 @@ def smith_invariants(a: IntMatrix | list) -> tuple[int, ...]:
 
 
 def _smith_diagonal(a: IntMatrix) -> tuple[int, ...]:
-    """The elimination behind `smith_invariants`."""
-    limit = min(a.rows, a.cols)
-    live = [list(r) for r in a._rows if any(r)]
+    """The elimination behind `smith_invariants`, skipped when the shape
+    decides the diagonal."""
+    rows = a._rows
+    limit = min(len(rows), a._cols)
+    if limit == 0:
+        return ()
+    if limit == 1:  # one row or one column: the gcd of its entries
+        return (gcd(*rows[0]) if len(rows) == 1 else
+                gcd(*[r[0] for r in rows]),)
+    live = [list(r) for r in rows if any(r)]
     pivots = []
     while live:
         # an entry of least absolute value, stopping at the first unit
@@ -495,6 +509,8 @@ def divisibility_chain(orders) -> list[int]:
     for every p | b at once, and d_i = prod_p p^(i-th smallest v_p).
     """
     orders = list(orders)
+    if len(orders) < 2:
+        return orders
     base, todo = [], [n for n in set(orders) if n > 1]
     while todo:
         x = todo.pop()

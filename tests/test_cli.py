@@ -1244,7 +1244,7 @@ def test_json_writer_matches_the_stdlib_encoder():
 
 @pytest.mark.parametrize("value", [
     1.5, {1, 2}, (1, 2), {1: "a"}, {"a": 1, 2: "b"}, [b"bytes"],
-    {"nested": [0, {"x": 0.0}]}])
+    {"nested": [0, {"x": 0.0}]}, [type("Code", (int,), {})(2)]])
 def test_json_writer_refuses_values_outside_the_report_vocabulary(value):
     with pytest.raises(TypeError):
         render_json(value)

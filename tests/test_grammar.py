@@ -7,6 +7,7 @@ that well-formed but meaningless input raises SemanticError instead.
 
 import random
 import re
+import time
 from math import gcd
 
 import pytest
@@ -203,6 +204,18 @@ def test_whitespace_insensitive():
         == parse_space("wedge(sphere(2), moore3(5))")
     assert parse_descriptor("rule i >= 1 : J = ( i , 2i ]") \
         == parse_descriptor("rule i>=1: J=(i, 2i]")
+
+
+def test_a_trailing_blank_run_is_scanned_in_linear_time():
+    """The parse_* wrappers do not strip their input, and a scanner that
+    folds blanks into each token's pattern tries every suffix of a
+    trailing blank run: quadratic, seconds for some thousand blanks."""
+    t0 = time.perf_counter()
+    assert parse_space("sphere(2)" + " " * 200_000) == parse_space("sphere(2)")
+    assert time.perf_counter() - t0 < 1.0
+    t0 = time.perf_counter()
+    assert parse_group("Z/2" + "\t" * 200_000) == parse_group("Z/2")
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -- parse errors carry positions ------------------------------------------------------

@@ -238,6 +238,21 @@ def test_smith_invariants_match_transform_snf_and_oracle(data):
     assert smith_invariants(rows if r else IntMatrix([], cols=c)) == diag
 
 
+@pytest.mark.parametrize("a", [
+    IntMatrix([[0, -6, 4]]), IntMatrix([[-4], [6], [0]]), IntMatrix([[0, 0]]),
+    IntMatrix([[-7]]), IntMatrix([], cols=3), IntMatrix([[], []], cols=0),
+], ids=["1x3", "3x1", "zero_row", "1x1", "0x3", "2x0"])
+def test_a_shape_that_decides_the_diagonal_gives_the_eliminated_one(a):
+    """No rows or no columns give the empty diagonal, one row or one
+    column the gcd of the entries; the transform SNF, which takes no
+    such shortcut, and the oracle agree."""
+    r, c = a.shape
+    rows = a.to_lists()
+    want = smith_diag_oracle(rows) if r and c else []
+    assert list(smith_invariants(a)) == want + [0] * (min(r, c) - len(want))
+    assert smith_invariants(a) == smith_normal_form(a).diagonal
+
+
 def test_cokernel_structure_makes_no_transform_snf(monkeypatch):
     def refuse(a, **asked):
         raise AssertionError("transform SNF called")
@@ -274,6 +289,10 @@ def test_smith_invariants_eliminates_each_matrix_object_once(monkeypatch):
         assert smith_invariants(m) == (2, 2, 156)
     assert len(eliminated) == 5
     assert smith_invariants(rows) == (2, 2, 156) and len(eliminated) == 6
+    # a diagonal that the shape decides is kept all the same
+    row = IntMatrix([[0, -6, 4]])
+    assert smith_invariants(row) == smith_invariants(row) == (2,)
+    assert len(eliminated) == 7 and eliminated[6] is row
 
 
 def chain_from_prime_powers(orders) -> list[int]:
@@ -299,6 +318,10 @@ def chain_from_prime_powers(orders) -> list[int]:
 
 
 def test_divisibility_chain_matches_prime_power_oracle():
+    # fewer than two orders are their own chain
+    for orders in ([], [1], [12]):
+        assert intlin.divisibility_chain(orders) == orders == \
+            chain_from_prime_powers(orders)
     rng = random.Random(20261018)
     for _ in range(3000):
         orders = [rng.randint(1, 360) for _ in range(rng.randint(0, 7))]
