@@ -10,8 +10,8 @@ the modules before it:
   Tor_1, exterior square, and the Brauer groups of second
   Eilenberg-MacLane spaces;
 - chaincx: chain complexes of free Z-modules - homology, cohomology with
-  Z and Z/m coefficients, universal-coefficient splittings, cochain-level
-  Bockstein maps, tensor products;
+  Z and Z/m coefficients, universal-coefficient splittings, Bockstein
+  maps read off Smith diagonals, tensor products;
 - limits: eventually periodic sequences (prefix plus repeating block)
   and towers with lim^1 vanishing certificates;
 - profiles: direct sums of cyclic groups with finite or countable

@@ -13,25 +13,13 @@ cohomology by universal coefficients.
 homology of the dual complex, read off the diagonals of `smith_form`
 on the transposed boundaries.
 
-A cochain presentation (`SubquotientPresentation`, built on transform
-SNFs) is built only where its generators are needed: for a `bockstein`
-whose image is nonzero (a zero one is decided from the Smith diagonal
-of one boundary and answered from the diagonals alone).  Each
-transform elimination builds only the transforms its reader uses
-(`intlin.smith_form`): V for a kernel; for the relations, U^-1 in the
-Z/m presentation (the Bockstein's domain, read for its generators) and
-U in the integral one (the codomain, read for coordinates).  With Z
-coefficients the cocycles ker d^n are eliminated once, with V and V^-1:
-they are saturated, so their Smith form is read off V^-1 and they are
-not eliminated a second time.  With Z/m coefficients it is computed
-directly on the mod-m cochain complex: the mod-m cocycle lattice
-L = {x : d x = 0 mod m} is the projection of the integer kernel of
-[d | mI], and H^n = L / (im d + m Z^{r_n}).  Keeping the computation at
-the cochain level is what lets `bockstein` return an explicit map on
-canonical generators.  Every right-hand side of a presentation is
-solved in matrix form: all sub columns in one `SmithForm.solve_columns`,
-and `bockstein` lifts all generators of its domain with one product and
-asks its codomain for all their coordinates in one call.
+`bockstein` reads the Smith diagonals of three boundaries, del_n,
+del_{n+1} and del_{n+2}; a nonzero Bockstein also puts the diagonal
+matrix of its domain's cyclic orders in Smith form, with U^-1, to reach
+the canonical generators.  No request makes a transform elimination of
+a boundary.  `SubquotientPresentation` presents a lattice subquotient
+with explicit generators and coordinates, on transform SNFs; the
+cochain-level route the tests keep as an oracle is built on it.
 
 `homology`, `cohomology`, `uct_decompose` and `bockstein` read a complex
 only through rank(n) and boundary(n), so they take a ChainComplex or a
@@ -48,8 +36,8 @@ from math import gcd
 
 from .abgroup import FgAbGroup, GroupHom
 from .errors import SemanticError
-from .intlin import (IntMatrix, SmithForm, kernel_basis, smith_form,
-                     smith_invariants, smith_normal_form)
+from .intlin import (IntMatrix, smith_form, smith_invariants,
+                     smith_normal_form)
 
 
 class ChainComplex:
@@ -136,27 +124,22 @@ class SubquotientPresentation:
     gens), put in Smith form, and the canonical generators are tracked back
     to actual ambient vectors so that explicit cocycle representatives and
     coordinates of arbitrary lattice vectors are available.  The sub
-    columns are expressed in gens by one solve for all of them.
-
-    gens_form is a Smith form of gens with U and V, when the caller has
-    one; otherwise gens is eliminated here.  The relations are
-    eliminated with the transform of one reader only: U for
-    `column_coordinates` when coordinates is true, else U^-1 for
-    `generator_matrix`.
+    columns are expressed in gens by one solve for all of them.  gens
+    is eliminated with U and V, the relations with U (for
+    `column_coordinates`) and U^-1 (for `generator_matrix`).
     """
 
-    def __init__(self, gens: IntMatrix, sub: IntMatrix,
-                 gens_form: SmithForm | None = None, *, coordinates: bool):
+    def __init__(self, gens: IntMatrix, sub: IntMatrix):
         if gens.rows != sub.rows:
             raise SemanticError("ambient dimension mismatch")
         self.gens = gens
-        self._gens_sf = gens_form or smith_normal_form(gens)
+        self._gens_sf = smith_normal_form(gens)
         g = gens.cols
         y = self._gens_sf.solve_columns(sub)
         if y is None:
             raise SemanticError("subgroup generator outside the lattice")
         self.relations = self._gens_sf.kernel().hstack(y)
-        sf = smith_form(self.relations, u=coordinates, u_inv=not coordinates)
+        sf = smith_form(self.relations, u=True, u_inv=True)
         self._u = sf.u
         self._u_inv = sf.u_inv
         self._diag = sf.diagonal + (0,) * (g - len(sf.diagonal))
@@ -210,26 +193,6 @@ def _diagonals(c, n: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     d_out = smith_invariants(c.boundary(n + 1))
     free = c.rank(n) - sum(1 for d in d_in if d) - sum(1 for d in d_out if d)
     return d_in, d_out, free
-
-
-def _cochain_presentation(c, n: int, modulus: int | None
-                          ) -> SubquotientPresentation:
-    """Presentation of H^n with Z or Z/modulus coefficients, as a
-    Bockstein reads it: for coordinates with Z, for generators with Z/m."""
-    d_in = c.boundary(n).transpose()        # d^{n-1}: C^{n-1} -> C^n
-    d_out = c.boundary(n + 1).transpose()   # d^n: C^n -> C^{n+1}
-    if modulus is None:
-        # the cocycles are saturated: one elimination of d^n gives them
-        # and, through V^-1, their own Smith form
-        sf = smith_form(d_out, v=True, v_inv=True)
-        return SubquotientPresentation(sf.kernel(), d_in, sf.kernel_form(),
-                                       coordinates=True)
-    m, rn = modulus, c.rank(n)
-    # mod-m cocycles: x-projections of ker [d^n | mI]
-    ker = kernel_basis(d_out.hstack(IntMatrix.diagonal([m] * d_out.rows)))
-    gens = ker.submatrix(range(rn), range(ker.cols))
-    sub = d_in.hstack(IntMatrix.diagonal([m] * rn))
-    return SubquotientPresentation(gens, sub, coordinates=False)
 
 
 def cohomology(c, n: int, modulus: int | None = None) -> FgAbGroup:
@@ -304,39 +267,69 @@ def _dual_cohomology(c, n: int) -> FgAbGroup:
 
 
 def bockstein(c, n: int, m: int) -> GroupHom:
-    """The integral Bockstein beta : H^n(c; Z/m) -> H^{n+1}(c; Z).
+    """The integral Bockstein beta : H^n(c; Z/m) -> H^{n+1}(c; Z), read
+    off the Smith diagonals a of del_n, b of del_{n+1} and e of
+    del_{n+2}.
 
-    Whether beta is zero is decided first, from the Smith diagonal of
-    del_{n+1} alone.  The coefficient sequence 0 -> Z -(x m)-> Z -> Z/m
-    -> 0 gives the exact sequence H^n(; Z/m) -(beta)-> H^{n+1}(; Z)
-    -(x m)-> H^{n+1}(; Z), so im beta = ker(x m) is the m-torsion of
-    H^{n+1}(; Z).  That torsion is Ext^1(H_n, Z), whose invariant
-    factors are those >= 2 of del_{n+1}: a factor d contributes
-    Z/gcd(d, m) to the m-torsion.  So beta = 0 exactly when every such d
-    is prime to m, and then it is the zero map between the canonical
-    groups, with no cochain presentation built.
+    Whether beta is zero is decided from b.  The coefficient sequence
+    0 -> Z -(x m)-> Z -> Z/m -> 0 gives the exact sequence
+    H^n(; Z/m) -(beta)-> H^{n+1}(; Z) -(x m)-> H^{n+1}(; Z), so
+    im beta = ker(x m) is the m-torsion of H^{n+1}(; Z).  That torsion
+    is Ext^1(H_n, Z), whose invariant factors are those >= 2 of b: a
+    factor d contributes Z/gcd(d, m) to the m-torsion.  So beta = 0
+    exactly when every such d is prime to m, and then it is the zero
+    map between the canonical groups.
 
-    Otherwise it is computed at the cochain level: lift a mod-m cocycle
-    to an integer cochain x, then beta[x] = [d x / m].  All generators
-    of the domain are lifted together (one product d X, one
-    divisibility check) and their coordinates in H^{n+1} are read in one
-    call.  The returned GroupHom acts on the canonical generators of
-    both groups.
+    Otherwise beta is read off the diagonals.  A bounded complex of
+    finitely generated free abelian groups is isomorphic to a direct
+    sum of elementary complexes: one Z in degree k for each free
+    generator of H_k, and one Z -(d)-> Z in degrees k+1 -> k for each
+    nonzero Smith diagonal entry d of del_{k+1}.  Proof, degree by
+    degree: the cycles Z_k = ker del_k are a direct summand of C_k,
+    because C_k / Z_k embeds in the free C_{k-1}.  So the boundaries
+    B_k = im del_{k+1} have the same elementary divisors in Z_k as in
+    C_k, the nonzero d_i of del_{k+1}'s diagonal, and Z_k has a basis
+    y_j with B_k spanned by the d_i y_i; the y_j past them carry H_k's
+    free generators.  B_k is free, so x_i with del x_i = d_i y_i span a
+    complement of Z_{k+1} in C_{k+1}, and C_k = Z_k + span(x_i of
+    degree k) is the sum of the pieces.  An isomorphism of complexes
+    commutes with beta, so beta is the direct sum of the elementary
+    Bocksteins:
+    - a Z in degree n gives Z/m to the domain, sent to 0, and a Z in
+      degree n+1 gives Z to the codomain;
+    - Z -(b_i)-> Z in degrees n+1 -> n gives Z/g, g = gcd(b_i, m), to
+      the domain, generated by the cochain x = m/g, and Z/b_i to the
+      codomain; beta[x] = [b_i x / m] = (b_i / g) times its generator;
+    - Z -(a_i)-> Z in degrees n -> n-1 gives Z/gcd(a_i, m) to the
+      domain, and nothing in degree n+1, so beta is 0 on it;
+    - Z -(e_i)-> Z in degrees n+2 -> n+1 gives nothing to either side:
+      its degree-(n+1) cochain is not a cocycle.
+    So the codomain is Z^f' + Z/b_i (b_i >= 2), with f' = r_{n+1} -
+    rank b - rank e, already in canonical form.  The domain's pieces,
+    in the order above and those of order 1 included, give the diagonal
+    matrix D of their orders, and U @ D @ V = S moves them to canonical
+    generators: a class with piece coordinates x has canonical
+    coordinates U x, so the canonical generator of each S_jj >= 2 is
+    column j of U^-1, and its image is the piece images times that
+    column.
     """
     if m < 2:
         raise SemanticError("Bockstein modulus must be >= 2")
-    if all(gcd(d, m) == 1 for d in smith_invariants(c.boundary(n + 1))
-           if d >= 2):
-        return GroupHom.zero(cohomology(c, n, m), cohomology(c, n + 1))
-    dom = _cochain_presentation(c, n, m)
-    cod = _cochain_presentation(c, n + 1, None)
-    d_out = c.boundary(n + 1).transpose()
-    gens = dom.generator_matrix()
-    u = (d_out @ gens).to_lists()
-    if any(x % m for row in u for x in row):
-        raise SemanticError("generator is not a mod-m cocycle")
-    lifted = IntMatrix([[x // m for x in row] for row in u], cols=gens.cols)
-    return GroupHom(dom.group, cod.group, cod.column_coordinates(lifted))
+    a, b, free = _diagonals(c, n)
+    codomain = cohomology(c, n + 1)
+    if all(gcd(d, m) == 1 for d in b if d >= 2):
+        return GroupHom.zero(cohomology(c, n, m), codomain)
+    torsion = [d for d in b if d >= 2]
+    sf = smith_form(IntMatrix.diagonal(
+        [m] * free + [gcd(d, m) for d in torsion + [d for d in a if d >= 2]]),
+        u_inv=True)
+    gens = [j for j, d in enumerate(sf.diagonal) if d >= 2]
+    # piece free + i, Z/gcd(b_i, m), goes to b_i / gcd(b_i, m) times the
+    # generator of Z/b_i, and every other piece to 0
+    images = [[d // gcd(d, m) * sf.u_inv[free + i, j] for j in gens]
+              for i, d in enumerate(torsion)]
+    return GroupHom(FgAbGroup(0, tuple(sf.diagonal[j] for j in gens)),
+                    codomain, [[0] * len(gens)] * codomain.free_rank + images)
 
 
 def tensor_complexes(c: ChainComplex, d: ChainComplex) -> ChainComplex:

@@ -21,12 +21,11 @@ parser, its evaluator and the summary that `reproduce` compares.
 
 Flags: --json (structured, deterministic output), --trace (diagnostic
 witnesses, among them the Smith diagonals of the boundaries around the
-degree: a boundary matrix keeps its diagonal, so one that homology,
-cohomology, uct or bockstein already read is not eliminated again; a
-bockstein with nonzero image reads only the middle one of its three, so
-its trace eliminates the other two), --batch FILE (one
-request per line, '-' for stdin; a FILE that cannot be opened is a usage
-error, exit 2, and bytes that are not UTF-8 fail their own line only).
+degree: a boundary matrix keeps its diagonal, and the answer already
+read every one the trace prints, so none is eliminated again), --batch
+FILE (one request per line, '-' for stdin; a FILE that cannot be opened
+is a usage error, exit 2, and bytes that are not UTF-8 fail their own
+line only).
 
 JSON output, of one report or of a --batch list, is written by one
 writer, _dump, whose bytes equal json.dumps(x, indent=2, sort_keys=True)
@@ -197,14 +196,11 @@ def _group_text(payload: dict) -> str:
 
 def _boundary_trace(space: SpaceDescription, n: int, count: int = 2):
     """For a space with cells, the Smith diagonals of del_n ..
-    del_{n+count-1}, read off the space's own boundary matrices: a
-    diagonal the answer computed is printed, not computed again, and
-    any other one is computed here.  homology, cohomology, uct and
-    brauer compute all of theirs, and so does a bockstein with zero
-    image (it reads H^n(; Z/m) and H^{n+1}); a bockstein with nonzero
-    image computes only del_{n+1}'s, to decide that, and takes its map
-    from cochain presentations, so del_n's and del_{n+2}'s are computed
-    here.  A generator, so an untraced request computes none of them."""
+    del_{n+count-1}, read off the space's own boundary matrices: every
+    request computes all of its diagonals for its answer (a bockstein
+    those of del_n, del_{n+1} and del_{n+2}), so each is printed, not
+    computed again.  A generator, so an untraced request formats none
+    of them."""
     if space.cells is None:
         return
     for d in range(n, n + count):

@@ -17,10 +17,9 @@ column.  `smith_form` takes no such shortcut, so it stays an
 independent route to the same diagonal.  `smith_form` finds
 U @ A @ V = S, U and V unimodular, by eliminating one working matrix:
 A, extended by the identity on the right when U is asked for and below
-when V is, so U and V are read off as blocks of the result.  U^-1 and
-V^-1 are tracked beside it through the same operations.
-`smith_normal_form` asks for U and V; a kernel basis needs V alone, and
-its own Smith form is read off V^-1 (`SmithForm.kernel_form`).
+when V is, so U and V are read off as blocks of the result.  U^-1 is
+tracked beside it through the same row operations.
+`smith_normal_form` asks for U and V; a kernel basis needs V alone.
 `SmithForm.solve_columns` solves for all right-hand sides of a system at
 once, as the columns of one matrix B, with one product U @ B and one
 product V @ Y.  Bareiss `determinant` is an independent reference.
@@ -176,7 +175,7 @@ class SmithForm:
     diagonal holds min(rows, cols) nonnegative integers with the nonzero
     entries first, each dividing the next, then zeros.  rank is the count
     of nonzero diagonal entries.  A transform that was not asked for is
-    None; u_inv and v_inv are the inverses of u and v.
+    None; u_inv is the inverse of u.
     """
 
     u: IntMatrix | None
@@ -184,7 +183,6 @@ class SmithForm:
     v: IntMatrix | None
     diagonal: tuple[int, ...]
     u_inv: IntMatrix | None = None
-    v_inv: IntMatrix | None = None
 
     @property
     def rank(self) -> int:
@@ -196,22 +194,6 @@ class SmithForm:
         every integer kernel vector is an integer combination of them."""
         cols = self.v.rows
         return self.v.submatrix(range(cols), range(self.rank, cols))
-
-    def kernel_form(self) -> "SmithForm":
-        """A Smith form of `kernel()` read off v_inv, with no elimination.
-
-        With r the rank, v_inv @ v = I, so the rows r: of v_inv followed
-        by the rows :r form a unimodular U with U @ kernel() = [I; 0]:
-        V is the identity and every diagonal entry is 1.  The kernel has
-        full column rank, so every solve on this form gives the one
-        solution any Smith form of the kernel gives."""
-        vi = self.v_inv._rows
-        r = self.rank
-        g = len(vi) - r
-        eye = IntMatrix.identity(g)
-        return SmithForm(u=IntMatrix._of(vi[r:] + vi[:r], len(vi)),
-                         s=IntMatrix._of(eye._rows + ((0,) * g,) * r, g),
-                         v=eye, diagonal=(1,) * g)
 
     def solve(self, b) -> tuple[int, ...] | None:
         """Some integer solution x of a @ x = b, or None when none exists:
@@ -285,7 +267,7 @@ def smith_normal_form(a: IntMatrix | list) -> SmithForm:
 
 
 def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
-               u_inv: bool = False, v_inv: bool = False) -> SmithForm:
+               u_inv: bool = False) -> SmithForm:
     """Smith normal form u @ a @ v = s, building only the transforms
     asked for; the others are None.  The diagonal is never stored on a,
     so `smith_invariants` stays a separate elimination.
@@ -302,11 +284,9 @@ def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
     rows of I (cols x cols) below when V is.  Pivots and searches read
     the a block alone, so row operations carry U, column operations
     carry V, and every block is the same whatever else is asked for.
-    The inverses are tracked beside S, U^-1 as columns and V^-1 as rows:
-    "row i -= q row k" adds q times column i of U^-1 to its column k,
-    "col j -= q col k" adds q times row j of V^-1 to its row k, a swap
-    swaps the matching columns or rows, and negating row i negates
-    column i of U^-1.
+    U^-1 is tracked beside S, as columns: "row i -= q row k" adds q
+    times column i of U^-1 to its column k, a row swap swaps the
+    matching columns, and negating row i negates column i of U^-1.
     """
     if not isinstance(a, IntMatrix):
         a = IntMatrix(a)
@@ -316,7 +296,6 @@ def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
     if v:
         S += _identity_lists(cols)
     Ui = _identity_lists(rows) if u_inv else None   # columns of U^-1
-    Vi = _identity_lists(cols) if v_inv else None   # rows of V^-1
 
     def row_op(i, k, q):  # row i -= q * row k   (on S and U^-1)
         S[i] = [x - q * y for x, y in zip(S[i], S[k])]
@@ -334,8 +313,6 @@ def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
         if j != k:
             for r in S:
                 r[j], r[k] = r[k], r[j]
-            if Vi is not None:
-                Vi[j], Vi[k] = Vi[k], Vi[j]
 
     t = 0
     limit = min(rows, cols)
@@ -366,8 +343,6 @@ def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
                     if q:
                         for r in hits:
                             r[j] -= q * r[t]
-                        if Vi is not None:
-                            Vi[t] = [x + q * y for x, y in zip(Vi[t], Vi[j])]
                     if p[j] != 0:
                         dirty = True
             if dirty:
@@ -408,9 +383,7 @@ def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
         s=IntMatrix._of(tuple(tuple(r[:cols]) for r in top), cols),
         v=IntMatrix._of(tuple(map(tuple, S[rows:])), cols) if v else None,
         diagonal=tuple(S[i][i] for i in range(limit)),
-        u_inv=None if Ui is None else IntMatrix._of(tuple(zip(*Ui)), rows),
-        v_inv=None if Vi is None else IntMatrix._of(tuple(map(tuple, Vi)),
-                                                    cols))
+        u_inv=None if Ui is None else IntMatrix._of(tuple(zip(*Ui)), rows))
 
 
 def smith_invariants(a: IntMatrix | list) -> tuple[int, ...]:

@@ -2,8 +2,12 @@
 
 Plain Python integers and lists throughout; no oracle calls into the
 package, so these can sit on the other side of an equality from the
-library's answers.  The one exception is `random_complex`, which is a
-generator of test inputs, not an oracle: it builds package values.
+library's answers.  Two exceptions build package values:
+`random_complex`, a generator of test inputs, and the cochain-level
+route (`cochain_presentation`, `cochain_bockstein`), which runs on the
+package's transform eliminations and never reads a Smith diagonal, so
+it stays a second route to cohomology and the Bockstein, which the
+package reads off Smith diagonals.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ import itertools
 from math import gcd, prod
 from random import Random
 
-from cwbrauer.chaincx import ChainComplex
+from cwbrauer.abgroup import GroupHom
+from cwbrauer.chaincx import ChainComplex, SubquotientPresentation
 from cwbrauer.intlin import IntMatrix, kernel_basis
 
 
@@ -292,3 +297,34 @@ def random_complex(rng: Random, max_top: int = 5, max_rank: int = 5,
         boundaries.append(nxt)
         prev = nxt
     return ChainComplex(ranks, boundaries)
+
+
+def cochain_presentation(c, n: int, modulus: int | None
+                         ) -> SubquotientPresentation:
+    """H^n(c) with Z or Z/modulus coefficients as a subquotient of the
+    cochains C^n: cocycles over coboundaries.  With Z/m the cocycles are
+    the x-projections of ker [d^n | mI], and the coboundaries include
+    m C^n."""
+    d_in = c.boundary(n).transpose()        # d^{n-1}: C^{n-1} -> C^n
+    d_out = c.boundary(n + 1).transpose()   # d^n: C^n -> C^{n+1}
+    if modulus is None:
+        return SubquotientPresentation(kernel_basis(d_out), d_in)
+    m, rn = modulus, c.rank(n)
+    ker = kernel_basis(d_out.hstack(IntMatrix.diagonal([m] * d_out.rows)))
+    gens = ker.submatrix(range(rn), range(ker.cols))
+    return SubquotientPresentation(
+        gens, d_in.hstack(IntMatrix.diagonal([m] * rn)))
+
+
+def cochain_bockstein(c, n: int, m: int) -> GroupHom:
+    """beta : H^n(c; Z/m) -> H^{n+1}(c; Z) at the cochain level: each
+    canonical generator of the domain, a mod-m cocycle, is lifted to an
+    integer cochain x, and beta[x] = [d x / m] is read in the
+    coordinates of H^{n+1}."""
+    dom = cochain_presentation(c, n, m)
+    cod = cochain_presentation(c, n + 1, None)
+    gens = dom.generator_matrix()
+    dx = (c.boundary(n + 1).transpose() @ gens).to_lists()
+    assert not any(x % m for row in dx for x in row), (n, m)
+    lifted = IntMatrix([[x // m for x in row] for row in dx], cols=gens.cols)
+    return GroupHom(dom.group, cod.group, cod.column_coordinates(lifted))

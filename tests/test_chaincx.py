@@ -22,11 +22,12 @@ from cwbrauer.chaincx import (
     tensor_complexes, uct_decompose,
 )
 from cwbrauer.errors import SemanticError
-from cwbrauer.intlin import IntMatrix
+from cwbrauer.intlin import IntMatrix, kernel_basis
 from cwbrauer.spaces import (from_complex, lens_periodic, lens_skeleton,
                              moore_3cell, product, sphere, wedge)
 
-from _oracles import homology_oracle, random_complex, rank_mod_p
+from _oracles import (cochain_bockstein, cochain_presentation,
+                      homology_oracle, random_complex, rank_mod_p)
 from _snf_reference import reference_smith_normal_form, reference_solve
 
 
@@ -253,7 +254,7 @@ def test_cohomology_equals_the_cochain_presentation():
         c = random_complex(rng)
         for n in range(c.top_degree + 2):
             for m in (None, 2, 3, 4, 6, 12):
-                want = chaincx._cochain_presentation(c, n, m).group
+                want = cochain_presentation(c, n, m).group
                 assert cohomology(c, n, m) == want, (c.ranks, n, m)
 
 
@@ -329,31 +330,16 @@ def test_uct_frozen_moore():
     assert u.total == FgAbGroup.cyclic(6)
 
 
-def _presentations_built(monkeypatch) -> list:
-    """The arguments of every SubquotientPresentation built from now on."""
-    built = []
-    real_init = SubquotientPresentation.__init__
-
-    def count(self, *args, **kwargs):
-        built.append(args)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(SubquotientPresentation, "__init__", count)
-    return built
-
-
 def test_uct_check_is_not_circular(monkeypatch):
     """The Ext/Hom side reads Smith diagonals (`smith_invariants`) and the
     total the diagonals of `smith_form` on the transposed boundaries:
     losing one torsion factor on the first route makes the check fail
     instead of agreeing with itself.  It fails on a warm state too,
-    where a Bockstein into H^3 has built the integral presentation of
-    H^3.  The Bockstein reads the Smith diagonal of del_3 to decide that
-    its image is nonzero, but every diagonal a boundary holds afterwards
-    comes from the diagonal elimination (`intlin._smith_diagonal`),
-    never from the presentation's transform eliminations, and the check
-    then builds no presentation, so the free rank is not read from one
-    elimination twice."""
+    after a Bockstein into H^3 has read the diagonals of del_2, del_3
+    and del_4: every diagonal a boundary holds afterwards comes from the
+    diagonal elimination (`intlin._smith_diagonal`), never from the
+    Bockstein's transform elimination, so the free rank is not read from
+    one elimination twice."""
     real = chaincx.smith_invariants
 
     def drop_one_torsion_factor(a):
@@ -380,16 +366,12 @@ def test_uct_check_is_not_circular(monkeypatch):
         return real_diagonal(a)
 
     monkeypatch.setattr(intlin, "_smith_diagonal", record)
-    presented = _presentations_built(monkeypatch)
     assert not bockstein(warm_cx, 2, 2).is_zero()
     held = [b for b in warm_cx.boundaries if hasattr(b, "_diagonal")]
     assert held and {id(b) for b in held} <= {id(a) for a in eliminated}
-    assert len(presented) == 2   # H^2(; Z/2) and H^3(; Z)
-    presented.clear()
     monkeypatch.setattr(chaincx, "smith_invariants", drop_one_torsion_factor)
     with pytest.raises(SemanticError, match="universal coefficients mismatch"):
         uct_decompose(warm_cx, 3)
-    assert presented == []
 
 
 def test_uct_check_fails_when_its_total_loses_a_factor(monkeypatch):
@@ -441,7 +423,7 @@ def test_uct_total_equals_the_cochain_presentation():
         prod_cx = tensor_complexes(lens_complex(a, 3), lens_complex(b, 3))
         cases += [(prod_cx, n) for n in range(prod_cx.top_degree + 2)]
     for c, n in cases:
-        want = chaincx._cochain_presentation(c, n, None).group
+        want = cochain_presentation(c, n, None).group
         assert uct_decompose(c, n).total == want, (c, n)
 
 
@@ -501,41 +483,90 @@ def test_bockstein_modulus_validation():
         bockstein(moore_complex(2), 2, 1)
 
 
-def _bockstein_from_presentations(c, n: int, m: int) -> GroupHom:
-    """The Bockstein computed at the cochain level whatever its image:
-    both cochain presentations, each generator of H^n(; Z/m) lifted to an
-    integer cochain x, and the coordinates of d x / m in H^{n+1}."""
-    dom = chaincx._cochain_presentation(c, n, m)
-    cod = chaincx._cochain_presentation(c, n + 1, None)
-    gens = dom.generator_matrix()
-    dx = (c.boundary(n + 1).transpose() @ gens).to_lists()
-    assert not any(x % m for row in dx for x in row), (n, m)
-    lifted = IntMatrix([[x // m for x in row] for row in dx], cols=gens.cols)
-    return GroupHom(dom.group, cod.group, cod.column_coordinates(lifted))
+def _subgroup(gens: IntMatrix, relations: IntMatrix) -> IntMatrix:
+    """The x with gens @ x in span(relations): the x-rows of the kernel
+    of [gens | relations], as columns."""
+    ker = kernel_basis(gens.hstack(relations))
+    return ker.submatrix(range(gens.cols), range(ker.cols))
 
 
-def test_bockstein_equals_the_cochain_level_route(monkeypatch):
-    """The Bockstein equals the one built on both cochain presentations
-    (domain, codomain and matrix), and it is zero exactly when no
-    invariant factor of H^{n+1}(; Z) shares a prime with m: its image
-    is the m-torsion of H^{n+1}(; Z).  A zero Bockstein builds no
-    presentation, and a nonzero one builds two."""
-    built = _presentations_built(monkeypatch)
+def _kernel_image_cokernel(beta: GroupHom) -> tuple:
+    """The types of ker beta, im beta and coker beta.  Domain and
+    codomain are Z^k / D and Z^r / R for the diagonals D and R of their
+    cyclic orders, and beta is its matrix M: im = Z^k / K with
+    K = {x : M x in span R}, ker = K / span D, coker = Z^r / span [M | R]."""
+    dom = IntMatrix.diagonal(beta.domain.cyclic_orders())
+    cod = IntMatrix.diagonal(beta.codomain.cyclic_orders())
+    k = _subgroup(beta.matrix, cod)
+    return (FgAbGroup.from_presentation(_subgroup(k, dom)),
+            FgAbGroup.from_presentation(k),
+            FgAbGroup.from_presentation(beta.matrix.hstack(cod)))
+
+
+def test_bockstein_equals_the_cochain_level_route():
+    """The Bockstein read off Smith diagonals and the one built on both
+    cochain presentations (`_oracles.cochain_bockstein`) have the same
+    domain and codomain, are zero together, and have kernels, images and
+    cokernels of the same types.  It is zero exactly when no invariant
+    factor of H^{n+1}(; Z) shares a prime with m: its image is the
+    m-torsion of H^{n+1}(; Z)."""
     inputs = [(c, n, m) for c, n in _seeded_inputs() for m in range(2, 13)]
     zero = 0
     for c, n, m in inputs:
-        built.clear()
         beta = bockstein(c, n, m)
-        presented = len(built)
-        want = _bockstein_from_presentations(c, n, m)
+        want = cochain_bockstein(c, n, m)
         assert (beta.domain, beta.codomain) == (want.domain, want.codomain)
-        assert beta.matrix == want.matrix, (c, n, m)
+        assert beta.is_zero() == want.is_zero(), (c, n, m)
         coprime = all(gcd(d, m) == 1
                       for d in cohomology(c, n + 1).invariant_factors)
         assert beta.is_zero() == coprime, (c, n, m)
-        assert presented == (0 if beta.is_zero() else 2), (c, n, m)
+        if not beta.is_zero():
+            assert _kernel_image_cokernel(beta) == _kernel_image_cokernel(
+                want), (c, n, m)
         zero += beta.is_zero()
     assert 0 < zero < len(inputs)
+
+
+def _elementary(pieces) -> ChainComplex:
+    """The direct sum of elementary complexes: (k, 0) is a Z in degree
+    k, and (k, d) is Z -(d)-> Z in degrees k+1 -> k.  Every boundary is
+    diagonal, with its pieces in the order given."""
+    top = max(k + (d != 0) for k, d in pieces)
+    ranks, entries = [0] * (top + 1), []
+    for k, d in pieces:
+        if d:
+            entries.append((k + 1, ranks[k], ranks[k + 1], d))
+            ranks[k + 1] += 1
+        ranks[k] += 1
+    return ChainComplex.from_entries(ranks, entries)
+
+
+def test_bockstein_of_elementary_complexes_is_the_stated_matrix():
+    """On a sum of elementary complexes whose domain pieces (Z/m for a
+    free Z in degree n, then Z/gcd(b, m) for Z -(b)-> Z in degrees
+    n+1 -> n, then Z/gcd(a, m) for one in degrees n -> n-1) are already
+    a divisibility chain in that order, no generator changes: the
+    generator of Z/gcd(b, m) goes to b / gcd(b, m) times that of Z/b,
+    and every other generator to 0."""
+    cases = [
+        # Z/6 -> Z/6: a unit; Z/2 -> Z/4: twice the generator
+        ([(1, 6)], 1, 6, "Z/6", "Z/6", [[1]]),
+        ([(1, 4)], 1, 2, "Z/2", "Z/4", [[2]]),
+        # gcd(8, 4) = 4 sends Z/4 to 2 (Z/8); gcd(16, 4) = 4 to 4 (Z/16)
+        ([(1, 8), (1, 16)], 1, 4, "Z/4 + Z/4", "Z/8 + Z/16", [[2, 0],
+                                                              [0, 4]]),
+        # a free Z in degrees 1 and 2, b = 8, a = 4 (in degrees 1 -> 0)
+        # and e = 3 (in degrees 3 -> 2), modulus 4
+        ([(1, 0), (2, 0), (1, 8), (0, 4), (2, 3)], 1, 4,
+         "Z/4 + Z/4 + Z/4", "Z + Z/8", [[0, 0, 0], [0, 2, 0]]),
+        # b = 2, 4 and 36 mod 6: Z/2 + Z/2 + Z/6 -> Z/2 + Z/4 + Z/36
+        ([(2, 2), (2, 4), (2, 36)], 2, 6, "Z/2 + Z/2 + Z/6",
+         "Z/2 + Z/4 + Z/36", [[1, 0, 0], [0, 2, 0], [0, 0, 6]]),
+    ]
+    for pieces, n, m, dom, cod, matrix in cases:
+        beta = bockstein(_elementary(pieces), n, m)
+        assert (str(beta.domain), str(beta.codomain)) == (dom, cod), pieces
+        assert beta.matrix.to_lists() == matrix, pieces
 
 
 # -- presentations -----------------------------------------------------------------
@@ -559,18 +590,22 @@ def _count_eliminations(monkeypatch):
 def test_presentation_factors_each_matrix_once(monkeypatch):
     """gens is eliminated once, with U and V, for its kernel, for all sub
     columns in one solve and for coordinates(); the relations matrix once
-    more, with the transform of the presentation's one reader: U for
-    coordinates, U^-1 for generators.  Coordinates of a whole matrix of
-    vectors make no further elimination, and no generator matrix inverts
-    U."""
+    more, with U for coordinates and U^-1 for generators.  Coordinates
+    of a whole matrix of vectors make no further elimination, and the
+    generator matrix inverts nothing: its columns are the canonical
+    generators, so their coordinates are the identity."""
+    def refuse(m):
+        raise AssertionError("unimodular_inverse called")
+
+    monkeypatch.setattr(intlin, "unimodular_inverse", refuse)
     calls = _count_eliminations(monkeypatch)
     # span(gens) = 2Z + Z + 3Z (the fourth column is the sum of the
     # first two), span(sub) = 4Z + 2Z + 6Z: the quotient is (Z/2)^3
     gens = IntMatrix([[2, 0, 0, 2], [0, 1, 0, 1], [0, 0, 3, 0]])
     sub = IntMatrix([[4, 0, 0, 4], [0, 2, 0, 2], [0, 0, 6, 0]])
-    pres = SubquotientPresentation(gens, sub, coordinates=True)
+    pres = SubquotientPresentation(gens, sub)
     assert pres.group == FgAbGroup(0, (2, 2, 2))
-    assert calls == [(gens, ["u", "v"]), (pres.relations, ["u"])]
+    assert calls == [(gens, ["u", "v"]), (pres.relations, ["u", "u_inv"])]
     for j in range(sub.cols):
         assert coordinates(pres, sub.col_tuple(j)) == (0, 0, 0)
     assert coordinates(pres, (2, 1, 3)) != (0, 0, 0)
@@ -579,37 +614,9 @@ def test_presentation_factors_each_matrix_once(monkeypatch):
     assert coords.shape == (3, 9)
     assert coords.col_tuple(8) == coordinates(pres, (2, 1, 3))
     assert all(coords.col_tuple(j) == (0, 0, 0) for j in range(4, 8))
-    assert len(calls) == 2
-    # the generators of a generators reader, eliminated apart, are the
-    # canonical generators in the coordinates of a coordinates reader
-    calls.clear()
-    reader = SubquotientPresentation(gens, sub, coordinates=False)
-    assert calls == [(gens, ["u", "v"]), (reader.relations, ["u_inv"])]
-    assert reader.relations == pres.relations and reader.group == pres.group
-    assert pres.column_coordinates(reader.generator_matrix()) == (
+    assert pres.column_coordinates(pres.generator_matrix()) == (
         IntMatrix.identity(3))
-    # with Z coefficients the cocycles are ker d^n, which is saturated:
-    # d^n is eliminated once, with V and V^-1, the relations once, and
-    # the cocycle basis not at all
-    def refuse(m):
-        raise AssertionError("unimodular_inverse called")
-
-    monkeypatch.setattr(intlin, "unimodular_inverse", refuse)
-    c = tensor_complexes(lens_complex(4, 3), lens_complex(6, 3))
-    calls.clear()
-    pres = chaincx._cochain_presentation(c, 3, None)
-    assert pres.group == cohomology(c, 3)
-    assert calls == [(c.boundary(4).transpose(), ["v", "v_inv"]),
-                     (pres.relations, ["u"])]
-    assert all(a != pres.gens for a, _ in calls)
-    # a Bockstein into it reads generators from the tracked U^-1 of its
-    # mod-2 domain: kernel (V), gens (U, V), relations (U^-1); then its
-    # codomain as above: d^3 (V, V^-1), relations (U)
-    calls.clear()
-    beta = bockstein(c, 2, 2)
-    assert beta.codomain == pres.group and not beta.is_zero()
-    assert [asked for _, asked in calls] == [
-        ["v"], ["u", "v"], ["u_inv"], ["v", "v_inv"], ["u"]]
+    assert len(calls) == 2
 
 
 def _ref_matmul(a, b):
@@ -662,7 +669,7 @@ class _ReferencePresentation:
 
 
 def _reference_presentation(c, n, m):
-    """gens and sub of H^n as `_cochain_presentation` forms them, on
+    """gens and sub of H^n as `cochain_presentation` forms them, on
     reference kernels: cocycles (mod m) and coboundaries (and m times
     cochains)."""
     rn = c.rank(n)
@@ -715,19 +722,14 @@ def _dense_literal(rng, lo, hi):
 
 
 def _check_against_reference(c, n, m, rng):
-    """relations, coordinates and the Bockstein matrix of (c, n, m) equal
-    the column-by-column reference; a vector outside the lattice is
-    refused exactly when the reference finds no solution for it.  A Z/m
-    presentation reads generators, so its coordinates are read on a
-    coordinates reader built from the same gens and sub."""
-    pres = chaincx._cochain_presentation(c, n, m)
+    """relations, coordinates and the cochain-level Bockstein matrix of
+    (c, n, m) equal the column-by-column reference; a vector outside the
+    lattice is refused exactly when the reference finds no solution for
+    it."""
+    pres = cochain_presentation(c, n, m)
     ref = _reference_presentation(c, n, m)
     assert pres.relations.to_lists() == ref.relations, (c.ranks, n, m)
     rn = c.rank(n)
-    if m is not None:
-        sub = c.boundary(n).transpose().hstack(IntMatrix.diagonal([m] * rn))
-        pres = SubquotientPresentation(pres.gens, sub, coordinates=True)
-        assert pres.relations.to_lists() == ref.relations, (c.ranks, n, m)
     vecs = list(ref.gens)
     for _ in range(3):
         coeffs = [rng.randint(-3, 3) for _ in ref.gens]
@@ -756,15 +758,18 @@ def _check_against_reference(c, n, m, rng):
         assert all(e % m == 0 for e in lifted)
         cols.append(cod.coordinates([e // m for e in lifted]))
     want = [[col[i] for col in cols] for i in range(len(cod.index))]
-    assert bockstein(c, n, m).matrix.to_lists() == want, (c.ranks, n, m)
+    assert cochain_bockstein(c, n, m).matrix.to_lists() == want, (
+        c.ranks, n, m)
 
 
 def test_presentations_equal_the_column_by_column_reference():
     """Solving all sub columns, all vectors and all Bockstein lifts of a
     presentation in one product gives what solving them one at a time on
     the frozen reference SNF gives: the relations matrix, the coordinates
-    and the Bockstein matrix, on seeded random complexes and on dense
-    literals shaped like the benchmark's, for m = 2, 3, 4, 6, 12."""
+    and the cochain-level Bockstein matrix, on seeded random complexes
+    and on dense literals shaped like the benchmark's, for m = 2, 3, 4,
+    6, 12.  This keeps the oracle of the Bockstein and cohomology tests
+    honest."""
     rng = random.Random(20261022)
     complexes = [random_complex(rng, max_top=4, max_rank=5)
                  for _ in range(40)]

@@ -452,16 +452,15 @@ def test_traced_cohomology_reads_only_two_diagonals(monkeypatch, space,
 
 def test_traced_bockstein_eliminates_a_repeated_block_once(monkeypatch):
     """In lens_periodic(4), del_5 is the block matrix del_3, so the three
-    trace lines of a degree-3 Bockstein take two eliminations: the
-    answer reads del_4 first, to see that its image is nonzero, and the
-    trace then computes del_3 (and so del_5)."""
+    trace lines of a degree-3 Bockstein take two eliminations, both made
+    by the answer: del_3 (and so del_5), then del_4."""
     eliminated = _recording(monkeypatch, intlin, "_smith_diagonal")
     code, report = run_json("bockstein lens_periodic(4) 3 mod 2", trace=True)
     assert code == EXIT_OK
     assert report["trace"] == ["SNF diagonal of boundary_3: [0]",
                                "SNF diagonal of boundary_4: [4]",
                                "SNF diagonal of boundary_5: [0]"]
-    assert [a.to_lists() for a in eliminated] == [[[4]], [[0]]]
+    assert [a.to_lists() for a in eliminated] == [[[0]], [[4]]]
 
 
 def test_a_bockstein_with_zero_image_builds_no_presentation(monkeypatch,
@@ -469,47 +468,53 @@ def test_a_bockstein_with_zero_image_builds_no_presentation(monkeypatch,
     """In lens_periodic(k), del_j is k for even j and 0 for odd j.  The
     image of beta: H^n(; Z/2) -> H^{n+1} is the 2-torsion of H^{n+1}, so
     it is zero for k = 9 (9 is odd) and for n = 2 (del_3 = 0), and the
-    answer reads Smith diagonals only, with presentations refused.  For
-    k = 4 and n = 3 it is Z/2, and the answer builds the two cochain
-    presentations, of H^3(; Z/2) and of H^4."""
+    answer reads Smith diagonals only.  For k = 4 and n = 3 it is Z/2,
+    and the answer also puts the 1 x 1 diagonal matrix of its domain's
+    order in Smith form.  No Bockstein builds a cochain presentation."""
     def refuse(*args, **kwargs):
         raise AssertionError("cochain presentation built")
 
-    real = chaincx.SubquotientPresentation.__init__
     monkeypatch.setattr(chaincx.SubquotientPresentation, "__init__", refuse)
-    for line, want in [
+    transformed = _recording(monkeypatch, chaincx, "smith_form")
+    for line, want, eliminations in [
             ("bockstein lens_periodic(9) 3 mod 2",
-             "Bockstein H^3(; Z/2) -> H^4: 0 -> Z/9, matrix [[]]"),
+             "Bockstein H^3(; Z/2) -> H^4: 0 -> Z/9, matrix [[]]", []),
             ("bockstein lens_periodic(4) 2 mod 2",
-             "Bockstein H^2(; Z/2) -> H^3: Z/2 -> 0, matrix []")]:
+             "Bockstein H^2(; Z/2) -> H^3: Z/2 -> 0, matrix []", []),
+            ("bockstein lens_periodic(4) 3 mod 2",
+             "Bockstein H^3(; Z/2) -> H^4: Z/2 -> Z/4, matrix [[2]]",
+             [[[2]]])]:
         for trace in (False, True):
+            transformed.clear()
             code, report = run_json(line, trace=trace)
             assert code == EXIT_OK, report
             assert report["result_text"] == want
-            assert report["result"]["is_zero"]
-    monkeypatch.setattr(chaincx.SubquotientPresentation, "__init__", real)
-    built = _recording(monkeypatch, chaincx.SubquotientPresentation,
-                       "__init__")
-    code, report = run_json("bockstein lens_periodic(4) 3 mod 2")
-    assert code == EXIT_OK
-    assert report["result_text"] == (
-        "Bockstein H^3(; Z/2) -> H^4: Z/2 -> Z/4, matrix [[2]]")
-    assert len(built) == 2
+            assert [a.to_lists() for a in transformed] == eliminations
 
 
-def test_untraced_requests_compute_no_trace_diagonal(monkeypatch,
-                                                     cold_caches):
-    """The third trace line of a Bockstein with nonzero image is the
-    diagonal of a boundary the answer never eliminates: only a traced
-    request computes it."""
+def test_traced_bockstein_eliminates_what_an_untraced_one_does(
+        monkeypatch, cold_caches):
+    """A Bockstein's answer reads the Smith diagonals of del_n, del_{n+1}
+    and del_{n+2}, which are its three trace lines: a traced request
+    eliminates exactly the boundaries that an untraced one eliminates,
+    each once, with zero image or not."""
     eliminated = _recording(monkeypatch, intlin, "_smith_diagonal")
-    line = "bockstein product(lens(4, 3), lens(6, 3)) 2 mod 2"
-    for trace in (False, True):
-        cold_caches()
-        eliminated.clear()
-        assert run_json(line, trace=trace)[0] == EXIT_OK
-        top = parse_request(line).args[0].chains.boundary(4)
-        assert (id(top) in {id(a) for a in eliminated}) == trace
+    for line, is_zero in [
+            ("bockstein product(lens(4, 3), lens(6, 3)) 2 mod 2", False),
+            ("bockstein product(lens(4, 3), lens(6, 3)) 3 mod 3", True),
+            ("bockstein lens_periodic(6) 1001 mod 4", False),
+            ("bockstein lens_periodic(6) 1000 mod 4", True)]:
+        runs = []
+        for trace in (False, True):
+            cold_caches()
+            eliminated.clear()
+            code, report = run_json(line, trace=trace)
+            assert code == EXIT_OK
+            assert report["result"]["is_zero"] == is_zero, line
+            assert len({id(a) for a in eliminated}) == len(eliminated), line
+            runs.append([a.to_lists() for a in eliminated])
+        assert len(report["trace"]) == 3
+        assert runs[0] == runs[1], line
 
 
 def _cyclic(order):

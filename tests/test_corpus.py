@@ -8,7 +8,8 @@ The `corpus.*.out` files next to it are the `run_batch` output of that
 corpus, recorded once and kept as the reference, in json and text, with
 and without `--trace`.  Any change to an answer, an
 error message, a trace line or the batch exit code shows here as a
-byte difference.
+byte difference.  A replay of the same corpus also checks that no
+request makes a transform elimination of a boundary.
 """
 
 import io
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from cwbrauer import chaincx, intlin
 from cwbrauer.cli import EXIT_PARSE, run_batch
 
 DATA = Path(__file__).parent / "data"
@@ -31,3 +33,28 @@ def test_corpus_output_is_byte_identical(as_json, trace):
     want = (DATA / name).read_text(encoding="utf-8")
     assert code == EXIT_PARSE
     assert out.getvalue() == want
+
+
+def test_no_request_makes_a_transform_elimination_of_a_boundary(
+        monkeypatch):
+    """Every `smith_form` call of the corpus that asks for a transform
+    gets a diagonal matrix: the cyclic orders of a Bockstein's domain.
+    Boundaries and their transposes are only ever reduced to their
+    diagonals."""
+    asked = []
+    real = intlin.smith_form
+
+    def record(a, **transforms):
+        if any(transforms.values()):
+            asked.append(a)
+        return real(a, **transforms)
+
+    monkeypatch.setattr(intlin, "smith_form", record)
+    monkeypatch.setattr(chaincx, "smith_form", record)
+    lines = (DATA / "corpus.txt").read_text(encoding="utf-8").splitlines()
+    for trace in (False, True):
+        assert run_batch(lines, True, trace, out=io.StringIO()) == EXIT_PARSE
+    assert asked   # the corpus has Bocksteins with nonzero image
+    for a in asked:
+        assert all(a[i, j] == 0 for i in range(a.rows)
+                   for j in range(a.cols) if i != j), a

@@ -1,5 +1,5 @@
 """Cache traffic of the benchmark's request streams: how often the space
-cache hits, what it keeps, and how many cochain presentations are built.
+cache hits and what it keeps.
 
     python3 tools/cache_traffic.py [--seed N] [--count N] [WORKLOAD ...]
 
@@ -12,15 +12,11 @@ stream gives
 
   space lookups, how many of them found a complex{...} literal by its
   text, builds, hit rate, the weight kept at the end and its peak
-  (`spaces.MAX_BUILT_CELLS` bounds both, save for one space kept alone);
-  presentations built (no cache keeps them);
-  Bockstein requests, and how many of them built no presentation
-  (a Bockstein with zero image is read off the Smith diagonals).
+  (`spaces.MAX_BUILT_CELLS` bounds both, save for one space kept alone).
 
-Space lookups, presentations and Bocksteins are counted by wrappers put
-around `spaces._built`, `spaces.kept_literal`,
-`chaincx.SubquotientPresentation.__init__` and `cli.bockstein` from
-outside, as `perfbench/tracer.py` wraps functions.  A literal found by
+Space lookups are counted by wrappers put around `spaces._built` and
+`spaces.kept_literal` from outside, as `perfbench/tracer.py` wraps
+functions.  A literal found by
 its text (its key) never reaches `_built`, so a lookup is a call of
 `_built` or a text hit.  Nothing under src/ changes.
 """
@@ -47,16 +43,13 @@ def default_count(name: str) -> int:
 
 def traffic(entries) -> dict:
     """Replays (text, trace, spec) entries from a cold space cache and
-    returns the counts of spaces, presentations and Bocksteins."""
-    from cwbrauer import chaincx, cli, spaces
+    returns the counts of space lookups, builds and kept weight."""
+    from cwbrauer import cli, spaces
     kept = spaces._built_spaces
     kept.clear()
-    counts = {"lookups": 0, "text_hits": 0, "builds": 0, "peak": 0,
-              "presentations": 0, "bocksteins": 0, "no_presentation": 0}
+    counts = {"lookups": 0, "text_hits": 0, "builds": 0, "peak": 0}
     real = spaces._built
     real_by_text = spaces.kept_literal
-    real_init = chaincx.SubquotientPresentation.__init__
-    real_bockstein = cli.bockstein
 
     def counted(label, chains, key=None):
         counts["lookups"] += 1
@@ -73,30 +66,14 @@ def traffic(entries) -> dict:
             counts["text_hits"] += 1
         return x
 
-    def presented(self, *args, **kwargs):
-        counts["presentations"] += 1
-        real_init(self, *args, **kwargs)
-
-    def bockstein(*args):
-        before = counts["presentations"]
-        try:
-            return real_bockstein(*args)
-        finally:
-            counts["bocksteins"] += 1
-            counts["no_presentation"] += counts["presentations"] == before
-
     spaces._built = counted
     spaces.kept_literal = by_text
-    chaincx.SubquotientPresentation.__init__ = presented
-    cli.bockstein = bockstein
     try:
         for text, trace, _ in entries:
             cli.run_line(text, True, trace, out=io.StringIO())
     finally:
         spaces._built = real
         spaces.kept_literal = real_by_text
-        chaincx.SubquotientPresentation.__init__ = real_init
-        cli.bockstein = real_bockstein
     return {**counts, "kept": kept.weight}
 
 
@@ -123,9 +100,7 @@ def main(argv=None) -> int:
               f"{t['lookups']} lookups ({t['text_hits']} by text), "
               f"{t['builds']} builds, "
               f"{_rate(t['lookups'] - t['builds'], t['lookups'])} hit, "
-              f"kept weight {t['kept']} (peak {t['peak']}); presentations "
-              f"{t['presentations']} built; bocksteins {t['bocksteins']}, {t['no_presentation']} with "
-              f"no presentation")
+              f"kept weight {t['kept']} (peak {t['peak']})")
     return 0
 
 
