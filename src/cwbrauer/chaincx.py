@@ -15,11 +15,10 @@ on the transposed boundaries.
 
 `bockstein` reads the Smith diagonals of three boundaries, del_n,
 del_{n+1} and del_{n+2}; a nonzero Bockstein also puts the diagonal
-matrix of its domain's cyclic orders in Smith form, with U^-1, to reach
-the canonical generators.  No request makes a transform elimination of
-a boundary.  `SubquotientPresentation` presents a lattice subquotient
-with explicit generators and coordinates, on transform SNFs; the
-cochain-level route the tests keep as an oracle is built on it.
+matrix of its domain's cyclic orders in Smith form with transforms and
+reads the canonical generators off V.  No request makes a transform
+elimination of a boundary or builds a `SubquotientPresentation`, the
+lattice subquotient (on transform SNFs) of the tests' cochain oracle.
 
 `homology`, `cohomology`, `uct_decompose` and `bockstein` read a complex
 only through rank(n) and boundary(n), so they take a ChainComplex or a
@@ -37,7 +36,7 @@ from math import gcd
 from .abgroup import FgAbGroup, GroupHom
 from .errors import SemanticError
 from .intlin import (IntMatrix, smith_form, smith_invariants,
-                     smith_normal_form)
+                     smith_normal_form, unimodular_inverse)
 
 
 class ChainComplex:
@@ -125,8 +124,8 @@ class SubquotientPresentation:
     to actual ambient vectors so that explicit cocycle representatives and
     coordinates of arbitrary lattice vectors are available.  The sub
     columns are expressed in gens by one solve for all of them.  gens
-    is eliminated with U and V, the relations with U (for
-    `column_coordinates`) and U^-1 (for `generator_matrix`).
+    and the relations are each eliminated once, with transforms, and
+    `generator_matrix` inverts U by `unimodular_inverse`.
     """
 
     def __init__(self, gens: IntMatrix, sub: IntMatrix):
@@ -139,9 +138,8 @@ class SubquotientPresentation:
         if y is None:
             raise SemanticError("subgroup generator outside the lattice")
         self.relations = self._gens_sf.kernel().hstack(y)
-        sf = smith_form(self.relations, u=True, u_inv=True)
+        sf = smith_normal_form(self.relations)
         self._u = sf.u
-        self._u_inv = sf.u_inv
         self._diag = sf.diagonal + (0,) * (g - len(sf.diagonal))
         r = sf.rank
         free_idx = list(range(r, g))
@@ -154,8 +152,8 @@ class SubquotientPresentation:
     def generator_matrix(self) -> IntMatrix:
         """Ambient representatives of the canonical generators, as the
         columns of a gens.rows x (number of generators) matrix."""
-        return self.gens @ self._u_inv.submatrix(range(self._u_inv.rows),
-                                                 self._gen_index)
+        u_inv = unimodular_inverse(self._u)
+        return self.gens @ u_inv.submatrix(range(u_inv.rows), self._gen_index)
 
     def column_coordinates(self, vecs: IntMatrix) -> IntMatrix:
         """Classes of the columns of vecs (each must lie in span(gens)),
@@ -311,7 +309,10 @@ def bockstein(c, n: int, m: int) -> GroupHom:
     generators: a class with piece coordinates x has canonical
     coordinates U x, so the canonical generator of each S_jj >= 2 is
     column j of U^-1, and its image is the piece images times that
-    column.
+    column.  U^-1 needs no second elimination: every order is >= 1, so
+    D and S = U D V are nonsingular diagonals, and U D V = S gives
+    U^-1 = D V S^-1, whose entry (i, j) is orders[i] * V[i, j] / S_jj,
+    an exact quotient since U^-1 is an integer matrix.
     """
     if m < 2:
         raise SemanticError("Bockstein modulus must be >= 2")
@@ -320,15 +321,17 @@ def bockstein(c, n: int, m: int) -> GroupHom:
     if all(gcd(d, m) == 1 for d in b if d >= 2):
         return GroupHom.zero(cohomology(c, n, m), codomain)
     torsion = [d for d in b if d >= 2]
-    sf = smith_form(IntMatrix.diagonal(
-        [m] * free + [gcd(d, m) for d in torsion + [d for d in a if d >= 2]]),
-        u_inv=True)
-    gens = [j for j, d in enumerate(sf.diagonal) if d >= 2]
-    # piece free + i, Z/gcd(b_i, m), goes to b_i / gcd(b_i, m) times the
-    # generator of Z/b_i, and every other piece to 0
-    images = [[d // gcd(d, m) * sf.u_inv[free + i, j] for j in gens]
-              for i, d in enumerate(torsion)]
-    return GroupHom(FgAbGroup(0, tuple(sf.diagonal[j] for j in gens)),
+    orders = [m] * free + [gcd(d, m)
+                           for d in torsion + [d for d in a if d >= 2]]
+    sf = smith_form(IntMatrix.diagonal(orders), transforms=True)
+    s = sf.diagonal
+    gens = [j for j, d in enumerate(s) if d >= 2]
+    # piece i = free + k, Z/gcd(b_k, m), goes to b_k / gcd(b_k, m) times
+    # the generator of Z/b_k, and every other piece to 0; U^-1[i, j] is
+    # orders[i] * V[i, j] // S_jj
+    images = [[d // orders[i] * (orders[i] * sf.v[i, j] // s[j])
+               for j in gens] for i, d in enumerate(torsion, start=free)]
+    return GroupHom(FgAbGroup(0, tuple(s[j] for j in gens)),
                     codomain, [[0] * len(gens)] * codomain.free_rank + images)
 
 

@@ -14,15 +14,16 @@ does not eliminate it again.  When the shape decides the diagonal, it
 is read off with no elimination: it is empty when there are no rows or
 no columns, and the gcd of the entries when there is one row or one
 column.  `smith_form` takes no such shortcut, so it stays an
-independent route to the same diagonal.  `smith_form` finds
-U @ A @ V = S, U and V unimodular, by eliminating one working matrix:
-A, extended by the identity on the right when U is asked for and below
-when V is, so U and V are read off as blocks of the result.  U^-1 is
-tracked beside it through the same row operations.
-`smith_normal_form` asks for U and V; a kernel basis needs V alone.
+independent route to the same diagonal.  It has two modes.  Without
+transforms it eliminates A alone and returns the diagonal and S, as
+the uct check's independent route reads them.  With transforms it
+finds U @ A @ V = S, U and V unimodular, by eliminating one working
+matrix, A extended by the identity on the right and below, so U and V
+are read off as blocks of the result; `smith_normal_form` is that mode.
 `SmithForm.solve_columns` solves for all right-hand sides of a system at
 once, as the columns of one matrix B, with one product U @ B and one
-product V @ Y.  Bareiss `determinant` is an independent reference.
+product V @ Y; `solve_integral` is its one-column case.  Bareiss
+`determinant` is an independent reference.
 """
 
 from __future__ import annotations
@@ -174,15 +175,14 @@ class SmithForm:
 
     diagonal holds min(rows, cols) nonnegative integers with the nonzero
     entries first, each dividing the next, then zeros.  rank is the count
-    of nonzero diagonal entries.  A transform that was not asked for is
-    None; u_inv is the inverse of u.
+    of nonzero diagonal entries.  u and v are None unless `smith_form`
+    was asked for transforms; `kernel` and `solve_columns` need them.
     """
 
     u: IntMatrix | None
     s: IntMatrix
     v: IntMatrix | None
     diagonal: tuple[int, ...]
-    u_inv: IntMatrix | None = None
 
     @property
     def rank(self) -> int:
@@ -194,12 +194,6 @@ class SmithForm:
         every integer kernel vector is an integer combination of them."""
         cols = self.v.rows
         return self.v.submatrix(range(cols), range(self.rank, cols))
-
-    def solve(self, b) -> tuple[int, ...] | None:
-        """Some integer solution x of a @ x = b, or None when none exists:
-        the one-column case of `solve_columns`."""
-        x = self.solve_columns(IntMatrix._of(tuple((int(e),) for e in b), 1))
-        return None if x is None else x.col_tuple(0)
 
     def solve_columns(self, b: IntMatrix) -> IntMatrix | None:
         """Some integer X with a @ X = b, or None when a column of b has
@@ -253,24 +247,18 @@ def _pivot(S, t, rows, cols):
     return best_pos
 
 
-def _identity_lists(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
-
-
 def smith_normal_form(a: IntMatrix | list) -> SmithForm:
     """Smith normal form with both transforms U and V: `smith_form`
-    asked for u and v."""
-    return smith_form(a, u=True, v=True)
+    asked for transforms."""
+    return smith_form(a, transforms=True)
 
 
-def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
-               u_inv: bool = False) -> SmithForm:
-    """Smith normal form u @ a @ v = s, building only the transforms
-    asked for; the others are None.  The diagonal is never stored on a,
-    so `smith_invariants` stays a separate elimination.
+def smith_form(a: IntMatrix | list, *, transforms: bool = False
+               ) -> SmithForm:
+    """Smith normal form u @ a @ v = s.  Without transforms, u and v are
+    None and only a is eliminated; with them, both are built.  The
+    diagonal is never stored on a, so `smith_invariants` stays a
+    separate elimination.
 
     Strategy: repeatedly move a nonzero entry of minimal absolute value
     to the working diagonal slot, then clear its row and column by
@@ -280,34 +268,30 @@ def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
     pivot gets its row added to the pivot row and the clearing restarts;
     that enforces the divisibility chain.
 
-    One matrix S is eliminated: [a | I] when U is asked for, with the
-    rows of I (cols x cols) below when V is.  Pivots and searches read
+    With transforms one matrix S is eliminated: [a | I] (I rows x rows)
+    with the rows of I (cols x cols) below.  Pivots and searches read
     the a block alone, so row operations carry U, column operations
-    carry V, and every block is the same whatever else is asked for.
-    U^-1 is tracked beside S, as columns: "row i -= q row k" adds q
-    times column i of U^-1 to its column k, a row swap swaps the
-    matching columns, and negating row i negates column i of U^-1.
+    carry V, and both modes make the same operations on a.
     """
     if not isinstance(a, IntMatrix):
         a = IntMatrix(a)
     rows, cols = a.rows, a.cols
-    S = ([list(r) + e for r, e in zip(a._rows, _identity_lists(rows))] if u
-         else a.to_lists())
-    if v:
-        S += _identity_lists(cols)
-    Ui = _identity_lists(rows) if u_inv else None   # columns of U^-1
+    S = a.to_lists()
+    if transforms:
+        for i, r in enumerate(S):   # [a | I] ...
+            r += [0] * rows
+            r[cols + i] = 1
+        for j in range(cols):       # ... over I
+            S.append([0] * cols)
+            S[-1][j] = 1
 
-    def row_op(i, k, q):  # row i -= q * row k   (on S and U^-1)
+    def row_op(i, k, q):  # row i -= q * row k
         S[i] = [x - q * y for x, y in zip(S[i], S[k])]
-        if Ui is not None:
-            Ui[k] = [x + q * y for x, y in zip(Ui[k], Ui[i])]
 
     # both swaps skip a swap of a line with itself
     def swap_rows(i, k):
         if i != k:
             S[i], S[k] = S[k], S[i]
-            if Ui is not None:
-                Ui[i], Ui[k] = Ui[k], Ui[i]
 
     def swap_cols(j, k):
         if j != k:
@@ -372,18 +356,16 @@ def smith_form(a: IntMatrix | list, *, u: bool = False, v: bool = False,
     for i in range(limit):
         if S[i][i] < 0:
             S[i] = [-x for x in S[i]]
-            if Ui is not None:
-                Ui[i] = [-x for x in Ui[i]]
 
     # the blocks of S: a's rows hold s, then u; the rows below hold v
     top = S[:rows]
-    return SmithForm(
-        u=(IntMatrix._of(tuple(tuple(r[cols:]) for r in top), rows)
-           if u else None),
-        s=IntMatrix._of(tuple(tuple(r[:cols]) for r in top), cols),
-        v=IntMatrix._of(tuple(map(tuple, S[rows:])), cols) if v else None,
-        diagonal=tuple(S[i][i] for i in range(limit)),
-        u_inv=None if Ui is None else IntMatrix._of(tuple(zip(*Ui)), rows))
+    s = IntMatrix._of(tuple(tuple(r[:cols]) for r in top), cols)
+    diagonal = tuple(S[i][i] for i in range(limit))
+    if not transforms:
+        return SmithForm(None, s, None, diagonal)
+    return SmithForm(IntMatrix._of(tuple(tuple(r[cols:]) for r in top), rows),
+                     s, IntMatrix._of(tuple(map(tuple, S[rows:])), cols),
+                     diagonal)
 
 
 def smith_invariants(a: IntMatrix | list) -> tuple[int, ...]:
@@ -510,14 +492,17 @@ def divisibility_chain(orders) -> list[int]:
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Basis of ker(a) as columns; see `SmithForm.kernel`.  Only V is
-    built."""
-    return smith_form(a, v=True).kernel()
+    """Basis of ker(a) as columns, read off V of `smith_normal_form`
+    (transforms on); see `SmithForm.kernel`."""
+    return smith_normal_form(a).kernel()
 
 
 def solve_integral(a: IntMatrix, b) -> tuple[int, ...] | None:
-    """Some integer solution of a @ x = b, or None; see `SmithForm.solve`."""
-    return smith_normal_form(a).solve(b)
+    """Some integer solution x of a @ x = b, or None when none exists:
+    the one-column case of `SmithForm.solve_columns`."""
+    x = smith_normal_form(a).solve_columns(
+        IntMatrix._of(tuple((int(e),) for e in b), 1))
+    return None if x is None else x.col_tuple(0)
 
 
 def determinant(a: IntMatrix) -> int:

@@ -251,9 +251,9 @@ def test_chain_heavy_sessions_build_their_spaces_once(monkeypatch):
 def test_each_nonzero_bockstein_puts_one_diagonal_in_smith_form(
         monkeypatch):
     """A Bockstein H^1(; Z/m) -> H^2 = Z/3 has nonzero image exactly when
-    3 divides m, and then it makes one transform elimination, with U^-1
-    alone, of the diagonal matrix of its domain's cyclic orders, the same
-    modulus twice in a row included.  A zero one makes none."""
+    3 divides m, and then it makes one transform elimination of the
+    diagonal matrix of its domain's cyclic orders, the same modulus twice
+    in a row included.  A zero one makes none."""
     per = spaces.lens_periodic(3).chains
     calls = []
     real = chaincx.smith_form
@@ -267,7 +267,8 @@ def test_each_nonzero_bockstein_puts_one_diagonal_in_smith_form(
         calls.clear()
         assert str(bockstein(per, 1, m).domain) == (
             "Z/3" if m % 3 == 0 else "0")
-        assert calls == ([([[3]], {"u_inv": True})] if m % 3 == 0 else []), m
+        assert calls == ([([[3]], {"transforms": True})]
+                         if m % 3 == 0 else []), m
 
 
 def test_refusals_are_not_kept():

@@ -588,16 +588,21 @@ def _count_eliminations(monkeypatch):
 
 
 def test_presentation_factors_each_matrix_once(monkeypatch):
-    """gens is eliminated once, with U and V, for its kernel, for all sub
-    columns in one solve and for coordinates(); the relations matrix once
-    more, with U for coordinates and U^-1 for generators.  Coordinates
-    of a whole matrix of vectors make no further elimination, and the
-    generator matrix inverts nothing: its columns are the canonical
-    generators, so their coordinates are the identity."""
-    def refuse(m):
-        raise AssertionError("unimodular_inverse called")
+    """gens is eliminated once, with transforms, for its kernel, for all
+    sub columns in one solve and for coordinates(); the relations matrix
+    once more, for U.  Coordinates of a whole matrix of vectors make no
+    further elimination.  The generator matrix inverts U once, by
+    `unimodular_inverse`, whose elimination of U is the third and last;
+    its columns are the canonical generators, so their coordinates are
+    the identity."""
+    inverted = []
+    real_inverse = intlin.unimodular_inverse
 
-    monkeypatch.setattr(intlin, "unimodular_inverse", refuse)
+    def inverse(m):
+        inverted.append(m)
+        return real_inverse(m)
+
+    monkeypatch.setattr(chaincx, "unimodular_inverse", inverse)
     calls = _count_eliminations(monkeypatch)
     # span(gens) = 2Z + Z + 3Z (the fourth column is the sum of the
     # first two), span(sub) = 4Z + 2Z + 6Z: the quotient is (Z/2)^3
@@ -605,7 +610,8 @@ def test_presentation_factors_each_matrix_once(monkeypatch):
     sub = IntMatrix([[4, 0, 0, 4], [0, 2, 0, 2], [0, 0, 6, 0]])
     pres = SubquotientPresentation(gens, sub)
     assert pres.group == FgAbGroup(0, (2, 2, 2))
-    assert calls == [(gens, ["u", "v"]), (pres.relations, ["u", "u_inv"])]
+    assert calls == [(gens, ["transforms"]),
+                     (pres.relations, ["transforms"])]
     for j in range(sub.cols):
         assert coordinates(pres, sub.col_tuple(j)) == (0, 0, 0)
     assert coordinates(pres, (2, 1, 3)) != (0, 0, 0)
@@ -614,9 +620,11 @@ def test_presentation_factors_each_matrix_once(monkeypatch):
     assert coords.shape == (3, 9)
     assert coords.col_tuple(8) == coordinates(pres, (2, 1, 3))
     assert all(coords.col_tuple(j) == (0, 0, 0) for j in range(4, 8))
+    assert len(calls) == 2 and not inverted
     assert pres.column_coordinates(pres.generator_matrix()) == (
         IntMatrix.identity(3))
-    assert len(calls) == 2
+    assert len(inverted) == 1
+    assert calls[2:] == [(inverted[0], ["transforms"])]
 
 
 def _ref_matmul(a, b):

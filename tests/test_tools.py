@@ -2,8 +2,9 @@
 tables, pairs won, ties counting for neither side, and one verdict per
 end-to-end metric; its refusal to overwrite a record, and its cleanup
 when stopped by SIGTERM; the pinned digest of `tools/output_digest.py`;
-`tools/cache_traffic.py` on short streams; and the line counts of
-`tools/src_lines.py`."""
+`tools/cache_traffic.py` on short streams; the line counts of
+`tools/src_lines.py`; and `tools/replay_pair.py` on short streams, with
+the working tree on both sides, and on a side whose output differs."""
 
 import hashlib
 import importlib.util
@@ -269,3 +270,68 @@ def test_src_lines_total_is_the_sum_of_the_modules():
     assert [name for _, name in rows[:-1]] == modules
     assert rows[-1][1] == "total"
     assert int(rows[-1][0]) == sum(int(n) for n, _ in rows[:-1]) > 0
+
+
+def _replay_pair():
+    spec = importlib.util.spec_from_file_location(
+        "replay_pair", ROOT / "tools" / "replay_pair.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_replay_pair_of_the_working_tree_with_itself(monkeypatch):
+    """50 lines of each stream, the working tree's src/ on both sides:
+    every stream has its line count, a control and a claim of two
+    passes each, and the claim its gains by request kind; no output
+    differs."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    mod = _replay_pair()
+    counts = dict.fromkeys(mod.STREAMS, 50)
+    record, differing = mod.replay(ROOT / "src", ROOT / "src", counts,
+                                   passes=2)
+    assert differing == {"count": 0, "listed": []}
+    assert list(record) == list(mod.STREAMS)
+    for r in record.values():
+        assert r["lines"] == 50
+        assert set(r) == {"lines", "control", "claim"}
+        for run in ("control", "claim"):
+            assert set(r[run]) >= {"gains", "median", "q1", "q3", "won"}
+            assert len(r[run]["gains"]) == 2 and 0 <= r[run]["won"] <= 2
+        assert r["claim"]["by_kind"]
+    assert {"homology", "bockstein"} <= set(record["chain_heavy"]["claim"]
+                                            ["by_kind"])
+
+
+def test_replay_pair_lists_an_output_that_differs():
+    """A side whose answer to one line differs is counted and listed
+    with both outputs, the stream, the run, the pass and the line."""
+    mod = _replay_pair()
+
+    class Cli:
+        def __init__(self, odd):
+            self.odd = odd
+
+        def run_line(self, text, as_json, trace, out):
+            out.write("odd" if self.odd and text == "b 1" else text)
+            return 0
+
+    class Spaces:
+        _built_spaces = {}
+
+    sides = ((Cli(False), Spaces), (Cli(True), Spaces))
+    entries = [("a 1", False, None), ("b 1", True, None)]
+    differing = {"count": 0, "listed": []}
+    kinds = mod._pass(sides, entries, 0, differing, {"stream": "s"})
+    assert [set(k) for k in kinds] == [{"a", "b"}] * 2
+    assert differing == {"count": 1, "listed": [
+        {"stream": "s", "line": 1, "text": "b 1",
+         "parent": (0, "b 1"), "change": (0, "odd")}]}
+
+
+def test_replay_pair_refuses_an_existing_record(tmp_path, capsys):
+    out = tmp_path / "BENCH_old_replay.json"
+    out.write_text("{}\n")
+    assert _replay_pair().main([str(out)]) == 2
+    assert out.read_text() == "{}\n"
+    assert str(out) in capsys.readouterr().err
