@@ -1,7 +1,8 @@
 """Bounded chain complexes of finitely generated free Z-modules.
 
 A complex stores one rank per degree 0..top and the boundary matrices
-del_n : C_n -> C_{n-1}; del del = 0 is enforced at construction.
+del_n : C_n -> C_{n-1}; del del = 0 is enforced at construction, by
+`product_is_zero`.
 `ChainComplex.from_entries` builds one from the nonzero entries
 (n, i, j, x) of its boundaries; `tensor_complexes` and every finite cell
 structure of spaces.py are built through it.
@@ -10,15 +11,19 @@ Smith diagonals of two boundaries (`smith_invariants`, no transforms);
 cohomology by universal coefficients.
 
 `uct_decompose` checks the universal-coefficient split against the
-homology of the dual complex, read off the diagonals of `smith_form`
-on the transposed boundaries.
+homology of the dual complex: its torsion and the rank of d^{n-1} are
+read off the diagonal of `smith_form` on del_n^T, and the rank of d^n
+is `rank` of del_{n+1}^T.  The split, the total's diagonal and its rank
+come from three routines that share no code: `smith_invariants`,
+`smith_form` and `rank`.
 
 `bockstein` reads the Smith diagonals of three boundaries, del_n,
 del_{n+1} and del_{n+2}; a nonzero Bockstein also puts the diagonal
-matrix of its domain's cyclic orders in Smith form with transforms and
-reads the canonical generators off V.  No request makes a transform
-elimination of a boundary or builds a `SubquotientPresentation`, the
-lattice subquotient (on transform SNFs) of the tests' cochain oracle.
+matrix of its domain's cyclic orders in Smith form with transforms
+(`smith_normal_form`) and reads the canonical generators off V.  No
+request makes a transform elimination of a boundary or builds a
+`SubquotientPresentation`, the lattice subquotient (on transform SNFs)
+of the tests' cochain oracle.
 
 `homology`, `cohomology`, `uct_decompose` and `bockstein` read a complex
 only through rank(n) and boundary(n), so they take a ChainComplex or a
@@ -35,8 +40,8 @@ from math import gcd
 
 from .abgroup import FgAbGroup, GroupHom
 from .errors import SemanticError
-from .intlin import (IntMatrix, smith_form, smith_invariants,
-                     smith_normal_form, unimodular_inverse)
+from .intlin import (IntMatrix, product_is_zero, rank, smith_form,
+                     smith_invariants, smith_normal_form, unimodular_inverse)
 
 
 class ChainComplex:
@@ -65,7 +70,7 @@ class ChainComplex:
         for n in range(1, len(ranks) - 1):
             if zero[n - 1] or zero[n]:
                 continue
-            if not (boundaries[n - 1] @ boundaries[n]).is_zero():
+            if not product_is_zero(boundaries[n - 1], boundaries[n]):
                 raise SemanticError(f"del_{n} del_{n + 1} != 0")
         self.ranks = ranks
         self.boundaries = boundaries
@@ -243,10 +248,11 @@ def uct_decompose(c, n: int) -> UctDecomposition:
     and ker d^n is a direct summand of C^n.  So the torsion of
     ker d^n / im d^{n-1} is the torsion of C^n / im d^{n-1}, the factors
     >= 2 of d^{n-1}, and its rank is r_n - rank d^{n-1} - rank d^n.
-    Those diagonals come from `smith_form`'s elimination of the
-    transposes, another routine on other matrices, and `smith_form`
-    stores no diagonal on its input: the check compares two
-    independent routes.
+    The diagonal of d^{n-1} comes from `smith_form`'s elimination of
+    del_n^T, and the rank of d^n, the only thing the total reads of it,
+    from `rank`'s fraction-free elimination of del_{n+1}^T: other
+    routines on other matrices, neither of which stores a diagonal on
+    its input, so the check compares independent routes.
     """
     d_in, _, free = _diagonals(c, n)
     ext_part = FgAbGroup(0, tuple(d for d in d_in if d >= 2))
@@ -256,11 +262,12 @@ def uct_decompose(c, n: int) -> UctDecomposition:
 
 
 def _dual_cohomology(c, n: int) -> FgAbGroup:
-    """H^n(c; Z) from the `smith_form` diagonals of d^{n-1} = del_n^T and
-    d^n = del_{n+1}^T, with no transform; see `uct_decompose`."""
+    """H^n(c; Z) from the `smith_form` diagonal of d^{n-1} = del_n^T,
+    with no transform, and the `rank` of d^n = del_{n+1}^T; see
+    `uct_decompose`."""
     a = smith_form(c.boundary(n).transpose()).diagonal
-    b = smith_form(c.boundary(n + 1).transpose()).diagonal
-    free = c.rank(n) - sum(1 for d in a + b if d)
+    free = (c.rank(n) - sum(1 for d in a if d)
+            - rank(c.boundary(n + 1).transpose()))
     return FgAbGroup(free, tuple(d for d in a if d >= 2))
 
 
@@ -323,7 +330,7 @@ def bockstein(c, n: int, m: int) -> GroupHom:
     torsion = [d for d in b if d >= 2]
     orders = [m] * free + [gcd(d, m)
                            for d in torsion + [d for d in a if d >= 2]]
-    sf = smith_form(IntMatrix.diagonal(orders), transforms=True)
+    sf = smith_normal_form(IntMatrix.diagonal(orders))
     s = sf.diagonal
     gens = [j for j, d in enumerate(s) if d >= 2]
     # piece i = free + k, Z/gcd(b_k, m), goes to b_k / gcd(b_k, m) times

@@ -5,12 +5,12 @@ ever converted to floats.  An `IntMatrix` stores its entries as a tuple
 of row tuples of ints together with its column count, and this module
 is the only one that relies on that layout.
 
-There are two eliminations, and transforms are built only on demand.
-`smith_invariants` returns the diagonal of the Smith normal form alone,
-a divisibility chain d1 | d2 | ... | dk followed by zeros; homology,
-cohomology, cokernels and traced diagonals read nothing else, and a
-matrix keeps that diagonal, so a later reader such as a `--trace` line
-does not eliminate it again.  When the shape decides the diagonal, it
+There are two Smith eliminations, and transforms are built only on
+demand.  `smith_invariants` returns the diagonal of the Smith normal
+form alone, a divisibility chain d1 | d2 | ... | dk followed by zeros;
+homology, cohomology, cokernels and traced diagonals read nothing else,
+and a matrix keeps that diagonal, so a later reader such as a `--trace`
+line does not eliminate it again.  When the shape decides the diagonal, it
 is read off with no elimination: it is empty when there are no rows or
 no columns, and the gcd of the entries when there is one row or one
 column.  `smith_form` takes no such shortcut, so it stays an
@@ -22,13 +22,19 @@ matrix, A extended by the identity on the right and below, so U and V
 are read off as blocks of the result; `smith_normal_form` is that mode.
 `SmithForm.solve_columns` solves for all right-hand sides of a system at
 once, as the columns of one matrix B, with one product U @ B and one
-product V @ Y; `solve_integral` is its one-column case.  Bareiss
-`determinant` is an independent reference.
+product V @ Y; `solve_integral` is its one-column case.
+
+Two fraction-free routines share no code with the Smith eliminations:
+`rank` eliminates primitive rows, Bareiss style, for the rank over Q
+that the uct check reads, and Bareiss `determinant` is an independent
+reference.  `product_is_zero` decides a @ b = 0, the check of
+del del = 0, from one product of a with a vector of packed ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from operator import add, mul
 
@@ -503,6 +509,90 @@ def solve_integral(a: IntMatrix, b) -> tuple[int, ...] | None:
     x = smith_normal_form(a).solve_columns(
         IntMatrix._of(tuple((int(e),) for e in b), 1))
     return None if x is None else x.col_tuple(0)
+
+
+def rank(a: IntMatrix) -> int:
+    """The rank of a over Q, by fraction-free elimination on primitive
+    rows; no diagonal is read or kept.
+
+    Every row is first divided by the gcd of its entries, and zero rows
+    are dropped.  Each step takes a pivot row p off the list, with k its
+    first nonzero column; every other row r with r[k] != 0 becomes
+    p[k] r - r[k] p divided by the gcd of its entries, and is dropped if
+    it is zero.  The rows left vanish in column k, so p is not in their
+    span, and with p they span what the rows before the step spanned:
+    the rank is the number of steps.
+
+    The entries stay small.  After pivots p_1..p_t, in columns
+    k_1..k_t, take a stored row r descended from row r0 of a, and the
+    Bareiss row of r0: its entry j is the minor of a on the rows of
+    p_1..p_t and r0 and the columns k_1..k_t, j.  Both lie in the
+    Q-span W of those rows of a and vanish in columns k_1..k_t.  The
+    stored pivots span the same space as their rows of a, and p_i
+    vanishes in k_1..k_(i-1) but not in k_i, so the t x t minor on
+    k_1..k_t is not zero.  The vectors of W that vanish in k_1..k_t
+    therefore form a line, or just 0 when r0 lies in the pivots' span,
+    and then both rows are zero.  A stored row is primitive, so it is
+    +- the primitive part of the Bareiss row, and each entry is at most
+    a (t+1)-minor of a in absolute value: under Hadamard's bound.
+    """
+    live = []
+    for r in a._rows:
+        g = gcd(*r)
+        if g:
+            live.append(r if g == 1 else [x // g for x in r])
+    steps = 0
+    while live:
+        p = live.pop()
+        steps += 1
+        k = next(j for j, x in enumerate(p) if x)
+        x = p[k]
+        kept = []
+        for r in live:
+            y = r[k]
+            if y:
+                r = [x * u - y * v for u, v in zip(r, p)]
+                g = gcd(*r)
+                if not g:
+                    continue
+                if g != 1:
+                    r = [u // g for u in r]
+            kept.append(r)
+        live = kept
+    return steps
+
+
+def product_is_zero(a: IntMatrix, b: IntMatrix) -> bool:
+    """Whether a @ b is the zero matrix, from the product of a with one
+    vector of packed ints.
+
+    Let c = a @ b, bound = max |b[j][k]| times the largest sum of the
+    |a[i][j]| along a row of a, and s = bound.bit_length(), so that
+    2^s > bound.  Row j of b is packed as P_j = sum_k b[j][k] 2^(s k);
+    then (a @ P)_i = sum_k c[i][k] 2^(s k), and every digit has
+    |c[i][k]| <= bound < 2^s.  If that sum is 0, its lowest digit
+    c[i][0] is 0 mod 2^s, hence 0; dividing by 2^s and repeating shows
+    that every digit is 0.  So row i of c is zero exactly when
+    (a @ P)_i is.  A product with no entries, or a zero bound, means
+    a @ b = 0.
+    """
+    if a._cols != len(b._rows):
+        raise SemanticError(
+            f"shape mismatch in product: {a.shape} @ {b.shape}")
+    if not (a._rows and a._cols and b._cols):
+        return True
+    bound = (max(map(abs, chain.from_iterable(b._rows)))
+             * max([sum(map(abs, r)) for r in a._rows]))
+    if not bound:
+        return True
+    s = bound.bit_length()
+    packed = []
+    for r in b._rows:
+        p = 0
+        for x in reversed(r):
+            p = (p << s) + x
+        packed.append(p)
+    return not any(sum(map(mul, r, packed)) for r in a._rows)
 
 
 def determinant(a: IntMatrix) -> int:

@@ -323,6 +323,31 @@ def test_uct_reads_each_boundary_once(monkeypatch):
         assert seen == [c.boundary(n), c.boundary(n + 1)], n
 
 
+def test_uct_total_reads_one_smith_form_and_one_rank(monkeypatch):
+    """The total makes one `smith_form` of del_n^T, with no transform, and
+    one `rank` of del_{n+1}^T, and nothing else of either routine."""
+    calls = []
+    real_form, real_rank = intlin.smith_form, intlin.rank
+
+    def form(a, **asked):
+        calls.append(("smith_form", a, asked))
+        return real_form(a, **asked)
+
+    def rank(a):
+        calls.append(("rank", a))
+        return real_rank(a)
+
+    for owner in (chaincx, intlin):
+        monkeypatch.setattr(owner, "smith_form", form)
+        monkeypatch.setattr(owner, "rank", rank)
+    c = tensor_complexes(lens_complex(4, 3), lens_complex(6, 3))
+    for n in range(c.top_degree + 2):
+        calls.clear()
+        uct_decompose(c, n)
+        assert calls == [("smith_form", c.boundary(n).transpose(), {}),
+                         ("rank", c.boundary(n + 1).transpose())], n
+
+
 def test_uct_frozen_moore():
     u = uct_decompose(moore_complex(6), 3)
     assert u.ext_part == FgAbGroup.cyclic(6)

@@ -65,6 +65,25 @@ def test_cohomology_command():
     assert code == EXIT_OK and "H^3(; Z/4) = Z/4" in text
 
 
+def test_a_literal_with_nonzero_del_del_exits_3_at_every_slot_edge():
+    """Literals whose del_1 del_2 has a digit of exactly the packed zero
+    test's bound, as in the two families of `test_intlin`, are refused
+    with exit 3 and the same message, in json and in text."""
+    for k in (0, 1, 7, 40, 100):
+        for cells_1, d1, d2 in ((1, "[[1]]", f"[[{2 ** k}, -1]]"),
+                                (2, "[[1, 1]]",
+                                 f"[[{2 ** k}, 0], [{2 ** k}, -1]]")):
+            line = (f"homology complex{{cells 0: 1; cells 1: {cells_1}; "
+                    f"cells 2: 2; boundary 1: {d1}; boundary 2: {d2}}} 1")
+            code, report = run_json(line)
+            assert code == EXIT_SEMANTIC, report
+            assert report["error"] == {"code": 3,
+                                       "message": "del_1 del_2 != 0",
+                                       "type": "SemanticError"}
+            code, text = run(line)
+            assert (code, text) == (EXIT_SEMANTIC, "")
+
+
 def test_uct_command():
     code, text = run("uct moore3(6) 3")
     assert code == EXIT_OK
@@ -475,7 +494,7 @@ def test_a_bockstein_with_zero_image_builds_no_presentation(monkeypatch,
         raise AssertionError("cochain presentation built")
 
     monkeypatch.setattr(chaincx.SubquotientPresentation, "__init__", refuse)
-    transformed = _recording(monkeypatch, chaincx, "smith_form")
+    transformed = _recording(monkeypatch, chaincx, "smith_normal_form")
     for line, want, eliminations in [
             ("bockstein lens_periodic(9) 3 mod 2",
              "Bockstein H^3(; Z/2) -> H^4: 0 -> Z/9, matrix [[]]", []),

@@ -38,18 +38,18 @@ def test_corpus_output_is_byte_identical(as_json, trace):
 
 def test_no_request_makes_a_transform_elimination_of_a_boundary(
         monkeypatch):
-    """Every `smith_form` call of the corpus that asks for transforms
-    gets a diagonal matrix: the cyclic orders of a Bockstein's domain.
+    """Every transform elimination of the corpus is a `smith_normal_form`
+    of a diagonal matrix: the cyclic orders of a Bockstein's domain.
     Boundaries and their transposes are only ever reduced to their
-    diagonals, and no line reaches `smith_normal_form` or
-    `unimodular_inverse`, so a benchmark run's `intlin.snf_calls` and
-    `intlin.inverse_s` read 0."""
-    asked = []
+    diagonals or their rank, and no line reaches `unimodular_inverse`,
+    so a benchmark run's `intlin.snf_calls` counts the Bocksteins'
+    diagonal eliminations alone and `intlin.inverse_s` reads 0."""
+    transformed = []
     real = intlin.smith_form
 
     def record(a, **transforms):
         if any(transforms.values()):
-            asked.append(a)
+            transformed.append(a)
         return real(a, **transforms)
 
     # recorded, not raised: run_batch would turn an exception into an
@@ -58,7 +58,7 @@ def test_no_request_makes_a_transform_elimination_of_a_boundary(
 
     def entry_point(name, fn):
         def wrapper(*args, **kwargs):
-            reached.append(name)
+            reached.append((name, args[0]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -72,8 +72,10 @@ def test_no_request_makes_a_transform_elimination_of_a_boundary(
     lines = (DATA / "corpus.txt").read_text(encoding="utf-8").splitlines()
     for trace in (False, True):
         assert run_batch(lines, True, trace, out=io.StringIO()) == EXIT_PARSE
-    assert reached == []
-    assert asked   # the corpus has Bocksteins with nonzero image
+    assert {name for name, _ in reached} == {"smith_normal_form"}
+    asked = [a for _, a in reached]   # the corpus has nonzero Bocksteins
+    assert len(transformed) == len(asked)
+    assert all(t is a for t, a in zip(transformed, asked))
     for a in asked:
         assert all(a[i, j] == 0 for i in range(a.rows)
                    for j in range(a.cols) if i != j), a

@@ -9,6 +9,7 @@ cokernels.  None of them call back into the package.
 
 import itertools
 import random
+import time
 from math import gcd
 
 import pytest
@@ -26,7 +27,7 @@ from cwbrauer import intlin
 from cwbrauer.abgroup import FgAbGroup
 from cwbrauer.grammar import parse_space
 from cwbrauer.intlin import (
-    IntMatrix, determinant, kernel_basis,
+    IntMatrix, determinant, kernel_basis, product_is_zero, rank,
     smith_invariants, smith_normal_form, solve_integral, unimodular_inverse,
 )
 
@@ -291,6 +292,124 @@ def test_smith_invariants_eliminates_each_matrix_object_once(monkeypatch):
     row = IntMatrix([[0, -6, 4]])
     assert smith_invariants(row) == smith_invariants(row) == (2,)
     assert len(eliminated) == 7 and eliminated[6] is row
+
+
+# -- rank and the packed zero test -----------------------------------------------
+
+
+def _rank_cases(rng):
+    """Seeded matrices of shapes 0..12 in both orientations: dense, 80%
+    zeros, rank at most half the smaller side (a product through a thin
+    middle), entries up to 2^80, and zero matrices."""
+    for _ in range(300):
+        r, c = rng.randint(0, 12), rng.randint(0, 12)
+        bound = rng.choice((1, 9, 2 ** 80))
+        kind = rng.choice(("dense", "sparse", "deficient", "zero"))
+        if kind == "deficient":
+            k = min(r, c) // 2
+            left = IntMatrix([[rng.randint(-bound, bound) for _ in range(k)]
+                              for _ in range(r)], cols=k)
+            right = IntMatrix([[rng.randint(-bound, bound) for _ in range(c)]
+                               for _ in range(k)], cols=c)
+            a = left @ right
+        else:
+            a = IntMatrix([[0 if kind == "zero" or (
+                kind == "sparse" and rng.random() < 0.8)
+                else rng.randint(-bound, bound) for _ in range(c)]
+                for _ in range(r)], cols=c)
+        yield a
+        yield a.transpose()
+
+
+def test_rank_matches_the_hermite_oracle():
+    rng = random.Random(20261021)
+    low = 0
+    for a in _rank_cases(rng):
+        want = rank_oracle(a.to_lists())
+        assert rank(a) == want, a
+        low += 0 < 2 * want <= min(a.shape)
+    assert low > 50   # rank-deficient cases did occur
+    for r, c in ((0, 4), (4, 0), (0, 0), (3, 5), (5, 3)):
+        assert rank(IntMatrix.zeros(r, c)) == 0
+
+
+def test_rank_equals_the_smith_form_rank_on_chain_heavy_shapes():
+    rng = random.Random(20261021)
+    for b in _chain_heavy_shaped(rng):
+        want = intlin.smith_form(b).rank
+        assert rank(b) == rank(b.transpose()) == want, b
+
+
+def test_rank_of_a_large_sparse_boundary_is_cheap():
+    """The 200 x 100 boundary del_6 of the product of two 10-fold wedges
+    of moore3(2), and its transpose: the rank equals the Smith form's,
+    and takes far less time than that elimination."""
+    wedge = "wedge(" + ", ".join(["moore3(2)"] * 10) + ")"
+    b = parse_space(f"product({wedge}, {wedge})").chains.boundary(6)
+    assert b.shape == (200, 100)
+
+    def best(f, runs=3):
+        times = []
+        for _ in range(runs):
+            t0 = time.perf_counter()
+            out = f()
+            times.append(time.perf_counter() - t0)
+        return out, min(times)
+
+    d = b.transpose()
+    want, smith_s = best(lambda: intlin.smith_form(d).rank)
+    for m in (b, d):
+        got, rank_s = best(lambda: rank(m))
+        assert got == want == 100
+        assert rank_s * 5 < smith_s, (rank_s, smith_s)
+
+
+def _product_pairs(rng):
+    """Seeded pairs (a, b) with a.cols == b.rows, shapes 0..6 each:
+    consecutive boundaries of random complexes (a zero product), the
+    same with one entry of b changed, and random pairs."""
+    for _ in range(300):
+        c = random_complex(rng, max_top=4, max_rank=6)
+        for a, b in zip(c.boundaries, c.boundaries[1:]):
+            yield a, b
+            if b.rows and b.cols:
+                rows = b.to_lists()
+                rows[rng.randrange(b.rows)][rng.randrange(b.cols)] += (
+                    rng.choice((1, -1, 2 ** 80)))
+                yield a, IntMatrix(rows)
+        r, k, m = (rng.randint(0, 6) for _ in range(3))
+        bound = rng.choice((1, 3, 2 ** 80))
+        yield (IntMatrix([[rng.randint(-bound, bound) for _ in range(k)]
+                          for _ in range(r)], cols=k),
+               IntMatrix([[rng.randint(-bound, bound) for _ in range(m)]
+                          for _ in range(k)], cols=m))
+
+
+def test_product_is_zero_agrees_with_the_product():
+    rng = random.Random(20261021)
+    counts = {True: 0, False: 0}
+    for a, b in _product_pairs(rng):
+        want = (a @ b).is_zero()
+        assert product_is_zero(a, b) is want, (a, b)
+        counts[want] += 1
+    assert min(counts.values()) > 100
+    for r, k, m in itertools.product((0, 2), repeat=3):
+        assert product_is_zero(IntMatrix.zeros(r, k), IntMatrix.zeros(k, m))
+    with pytest.raises(SemanticError, match="shape mismatch"):
+        product_is_zero(IntMatrix.zeros(2, 3), IntMatrix.zeros(2, 3))
+
+
+def test_product_is_zero_sees_a_digit_at_the_edge_of_its_slot():
+    """Two families whose product has a digit of exactly the bound:
+    [[1]] [[2^k, -1]] = [[2^k, -1]] and [[1, 1]] [[2^k, 0], [2^k, -1]] =
+    [[2^(k+1), -1]].  A slot one bit narrower, or a bound without the
+    row-sum factor of a, packs the digit -1 onto the one below it and
+    reads the product as zero."""
+    for k in range(101):
+        assert not product_is_zero(IntMatrix([[1]]),
+                                   IntMatrix([[2 ** k, -1]])), k
+        assert not product_is_zero(IntMatrix([[1, 1]]),
+                                   IntMatrix([[2 ** k, 0], [2 ** k, -1]])), k
 
 
 def chain_from_prime_powers(orders) -> list[int]:
