@@ -28,9 +28,9 @@ of the tests' cochain oracle.
 `homology`, `cohomology`, `uct_decompose` and `bockstein` read a complex
 only through rank(n) and boundary(n), so they take a ChainComplex or a
 spaces.PeriodicComplex alike: an infinite complex is read at degree n
-without being cut or unrolled.  Above the top degree of a bounded
-complex the ranks are 0 and the boundaries zero-shaped, which gives the
-trivial group with no special case.
+without being cut or unrolled.  Below degree 0, and above the top
+degree of a bounded complex, the ranks are 0 and the boundaries
+zero-shaped, which gives the trivial group with no special case.
 """
 
 from __future__ import annotations
@@ -184,8 +184,6 @@ def homology(c, n: int) -> FgAbGroup:
     r_n - rank del_n - rank del_{n+1} plus the torsion of
     C_n / im del_{n+1}: the invariant factors >= 2 of del_{n+1}.
     """
-    if n < 0:
-        return FgAbGroup.trivial()
     _, d_out, free = _diagonals(c, n)
     return FgAbGroup(free, tuple(d for d in d_out if d >= 2))
 
@@ -208,8 +206,6 @@ def cohomology(c, n: int, modulus: int | None = None) -> FgAbGroup:
     """
     if modulus is not None and modulus < 2:
         raise SemanticError("coefficient modulus must be >= 2")
-    if n < 0:
-        return FgAbGroup.trivial()
     d_in, d_out, free = _diagonals(c, n)
     if modulus is None:
         return FgAbGroup(free, tuple(d for d in d_in if d >= 2))
@@ -325,11 +321,11 @@ def bockstein(c, n: int, m: int) -> GroupHom:
         raise SemanticError("Bockstein modulus must be >= 2")
     a, b, free = _diagonals(c, n)
     codomain = cohomology(c, n + 1)
-    if all(gcd(d, m) == 1 for d in b if d >= 2):
-        return GroupHom.zero(cohomology(c, n, m), codomain)
     torsion = [d for d in b if d >= 2]
     orders = [m] * free + [gcd(d, m)
                            for d in torsion + [d for d in a if d >= 2]]
+    if all(gcd(d, m) == 1 for d in torsion):
+        return GroupHom.zero(FgAbGroup.from_cyclic_orders(orders), codomain)
     sf = smith_normal_form(IntMatrix.diagonal(orders))
     s = sf.diagonal
     gens = [j for j, d in enumerate(s) if d >= 2]

@@ -46,7 +46,7 @@ reads a well-formed numeric MATRIX with at least one row by one
 regular-expression match and a split of its text, so a dense literal
 costs a few tokens, not one per bracket, comma, sign and digit run.
 `space()` at "complex" takes the text up to the first "}" and looks it
-up among the kept spaces (`spaces.kept_literal`), so a literal repeated
+up among the kept spaces (`spaces.literal`), so a literal repeated
 in a session is neither scanned nor converted again; a literal is kept
 under that text only once it has been read whole.  Anything else is
 read token by token, so every error, its line and its column read the
@@ -383,14 +383,13 @@ class _Parser:
     def space(self) -> _sp.SpaceDescription:
         if self.at("ident", "complex"):
             # A literal ends at its first "}", and is kept only once read
-            # whole, so a kept text found here is exactly this literal.
+            # whole, so a kept text found here is exactly this literal;
+            # with no "}" the text is empty, never kept, and read refuses.
             at = self.tok.at
-            text = self.src[at:self.src.find("}", at) + 1] or None  # no "}"
-            x = text and _sp.kept_literal(text)
-            if x is not None:
-                self._seek(at + len(text))
-                return x
-            return _sp.from_literal(*self._complex_chains(), text=text)
+            end = self.src.find("}", at) + 1
+            x = _sp.literal(self.src[at:end], self._complex_chains)
+            self._seek(end)
+            return x
         t = self.expect("ident", what="space builder")
         self.expect("sym", "(")
         if self.space_depth == MAX_SPACE_NESTING:

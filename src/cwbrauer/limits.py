@@ -9,8 +9,8 @@ because every group in the tower is finite or because the images
 provably stabilize (Mittag-Leffler), and say INCONCLUSIVE otherwise.
 
 A mapping telescope's directed system is not kept as data: the
-telescope holds only its `multiplier`, and `spaces` reads its H_1 and
-that group's Ext^1 off it in closed form.
+telescope is its label, ("telescope", (k,)), and `spaces` reads its H_1
+and that group's Ext^1 off k (its `multiplier`) in closed form.
 """
 
 from __future__ import annotations

@@ -8,30 +8,32 @@ kind is read off what it holds:
   periodic  - cells is a PeriodicComplex, prefix + repeating block of
               boundary matrices (an infinite complex such as the
               infinite lens space);
-  telescope - multiplier is the degree k of the self-maps of a circle
-              whose mapping telescope this is; its H_1 and the phantom
-              part of its H^2 are SymbolicGroups in closed form in k;
-  catalog   - neither: a space whose invariants are recorded facts, not
+  telescope - no cells, and the label ("telescope", (k,)) names the
+              degree k of the self-maps of a circle whose mapping
+              telescope this is (read as `multiplier`); its H_1 and the
+              phantom part of its H^2 are SymbolicGroups in closed form
+              in k;
+  catalog   - no cells: a space whose invariants are recorded facts, not
               computed here (classifying spaces, Eilenberg-MacLane spaces).
 
 The label is a printable expression tree (what the grammar prints and
-parses); cells and multiplier are derived from it by the builders, so
-dataclass equality is exactly "same description".
+parses); cells are derived from it by the builders, so dataclass
+equality is exactly "same description".
 
 Every builder that makes chains (`sphere`, `moore_3cell`,
 `lens_skeleton`, `lens_periodic`, `wedge`, `product`, `from_complex`,
-`from_literal`) returns a space from one LRU with one key per space,
+`literal`) returns a space from one LRU with one key per space,
 bounded in cells: the spaces it keeps weigh at most `MAX_BUILT_CELLS`
 together, each 1 plus the cells of its chains and of the literals its
 label names, and one space over the budget is kept alone.  A space is
 kept under its label, save a `complex{...}` literal the grammar reads
-whole, which is kept under its exact text: `kept_literal` finds it there
-before the grammar scans or converts any of it, so a literal
-repeated in a session is read once.  A second spelling of the same
-chains is a second key and an equal space.  A key determines its space
-and a space is never changed, so every request on the same space text
-shares one object: its boundary matrices and the Smith diagonals they
-keep.  A builder that refuses its arguments keeps nothing.  A finite
+whole, which is kept under its exact text: `literal` finds it there
+before the grammar scans or converts any of it, and reads it only on a
+miss, so a literal repeated in a session is read once.  A second
+spelling of the same chains is a second key and an equal space.  A key
+determines its space and a space is never changed, so every request on
+the same space text shares one object: its boundary matrices and the
+Smith diagonals they keep.  A builder that refuses its arguments keeps nothing.  A finite
 complex is labelled by the value of its chains, ("complex", (ranks,
 boundaries)).  The cache lives as long as the process.
 A catalog space is built per request and keeps its `catalog_entry`,
@@ -108,26 +110,26 @@ class PeriodicComplex(EventuallyPeriodic):
 class SpaceDescription:
     label: tuple
     cells: ChainComplex | PeriodicComplex | None = None
-    multiplier: int | None = None
-
-    def __post_init__(self):
-        if self.cells is not None and self.multiplier is not None:
-            raise SemanticError(
-                "a space carries cells or a multiplier, not both")
 
     @property
     def kind(self) -> str:
-        """finite, periodic, telescope or catalog, read off the payload."""
+        """finite, periodic, telescope or catalog: read off the cells,
+        or without them off the label's head."""
         if self.cells is not None:
             return ("finite" if isinstance(self.cells, ChainComplex)
                     else "periodic")
-        return "catalog" if self.multiplier is None else "telescope"
+        return "telescope" if self.label[0] == "telescope" else "catalog"
+
+    @property
+    def multiplier(self) -> int:
+        """A telescope's k, the first argument of its label."""
+        return self.label[1][0]
 
     def dimension(self) -> int | None:
         """CW dimension; None means infinite."""
         if self.cells is not None:
             return self.cells.dimension()
-        return 2 if self.multiplier is not None else None  # circles, cylinders
+        return 2 if self.kind == "telescope" else None  # circles, cylinders
 
     @property
     def chains(self) -> ChainComplex | PeriodicComplex:
@@ -256,21 +258,17 @@ def from_complex(c: ChainComplex) -> SpaceDescription:
     return _built(("complex", (c.ranks, c.boundaries)), lambda: c)
 
 
-def from_literal(ranks: tuple, boundaries: tuple,
-                 text: str | None = None) -> SpaceDescription:
-    """from_complex(ChainComplex(ranks, boundaries)), kept under the
-    literal's text when given, else under its label.  The complex is
-    built, and checked for del del = 0, only on a miss."""
-    return _built(("complex", (ranks, boundaries)),
-                  lambda: ChainComplex(ranks, boundaries), text)
-
-
-def kept_literal(text: str) -> SpaceDescription | None:
-    """The kept space of the complex{...} literal spelled exactly text,
-    now the most recently used, or None."""
+def literal(text: str, read) -> SpaceDescription:
+    """The space of the complex{...} literal spelled exactly text: the
+    one kept under text, now the most recently used, or on a miss the
+    complex of the (ranks, boundaries) that read() returns, built, and
+    checked for del del = 0, and kept under text."""
     x = _built_spaces.get(text)
-    if x is not None:
-        _built_spaces.move_to_end(text)
+    if x is None:
+        ranks, boundaries = read()
+        return _built(("complex", (ranks, boundaries)),
+                      lambda: ChainComplex(ranks, boundaries), text)
+    _built_spaces.move_to_end(text)
     return x
 
 
@@ -313,8 +311,7 @@ def telescope_z(multiplier: int) -> SpaceDescription:
 
     Two-dimensional; H_1 is the colimit of (Z -x k-> Z -x k-> ...).
     """
-    return SpaceDescription(("telescope", (multiplier,)),
-                            multiplier=multiplier)
+    return SpaceDescription(("telescope", (multiplier,)))
 
 
 def bpgl(n: int) -> SpaceDescription:
@@ -386,7 +383,7 @@ def space_homology(x: SpaceDescription, n: int):
         return FgAbGroup.trivial()
     if x.cells is not None:
         return homology(x.cells, n)
-    if x.multiplier is not None:
+    if x.kind == "telescope":
         if n == 0:
             return Z
         if n == 1:
@@ -449,7 +446,7 @@ def brauer_prime(x: SpaceDescription):
     catalog spaces the recorded group, which for infinite BG profiles is
     a StructuralDescriptor rather than a pretend-exact group.
     """
-    if x.cells is not None or x.multiplier is not None:
+    if x.kind != "catalog":
         # a telescope's H_2 is trivial: its finite stages are circles
         return ext1(space_homology(x, 2), Z).torsion_part()
     return catalog_lookup(x).br_prime
@@ -520,16 +517,6 @@ class EqualityCertificate:
         return ((self.reason,) if self.reason else ()) + self.also_applicable
 
 
-def _no_odd_cells_high(x: SpaceDescription) -> bool | None:
-    """True/False for finite-dimensional descriptions, None when the
-    dimension is infinite (the even-cell rule then never applies).  A
-    telescope has dimension 2, so its chains are never asked for."""
-    dim = x.dimension()
-    if dim is None:
-        return None
-    return not any(x.chains.rank(d) for d in range(5, dim + 1, 2))
-
-
 def equality_certificate(x: SpaceDescription) -> EqualityCertificate:
     """Fixed-priority rule engine; all EQUAL rules are theorems, so the
     order only decides which one is cited first."""
@@ -543,8 +530,9 @@ def equality_certificate(x: SpaceDescription) -> EqualityCertificate:
     if dim is not None and dim <= 4:
         fired.append((RULE_DIM4, EQUAL,
                       f"dimension {dim} <= 4", ("woodward-dim4",)))
-    even = _no_odd_cells_high(x)
-    if even:
+    # a telescope has dimension 2, so its chains are never asked for
+    if dim is not None and not any(x.chains.rank(d)
+                                   for d in range(5, dim + 1, 2)):
         fired.append((RULE_EVEN, EQUAL,
                       "finite-dimensional with no odd cells of "
                       "dimension >= 5", ("even-cells",)))

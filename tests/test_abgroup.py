@@ -127,13 +127,14 @@ def test_from_presentation():
 # -- the four functors against element counting --------------------------------
 
 
-def test_functors_on_all_small_pairs():
+def run_functors_on_all_small_pairs():
     """Hom/Ext^1/tensor/Tor_1 match element-level computation for every
     pair of groups with at most 3 cyclic factors of order <= 12.
 
     Functor values only depend on the isomorphism class, and
     test_canonical_form_census pins the multiset -> class step, so
     checking each pair of *distinct* classes once covers all pairs.
+    Run by the acceptance gate; returns the number of pairs checked.
     """
     classes = distinct_classes()
     for factors in classes:
@@ -145,6 +146,7 @@ def test_functors_on_all_small_pairs():
         for a_factors in classes:
             failures.extend(check_functor_pair(FUNCS, a_factors, table))
     assert not failures, failures[:10]
+    return len(classes) ** 2
 
 
 def test_functor_free_rank_identities():

@@ -290,12 +290,6 @@ def test_product_homology_kunneth():
         product(sphere(2), lens_periodic(2))
 
 
-def test_space_description_validation():
-    with pytest.raises(SemanticError):
-        SpaceDescription(("telescope", (2,)), sphere(2).chains,
-                         multiplier=2)   # cells and multiplier
-
-
 def test_kind_is_read_off_the_payload():
     """Every builder's space reports the kind its payload implies, and
     a space without cells refuses chains with the same message."""

@@ -15,10 +15,11 @@ stream gives
   (`spaces.MAX_BUILT_CELLS` bounds both, save for one space kept alone).
 
 Space lookups are counted by wrappers put around `spaces._built` and
-`spaces.kept_literal` from outside, as `perfbench/tracer.py` wraps
-functions.  A literal found by
-its text (its key) never reaches `_built`, so a lookup is a call of
-`_built` or a text hit.  Nothing under src/ changes.
+`spaces.literal` from outside, as `perfbench/tracer.py` wraps
+functions.  A literal whose text (its key) is kept when `literal` is
+called is a text hit and never reaches `_built`; a missed one reaches
+it once, so a lookup is a call of `_built` or a text hit.  Nothing
+under src/ changes.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def traffic(entries) -> dict:
     kept.clear()
     counts = {"lookups": 0, "text_hits": 0, "builds": 0, "peak": 0}
     real = spaces._built
-    real_by_text = spaces.kept_literal
+    real_by_text = spaces.literal
 
     def counted(label, chains, key=None):
         counts["lookups"] += 1
@@ -59,21 +60,20 @@ def traffic(entries) -> dict:
         finally:
             counts["peak"] = max(counts["peak"], kept.weight)
 
-    def by_text(text):
-        x = real_by_text(text)
-        if x is not None:
+    def by_text(text, read):
+        if text in kept:
             counts["lookups"] += 1
             counts["text_hits"] += 1
-        return x
+        return real_by_text(text, read)
 
     spaces._built = counted
-    spaces.kept_literal = by_text
+    spaces.literal = by_text
     try:
         for text, trace, _ in entries:
             cli.run_line(text, True, trace, out=io.StringIO())
     finally:
         spaces._built = real
-        spaces.kept_literal = real_by_text
+        spaces.literal = real_by_text
     return {**counts, "kept": kept.weight}
 
 
