@@ -205,7 +205,7 @@ def cohomology(c, n: int, modulus: int | None = None) -> FgAbGroup:
     (Z/m)^f + Z/gcd(b_i, m) + Z/gcd(a_i, m) over the factors >= 2.
     """
     if modulus is not None and modulus < 2:
-        raise SemanticError("coefficient modulus must be >= 2")
+        raise SemanticError("modulus must be >= 2")
     d_in, d_out, free = _diagonals(c, n)
     if modulus is None:
         return FgAbGroup(free, tuple(d for d in d_in if d >= 2))
@@ -318,7 +318,7 @@ def bockstein(c, n: int, m: int) -> GroupHom:
     an exact quotient since U^-1 is an integer matrix.
     """
     if m < 2:
-        raise SemanticError("Bockstein modulus must be >= 2")
+        raise SemanticError("modulus must be >= 2")
     a, b, free = _diagonals(c, n)
     codomain = cohomology(c, n + 1)
     torsion = [d for d in b if d >= 2]

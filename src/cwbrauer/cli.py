@@ -17,7 +17,8 @@ Commands (subjects use the shared text grammars of grammar.py)::
   reproduce                     run the built-in worked-example table
 
 Each command is declared once, in the COMMANDS table: its argument
-parser, its evaluator and the summary that `reproduce` compares.
+parser (it reads; the library checks, save the rule degree >= 0, which
+only cli holds), its evaluator and the summary that `reproduce` compares.
 
 Flags: --json (structured, deterministic output), --trace (diagnostic
 witnesses, among them the Smith diagonals of the boundaries around the
@@ -63,8 +64,8 @@ from .grammar import (_Parser, format_descriptor, format_group,
                       format_profile, format_space)
 from .intlin import smith_invariants
 from .limits import lim1_certificate
-from .profiles import (StructuralDescriptor, brauer_of_bg,
-                       lambda_square_profile, non_brauer_certificate)
+from .profiles import (brauer_of_bg, lambda_square_profile,
+                       non_brauer_certificate)
 from .spaces import (SpaceDescription, SymbolicGroup, brauer_group,
                      brauer_prime, catalog_lookup, equality_certificate,
                      phantom_subgroup, space_homology)
@@ -128,17 +129,7 @@ def _modulus(p: _Parser, required: bool) -> int | None:
         p.expect("ident", "mod", what="mod")
     elif not p.accept("ident", "mod"):
         return None
-    modulus = p.integer("modulus")
-    if modulus < 2:
-        raise SemanticError("modulus must be >= 2")
-    return modulus
-
-
-def _phantom_args(p: _Parser) -> tuple:
-    space, degree = _space_degree(p)
-    if degree < 1:
-        raise SemanticError("phantom degree must be >= 1")
-    return space, degree
+    return p.integer("modulus")
 
 
 def _non_brauer_args(p: _Parser) -> tuple:
@@ -149,11 +140,7 @@ def _non_brauer_args(p: _Parser) -> tuple:
 
 def _catalog_args(p: _Parser) -> tuple:
     if p.at("ident") and p.at("sym", "(", 1):
-        space = p.space()
-        if space.kind != "catalog":
-            raise SemanticError(
-                "catalog takes a catalog space (bpgl/k/bg) or a fact name")
-        return (space,)
+        return (p.space(),)
     return (p.expect("ident", what="catalog entry name").text,)
 
 
@@ -169,12 +156,10 @@ def _group_payload(g) -> dict:
                 "flags": {"zero": g.is_zero, "nonzero": g.nonzero,
                           "divisible": g.divisible, "torsion": g.torsion,
                           "torsion_free": g.torsion_free}}
-    if isinstance(g, StructuralDescriptor):
-        return {"kind": "descriptor", "expression": g.expression,
-                "exponent": g.exponent,
-                "restricted_sum": format_profile(g.restricted_sum),
-                "notes": list(g.notes)}
-    raise UnsupportedComputation(f"cannot serialize {type(g).__name__}")
+    return {"kind": "descriptor", "expression": g.expression,
+            "exponent": g.exponent,
+            "restricted_sum": format_profile(g.restricted_sum),
+            "notes": list(g.notes)}
 
 
 def _payload_or_none(g) -> dict | None:
@@ -513,7 +498,7 @@ COMMANDS = {
     "brauer": _Command(
         lambda p: (p.space(),), _brauer,
         lambda r: f"Br'={_head(r['br_prime'])} {r['equality']['verdict']}"),
-    "phantom": _Command(_phantom_args, _phantom, _group_summary),
+    "phantom": _Command(_space_degree, _phantom, _group_summary),
     "certify": _Command(lambda p: (p.space(),), _certify,
                         _certificate_summary),
     "lim1": _Command(

@@ -410,7 +410,7 @@ def _catalog_homology(x: SpaceDescription, n: int):
         if n == j:
             if g == QZ_TOKEN:
                 raise UnsupportedComputation(
-                    "H_2 = Q/Z is not finitely generated and has no atom")
+                    "H_2 = Q/Z is not finitely generated")
             return g
         raise UnsupportedComputation(
             f"H_{n} of an Eilenberg-MacLane space is not recorded above "
@@ -610,9 +610,13 @@ class CatalogEntry:
 def catalog_lookup(x) -> CatalogEntry:
     """Catalog record for a catalog-kind space or a named fact string."""
     if isinstance(x, str):
-        return _fact_entry(x)
-    if not isinstance(x, SpaceDescription) or x.kind != "catalog":
-        raise SemanticError("catalog_lookup needs a catalog space or a name")
+        try:
+            return _FACTS_ONLY[x]
+        except KeyError:
+            raise SemanticError(f"no catalog entry named {x!r}") from None
+    if x.kind != "catalog":
+        raise SemanticError(
+            "catalog takes a catalog space (bpgl/k/bg) or a fact name")
     return x.catalog_entry
 
 
@@ -691,10 +695,3 @@ _FACTS_ONLY = {
         notes=("every torsion abelian group occurs as the Brauer group "
                "of some compact Hausdorff space",)),
 }
-
-
-def _fact_entry(name: str) -> CatalogEntry:
-    try:
-        return _FACTS_ONLY[name]
-    except KeyError:
-        raise SemanticError(f"no catalog entry named {name!r}") from None

@@ -2,18 +2,20 @@
 
 Plain Python integers and lists throughout; no oracle calls into the
 package, so these can sit on the other side of an equality from the
-library's answers.  Two exceptions build package values:
-`random_complex`, a generator of test inputs, and the cochain-level
-route (`cochain_presentation`, `cochain_bockstein`), which runs on the
+library's answers.  Three exceptions build package values:
+`random_complex`, a generator of test inputs; the cochain-level route
+(`cochain_presentation`, `cochain_bockstein`), which runs on the
 package's transform eliminations and never reads a Smith diagonal, so
 it stays a second route to cohomology and the Bockstein, which the
-package reads off Smith diagonals.
+package reads off Smith diagonals; and `bar_model_k_zn_2`, cells of
+K(Z/n, 2) written out here and handed to `ChainComplex`, which checks
+del del = 0, as a second route to the catalog's Eilenberg-MacLane facts.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd, prod
+from math import comb, gcd, prod
 from random import Random
 
 from cwbrauer.abgroup import GroupHom
@@ -328,3 +330,51 @@ def cochain_bockstein(c, n: int, m: int) -> GroupHom:
     assert not any(x % m for row in dx for x in row), (n, m)
     lifted = IntMatrix([[x // m for x in row] for row in dx], cols=gens.cols)
     return GroupHom(dom.group, cod.group, cod.column_coordinates(lifted))
+
+
+def bar_model_k_zn_2(n: int, top: int) -> ChainComplex:
+    """Degrees 0..top of the bar construction B(A) of the divided-power
+    algebra A = Λ(x) ⊗ Γ(y), |x| = 1, |y| = 2, with d γ_k = n·xγ_{k-1}
+    and d(xγ_k) = 0.
+
+    A has basis γ_k in degree 2k and xγ_k in degree 2k + 1, products
+    γ_iγ_j = C(i+j, i)·γ_{i+j} and x² = 0, and H(A) = H_*(K(Z/n, 1)): it
+    is the divided-power model of the chains on K(Z/n, 1) (Cartan,
+    Séminaire H. Cartan 7, 1954-55).  So B(A) has homology
+    Tor^A(Z, Z) = H_*(K(Z/n, 2)) (Eilenberg-Mac Lane, "On the groups
+    H(Π, n), I", 1953).  The tests are the evidence for both claims.
+
+    A cell of degree q is a word [a_1|...|a_k] of basis letters of
+    positive degree with Σ(|a_i| + 1) = q, one per composition of q into
+    parts >= 2, so degree q has F_{q-1} cells (a Fibonacci number).  A
+    letter is stored as its degree p: γ_{p/2} for even p, xγ_{(p-1)/2}
+    for odd p.  The differential applies d to one letter, with sign
+    -(-1)^{ε_{i-1}}, or multiplies two neighbours, with sign (-1)^{ε_i},
+    where ε_i = Σ_{j<=i}(|a_j| + 1); `ChainComplex` checks del del = 0,
+    which tests the signs.
+    """
+    words = [[()]] + [[] for _ in range(top)]
+    for q in range(2, top + 1):
+        words[q] = [(s - 1, *rest) for s in range(2, q + 1)
+                    for rest in words[q - s]]
+    index = [{w: i for i, w in enumerate(ws)} for ws in words]
+    entries = {}
+
+    def add(q, w, j, x):
+        key = (q, index[q - 1][w], j)
+        entries[key] = entries.get(key, 0) + x
+
+    for q in range(2, top + 1):
+        for j, w in enumerate(words[q]):
+            eps = 0
+            for i, p in enumerate(w):
+                if p % 2 == 0:              # d γ_k = n xγ_{k-1}
+                    add(q, (*w[:i], p - 1, *w[i + 1:]), j, -(-1) ** eps * n)
+                eps += p + 1
+                if i + 1 < len(w) and not (p % 2 and w[i + 1] % 2):
+                    r = w[i + 1]            # x² = 0 leaves odd pairs out
+                    add(q, (*w[:i], p + r, *w[i + 2:]), j,
+                        (-1) ** eps * comb(p // 2 + r // 2, p // 2))
+    return ChainComplex.from_entries(
+        [len(ws) for ws in words],
+        [(q, i, j, x) for (q, i, j), x in entries.items() if x])

@@ -366,7 +366,8 @@ def _recording(monkeypatch, owner, name) -> list:
     return seen
 
 
-def test_traced_periodic_requests_build_one_window(monkeypatch, cold_caches):
+def test_tracing_a_periodic_request_builds_no_extra_complex(monkeypatch,
+                                                          cold_caches):
     """The trace reads the boundaries the answer read, so tracing builds
     no ChainComplex an untraced request does not (both runs start from
     cold caches, so the space is built afresh for each)."""
@@ -902,6 +903,52 @@ def test_a_bad_character_is_refused_before_any_check():
     assert run(line)[0] == EXIT_PARSE
     code, report = run_json("homology sphere(\u0662)\u00a0\u0662")
     assert code == EXIT_OK and report["result_text"] == "H_2 = Z"
+
+
+_CELLS_ONLY = ("spaces support homology, brauer, phantom and certify only; "
+               "cochain-level commands need a finite or periodic cell "
+               "structure")
+
+
+@pytest.mark.parametrize("line, code, text", [
+    ("homology bg((Z/2)^3) 0", EXIT_OK, "H_0 = Z"),
+    ("homology bg((Z/2)^3) 3", EXIT_UNSUPPORTED,
+     "H_3 of BG is not recorded in the catalog"),
+    ("homology bg((Z/2)^w) 2", EXIT_UNSUPPORTED,
+     "H_2 of BG has infinitely many summands"),
+    ("homology lens_periodic(0) 1", EXIT_SEMANTIC,
+     "lens parameter must be >= 1"),
+    ("homology bpgl(0) 1", EXIT_SEMANTIC, "bpgl parameter must be >= 1"),
+    ("homology complex{cells 0: 1; boundary 0: []} 0", EXIT_SEMANTIC,
+     "boundary degree must be >= 1"),
+    ("homology complex{} 0", EXIT_SEMANTIC,
+     "complex literal needs at least one cells entry"),
+    ("homology wedge(sphere(2), complex{cells 0: 1; cells 1: 1; "
+     "boundary 1: [[1]]}) 1", EXIT_SEMANTIC,
+     "wedge summands must have zero del_1"),
+    # an argument rule is checked by the library, after the whole line
+    ("phantom moore3(6) 0 x", EXIT_PARSE,
+     "unexpected trailing input 'x' (line 1, column 13)"),
+    ("catalog sphere(2) x", EXIT_PARSE,
+     "unexpected trailing input 'x' (line 1, column 11)"),
+    ("cohomology moore3(6) 3 mod 1 x", EXIT_PARSE,
+     "unexpected trailing input 'x' (line 1, column 19)"),
+    # no modulus helps a space without cells
+    ("cohomology bpgl(5) 2 mod 1", EXIT_UNSUPPORTED,
+     "catalog " + _CELLS_ONLY),
+    ("bockstein telescope(Z, x3) 1 mod 1", EXIT_UNSUPPORTED,
+     "telescope " + _CELLS_ONLY),
+], ids=["bg-h0", "bg-h3", "bg-infinite-h2", "lens_periodic-0", "bpgl-0",
+        "boundary-0", "empty-literal", "wedge-del1", "phantom-trailing",
+        "catalog-trailing", "modulus-trailing", "catalog-modulus",
+        "telescope-modulus"])
+def test_refusals_that_no_other_test_reaches(line, code, text):
+    """Exit code and answer or message of lines that only this table
+    reaches."""
+    got, report = run_json(line)
+    assert got == code
+    assert (report["result_text"] if code == EXIT_OK
+            else report["error"]["message"]) == text
 
 
 def test_unit_pivots_answer_a_free_group_of_rank_511_quickly():

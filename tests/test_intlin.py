@@ -252,7 +252,7 @@ def test_a_shape_that_decides_the_diagonal_gives_the_eliminated_one(a):
     assert smith_invariants(a) == smith_normal_form(a).diagonal
 
 
-def test_cokernel_structure_makes_no_transform_snf(monkeypatch):
+def test_from_presentation_makes_no_transform_snf(monkeypatch):
     def refuse(a, **asked):
         raise AssertionError("transform SNF called")
 

@@ -59,7 +59,10 @@ def test_cli_formats_and_does_not_decide():
     spaces.brauer_group, and exit codes with the exception classes of
     errors.  So cli.py names no certificate rule, lim^1 reason or
     equality verdict, outside the frozen reproduce table, and sorts no
-    exception by class."""
+    exception by class.  Its argument parsers read, and the library
+    checks what they read, so cli.py constructs two refusals only: the
+    ParseError of an unknown command, and the SemanticError of a
+    negative degree, which the library answers with the trivial group."""
     reasons = _lim1_reasons()
     assert reasons == {"JensenFinite", "MittagLeffler"}  # the scan sees them
     verdicts = {EQUAL, STRICT, UNKNOWN}
@@ -68,6 +71,7 @@ def test_cli_formats_and_does_not_decide():
     errors = {c.__name__ for c in (ParseError, SemanticError,
                                    UnsupportedComputation)}
     tree = ast.parse((PACKAGE / "cli.py").read_text())
+    refusals = []   # (top-level definition, error class) of each raise
     for node in tree.body:
         if getattr(node, "name", None) == "_reproduce_items":
             continue
@@ -86,3 +90,8 @@ def test_cli_formats_and_does_not_decide():
                          if isinstance(n, ast.Name)}
                 assert not named & errors, (
                     f"cli.py line {sub.lineno} sorts errors by class")
+            if (isinstance(sub, ast.Call)
+                    and getattr(sub.func, "id", None) in errors):
+                refusals.append((node.name, sub.func.id))
+    assert refusals == [("parse_request", "ParseError"),
+                        ("_space_degree", "SemanticError")]

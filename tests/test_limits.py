@@ -11,6 +11,7 @@ from cwbrauer.abgroup import FgAbGroup, GroupHom
 from cwbrauer.errors import SemanticError, UnsupportedComputation
 from cwbrauer import limits
 from cwbrauer.cli import run_line
+from cwbrauer.grammar import parse_tower
 from _oracles import draw_eventually_periodic
 from cwbrauer.intlin import IntMatrix, solve_integral
 from cwbrauer.limits import (Lim1Certificate, Tower, _images_equal,
@@ -34,7 +35,7 @@ def run_line_json(line):
 # -- symbolic groups -----------------------------------------------------------------
 
 
-def test_atom_describe():
+def test_telescope_group_descriptions():
     assert space_homology(telescope_z(1), 1).describe() == "Z"
     assert space_homology(telescope_z(-1), 1).describe() == "Z"
     assert space_homology(telescope_z(12), 1).describe() == "Z[1/2,1/3]"
@@ -42,7 +43,7 @@ def test_atom_describe():
     assert phantom_subgroup(telescope_z(2), 2).describe() == "Ext^1(Z[1/2], Z)"
 
 
-def test_atom_flags():
+def test_telescope_group_flags_and_refusals():
     for k in (1, 5):
         h1 = space_homology(telescope_z(k), 1)
         assert h1.torsion_free and not h1.divisible
@@ -159,6 +160,21 @@ def test_lim1_inconclusive_for_p_adic_style_tower():
     assert "not assert nonvanishing" in cert.witness
     # both rules were tried, so both facts are cited
     assert set(cert.citations) == {"mittag-leffler", "jensen-finite"}
+
+
+def test_milnor_sequence_agrees_with_the_phantom_formula_on_telescopes():
+    """H^2 of telescope(Z, xk) has its phantoms from the lim^1 of the
+    tower Z <-(xk)- Z <-(xk)- ... of H^1 of its finite stages (Milnor).
+    The phantom formula reads |k| <= 1 in closed form, lim^1 compares
+    Smith images: the subgroup is zero exactly when lim^1 VANISHES, and
+    it is nonzero and divisible when lim^1 is INCONCLUSIVE."""
+    for k in range(-12, 13):
+        hom = f"x{k}" if k >= 0 else f"x {k}"  # as format_tower writes it
+        cert = lim1_certificate(parse_tower(f"tower block [Z -({hom})-> Z]"))
+        phantom = phantom_subgroup(telescope_z(k), 2)
+        assert phantom.is_zero == (cert.verdict == "VANISHES"), k
+        assert phantom.is_zero == (abs(k) <= 1), k
+        assert phantom.is_zero or phantom.divisible, k
 
 
 def test_lim1_certificate_invariants():

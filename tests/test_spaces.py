@@ -7,14 +7,15 @@ from math import gcd
 
 import pytest
 
-from cwbrauer.abgroup import FgAbGroup, Z, exterior_square
+from cwbrauer.abgroup import FgAbGroup, Z, brauer_of_k_g_2, exterior_square
 from cwbrauer.chaincx import (ChainComplex, bockstein, cohomology, homology,
                               uct_decompose)
 from cwbrauer.errors import SemanticError, UnsupportedComputation
 from cwbrauer.intlin import IntMatrix
-from cwbrauer.grammar import parse_space
+from cwbrauer.cli import execute, parse_request
+from cwbrauer.grammar import format_group, parse_group, parse_space
 from cwbrauer.profiles import OMEGA, CyclicProfile, StructuralDescriptor
-from _oracles import draw_eventually_periodic, random_complex
+from _oracles import bar_model_k_zn_2, draw_eventually_periodic, random_complex
 from cwbrauer.spaces import (
     EQUAL, STRICT, UNKNOWN, EqualityCertificate, PeriodicComplex,
     QZ_TOKEN, SpaceDescription, SymbolicGroup, bg_profile, bpgl,
@@ -44,7 +45,7 @@ def test_sphere_and_moore_builders():
         lens_skeleton(3, 0)
 
 
-def test_lens_periodic_stable_homology():
+def test_lens_periodic_homology_in_low_degrees():
     for n in (2, 5, 9):
         x = lens_periodic(n)
         assert x.kind == "periodic"
@@ -348,7 +349,8 @@ def test_catalog_homology():
     assert space_homology(k, 4) == FgAbGroup.cyclic(9)
     with pytest.raises(UnsupportedComputation):
         space_homology(k, 5)
-    with pytest.raises(UnsupportedComputation):
+    with pytest.raises(UnsupportedComputation,
+                       match="^H_2 = Q/Z is not finitely generated$"):
         space_homology(k_space(QZ_TOKEN, 2), 2)
 
     p = CyclicProfile.from_pairs([(2, 1), (4, 2)])  # Z/2 + (Z/4)^2
@@ -369,6 +371,69 @@ def test_telescope_homology():
     assert isinstance(h1, SymbolicGroup)
     assert h1.describe() == "Z[1/2,1/3]"
     assert space_homology(t, 2).is_trivial
+
+
+# -- K(Z/n, 2) from cells: the bar model of tests/_oracles.py ----------------------
+
+
+# H_2 .. H_8 of K(Z/n, 2), n = 2 .. 6, as the model first gave them; the
+# tests below check values of its rows by independent routes
+_KZN2_HOMOLOGY = {
+    2: "Z/2, 0, Z/4, Z/2, Z/2, Z/2, Z/2 + Z/8",
+    3: "Z/3, 0, Z/3, 0, Z/9, Z/3, Z/3",
+    4: "Z/4, 0, Z/8, Z/2, Z/4, Z/2, Z/2 + Z/16",
+    5: "Z/5, 0, Z/5, 0, Z/5, 0, Z/5",
+    6: "Z/6, 0, Z/12, Z/2, Z/18, Z/6, Z/2 + Z/24",
+}
+
+
+def test_bar_model_has_fibonacci_ranks_and_the_recorded_homology():
+    fib = [1, 0]                    # F_{-1}, F_0, F_1, ...
+    while len(fib) < 10:
+        fib.append(fib[-1] + fib[-2])
+    for n, row in _KZN2_HOMOLOGY.items():
+        c = bar_model_k_zn_2(n, 9)
+        assert list(c.ranks) == fib, n
+        assert [homology(c, q) for q in range(2, 9)] == [
+            parse_group(g) for g in row.split(", ")], n
+
+
+def test_bar_model_h3_vanishes_and_h4_is_whiteheads_gamma():
+    """H_3(K(Z/n, 2)) = 0 and H_4 = Γ(Z/n), which is Z/2n for even n and
+    Z/n for odd n (Whitehead 1950)."""
+    for n in range(2, 13):
+        c = bar_model_k_zn_2(n, 5)
+        assert homology(c, 3).is_trivial, n
+        assert homology(c, 4) == FgAbGroup.cyclic(n * (2 - n % 2)), n
+
+
+def test_bar_model_mod_p_dimensions_follow_serre_and_cartan():
+    """dim H^q(K(Z/2, 2); Z/2) for q = 0 .. 8 is Serre's series, the
+    product of 1/(1 - t^d) over d = 2, 3, 5, 9; dim H^q(K(Z/3, 2); Z/3)
+    for q = 2 .. 8 is Cartan's algebra, polynomial on degrees 2 and 8
+    and exterior on 3 and 7."""
+    def dims(p, degrees):
+        c = bar_model_k_zn_2(p, max(degrees) + 1)
+        return [len(cohomology(c, q, p).invariant_factors) for q in degrees]
+    assert dims(2, range(9)) == [1, 0, 1, 1, 1, 2, 2, 2, 3]
+    assert dims(3, range(2, 9)) == [1, 1, 1, 1, 1, 2, 2]
+
+
+def test_bar_model_h3_torsion_is_the_catalog_brauer_prime():
+    """Br' = the torsion of H^3 of the bar model equals the catalog's
+    brauer_of_k_g_2 and the Br' that `brauer k(Z/n, 2)` prints.  BPU_n
+    -> K(Z/n, 2) is 4-connected, so it also equals the catalog's Br' of
+    bpgl(n), and H_2 = Z/n equals `homology bpgl(n) 2`."""
+    for n in range(2, 13):
+        c = bar_model_k_zn_2(n, 4)
+        torsion = FgAbGroup(0, cohomology(c, 3).invariant_factors)
+        assert torsion == FgAbGroup.cyclic(n)
+        assert torsion == brauer_of_k_g_2(FgAbGroup.cyclic(n)).br_prime
+        assert torsion == catalog_lookup(bpgl(n)).br_prime
+        brauer = execute(parse_request(f"brauer k(Z/{n}, 2)"))["result"]
+        assert brauer["br_prime"]["group"] == format_group(torsion)
+        h2 = execute(parse_request(f"homology bpgl({n}) 2"))["result"]
+        assert h2["group"] == format_group(homology(c, 2)) == f"Z/{n}"
 
 
 # -- Brauer groups -----------------------------------------------------------------
@@ -670,6 +735,9 @@ def test_min_bundle_rank_errors_and_unknowns():
     assert min_bundle_rank(even6, 1) == 1
     assert min_bundle_rank(k_space(FgAbGroup.cyclic(6), 2), 6) is None
     assert min_bundle_rank(bpgl(5), 5) is None
+    # a Br' that is a StructuralDescriptor gives its exponent
+    assert min_bundle_rank(
+        bg_profile(CyclicProfile.from_pairs([(2, OMEGA)])), 2) is None
     # 5-dimensional complex with torsion H_2: order divides but dim > 4
     tall = wedge([moore_3cell(4), sphere(5)])
     assert min_bundle_rank(tall, 4) is None
@@ -713,5 +781,5 @@ def test_catalog_named_facts():
     assert "torsion abelian" in compact.notes[0]
     with pytest.raises(SemanticError):
         catalog_lookup("no_such_fact")
-    with pytest.raises(SemanticError):
+    with pytest.raises(SemanticError, match="^catalog takes a catalog space"):
         catalog_lookup(moore_3cell(2))

@@ -3,8 +3,10 @@ tables, pairs won, ties counting for neither side, and one verdict per
 end-to-end metric; its refusal to overwrite a record, and its cleanup
 when stopped by SIGTERM; the pinned digest of `tools/output_digest.py`;
 `tools/cache_traffic.py` on short streams; the line counts of
-`tools/src_lines.py`; and `tools/replay_pair.py` on short streams, with
-the working tree on both sides, and on a side whose output differs."""
+`tools/src_lines.py`; `tools/replay_pair.py` on short streams, with
+the working tree on both sides, and on a side whose output differs; and
+`tools/mutants.py` on one mutant it kills, one that survives and one
+whose text is stale."""
 
 import hashlib
 import importlib.util
@@ -12,6 +14,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from cwbrauer.spaces import MAX_BUILT_CELLS
@@ -335,3 +338,24 @@ def test_replay_pair_refuses_an_existing_record(tmp_path, capsys):
     assert _replay_pair().main([str(out)]) == 2
     assert out.read_text() == "{}\n"
     assert str(out) in capsys.readouterr().err
+
+
+def test_mutation_gate_kills_a_mutant_and_fails_on_a_survivor(capsys):
+    """A real mutant with a narrow selector is KILLED; a no-op mutant
+    SURVIVES and makes the gate fail; an old text that no longer occurs
+    fails it before any run."""
+    spec = importlib.util.spec_from_file_location(
+        "mutants", ROOT / "tools" / "mutants.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    real = next(m for m in mod.MUTANTS
+                if m.name == "cohomology modulus checked at < 1")
+    noop = real._replace(name="no-op", new=real.old)
+    start = time.perf_counter()
+    assert mod.run([real, noop]) == 1
+    assert time.perf_counter() - start < 10
+    lines = capsys.readouterr().out.splitlines()
+    assert [(line.split()[0], line.split("  ")[-2].strip()) for line in lines] \
+        == [("KILLED", real.name), ("SURVIVED", "no-op")]
+    assert mod.run([real._replace(old="no such text")]) == 1
+    assert capsys.readouterr().out.startswith("STALE")
