@@ -15,8 +15,8 @@ the modules before it:
 - limits: eventually periodic sequences (prefix plus repeating block)
   and towers with lim^1 vanishing certificates;
 - profiles: direct sums of cyclic groups with finite or countable
-  multiplicities, Br'(BG), basic-subgroup reduction, and non-membership
-  certificates for descriptor classes;
+  multiplicities, Br'(BG), and non-membership certificates for
+  descriptor classes;
 - spaces: CW-space descriptions (finite, periodic, telescope, catalog),
   the telescope's symbolic H_1 (Z[1/n]) and its Ext^1, Br', phantom
   subgroups, equality certificates, minimal bundle ranks, and the

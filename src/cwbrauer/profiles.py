@@ -21,7 +21,7 @@ endpoints) and sup |J_i| is unbounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .abgroup import FgAbGroup, _prime_power_base
@@ -181,7 +181,9 @@ def brauer_of_bg(p: CyclicProfile) -> FgAbGroup | StructuralDescriptor:
     Br'(BG) is the torsion of the product over i < j of Z/(n_i, n_j).
     Finite profile: the product is the finite direct sum, an exact
     FgAbGroup.  Infinite profile: a StructuralDescriptor carrying the
-    restricted-sum profile and the exponent.
+    restricted-sum profile and the exponent.  For G = D + B with D divisible
+    torsion, Lambda^2(G) = Lambda^2(B), since D (x) B and Lambda^2(D)
+    vanish, so a profile of the basic subgroup B is all this needs.
     """
     lam = lambda_square_profile(p)
     if p.is_finite:
@@ -207,45 +209,6 @@ def format_profile(p: CyclicProfile) -> str:
         m = "w" if mult is OMEGA else str(mult)
         parts.append(f"(Z/{order})^{m}")
     return " + ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# basic-subgroup reduction
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BasicReduction:
-    """Result of reduce_to_basic: the basic subgroup's profile plus the
-    verified conditions (text, holds, reason)."""
-
-    basic: CyclicProfile
-    conditions: tuple[tuple[str, bool, str], ...]
-    h2_profile: CyclicProfile = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "h2_profile", lambda_square_profile(self.basic))
-
-
-def reduce_to_basic(b: CyclicProfile) -> BasicReduction:
-    """Identify the profile b as a basic subgroup B of G = D + B, for
-    any divisible part D (the trivial one included).
-
-    The three defining conditions are verified symbolically for this
-    shape: B is a direct sum of cyclics by construction, G/B is the
-    divisible part D, and purity nB = nG intersect B holds because the
-    sum is direct and nD = D.  H_2(G) = Lambda^2(G) = Lambda^2(B) then
-    reduces the Brauer computation to the basic subgroup.
-    """
-    conditions = (
-        ("B is a direct sum of cyclic groups", True,
-         "B is given by a cyclic profile"),
-        ("G/B is divisible", True,
-         "G/B is the divisible part D, a sum of Prufer groups"),
-        ("B is pure: nB = nG intersect B for all n", True,
-         "with G = D + B direct and nD = D, an element of nG in B has "
-         "zero D-component, so it lies in nB"),
-    )
-    return BasicReduction(basic=b, conditions=conditions)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ it stays a second route to cohomology and the Bockstein, which the
 package reads off Smith diagonals; and `bar_model_k_zn_2`, cells of
 K(Z/n, 2) written out here and handed to `ChainComplex`, which checks
 del del = 0, as a second route to the catalog's Eilenberg-MacLane facts.
+`product_diagonals` reads its factors' Smith diagonals with the
+package's `smith_invariants` and `divisibility_chain`, and assembles no
+matrix of the product, so it is a second route to the Smith diagonals
+of `tensor_complexes`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from random import Random
 
 from cwbrauer.abgroup import GroupHom
 from cwbrauer.chaincx import ChainComplex, SubquotientPresentation
-from cwbrauer.intlin import IntMatrix, kernel_basis
+from cwbrauer.intlin import (IntMatrix, divisibility_chain, kernel_basis,
+                             smith_invariants)
 
 
 def det_oracle(rows: list[list[int]]) -> int:
@@ -378,3 +383,52 @@ def bar_model_k_zn_2(n: int, top: int) -> ChainComplex:
     return ChainComplex.from_entries(
         [len(ws) for ws in words],
         [(q, i, j, x) for (q, i, j), x in entries.items() if x])
+
+
+def _pieces(c) -> tuple[list[int], list[list[int]]]:
+    """free[k] and arrows[k] for k = 0..top: the rank of H_k, and the
+    nonzero entries, units included, of the Smith diagonal of del_{k+1}."""
+    top = len(c.ranks) - 1
+    diag = [[x for x in smith_invariants(c.boundary(n)) if x]
+            for n in range(top + 2)]
+    free = [c.rank(k) - len(diag[k]) - len(diag[k + 1])
+            for k in range(top + 1)]
+    return free, diag[1:]
+
+
+def product_diagonals(c, d) -> list[tuple[int, ...]]:
+    """The Smith diagonals of del_1 .. del_top of `tensor_complexes(c, d)`,
+    read off the factors' pieces with no elimination of the product.
+
+    A bounded complex of finitely generated free abelian groups is a
+    direct sum of pieces: Z in degree k for each free generator of H_k,
+    and Z -d-> Z in degrees k+1 -> k, written (Z -d-> Z)[k], for each
+    nonzero entry d of the Smith diagonal of del_{k+1}.  The tensor
+    product of two pieces is again a sum of pieces:
+      Z[p] (x) Z[q] = Z[p+q];
+      Z[p] (x) (Z -e-> Z)[q] = (Z -e-> Z)[p+q], and symmetrically;
+      (Z -d-> Z)[p] (x) (Z -e-> Z)[q] is Z -> Z^2 -> Z with boundaries
+      (d, +-e)^T and (+-e, -+d), each of Smith diagonal (g), g = gcd(d, e),
+      with no free part in the middle: (Z -g-> Z)[p+q+1] + (Z -g-> Z)[p+q].
+    So del_n of the product has as Smith diagonal the divisibility chain
+    of the entries of its pieces (Z -x-> Z)[n-1], padded with zeros to
+    min(rows, cols).
+    """
+    fc, ac = _pieces(c)
+    fd, ad = _pieces(d)
+    ranks = [0] * (len(c.ranks) + len(d.ranks) - 1)
+    for p, a in enumerate(c.ranks):
+        for q, b in enumerate(d.ranks):
+            ranks[p + q] += a * b
+    arrows = [[] for _ in ranks]
+    for p, (free_p, xs) in enumerate(zip(fc, ac)):
+        for q, (free_q, es) in enumerate(zip(fd, ad)):
+            arrows[p + q] += es * free_p + xs * free_q
+            for x in xs:
+                for e in es:
+                    g = gcd(x, e)
+                    arrows[p + q].append(g)
+                    arrows[p + q + 1].append(g)
+    return [tuple(divisibility_chain(arrows[n - 1]))
+            + (0,) * (min(ranks[n - 1], ranks[n]) - len(arrows[n - 1]))
+            for n in range(1, len(ranks))]

@@ -27,7 +27,8 @@ from cwbrauer.spaces import (from_complex, lens_periodic, lens_skeleton,
                              moore_3cell, product, sphere, wedge)
 
 from _oracles import (cochain_bockstein, cochain_presentation,
-                      homology_oracle, random_complex, rank_mod_p)
+                      homology_oracle, product_diagonals, random_complex,
+                      rank_mod_p)
 from _snf_reference import reference_smith_normal_form, reference_solve
 
 
@@ -850,6 +851,30 @@ def test_kunneth_formula_on_random_complexes():
         t = tensor_complexes(c, d)
         for n in range(t.top_degree + 1):
             assert homology(t, n) == kunneth_prediction(c, d, n), (n,)
+
+
+def test_tensor_diagonals_follow_from_the_factors_pieces():
+    """Every boundary of a tensor product has the Smith diagonal that the
+    factors' pieces predict (`_oracles.product_diagonals`), trailing zeros
+    included: 300 seeded pairs with units, zeros and empty degrees, in
+    both factor orders, and product(W, W) for W the 10-fold wedge of
+    moore3(2), 441 cells."""
+    rng = random.Random(1900)
+    checked = 0
+    for _ in range(300):
+        c = random_complex(rng, max_top=3, max_rank=3)
+        d = random_complex(rng, max_top=3, max_rank=3)
+        for x, y in ((c, d), (d, c)):
+            t = tensor_complexes(x, y)
+            assert product_diagonals(x, y) == [
+                intlin.smith_invariants(b) for b in t.boundaries]
+            checked += len(t.boundaries)
+    assert checked > 1500
+    w = wedge([moore_3cell(2)] * 10)
+    ww = product(w, w).cells
+    assert sum(ww.ranks) == 441
+    assert product_diagonals(w.cells, w.cells) == [
+        intlin.smith_invariants(b) for b in ww.boundaries]
 
 
 def test_tensor_euler_multiplicativity_and_validity():

@@ -951,6 +951,26 @@ def test_refusals_that_no_other_test_reaches(line, code, text):
             else report["error"]["message"]) == text
 
 
+@pytest.mark.parametrize("line, text", [
+    ("catalog k(Z/1 +, 2)", "Z/1 is forbidden; write 0 for the trivial group"),
+    ("profile-brauer (Z/1)^x", "profile orders must be >= 2"),
+    ("homology complex{cells 0: 1; cells 0: 1; x} 0", "cells 0 given twice"),
+    ("homology complex{cells 0: 1; boundary 1: [[1],[1,2]] x} 0",
+     "matrix rows have differing lengths"),
+    ("lim1 tower block [Z -([[1,2]])-> Z x]", "map matrix must be 1 x 1"),
+    ("homology sphere(0) 2 x", "sphere dimension must be >= 1"),
+], ids=["group-literal", "profile-literal", "complex-cells",
+        "complex-ragged", "tower-map", "built-space"])
+def test_a_semantic_error_read_before_a_later_syntax_error(line, text):
+    """A literal's rules fire as the literal is read, and a line's spaces
+    are built before its trailing tokens are read: each line ends in a
+    syntax error, but the semantic error before it is the one reported
+    (README, "Command line")."""
+    got, report = run_json(line)
+    assert got == EXIT_SEMANTIC
+    assert report["error"]["message"] == text
+
+
 def test_unit_pivots_answer_a_free_group_of_rank_511_quickly():
     # del_1 is the 1 x 511 zero matrix, so the cycles are a 511 x 511
     # identity: every pivot is 1 and no divisibility scan is needed

@@ -1,6 +1,6 @@
 """Tests for symbolic cyclic profiles: the omega multiplicity, exterior
-squares of profiles, Brauer groups of classifying spaces, basic-subgroup
-reduction, and non-Brauer certificates."""
+squares of profiles, Brauer groups of classifying spaces, and non-Brauer
+certificates."""
 
 import math
 import random
@@ -12,10 +12,9 @@ from cwbrauer.abgroup import FgAbGroup, exterior_square
 from cwbrauer.errors import SemanticError
 from cwbrauer.grammar import parse_profile
 from cwbrauer.profiles import (
-    OMEGA, AffineExpr, BasicReduction, CertificateReport, CyclicProfile,
+    OMEGA, AffineExpr, CertificateReport, CyclicProfile,
     ObstructionDescriptor, Rule, StructuralDescriptor, brauer_of_bg,
     format_profile, lambda_square_profile, non_brauer_certificate,
-    reduce_to_basic,
 )
 
 
@@ -193,19 +192,6 @@ def test_brauer_of_bg_structural():
 
     deep = brauer_of_bg(CyclicProfile.from_pairs([(9, OMEGA), (27, 1)]))
     assert deep.exponent == 9  # no internal 27-pair, so gcds cap the exponent
-
-
-# -- basic subgroup reduction --------------------------------------------------------
-
-
-def test_reduce_to_basic_bare_profile():
-    p = CyclicProfile.from_pairs([(2, OMEGA)])
-    red = reduce_to_basic(p)
-    assert isinstance(red, BasicReduction)
-    assert red.basic == p
-    assert all(holds for _, holds, _ in red.conditions)
-    assert len(red.conditions) == 3
-    assert red.h2_profile == lambda_square_profile(p)
 
 
 # -- affine expressions and rules ----------------------------------------------------

@@ -7,9 +7,10 @@ from math import gcd
 
 import pytest
 
-from cwbrauer.abgroup import FgAbGroup, Z, brauer_of_k_g_2, exterior_square
+from cwbrauer.abgroup import (FgAbGroup, Z, brauer_of_k_g_2, exterior_square,
+                              tensor)
 from cwbrauer.chaincx import (ChainComplex, bockstein, cohomology, homology,
-                              uct_decompose)
+                              tensor_complexes, uct_decompose)
 from cwbrauer.errors import SemanticError, UnsupportedComputation
 from cwbrauer.intlin import IntMatrix
 from cwbrauer.cli import execute, parse_request
@@ -434,6 +435,38 @@ def test_bar_model_h3_torsion_is_the_catalog_brauer_prime():
         assert brauer["br_prime"]["group"] == format_group(torsion)
         h2 = execute(parse_request(f"homology bpgl({n}) 2"))["result"]
         assert h2["group"] == format_group(homology(c, 2)) == f"Z/{n}"
+
+
+def test_product_of_bar_models_gives_k_g_2_for_two_cyclic_summands():
+    """K(Z/a + Z/b, 2) = K(Z/a, 2) x K(Z/b, 2), so the tensor product of
+    two bar models cut at degree 7 (441 cells) has its homology through
+    degree 6.  H_2 = Z/a + Z/b and H_3 = 0; H_4 = Γ(Z/a) + Γ(Z/b) +
+    Z/a ⊗ Z/b (Künneth, with Whitehead's Γ); and the torsion of H^3 is the
+    catalog's Br' of k(Z/a + Z/b, 2), as `brauer` prints it."""
+    def gamma(n):
+        return [n * (2 - n % 2)]
+    for a in range(2, 7):
+        for b in range(a, 7):
+            c = tensor_complexes(bar_model_k_zn_2(a, 7),
+                                 bar_model_k_zn_2(b, 7))
+            assert sum(c.ranks) == 441
+            g = FgAbGroup.from_cyclic_orders([a, b])
+            assert homology(c, 2) == g, (a, b)
+            assert homology(c, 3).is_trivial, (a, b)
+            assert homology(c, 4) == FgAbGroup.from_cyclic_orders(
+                gamma(a) + gamma(b) + list(tensor(
+                    FgAbGroup.cyclic(a), FgAbGroup.cyclic(b)).invariant_factors)
+            ), (a, b)
+            torsion = FgAbGroup(0, cohomology(c, 3).invariant_factors)
+            assert torsion == brauer_of_k_g_2(g).br_prime, (a, b)
+            brauer = execute(parse_request(
+                f"brauer k(Z/{a} + Z/{b}, 2)"))["result"]
+            assert brauer["br_prime"]["group"] == format_group(torsion)
+    c = tensor_complexes(bar_model_k_zn_2(4, 7), bar_model_k_zn_2(6, 7))
+    assert format_group(homology(c, 4)) == "Z/2 + Z/4 + Z/24"
+    assert format_group(cohomology(c, 3)) == "Z/2 + Z/12"
+    c = tensor_complexes(bar_model_k_zn_2(2, 7), bar_model_k_zn_2(2, 7))
+    assert format_group(homology(c, 4)) == "Z/2 + Z/4 + Z/4"
 
 
 # -- Brauer groups -----------------------------------------------------------------

@@ -69,7 +69,9 @@ def test_summarize_prints_medians_pairs_won_and_per_layer_medians(capsys):
             runs.append({"side": side, "seed": seed, "result": {
                 "correct": True, "attempted": 10, "failed": side == "change",
                 "metrics": metrics}})
-    _bench_pair().summarize({"runs": runs})
+    _bench_pair().summarize({
+        "command": "python3 perfbench/run.py --workload all --seed N",
+        "runs": runs})
     out = capsys.readouterr().out
 
     assert out.splitlines()[0] == ("2 pairs; failed requests: parent 0, "
@@ -107,6 +109,37 @@ def test_summarize_prints_medians_pairs_won_and_per_layer_medians(capsys):
     assert _row(out, "chain_heavy.intlin.snf_calls") == ["15", "6", "-60.0%"]
     assert _row(out, "chain_heavy.chaincx.presentations") == ["0", "0", "-"]
     assert _row(out, "periodic_deep.grammar.bytes") == ["1", "1", "+0.0%"]
+
+
+def test_summarize_reads_a_record_of_one_workload(capsys):
+    """A run of one workload prints its end-to-end metrics without the
+    workload prefix and no per-layer metrics; summarize reads which
+    workload from the command and prints the end-to-end table alone."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    values = {"peak_rss_mb": ((22.0, 22.2), (21.0, 21.2)),
+              "throughput_rps": ((100.0, 100.0), (70.0, 70.0))}
+    runs = []
+    for i, side in enumerate(("parent", "change")):
+        for seed in (1, 2):
+            metrics = {m["name"]: {"value": values.get(
+                m["name"], ((1.0, 1.0), (1.0, 1.0)))[i][seed - 1],
+                "unit": m["unit"]} for m in spec["end_to_end"]}
+            runs.append({"side": side, "seed": seed, "result": {
+                "correct": True, "attempted": 10, "failed": 0,
+                "metrics": metrics}})
+    _bench_pair().summarize({
+        "command": "python3 perfbench/run.py --workload periodic_deep "
+                   "--seed N",
+        "runs": runs})
+    out = capsys.readouterr().out
+
+    assert out.splitlines()[0] == ("2 pairs; failed requests: parent 0, "
+                                   "change 0")
+    rss = _row(out, "periodic_deep.peak_rss_mb")
+    assert rss[2] == "-4.5%" and rss[-2:] == ["gain", "2/2"]
+    assert _row(out, "periodic_deep.throughput_rps")[-2:] == ["worse", "0/2"]
+    rows = [line.split()[0] for line in out.splitlines()[2:]]
+    assert rows == [f"periodic_deep.{m['name']}" for m in spec["end_to_end"]]
 
 
 def test_an_existing_record_is_refused_before_any_run(tmp_path, monkeypatch,

@@ -33,6 +33,18 @@ Then, for every per-layer metric (from the traced run) and every
 workload, each side's median and the relative change, which shows in
 which layer a change of the end-to-end figures sits.
 
+Under `--workload all` the peak RSS of `periodic_deep` is that of the
+whole run, so it is read from a run of that workload alone, made by
+setting COMMAND before `main`:
+
+    python3 -c "import sys; sys.path.insert(0, 'tools'); import bench_pair; \\
+      bench_pair.COMMAND = bench_pair.COMMAND.replace('all', 'periodic_deep'); \\
+      bench_pair.main(['BENCH_<pr>_periodic_deep.json'])"
+
+`summarize` reads the workload from the record's command: a record of
+one workload holds its end-to-end metrics without the workload prefix
+and no per-layer metrics, so only the end-to-end table is printed.
+
 An existing OUT.json is never overwritten: the script exits 2 before
 any run, naming the file.  To reprint the summary of an old record,
 call `summarize(json.load(open("OUT.json")))` from this module.  A run
@@ -118,8 +130,13 @@ def _verdict(parent: list, change: list, sign: int, bound: float) -> str:
 
 def summarize(record: dict) -> None:
     """Per workload and end-to-end metric: medians, quartiles, verdict,
-    pairs won.  Per workload and per-layer metric: each side's median."""
+    pairs won.  Per workload and per-layer metric: each side's median,
+    for a record of every workload only (see the module docstring)."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    words = record["command"].split()
+    workload = words[words.index("--workload") + 1]
+    every = workload == "all"
+    workloads = [w["name"] for w in spec["workloads"]] if every else [workload]
     runs = {(r["side"], r["seed"]): r["result"] for r in record["runs"]}
     seeds = sorted(s for side, s in runs if side == "change"
                    and ("parent", s) in runs)
@@ -129,11 +146,12 @@ def summarize(record: dict) -> None:
           f" change {failed['change']}")
     print(f"{'metric':34} {'parent q1/med/q3':>26} {'change q1/med/q3':>26}"
           f" {'change':>7} {'spread':>6} {'bound':>5} {'verdict':10} won")
-    for workload in spec["workloads"]:
+    for name in workloads:
         for metric in spec["end_to_end"]:
-            key = f"{workload['name']}.{metric['name']}"
-            parent, change = ([runs[side, s]["metrics"][key]["value"]
-                               for s in seeds] for side in ("parent", "change"))
+            key = f"{name}.{metric['name']}"
+            parent, change = ([runs[side, s]["metrics"][
+                key if every else metric["name"]]["value"] for s in seeds]
+                for side in ("parent", "change"))
             q_p, q_c = _quartiles(parent), _quartiles(change)
             sign = 1 if metric["better"] == "higher" else -1
             print(f"{key:34} "
@@ -144,11 +162,13 @@ def summarize(record: dict) -> None:
                   f" {metric['bound']:5.0%}"
                   f" {_verdict(parent, change, sign, metric['bound']):10}"
                   f" {_won(parent, change, sign)}/{len(seeds)}")
+    if not every:
+        return
     print(f"{'per-layer metric (traced run)':44} {'parent med':>12}"
           f" {'change med':>12} {'change':>7}")
-    for workload in spec["workloads"]:
+    for name in workloads:
         for metric in spec["per_layer"]:
-            key = f"{workload['name']}.{metric['name']}"
+            key = f"{name}.{metric['name']}"
             med = {side: statistics.median(runs[side, s]["metrics"][key]
                                            ["value"] for s in seeds)
                    for side in ("parent", "change")}

@@ -90,6 +90,116 @@ MUTANTS = (
            "    _, d_out, free = _diagonals(c, n)\n"
            "    free = 1 if n < 0 else free\n",
            "tests/test_chaincx.py::test_homology_out_of_range_is_trivial"),
+    # the checks of the mathematics
+    Mutant("homology's torsion read from del_n", "chaincx",
+           "    return FgAbGroup(free, tuple(d for d in d_out if d >= 2))",
+           "    return FgAbGroup(free, tuple(d for d in d_in if d >= 2))",
+           "tests/test_chaincx.py::test_moore_complex_homology"),
+    Mutant("zero-Bockstein exit taken when gcd <= 2", "chaincx",
+           "if all(gcd(d, m) == 1 for d in torsion):",
+           "if all(gcd(d, m) <= 2 for d in torsion):",
+           "tests/test_chaincx.py::test_bockstein_moore_isomorphism"),
+    Mutant("telescope H_1 is Z for k = 1 only", "spaces",
+           "    if abs(k) == 1:\n        name = \"Z\"",
+           "    if k == 1:\n        name = \"Z\"",
+           "tests/test_limits.py::test_telescope_group_descriptions"),
+    Mutant("phantom zero for k = 0 only", "spaces",
+           "    if abs(x.multiplier) <= 1:\n        return SymbolicGroup()",
+           "    if x.multiplier == 0:\n        return SymbolicGroup()",
+           "tests/test_limits.py::"
+           "test_milnor_sequence_agrees_with_the_phantom_formula_on_telescopes"),
+    Mutant("even-cell range from degree 7", "spaces",
+           "for d in range(5, dim + 1, 2)", "for d in range(7, dim + 1, 2)",
+           "tests/test_spaces.py::"
+           "test_even_cell_rule_on_finite_dimensional_periodic_spaces"),
+    Mutant("Woodward bound at dimension 5", "spaces",
+           "    if dim is not None and dim <= 4:\n        fired.append(",
+           "    if dim is not None and dim <= 5:\n        fired.append(",
+           "tests/test_spaces.py::"
+           "test_certificate_every_finite_complex_is_compact"),
+    Mutant("divisibility chain sorted backwards", "intlin",
+           "for i, e in enumerate(sorted(exponents)):",
+           "for i, e in enumerate(sorted(exponents, reverse=True)):",
+           "tests/test_intlin.py::"
+           "test_divisibility_chain_matches_prime_power_oracle"),
+    Mutant("mod-m cohomology without its Ext part", "chaincx",
+           "for d in d_out + d_in if d >= 2]", "for d in d_out if d >= 2]",
+           "tests/test_chaincx.py::"
+           "test_mod_m_cohomology_against_coefficient_splitting"),
+    Mutant("Jensen rule ignoring the prefix", "limits",
+           "if all(g.is_finite for g in t.prefix + t.block):",
+           "if all(g.is_finite for g in t.block):",
+           "tests/test_limits.py::"
+           "test_lim1_verdicts_match_a_two_period_solve_reference"),
+    Mutant("Lambda^2 of a profile dropping gcd 2", "profiles",
+           "            if g >= 2:\n", "            if g > 2:\n",
+           "tests/test_profiles.py::test_lambda_square_frozen_examples"),
+    Mutant("periodic validation one degree short", "spaces",
+           "self.unroll(len(self.prefix) + self.period + 1)",
+           "self.unroll(len(self.prefix) + self.period)",
+           "tests/test_spaces.py::"
+           "test_periodic_validation_sees_every_block_pair"),
+    Mutant("Ext of cyclic groups: Ext^1(Z/a, Z) = 0", "abgroup",
+           "    if b == 0:\n        return a\n    return gcd(a, b)\n\n\n"
+           "def _tensor_cyclic",
+           "    if b == 0:\n        return 1\n    return gcd(a, b)\n\n\n"
+           "def _tensor_cyclic",
+           "tests/test_abgroup.py::test_brauer_of_k_g_2"),
+    Mutant("uct check's dual rank without d^n", "chaincx",
+           "    free = (c.rank(n) - sum(1 for d in a if d)\n"
+           "            - rank(c.boundary(n + 1).transpose()))",
+           "    free = c.rank(n) - sum(1 for d in a if d)",
+           "tests/test_chaincx.py::test_uct_suite"),
+    Mutant("_rank_and_index dropping a factor", "limits",
+           "    return len(d), prod(d)", "    return len(d), prod(d[1:])",
+           "tests/test_limits.py::"
+           "test_images_equal_matches_a_solve_based_reference"),
+    # the shape rules of smith_invariants, the chain, the JSON writer
+    Mutant("one-row gcd dropping its last entry", "intlin",
+           "return (gcd(*rows[0]) if len(rows) == 1 else",
+           "return (gcd(*rows[0][:-1]) if len(rows) == 1 else",
+           "tests/test_abgroup.py::test_exterior_square_against_presentation"),
+    Mutant("zero-size rule returning (0,)", "intlin",
+           "    if limit == 0:\n        return ()",
+           "    if limit == 0:\n        return (0,)",
+           "tests/test_intlin.py::"
+           "test_smith_invariants_match_transform_snf_and_oracle"),
+    Mutant("short divisibility_chain returning []", "intlin",
+           "    if len(orders) < 2:\n        return orders",
+           "    if len(orders) < 2:\n        return []",
+           "tests/test_abgroup.py::test_canonical_form_census"),
+    Mutant("_dump writing True as 1", "cli",
+           'bool: lambda b: "true" if b else "false"', "bool: int.__repr__",
+           "tests/test_cli.py::test_json_writer_matches_the_stdlib_encoder"),
+    # the Bockstein read off Smith diagonals
+    Mutant("Bockstein image b_i for b_i / gcd(b_i, m)", "chaincx",
+           "images = [[d // orders[i] * (", "images = [[d * (",
+           "tests/test_chaincx.py::"
+           "test_bockstein_equals_the_cochain_level_route"),
+    Mutant("U^-1 without orders[i]", "chaincx",
+           "(orders[i] * sf.v[i, j] // s[j])", "(sf.v[i, j] // s[j])",
+           "tests/test_acceptance.py::test_criterion_06_bockstein_on_moore"),
+    Mutant("U^-1 divided by S_ii for S_jj", "chaincx",
+           "(orders[i] * sf.v[i, j] // s[j])", "(orders[i] * sf.v[i, j] // s[i])",
+           "tests/test_chaincx.py::"
+           "test_bockstein_equals_the_cochain_level_route"),
+    # the built-in checks: rank and the packed del del = 0 test
+    Mutant("rank one too high", "intlin",
+           "    return steps\n", "    return steps + 1\n",
+           "tests/test_chaincx.py::test_uct_suite"),
+    Mutant("rank one too low", "intlin",
+           "    return steps\n", "    return steps - 1\n",
+           "tests/test_chaincx.py::test_uct_suite"),
+    Mutant("packed slot one bit narrower", "intlin",
+           "    s = bound.bit_length()\n",
+           "    s = max(1, bound.bit_length() - 1)\n",
+           "tests/test_intlin.py::"
+           "test_product_is_zero_sees_a_digit_at_the_edge_of_its_slot"),
+    Mutant("packed bound without the row-sum factor", "intlin",
+           "             * max([sum(map(abs, r)) for r in a._rows]))",
+           "             * 1)",
+           "tests/test_intlin.py::"
+           "test_product_is_zero_sees_a_digit_at_the_edge_of_its_slot"),
 )
 
 
